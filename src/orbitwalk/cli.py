@@ -14,20 +14,14 @@ import copy
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, RepresentationError, TruncationError
 from .group import OrbitSpaceSpec, Representation, fundamental_domain
-from .kernels import CoinSpec, KernelParams, hadamard_coin
-from .orbit import (
-    TruncationPolicy,
-    orbit_coined_kernel,
-    orbit_density_matrix,
-    orbit_kernel,
-    orbit_resolvent,
-    partition_function,
-)
+from .kernels import CoinSpec, KernelParams, coined_line_blocks, hadamard_coin
+from .orbit import KernelPlan, TruncationPolicy, orbit_coined_kernel, orbit_resolvent
 from . import oracle
 from .verify import all_passed, run_checks
 
@@ -283,17 +277,10 @@ def emit(run: ResolvedRun, table: Table, meta: dict) -> str:
 
 def run_evolve(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(_site_columns("site", run.space.N) + ["re_amplitude", "im_amplitude", "probability"])
-    norm = sum(abs(a) ** 2 for a in run.initial_state.values())
-    if abs(norm - 1.0) > 1e-12:
-        print(f"warning: initial state norm {norm:.6f} differs from 1", file=sys.stderr)
-    shells = 0
+    plan = KernelPlan(run.space, run.representation, run.params, run.truncation)
+    amplitudes = plan.evolve(run.initial_state, run.window)
     total = 0.0
-    for target in run.domain_points():
-        amp = 0j
-        for source, weight in run.initial_state.items():
-            rep = orbit_kernel(run.space, run.representation, target, source, run.params, run.truncation)
-            amp += rep.value * weight
-            shells = max(shells, rep.shells_used)
+    for target, amp in amplitudes.items():
         prob = abs(amp) ** 2
         total += prob
         table.add(
@@ -303,7 +290,7 @@ def run_evolve(run: ResolvedRun) -> tuple[Table, dict, int]:
             _fmt(prob, run.precision),
         )
     table.add(*["total"] + [""] * (run.space.N - 1), "", "", _fmt(total, run.precision))
-    return table, {"shells_used": shells, "total_probability": total}, 0
+    return table, {"shells_used": plan.shells_used, "total_probability": total}, 0
 
 
 def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
@@ -326,14 +313,15 @@ def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
 
 
 def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
-    z = partition_function(run.space, run.representation, run.params, run.truncation)
+    plan = KernelPlan(run.space, run.representation, run.params, run.truncation, heat=True)
+    z = plan.partition_function()
     table = Table(
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re_density", "im_density"]
     )
     points = run.domain_points()
     for x in points:
         for y in points:
-            value = orbit_density_matrix(run.space, run.representation, x, y, run.params, run.truncation)
+            value = plan.kernel(x, y).value / z
             table.add(
                 *[str(c) for c in x],
                 *[str(c) for c in y],
@@ -388,11 +376,14 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     power = oracle.coined_circle_power(L, run.representation.theta, coin, abs(steps))
     if steps < 0:
         power = power.conj().T
+    blocks = coined_line_blocks(steps, coin)
     table = Table(["x", "y", "i", "j", "re", "im", "deviation", "probability"])
     worst = 0.0
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            block = orbit_coined_kernel(run.space, run.representation, steps, x, y, coin, run.truncation)
+            block = orbit_coined_kernel(
+                run.space, run.representation, steps, x, y, coin, run.truncation, blocks=blocks
+            )
             want = oracle.coined_circle_block(power, coin.d, x, y)
             for i in range(coin.d):
                 for j in range(coin.d):
@@ -410,7 +401,9 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     total = 0.0
     dist_rows = []
     for x in range(1, L + 1):
-        block = orbit_coined_kernel(run.space, run.representation, steps, x, source, coin, run.truncation)
+        block = orbit_coined_kernel(
+            run.space, run.representation, steps, x, source, coin, run.truncation, blocks=blocks
+        )
         prob = float(np.sum(np.abs(block @ coin_state) ** 2))
         total += prob
         dist_rows.append((x, prob))
@@ -479,7 +472,11 @@ def main(argv: list[str] | None = None) -> int:
         config = load_config(args.config)
         apply_flags(config, args)
         run = ResolvedRun(args.command, config)
-        table, meta, code = HANDLERS[args.command](run)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table, meta, code = HANDLERS[args.command](run)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -145,8 +145,8 @@ def _coined_blocks(steps: int, c: CoinSpec) -> dict:
     return blocks
 
 
-def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:
-    """The (x, y) block of the n-step coined walk on the line.
+def coined_line_blocks(steps: int, c: CoinSpec) -> dict:
+    """Every nonzero block of the n-step coined walk on the line, keyed by x - y.
 
     The walk has a strict light cone (|x - y| <= |steps| * max|shift|), so the
     blocks are exact — no truncation enters.  Negative step counts use the
@@ -154,10 +154,12 @@ def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:
     """
     if abs(steps) > STEP_MAX:
         raise DomainError(f"|steps| exceeds STEP_MAX = {STEP_MAX}")
-    delta = x - y
-    if steps == 0:
-        return np.eye(c.d, dtype=complex) if delta == 0 else np.zeros((c.d, c.d), dtype=complex)
     if steps < 0:
-        return _coined_blocks(-steps, c).get(-delta, np.zeros((c.d, c.d), dtype=complex)).conj().T
-    blk = _coined_blocks(steps, c).get(delta)
+        return {-delta: blk.conj().T for delta, blk in _coined_blocks(-steps, c).items()}
+    return _coined_blocks(steps, c)
+
+
+def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:
+    """The (x, y) block of the n-step coined walk on the line (see `coined_line_blocks`)."""
+    blk = coined_line_blocks(steps, c).get(x - y)
     return blk.copy() if blk is not None else np.zeros((c.d, c.d), dtype=complex)

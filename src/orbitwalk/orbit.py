@@ -3,14 +3,15 @@
 The single engine `_orbit_sum` walks the group shell by shell (shells are
 indexed by max winding), weights each image by the representation, and stops
 once whole shells fall below tolerance.  Time, heat, and resolvent kernels
-plug in different free-lattice term functions; identical-walker kernels can
-alternatively be assembled as permanents/determinants of single-walker sums.
+plug in different free-lattice term functions.  Time and heat kernels of N
+identical walkers are permanents/determinants of single-walker sums, which a
+`KernelPlan` computes once per run; the direct N-walker group sum is kept as
+the reference (`method="direct"`) that tests compare against.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,15 +26,12 @@ from .group import (
     check_in_domain,
     enumerate_shell,
     fundamental_domain,
-    perm_parity,
     rep_weight,
     translation,
     validate_representation,
 )
-from .kernels import CoinSpec, KernelParams, coined_line_kernel, resolvent_momentum, window_radius
+from .kernels import CoinSpec, KernelParams, coined_line_blocks, resolvent_momentum, window_radius
 from .special import i_row, j_row, quarter_phase
-
-FACTORIZE_FROM = 4  # walker count at which the permanent/determinant path takes over
 
 
 @dataclass(frozen=True)
@@ -170,33 +168,150 @@ def _single_walker_space(space: OrbitSpaceSpec) -> OrbitSpaceSpec:
     return OrbitSpaceSpec(space.kind, space.L, 1, space.boundary_convention)
 
 
-def _factorized_report(space, D, x, y, p, trunc) -> OrbitKernelReport:
-    """Permanent/determinant of the single-walker orbit kernel matrix."""
-    single = _single_walker_space(space)
-    D1 = Representation(D.theta, D.phi, "Boson")
-    n = space.N
-    shells = 0
-    terms = 0
-    worst = 0.0
-    matrix = [[0j] * n for _ in range(n)]
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            rep = orbit_kernel(single, D1, (xi,), (yj,), p, trunc, restrict_domain=False)
-            matrix[i][j] = rep.value
-            shells = max(shells, rep.shells_used)
-            terms += rep.terms_evaluated
-            worst = max(worst, rep.last_shell_magnitude)
-    fermion = D.statistics == "Fermion"
-    total = 0j
-    for perm in itertools.permutations(range(n)):
-        prod = 1 + 0j
-        for i, j in enumerate(perm):
-            prod *= matrix[i][j]
-        if fermion and perm_parity(perm):
-            total -= prod
+def _points(space: OrbitSpaceSpec, x, y, restrict_domain: bool) -> tuple:
+    x, y = _as_point(space, x), _as_point(space, y)
+    if restrict_domain:
+        check_in_domain(space, x, "x")
+        check_in_domain(space, y, "y")
+    return x, y
+
+
+def _gluing_weight(z: tuple) -> float:
+    """1 / prod(multiplicity!): symmetrized kernels overcount coincident points."""
+    weight = 1.0
+    run = 1
+    for a, b in zip(z, z[1:]):
+        run = run + 1 if a == b else 1
+        weight /= run
+    return weight
+
+
+def glynn_permanent(m) -> complex:
+    """Permanent of a square matrix by Glynn's formula, O(2^n n).
+
+    perm(A) = 2^(1-n) sum_d (prod_k d_k) prod_j sum_i d_i A[i][j] over sign
+    vectors d with d_0 = +1 (Glynn, Eur. J. Combin. 31, 2010).  The sign
+    vectors are visited in Gray-code order, so each step flips one row's sign
+    and updates the column sums in O(n).
+    """
+    rows = [[complex(v) for v in row] for row in m]
+    n = len(rows)
+    if n == 0:
+        return 1 + 0j
+    sums = [sum(col) for col in zip(*rows)]
+    total = math.prod(sums)
+    signs = [1] * n
+    parity = 1
+    for k in range(1, 1 << (n - 1)):
+        i = (k & -k).bit_length()  # row whose sign flips: 1 + index of k's lowest set bit
+        signs[i] = -signs[i]
+        step = 2 * signs[i]
+        sums = [s + step * a for s, a in zip(sums, rows[i])]
+        parity = -parity
+        total += parity * math.prod(sums)
+    return total / (1 << (n - 1))
+
+
+class KernelPlan:
+    """Time or heat kernels of one run, lifted from single-walker sums computed once.
+
+    A plan is built for one space, representation, parameter set and
+    truncation policy, with the time-evolution term or, for `heat=True`, the
+    Gibbs term; that free-lattice term (one Bessel row) is built once.  The
+    single-walker image sum of each coordinate pair (x_i, y_j) is computed on
+    first use and kept, so a windowed run computes only the pairs it touches.
+    An N-walker entry is the determinant (fermions) or permanent (bosons) of
+    the N x N matrix of those sums.  Nothing is shared between plans: a
+    caller builds one per run and drops it with the run.
+    """
+
+    def __init__(
+        self,
+        space: OrbitSpaceSpec,
+        D: Representation,
+        p: KernelParams,
+        trunc: TruncationPolicy | None = None,
+        *,
+        heat: bool = False,
+    ):
+        validate_representation(space, D)
+        self._space = space
+        self._params = p
+        self._heat = heat
+        self._fermion = D.statistics == "Fermion"
+        self._single = _single_walker_space(space)
+        self._D1 = Representation(D.theta, D.phi, "Boson")
+        self._term = _heat_term(p) if heat else _time_term(p)
+        self._trunc = trunc or TruncationPolicy()
+        self._sums: dict = {}
+
+    @property
+    def shells_used(self) -> int:
+        """The most shells any single-walker sum of this plan has needed."""
+        return max((rep.shells_used for rep in self._sums.values()), default=0)
+
+    def _sum(self, xi: int, yj: int) -> OrbitKernelReport:
+        rep = self._sums.get((xi, yj))
+        if rep is None:
+            rep = _orbit_sum(self._single, self._D1, (xi,), (yj,), self._term, self._trunc)
+            self._sums[(xi, yj)] = rep
+        return rep
+
+    def kernel(self, x: tuple, y: tuple) -> OrbitKernelReport:
+        """The kernel between N-walker lattice points x and y (no domain check)."""
+        if len(x) == 1:
+            return self._sum(x[0], y[0])
+        matrix = [[self._sum(xi, yj) for yj in y] for xi in x]
+        values = [[rep.value for rep in row] for row in matrix]
+        value = np.linalg.det(np.array(values)) if self._fermion else glynn_permanent(values)
+        reps = [rep for row in matrix for rep in row]
+        return OrbitKernelReport(
+            complex(value),
+            max(rep.shells_used for rep in reps),
+            max(rep.last_shell_magnitude for rep in reps),
+            sum(rep.terms_evaluated for rep in reps),
+        )
+
+    def partition_function(self) -> float:
+        """Z(beta): the weighted trace of the Gibbs kernel over the finite domain.
+
+        Sorted points with coincident walkers carry 1/prod(multiplicity!),
+        the norm of their symmetrized state; fermion diagonals vanish there.
+        """
+        if not self._heat:
+            raise DomainError("the partition function needs a heat-kernel plan")
+        if self._space.kind not in ("Circle", "Interval"):
+            raise DomainError(f"partition function needs a finite domain, not {self._space.kind}")
+        total = 0.0
+        for point in fundamental_domain(self._space):
+            total += _gluing_weight(point) * self.kernel(point, point).value.real
+        return total
+
+    def evolve(self, psi0: dict, window=None) -> dict:
+        """U_tau applied to a finitely supported state, by point (see `evolve_state`)."""
+        if self._heat:
+            raise DomainError("state evolution needs a time-kernel plan")
+        space = self._space
+        state = {_as_point(space, pt): complex(a) for pt, a in psi0.items()}
+        if not state:
+            raise DomainError("initial state must have at least one amplitude")
+        for pt in state:
+            check_in_domain(space, pt, "initial-state point")
+        norm = sum(abs(a) ** 2 for a in state.values())
+        if abs(norm - 1.0) > 1e-12:
+            warnings.warn(f"initial state norm {norm:.6f} differs from 1", stacklevel=2)
+        if space.kind in ("Circle", "Interval"):
+            points = fundamental_domain(space)
         else:
-            total += prod
-    return OrbitKernelReport(total, shells, worst, terms)
+            points = fundamental_domain(space, window or _infinite_window(space, state, self._params))
+        out = {}
+        for target in points:
+            amp = 0j
+            for source, a in state.items():
+                if a != 0j:
+                    amp += self.kernel(target, source).value * a
+            out[target] = amp
+        return out
 
 
 def orbit_kernel(
@@ -208,27 +323,23 @@ def orbit_kernel(
     trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
-    method: str = "auto",
+    method: str = "factorized",
 ) -> OrbitKernelReport:
     """Time-evolution kernel U_tau(x, y) on the orbit space.
 
-    `method` selects between the direct group sum ("direct") and the
-    permanent/determinant factorization over single-walker kernels
-    ("factorized"); "auto" switches to the factorization for N >= 4.
+    By default N >= 2 walkers are lifted from single-walker sums as a
+    permanent/determinant (`KernelPlan`).  `method="direct"` sums over the
+    N-walker group instead: it is the independent reference that tests
+    compare the lift against, and no production path uses it.
     Set restrict_domain=False to evaluate at points outside the fundamental
     domain (the sum is equivariant there).
     """
-    trunc = trunc or TruncationPolicy()
-    x, y = _as_point(space, x), _as_point(space, y)
-    if restrict_domain:
-        check_in_domain(space, x, "x")
-        check_in_domain(space, y, "y")
-    if method not in ("auto", "direct", "factorized"):
+    if method not in ("factorized", "direct"):
         raise DomainError(f"unknown method {method!r}")
-    if method == "factorized" or (method == "auto" and space.N >= FACTORIZE_FROM):
-        validate_representation(space, D)
-        return _factorized_report(space, D, x, y, p, trunc)
-    return _orbit_sum(space, D, x, y, _time_term(p), trunc)
+    x, y = _points(space, x, y, restrict_domain)
+    if method == "direct":
+        return _orbit_sum(space, D, x, y, _time_term(p), trunc or TruncationPolicy())
+    return KernelPlan(space, D, p, trunc).kernel(x, y)
 
 
 def orbit_resolvent(
@@ -241,13 +352,16 @@ def orbit_resolvent(
     *,
     restrict_domain: bool = True,
 ) -> OrbitKernelReport:
-    """Resolvent kernel G_E(x, y) on the orbit space (Im E > 0)."""
-    trunc = trunc or TruncationPolicy()
-    x, y = _as_point(space, x), _as_point(space, y)
-    if restrict_domain:
-        check_in_domain(space, x, "x")
-        check_in_domain(space, y, "y")
-    return _orbit_sum(space, D, x, y, _resolvent_term(p), trunc)
+    """Resolvent kernel G_E(x, y) on the single-walker orbit space (Im E > 0).
+
+    N >= 2 walkers are refused: the resolvent of a sum of commuting walker
+    Hamiltonians is not a product of single-walker resolvents, so neither the
+    product image sum nor a permanent/determinant lift gives it.
+    """
+    if space.N != 1:
+        raise DomainError(f"the resolvent is implemented for one walker only, not N={space.N}")
+    x, y = _points(space, x, y, restrict_domain)
+    return _orbit_sum(space, D, x, y, _resolvent_term(p), trunc or TruncationPolicy())
 
 
 def local_dos(
@@ -260,7 +374,7 @@ def local_dos(
     *,
     omega: float = 1.0,
 ) -> float:
-    """Lorentzian-broadened local density of states -(1/pi) Im G(x, x)."""
+    """Lorentzian-broadened local density of states -(1/pi) Im G(x, x), one walker."""
     if not 1e-6 <= eta <= 1.0:
         raise DomainError(f"broadening eta must lie in [1e-6, 1], got {eta}")
     p = KernelParams(omega=omega, energy=complex(e_real, eta))
@@ -279,12 +393,8 @@ def orbit_heat_kernel(
     restrict_domain: bool = True,
 ) -> OrbitKernelReport:
     """Unnormalized Gibbs kernel <x| e^{-beta H} |y> on the orbit space."""
-    trunc = trunc or TruncationPolicy()
-    x, y = _as_point(space, x), _as_point(space, y)
-    if restrict_domain:
-        check_in_domain(space, x, "x")
-        check_in_domain(space, y, "y")
-    return _orbit_sum(space, D, x, y, _heat_term(p), trunc)
+    x, y = _points(space, x, y, restrict_domain)
+    return KernelPlan(space, D, p, trunc, heat=True).kernel(x, y)
 
 
 def partition_function(
@@ -293,14 +403,8 @@ def partition_function(
     p: KernelParams,
     trunc: TruncationPolicy | None = None,
 ) -> float:
-    """Z(beta): trace of the Gibbs kernel over the finite fundamental domain."""
-    if space.kind not in ("Circle", "Interval"):
-        raise DomainError(f"partition function needs a finite domain, not {space.kind}")
-    trunc = trunc or TruncationPolicy()
-    total = 0.0
-    for point in fundamental_domain(space):
-        total += orbit_heat_kernel(space, D, point, point, p, trunc).value.real
-    return total
+    """Z(beta): weighted trace of the Gibbs kernel over the finite fundamental domain."""
+    return KernelPlan(space, D, p, trunc, heat=True).partition_function()
 
 
 def orbit_density_matrix(
@@ -312,8 +416,9 @@ def orbit_density_matrix(
     trunc: TruncationPolicy | None = None,
 ) -> complex:
     """Canonical density matrix entry rho_beta(x, y) = heat(x, y) / Z(beta)."""
-    z = partition_function(space, D, p, trunc)
-    return orbit_heat_kernel(space, D, x, y, p, trunc).value / z
+    x, y = _points(space, x, y, True)
+    plan = KernelPlan(space, D, p, trunc, heat=True)
+    return plan.kernel(x, y).value / plan.partition_function()
 
 
 def orbit_coined_kernel(
@@ -326,12 +431,15 @@ def orbit_coined_kernel(
     trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
+    blocks: dict | None = None,
 ) -> np.ndarray:
     """Discrete-time kernel on the circle: sum_n e^{i n theta} B_steps(x - y - nL).
 
     The line blocks have a strict light cone, so the winding sum is finite and
     the result exact; the truncation policy is accepted for interface
-    uniformity but never cuts anything off.
+    uniformity but never cuts anything off.  A caller evaluating many pairs
+    passes `blocks = coined_line_blocks(steps, c)`, built once; by default
+    they are built per call.
     """
     if space.kind != "Circle" or space.N != 1:
         raise DomainError("discrete-time orbit kernels are wired for the single-walker circle")
@@ -339,13 +447,17 @@ def orbit_coined_kernel(
     if restrict_domain:
         check_in_domain(space, (x,), "x")
         check_in_domain(space, (y,), "y")
+    if blocks is None:
+        blocks = coined_line_blocks(steps, c)
     L = space.L
     reach = abs(steps) * max((abs(s) for s in c.shifts), default=0)
     out = np.zeros((c.d, c.d), dtype=complex)
     n_lo = math.ceil((x - y - reach) / L)
     n_hi = math.floor((x - y + reach) / L)
     for n in range(n_lo, n_hi + 1):
-        out += rep_weight(D, translation(power=n)) * coined_line_kernel(steps, x, y + n * L, c)
+        blk = blocks.get(x - y - n * L)
+        if blk is not None:
+            out += rep_weight(D, translation(power=n)) * blk
     return out
 
 
@@ -371,27 +483,7 @@ def evolve_state(
     the given (lo, hi) site window or, by default, the light cone around the
     initial support.
     """
-    trunc = trunc or TruncationPolicy()
-    state = {_as_point(space, pt): complex(a) for pt, a in psi0.items()}
-    if not state:
-        raise DomainError("initial state must have at least one amplitude")
-    for pt in state:
-        check_in_domain(space, pt, "initial-state point")
-    norm = sum(abs(a) ** 2 for a in state.values())
-    if abs(norm - 1.0) > 1e-12:
-        warnings.warn(f"initial state norm {norm:.6f} differs from 1", stacklevel=2)
-    if space.kind in ("Circle", "Interval"):
-        points = fundamental_domain(space)
-    else:
-        points = fundamental_domain(space, window or _infinite_window(space, state, p))
-    out = {}
-    for target in points:
-        amp = 0j
-        for source, a in state.items():
-            if a != 0j:
-                amp += orbit_kernel(space, D, target, source, p, trunc).value * a
-        out[target] = amp
-    return out
+    return KernelPlan(space, D, p, trunc).evolve(psi0, window)
 
 
 def probability(
@@ -405,13 +497,13 @@ def probability(
     """Detection probability |(U_tau psi0)(x)|^2 at a single point."""
     if x is None:
         raise DomainError("a detection point x is required")
-    trunc = trunc or TruncationPolicy()
     target = _as_point(space, x)
     check_in_domain(space, target, "x")
+    plan = KernelPlan(space, D, p, trunc)
     amp = 0j
     for source, a in psi0.items():
         src = _as_point(space, source)
         check_in_domain(space, src, "initial-state point")
         if complex(a) != 0j:
-            amp += orbit_kernel(space, D, target, src, p, trunc).value * complex(a)
+            amp += plan.kernel(target, src).value * complex(a)
     return abs(amp) ** 2

@@ -2,7 +2,8 @@
 
 Each check returns a CheckResult with the worst deviation it measured; the
 suite passes iff every deviation is within its tolerance.  Infinite spaces
-are probed through an explicit site window.
+are probed through an explicit site window.  `run_checks` shares one kernel
+plan per parameter set (tau, tau/2, -tau, 0) among its checks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .group import (
     translation,
 )
 from .kernels import KernelParams, window_radius
-from .orbit import TruncationPolicy, orbit_kernel
+from .orbit import KernelPlan, TruncationPolicy, _gluing_weight
 
 COMPOSITION_TOL = 1e-10
 UNITARITY_TOL = 1e-12
@@ -53,8 +54,20 @@ def _probe_points(space: OrbitSpaceSpec, window) -> list:
     return points[:8] if len(points) > 8 else points
 
 
-def _kernel(space, D, x, y, p, trunc):
-    return orbit_kernel(space, D, x, y, p, trunc).value
+class _Kernels:
+    """Time kernels of one verification run: one `KernelPlan` per parameter set."""
+
+    def __init__(self, space: OrbitSpaceSpec, D: Representation, trunc: TruncationPolicy):
+        self._space = space
+        self._D = D
+        self._trunc = trunc
+        self._plans: dict = {}
+
+    def __call__(self, x: tuple, y: tuple, p: KernelParams) -> complex:
+        plan = self._plans.get(p)
+        if plan is None:
+            plan = self._plans[p] = KernelPlan(self._space, self._D, p, self._trunc)
+        return plan.kernel(x, y).value
 
 
 def _symmetrized_delta(x: tuple, y: tuple, statistics: str) -> float:
@@ -66,27 +79,19 @@ def _symmetrized_delta(x: tuple, y: tuple, statistics: str) -> float:
     return total
 
 
-def check_initial_condition(space, D, trunc, window=None) -> CheckResult:
+def check_initial_condition(space, D, trunc, window=None, kernel=None) -> CheckResult:
+    kernel = kernel or _Kernels(space, D, trunc)
     p = KernelParams(omega=1.0, tau=0.0)
     worst = 0.0
     for x in _probe_points(space, window):
         for y in _probe_points(space, window):
             want = _symmetrized_delta(x, y, D.statistics)
-            worst = max(worst, abs(_kernel(space, D, x, y, p, trunc) - want))
+            worst = max(worst, abs(kernel(x, y, p) - want))
     return CheckResult("initial_condition", worst <= INITIAL_TOL, worst, INITIAL_TOL)
 
 
-def _gluing_weight(z: tuple) -> float:
-    """1 / prod(multiplicity!): symmetrized kernels overcount coincident points."""
-    weight = 1.0
-    run = 1
-    for a, b in zip(z, z[1:]):
-        run = run + 1 if a == b else 1
-        weight /= run
-    return weight
-
-
-def check_composition(space, D, p, trunc, window=None) -> CheckResult:
+def check_composition(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+    kernel = kernel or _Kernels(space, D, trunc)
     half = KernelParams(omega=p.omega, tau=0.5 * p.tau)
     probes = _probe_points(space, window)
     if space.kind in ("Circle", "Interval"):
@@ -100,28 +105,27 @@ def check_composition(space, D, p, trunc, window=None) -> CheckResult:
     for x in probes[:3]:
         for y in probes[:3]:
             glued = sum(
-                _gluing_weight(z)
-                * _kernel(space, D, x, z, half, trunc)
-                * _kernel(space, D, z, y, half, trunc)
-                for z in middles
+                _gluing_weight(z) * kernel(x, z, half) * kernel(z, y, half) for z in middles
             )
-            worst = max(worst, abs(glued - _kernel(space, D, x, y, p, trunc)))
+            worst = max(worst, abs(glued - kernel(x, y, p)))
     return CheckResult("composition", worst <= COMPOSITION_TOL, worst, COMPOSITION_TOL)
 
 
-def check_unitarity(space, D, p, trunc, window=None) -> CheckResult:
+def check_unitarity(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+    kernel = kernel or _Kernels(space, D, trunc)
     back = KernelParams(omega=p.omega, tau=-p.tau)
     worst = 0.0
     probes = _probe_points(space, window)
     for x in probes:
         for y in probes:
-            forward = _kernel(space, D, x, y, p, trunc)
-            backward = _kernel(space, D, y, x, back, trunc)
+            forward = kernel(x, y, p)
+            backward = kernel(y, x, back)
             worst = max(worst, abs(forward.conjugate() - backward))
     return CheckResult("unitarity", worst <= UNITARITY_TOL, worst, UNITARITY_TOL)
 
 
-def check_equivariance(space, D, p, trunc, window=None) -> CheckResult:
+def check_equivariance(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+    kernel = kernel or _Kernels(space, D, trunc)
     generators = []
     if space.has_translations:
         generators.append(translation(0, space.N))
@@ -135,10 +139,8 @@ def check_equivariance(space, D, p, trunc, window=None) -> CheckResult:
         weight = rep_value(D, g, space)
         for x in probes:
             for y in probes:
-                moved = orbit_kernel(
-                    space, D, act(g, x, space), y, p, trunc, restrict_domain=False
-                ).value
-                worst = max(worst, abs(moved - weight * _kernel(space, D, x, y, p, trunc)))
+                moved = kernel(act(g, x, space), y, p)
+                worst = max(worst, abs(moved - weight * kernel(x, y, p)))
     return CheckResult("equivariance", worst <= EQUIVARIANCE_TOL, worst, EQUIVARIANCE_TOL)
 
 
@@ -164,14 +166,15 @@ def _oracle_decomposition(space: OrbitSpaceSpec, D: Representation, p: KernelPar
     return oracle.diagonalize(oracle.build_hamiltonian(spec))
 
 
-def check_against_oracle(space, D, p, trunc, window=None) -> CheckResult:
+def check_against_oracle(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+    kernel = kernel or _Kernels(space, D, trunc)
     dec = _oracle_decomposition(space, D, p, window)
     if dec is None:
         return CheckResult("orbit_vs_oracle", True, 0.0, ORACLE_TOL, "free line: orbit sum is the reference")
     worst = 0.0
     for x in _probe_points(space, window):
         for y in _probe_points(space, window):
-            got = _kernel(space, D, x, y, p, trunc)
+            got = kernel(x, y, p)
             if space.N == 1:
                 want = oracle.spectral_kernel(dec, p.tau, x[0], y[0])
             else:
@@ -196,12 +199,13 @@ def run_checks(
     trunc = trunc or TruncationPolicy()
     if not math.isfinite(p.tau) or p.tau == 0.0:
         raise DomainError("verification needs a nonzero finite tau")
+    kernel = _Kernels(space, D, trunc)
     results = [
-        check_initial_condition(space, D, trunc, window),
-        check_composition(space, D, p, trunc, window),
-        check_unitarity(space, D, p, trunc, window),
-        check_equivariance(space, D, p, trunc, window),
-        check_against_oracle(space, D, p, trunc, window),
+        check_initial_condition(space, D, trunc, window, kernel),
+        check_composition(space, D, p, trunc, window, kernel),
+        check_unitarity(space, D, p, trunc, window, kernel),
+        check_equivariance(space, D, p, trunc, window, kernel),
+        check_against_oracle(space, D, p, trunc, window, kernel),
     ]
     if space.kind == "Circle" and space.N == 1:
         results.append(check_gauge(space, D, p))

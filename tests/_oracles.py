@@ -1,14 +1,19 @@
 """Independent reference implementations used only by the test suite.
 
-Everything here is deliberately written against mpmath/scipy primitives so
-that no production code path is exercised: the package under test evaluates
+Everything here is deliberately written against mpmath/scipy/numpy primitives
+so that no production code path is exercised: the package under test evaluates
 Bessel values through its own series/recurrence core, while these oracles
 use arbitrary-precision ascending series and adaptive quadrature.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+
 import mpmath as mp
+import numpy as np
 
 
 def bessel_j_series(n: int, z: float, terms: int = 30) -> float:
@@ -78,3 +83,39 @@ def laplace_transform_j0(omega: float, energy: complex, t_max: float) -> complex
         im, _ = quad(integrand_im, a, b, limit=200)
         total += re + 1j * im
     return total
+
+
+def many_walker_gibbs(h, n_walkers: int, statistics: str, beta: float):
+    """Dense N-walker Gibbs kernel: (Z, kernel(x, y)) from an explicit Kronecker sum.
+
+    H_N = sum_i 1 x .. x h x .. x 1 is diagonalized with numpy's eigh.  Z is
+    the trace of e^{-beta H_N} over the symmetric (bosons) or antisymmetric
+    (fermions) subspace, Tr(e^{-beta H_N} S) / N!, with S the signed sum of
+    coordinate permutations.  kernel(x, y) = (e^{-beta H_N} S)[x, y] for
+    1-based site tuples, the unnormalized symmetrized kernel of sorted points.
+    """
+    n = h.shape[0]
+    eye = np.eye(n)
+    h_n = sum(
+        functools.reduce(np.kron, [h if k == i else eye for k in range(n_walkers)])
+        for i in range(n_walkers)
+    )
+    values, vectors = np.linalg.eigh(h_n)
+    gibbs = (vectors * np.exp(-beta * values)) @ vectors.conj().T
+    shape = (n,) * n_walkers
+    grid = np.indices(shape).reshape(n_walkers, -1)
+    rows = np.arange(n**n_walkers)
+    s = np.zeros((n**n_walkers, n**n_walkers))
+    for perm in itertools.permutations(range(n_walkers)):
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) & 1
+        sign = -1.0 if statistics == "Fermion" and odd else 1.0
+        s[rows, np.ravel_multi_index(grid[list(perm)], shape)] += sign
+    symmetrized = gibbs @ s
+    z = float(np.trace(symmetrized).real) / math.factorial(n_walkers)
+
+    def kernel(x: tuple, y: tuple) -> complex:
+        i = np.ravel_multi_index([c - 1 for c in x], shape)
+        j = np.ravel_multi_index([c - 1 for c in y], shape)
+        return complex(symmetrized[i, j])
+
+    return z, kernel

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import orbitwalk.kernels
 from orbitwalk.cli import DEFAULT_CONFIG, apply_set, load_config, main
 from orbitwalk.errors import ConfigError
 
@@ -125,6 +126,13 @@ def test_evolve_warns_on_unnormalized_state(capsys):
     assert "norm" in err
 
 
+def test_many_walker_evolve_repeats_byte_for_byte(capsys):
+    argv = ("evolve", "--set", "space.N=3", "--set", "initial_state=[[[1,2,4],1.0,0.0]]")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert run_cli(capsys, *argv) == first
+
+
 # -- thermal, resolvent, dos ----------------------------------------------
 
 
@@ -141,6 +149,22 @@ def test_thermal_infinite_temperature(capsys):
         want = 0.2 if row[0] == row[1] else 0.0
         assert float(row[2]) == pytest.approx(want, abs=1e-13)
         assert float(row[3]) == pytest.approx(0.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_thermal_computes_each_single_walker_sum_once(capsys, orbit_sum_walkers, N):
+    code, _, _ = run_cli(capsys, "thermal", "--set", "space.L=5", "--set", f"space.N={N}")
+    assert code == 0
+    assert set(orbit_sum_walkers) == {1}
+    assert len(orbit_sum_walkers) <= 5 * 5
+
+
+@pytest.mark.parametrize("command", ["resolvent", "dos"])
+def test_many_walker_resolvent_and_dos_are_refused(capsys, command):
+    code, out, err = run_cli(capsys, command, "--set", "space.N=2", "--max-shell", "600")
+    assert code == 2
+    assert out == ""
+    assert "one walker" in err
 
 
 def test_resolvent_emits_full_matrix(capsys):
@@ -191,6 +215,20 @@ def test_coined_blocks_match_oracle_and_distribution_sums_to_one(capsys):
     assert float(rows[-1][7]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_coined_builds_line_blocks_once(capsys, monkeypatch):
+    steps = []
+    real = orbitwalk.kernels._coined_blocks
+
+    def counted(n, coin):
+        steps.append(n)
+        return real(n, coin)
+
+    monkeypatch.setattr(orbitwalk.kernels, "_coined_blocks", counted)
+    code, _, _ = run_cli(capsys, "coined", "--set", "space.L=8", "--set", "coined.steps=6")
+    assert code == 0
+    assert steps == [6]
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -223,6 +261,18 @@ def test_verify_interval_all_phase_pairs(capsys):
                 "--set", f"representation.phi={phi}",
             )
             assert code == 0, (theta, phi, out)
+
+
+def test_verify_shares_single_walker_sums_across_checks(capsys, orbit_sum_walkers):
+    code, _, _ = run_cli(
+        capsys, "verify", "--set", "space.L=5", "--set", "space.N=2",
+        "--set", "representation.theta=0.7",
+    )
+    assert code == 0
+    assert set(orbit_sum_walkers) == {1}
+    # four plans (tau, tau/2, -tau, 0) of at most L^2 sums each, plus the
+    # equivariance images that leave the domain
+    assert len(orbit_sum_walkers) <= 6 * 5 * 5
 
 
 def test_verify_broken_truncation_exits_3(capsys):

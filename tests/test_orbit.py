@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -21,11 +22,12 @@ from orbitwalk.group import (
     rep_value,
     translation,
 )
-from orbitwalk.kernels import KernelParams, hadamard_coin
+from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin
 from orbitwalk.orbit import (
     OrbitKernelReport,
     TruncationPolicy,
     evolve_state,
+    glynn_permanent,
     local_dos,
     orbit_coined_kernel,
     orbit_density_matrix,
@@ -35,6 +37,8 @@ from orbitwalk.orbit import (
     partition_function,
     probability,
 )
+
+from _oracles import many_walker_gibbs
 
 WIDE = TruncationPolicy(max_shell=500)
 
@@ -351,16 +355,46 @@ def test_fermion_kernel_vanishes_at_coincident_points():
     assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p, method="direct").value) < 1e-13
 
 
-def test_auto_method_switches_to_factorization():
-    space = OrbitSpaceSpec("Circle", L=4, N=4)
-    D = Representation()
+def test_default_method_lifts_from_single_walker_sums(orbit_sum_walkers):
     p = KernelParams(tau=0.5)
-    auto = orbit_kernel(space, D, (1, 2, 3, 4), (1, 2, 3, 4), p)
+    orbit_kernel(OrbitSpaceSpec("Circle", L=4, N=2), Representation(), (1, 3), (2, 4), p)
+    assert orbit_sum_walkers == [1] * 4
+    space = OrbitSpaceSpec("Circle", L=4, N=4)
+    lifted = orbit_kernel(space, Representation(), (1, 2, 3, 4), (1, 2, 3, 4), p)
+    assert orbit_sum_walkers == [1] * 20
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(4, 1.0, oracle.CircleTwisted(0.0)))
     )
     want = oracle.many_body_kernel(dec, 4, "Boson", (1, 2, 3, 4), (1, 2, 3, 4), 0.5)
-    assert auto.value == pytest.approx(want, abs=1e-10)
+    assert lifted.value == pytest.approx(want, abs=1e-10)
+
+
+def test_lifted_five_fermion_kernel_matches_oracle():
+    space = OrbitSpaceSpec("Circle", L=7, N=5)
+    D = Representation(theta=0.4, statistics="Fermion")
+    x, y = (1, 2, 4, 5, 7), (1, 3, 4, 6, 7)
+    got = orbit_kernel(space, D, x, y, KernelParams(tau=1.5)).value
+    dec = oracle.diagonalize(
+        oracle.build_hamiltonian(oracle.HamiltonianSpec(7, 1.0, oracle.CircleTwisted(0.4)))
+    )
+    want = oracle.many_body_kernel(dec, 5, "Fermion", x, y, 1.5)
+    assert got == pytest.approx(want, abs=1e-10)
+
+
+def _permanent_by_definition(m) -> complex:
+    n = len(m)
+    return sum(
+        math.prod(m[i][j] for i, j in enumerate(perm)) for perm in itertools.permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_glynn_permanent_matches_ryser(n):
+    rng = np.random.default_rng(n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    # Ryser's oracle stops at MANY_BODY_MAX; beyond it, sum over all n! permutations.
+    want = oracle.ryser_permanent(m) if n <= oracle.MANY_BODY_MAX else _permanent_by_definition(m)
+    assert abs(glynn_permanent(m) - want) <= 1e-12 * abs(want)
 
 
 def test_unknown_method_rejected():
@@ -441,6 +475,38 @@ def test_heat_kernel_report_contract():
     assert rep.terms_evaluated > 0
 
 
+def test_resolvent_and_dos_refuse_several_walkers():
+    space = OrbitSpaceSpec("Circle", L=4, N=2)
+    with pytest.raises(DomainError):
+        orbit_resolvent(space, Representation(), (1, 2), (1, 3), KernelParams(energy=0.4 + 0.9j), WIDE)
+    with pytest.raises(DomainError):
+        local_dos(space, Representation(), (1, 2), 0.3, 0.5, WIDE)
+
+
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("kind", ["Circle", "Interval"])
+def test_many_walker_thermal_matches_projected_kron_oracle(kind, N, statistics):
+    L, beta = 4, 0.7
+    if kind == "Circle":
+        D = Representation(theta=0.9, statistics=statistics)
+        boundary = oracle.CircleTwisted(0.9)
+    else:
+        D = Representation(theta=math.pi, phi=0.0, statistics=statistics)
+        boundary = oracle.IntervalPhase(math.pi, 0.0)
+    space = OrbitSpaceSpec(kind, L=L, N=N)
+    h = oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, boundary))
+    z_want, heat_want = many_walker_gibbs(h, N, statistics, beta)
+    p = KernelParams(beta=beta)
+    z = partition_function(space, D, p)
+    assert abs(z / z_want - 1.0) <= 1e-11
+    points = fundamental_domain(space)
+    for x in points:
+        for y in points[::2]:
+            rho = orbit_density_matrix(space, D, x, y, p)
+            assert abs(rho - heat_want(x, y) / z_want) <= 1e-10
+
+
 def test_local_dos_matches_direct_resolvent():
     space = OrbitSpaceSpec("Circle", L=5)
     value = local_dos(space, Representation(), 1, 0.3, 0.05, TruncationPolicy(max_shell=3000))
@@ -470,6 +536,18 @@ def test_coined_kernel_matches_matrix_power():
                 block = orbit_coined_kernel(space, D, 9, x, y, coin)
                 want = oracle.coined_circle_block(power, coin.d, x, y)
                 assert np.max(np.abs(block - want)) < 1e-12
+
+
+@pytest.mark.parametrize("steps", [-7, 0, 9])
+def test_coined_shared_blocks_give_identical_kernels(steps):
+    space = OrbitSpaceSpec("Circle", L=5)
+    D = Representation(theta=0.8)
+    coin = hadamard_coin()
+    blocks = coined_line_blocks(steps, coin)
+    for x in range(1, 6):
+        for y in range(1, 6):
+            shared = orbit_coined_kernel(space, D, steps, x, y, coin, blocks=blocks)
+            assert np.array_equal(shared, orbit_coined_kernel(space, D, steps, x, y, coin))
 
 
 def test_coined_zero_steps_is_identity_block():
