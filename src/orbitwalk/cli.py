@@ -19,13 +19,16 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, DomainError, RepresentationError, TruncationError
-from .group import OrbitSpaceSpec, Representation, fundamental_domain
+from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
 from .kernels import CoinSpec, KernelParams, coined_line_blocks, hadamard_coin
 from .orbit import KernelPlan, TruncationPolicy, orbit_coined_kernel, orbit_resolvent
 from . import oracle
 from .verify import all_passed, run_checks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
+
+# Largest table a run may emit; larger requests are refused before any compute.
+MAX_TABLE_ROWS = 10**6
 
 DEFAULT_CONFIG = {
     "space": {"kind": "Circle", "L": 4, "N": 1, "boundary_convention": "Standard"},
@@ -188,11 +191,35 @@ class ResolvedRun:
             for point in self.initial_state:
                 if len(point) != self.space.N:
                     raise ConfigError(f"initial-state point {point} has wrong walker count")
+        rows = self._table_rows()
+        if rows > MAX_TABLE_ROWS:
+            raise ConfigError(
+                f"{self.command} would emit {rows} table rows, more than {MAX_TABLE_ROWS}"
+            )
+
+    def _table_rows(self) -> int:
+        """Rows of the command's main table, counted without building the domain."""
+        if self.command == "verify":
+            return 0
+        if self.command == "coined":
+            return (self.space.L * self.coin().d) ** 2
+        points = domain_size(self.space, self._domain_window())
+        if self.command == "evolve":
+            return points
+        if self.command == "dos":
+            try:
+                energies = int(self.config["dos"]["points"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"dos.points must be an integer: {exc}") from exc
+            return energies * points
+        return points * points
+
+    def _domain_window(self):
+        """The site window of Line/HalfLine runs; finite spaces ignore it."""
+        return None if self.space.kind in ("Circle", "Interval") else self.window
 
     def domain_points(self) -> list:
-        if self.space.kind in ("Circle", "Interval"):
-            return fundamental_domain(self.space)
-        return fundamental_domain(self.space, self.window)
+        return fundamental_domain(self.space, self._domain_window())
 
     def coin(self) -> CoinSpec:
         raw = self.config["coined"]["coin"]
@@ -297,19 +324,17 @@ def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re", "im"]
     )
-    shells = 0
     points = run.domain_points()
     for x in points:
         for y in points:
-            rep = orbit_resolvent(run.space, run.representation, x, y, run.params, run.truncation)
-            shells = max(shells, rep.shells_used)
+            rep = orbit_resolvent(run.space, run.representation, x, y, run.params)
             table.add(
                 *[str(c) for c in x],
                 *[str(c) for c in y],
                 _fmt(rep.value.real, run.precision),
                 _fmt(rep.value.imag, run.precision),
             )
-    return table, {"shells_used": shells}, 0
+    return table, {}, 0
 
 
 def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
@@ -351,18 +376,16 @@ def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(["energy"] + [f"dos_{lab}" for lab in labels])
     energies = [e_min + (e_max - e_min) * k / (points - 1) for k in range(points)]
     values = np.empty((points, len(sites)))
-    shells = 0
     for row, e_real in enumerate(energies):
         p = KernelParams(omega=run.params.omega, energy=complex(e_real, eta))
         for col, site in enumerate(sites):
-            rep = orbit_resolvent(run.space, run.representation, site, site, p, run.truncation)
-            shells = max(shells, rep.shells_used)
+            rep = orbit_resolvent(run.space, run.representation, site, site, p)
             values[row, col] = -rep.value.imag / math.pi
         table.add(_fmt(e_real, run.precision), *(_fmt(v, run.precision) for v in values[row]))
     steps = np.diff(np.asarray(energies))[:, None]
     integrals = 0.5 * np.sum(steps * (values[1:] + values[:-1]), axis=0)
     table.add("total", *(_fmt(v, run.precision) for v in integrals))
-    return table, {"shells_used": shells, "integrals": [float(_fmt(v, 10)) for v in integrals]}, 0
+    return table, {"integrals": [float(_fmt(v, 10)) for v in integrals]}, 0
 
 
 def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:

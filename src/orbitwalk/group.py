@@ -367,12 +367,7 @@ def check_in_domain(space: OrbitSpaceSpec, x: Point, name: str = "point") -> Non
         raise DomainError(f"{name} {x} is outside the fundamental domain of {space.kind}")
 
 
-def fundamental_domain(space: OrbitSpaceSpec, window=None) -> list:
-    """All fundamental-domain points, as sorted N-tuples.
-
-    Finite spaces (Circle/Interval) need no window; Line and HalfLine require
-    an explicit (lo, hi) site window.
-    """
+def _site_range(space: OrbitSpaceSpec, window) -> tuple:
     lo, hi = coordinate_range(space)
     if window is not None:
         wlo, whi = window
@@ -380,5 +375,21 @@ def fundamental_domain(space: OrbitSpaceSpec, window=None) -> list:
         hi = whi if hi is None else min(hi, whi)
     if lo is None or hi is None:
         raise DomainError(f"{space.kind} is infinite: an explicit window is required")
+    return lo, hi
+
+
+def fundamental_domain(space: OrbitSpaceSpec, window=None) -> list:
+    """All fundamental-domain points, as sorted N-tuples.
+
+    Finite spaces (Circle/Interval) need no window; Line and HalfLine require
+    an explicit (lo, hi) site window.
+    """
+    lo, hi = _site_range(space, window)
     sites = range(lo, hi + 1)
     return [tuple(c) for c in itertools.combinations_with_replacement(sites, space.N)]
+
+
+def domain_size(space: OrbitSpaceSpec, window=None) -> int:
+    """len(fundamental_domain(space, window)), counted without building the points."""
+    lo, hi = _site_range(space, window)
+    return math.comb(max(hi - lo + 1, 0) + space.N - 1, space.N)

@@ -3,17 +3,23 @@
 Everything here is deliberately written against mpmath/scipy/numpy primitives
 so that no production code path is exercised: the package under test evaluates
 Bessel values through its own series/recurrence core, while these oracles
-use arbitrary-precision ascending series and adaptive quadrature.
+use arbitrary-precision ascending series and adaptive quadrature.  The one
+exception is `shell_sum_resolvent`, which runs the package's generic shell
+engine on the resolvent term to cross-check the closed-form resolvent.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 
 import mpmath as mp
 import numpy as np
+
+from orbitwalk import orbit
+from orbitwalk.kernels import resolvent_momentum
 
 
 def bessel_j_series(n: int, z: float, terms: int = 30) -> float:
@@ -119,3 +125,20 @@ def many_walker_gibbs(h, n_walkers: int, statistics: str, beta: float):
         return complex(symmetrized[i, j])
 
     return z, kernel
+
+
+def shell_sum_resolvent(space, D, x: int, y: int, p, trunc):
+    """Single-walker resolvent G_E(x, y) as an image sum truncated shell by shell.
+
+    The free term is the line resolvent e^{iq|d|} / (i omega sin q); the sum
+    runs through `orbit._orbit_sum` under `trunc`, so a slowly decaying sum
+    raises `TruncationError` at the shell cap.  Points are not checked
+    against the fundamental domain.
+    """
+    q = resolvent_momentum(p)
+    prefactor = 1.0 / (1j * p.omega * cmath.sin(q))
+
+    def term(xs: tuple, gy: tuple) -> complex:
+        return prefactor * cmath.exp(1j * q * abs(xs[0] - gy[0]))
+
+    return orbit._orbit_sum(space, D, (x,), (y,), term, trunc)

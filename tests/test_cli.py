@@ -9,8 +9,12 @@ import sys
 
 import pytest
 
+import orbitwalk.cli
+import orbitwalk.group
 import orbitwalk.kernels
-from orbitwalk.cli import DEFAULT_CONFIG, apply_set, load_config, main
+import orbitwalk.oracle
+import orbitwalk.orbit
+from orbitwalk.cli import COMMANDS, DEFAULT_CONFIG, apply_set, load_config, main
 from orbitwalk.errors import ConfigError
 
 
@@ -28,6 +32,14 @@ def parse_csv(text):
 
 
 # -- config plumbing ------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_runs_on_the_default_config(capsys, command):
+    code, out, err = run_cli(capsys, command)
+    assert code == 0, err
+    header, rows = parse_csv(out)
+    assert header and rows
 
 
 def test_default_config_loads_without_file():
@@ -331,9 +343,31 @@ def test_missing_config_file_exits_2(capsys):
 
 
 def test_truncation_failure_exits_3(capsys):
-    code, _, err = run_cli(capsys, "resolvent", "--set", "params.energy=[-0.2,0.05]")
+    code, _, err = run_cli(capsys, "evolve", "--set", "params.tau=50", "--max-shell", "2")
     assert code == 3
     assert "convergence failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thermal", "--set", "space.N=10", "--set", "space.L=20"),
+        ("dos", "--set", "dos.points=100000000"),
+        ("evolve", "--set", "space.kind=Line", "--window=-2000000:2000000"),
+        ("coined", "--set", "space.L=600"),
+    ],
+)
+def test_oversized_tables_are_refused_before_the_domain_is_built(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the work bound was checked")
+
+    for module in (orbitwalk.cli, orbitwalk.group, orbitwalk.orbit):
+        monkeypatch.setattr(module, "fundamental_domain", refuse)
+    monkeypatch.setattr(orbitwalk.oracle, "coined_circle_power", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "table rows" in err
 
 
 # -- output handling -----------------------------------------------------------

@@ -38,7 +38,7 @@ from orbitwalk.orbit import (
     probability,
 )
 
-from _oracles import many_walker_gibbs
+from _oracles import many_walker_gibbs, shell_sum_resolvent
 
 WIDE = TruncationPolicy(max_shell=500)
 
@@ -424,10 +424,59 @@ def test_resolvent_needs_upper_half_plane():
         orbit_resolvent(space, Representation(), 1, 1, KernelParams(energy=0.5 - 0.1j), WIDE)
 
 
-def test_resolvent_default_shell_cap_trips_near_band_edge():
+def test_resolvent_shell_sum_trips_default_cap_closed_form_matches_direct_solve():
     space = OrbitSpaceSpec("Circle", L=6)
+    D = Representation()
+    p = KernelParams(energy=-0.2 + 0.05j)
     with pytest.raises(TruncationError):
-        orbit_resolvent(space, Representation(), 1, 1, KernelParams(energy=-0.2 + 0.05j))
+        shell_sum_resolvent(space, D, 1, 1, p, TruncationPolicy())
+    h = oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.0)))
+    green = oracle.resolvent_direct(h, p.energy)
+    rep = orbit_resolvent(space, D, 1, 1, p, TruncationPolicy())
+    assert abs(rep.value - green[0, 0]) <= 1e-9
+    assert (rep.shells_used, rep.terms_evaluated) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "space,D",
+    [
+        (OrbitSpaceSpec("Circle", L=5), Representation(theta=0.7)),
+        (OrbitSpaceSpec("Circle", L=2), Representation(theta=2.3)),
+        (OrbitSpaceSpec("Interval", L=4), Representation(theta=math.pi, phi=0.0)),
+        (OrbitSpaceSpec("Interval", L=3), Representation(theta=0.0, phi=math.pi)),
+        (
+            OrbitSpaceSpec("Interval", L=3, boundary_convention="Dirichlet"),
+            Representation(theta=0.0, phi=math.pi),
+        ),
+        (OrbitSpaceSpec("HalfLine"), Representation(phi=math.pi)),
+        (OrbitSpaceSpec("HalfLine", boundary_convention="Dirichlet"), Representation(phi=math.pi)),
+        (OrbitSpaceSpec("Line"), Representation()),
+    ],
+    ids=lambda v: f"{v.kind}-{v.L}-{v.boundary_convention}" if isinstance(v, OrbitSpaceSpec) else "",
+)
+@pytest.mark.parametrize("energy", [0.4 + 0.3j, 0.2 + 0.05j, -0.9 + 0.02j])
+def test_closed_form_resolvent_matches_shell_sum(space, D, energy):
+    # Points run outside the fundamental domain (restrict_domain=False), on
+    # both sides of it; the error is relative to the largest value compared.
+    p = KernelParams(energy=energy)
+    trunc = TruncationPolicy(max_shell=3000)
+    pairs = list(itertools.product(range(-3, 9), repeat=2))
+    got = [orbit_resolvent(space, D, x, y, p, restrict_domain=False).value for x, y in pairs]
+    want = [shell_sum_resolvent(space, D, x, y, p, trunc).value for x, y in pairs]
+    scale = max(abs(w) for w in want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
+
+
+def test_closed_form_resolvent_near_band_edge_matches_direct_solve():
+    space = OrbitSpaceSpec("Circle", L=5)
+    D = Representation(theta=0.7)
+    energy = 0.999 + 1e-4j
+    h = oracle.build_hamiltonian(oracle.HamiltonianSpec(5, 1.0, oracle.CircleTwisted(0.7)))
+    green = oracle.resolvent_direct(h, energy)
+    for x in range(1, 6):
+        for y in range(1, 6):
+            rep = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
+            assert abs(rep.value - green[x - 1, y - 1]) <= 1e-9
 
 
 @pytest.mark.parametrize("L", [3, 5, 8])
