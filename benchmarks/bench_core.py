@@ -4,13 +4,22 @@ Run as `python benchmarks/bench_core.py`.  Each workload is timed over
 enough repetitions to be stable on a laptop; the table reports per-call
 microseconds and the compiled speedup.  The orbit-sum row times the full
 image-sum engine under whichever backend is active for this process
-(select it with ORBITWALK_BACKEND=pure|compiled).
+(select it with ORBITWALK_BACKEND=pure|compiled).  The cold-start row runs
+the default `orbitwalk evolve` in fresh interpreters against this checkout's
+`src/` and reports the median wall time and the modules the run loaded.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import statistics
+import subprocess
+import sys
+import time
 import timeit
+from pathlib import Path
 
 from orbitwalk import BACKEND_NAME
 from orbitwalk import _core_py
@@ -51,6 +60,39 @@ def bench_orbit_sum() -> float:
     return per_call_us(sweep, 20)
 
 
+COLD_START_RUNS = 9
+
+_COLD_START_SCRIPT = """\
+import contextlib, io, json, sys
+from orbitwalk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["evolve"])
+names = list(sys.modules)
+print(json.dumps({
+    "code": code,
+    "orbitwalk": sum(n == "orbitwalk" or n.startswith("orbitwalk.") for n in names),
+    "numpy": sum(n == "numpy" or n.startswith("numpy.") for n in names),
+}))
+"""
+
+
+def cold_start(runs: int = COLD_START_RUNS) -> tuple[float, dict]:
+    """Median seconds of a fresh interpreter running the default `evolve`, and
+    the exit code and orbitwalk/numpy module counts of its last run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    seconds = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds), json.loads(proc.stdout)
+
+
 def main() -> None:
     rows = []
     for label, call, repeats in WORKLOADS:
@@ -74,6 +116,11 @@ def main() -> None:
           f"{sweep_us / 1000.0:.2f} ms")
     if _core is None:
         print("compiled extension not built; only the pure-Python core was timed")
+
+    median_s, loaded = cold_start()
+    print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "
+          f"{median_s * 1000.0:.0f} ms, exit {loaded['code']}, "
+          f"{loaded['orbitwalk']} orbitwalk and {loaded['numpy']} numpy modules loaded")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,11 @@ over it, then applies `--set key=value` and the dedicated flags.  The fully
 resolved config is echoed in the output header so any emitted table can be
 reproduced from its own file.  Exit codes: 0 success, 2 config error,
 3 convergence failure, 4 verification failure.
+
+A run imports only what its command uses: numpy for `dos`, `coined` and
+fermion lifts (N >= 2), the dense `oracle` for `coined` and `verify`, and the
+`verify` suite for `verify`.  Lazy imports bind the module and look its
+functions up at call time, so patched or traced functions are seen.
 """
 
 from __future__ import annotations
@@ -16,19 +21,19 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, RepresentationError, TruncationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
-from .kernels import CoinSpec, KernelParams, coined_line_blocks, hadamard_coin
+from .kernels import CoinSpec, KernelParams, coined_line_blocks, hadamard_coin, window_radius
 from .orbit import KernelPlan, TruncationPolicy, orbit_coined_kernel, orbit_resolvent
-from . import oracle
-from .verify import all_passed, run_checks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 
 # Largest table a run may emit; larger requests are refused before any compute.
 MAX_TABLE_ROWS = 10**6
+
+# Largest boson lift a run may do, in Glynn row updates: each N-walker entry
+# is an N x N permanent of 2^(N-1) Gray-code steps of N updates each.
+MAX_LIFT_WORK = 10**8
 
 DEFAULT_CONFIG = {
     "space": {"kind": "Circle", "L": 4, "N": 1, "boundary_convention": "Standard"},
@@ -196,6 +201,12 @@ class ResolvedRun:
             raise ConfigError(
                 f"{self.command} would emit {rows} table rows, more than {MAX_TABLE_ROWS}"
             )
+        work = self._lift_work()
+        if work > MAX_LIFT_WORK:
+            raise ConfigError(
+                f"boson {self.command} at N={self.space.N} would do {work:.3g} permanent "
+                f"row updates, more than {MAX_LIFT_WORK}"
+            )
 
     def _table_rows(self) -> int:
         """Rows of the command's main table, counted without building the domain."""
@@ -207,12 +218,44 @@ class ResolvedRun:
         if self.command == "evolve":
             return points
         if self.command == "dos":
-            try:
-                energies = int(self.config["dos"]["points"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"dos.points must be an integer: {exc}") from exc
-            return energies * points
+            return _config_number(self.config, "dos.points", int) * points
         return points * points
+
+    def _lift_work(self):
+        """Glynn row updates of a boson N >= 2 run: permanent entries x 2^(N-1) x N."""
+        n = self.space.N
+        if n == 1 or self.representation.statistics != "Boson":
+            return 0
+        if self.command not in ("evolve", "thermal", "verify"):
+            return 0
+        points = domain_size(self.space, self._domain_window())
+        if self.command == "evolve":
+            entries = points * len(self.initial_state)
+        elif self.command == "thermal":
+            entries = points * points + points  # the table plus Z's diagonal
+        else:
+            entries = self._verify_entries(points)
+        if entries == 0:
+            return 0
+        if n > 64:
+            return math.inf  # past any bound; skips building a 2^(N-1) integer
+        return entries * n * 2 ** (n - 1)
+
+    def _verify_entries(self, points: int) -> int:
+        """Kernel entries `verify.run_checks` evaluates, from above.
+
+        It probes at most 8 points: 4 x 8^2 entries for the initial-condition,
+        unitarity and oracle checks, 36 for equivariance, and 3 x 3 probe
+        pairs glued through every middle point (two entries each) for
+        composition.  On Line/HalfLine the middles reach past the window.
+        """
+        probes = min(points, 8)
+        middles = points
+        if self.space.kind in ("Line", "HalfLine"):
+            reach = window_radius(self.params.omega, self.params.tau) + 8
+            lo, hi = self.window
+            middles = domain_size(self.space, (lo - reach, hi + reach))
+        return 4 * probes * probes + 36 + 9 * (2 * middles + 1)
 
     def _domain_window(self):
         """The site window of Line/HalfLine runs; finite spaces ignore it."""
@@ -226,6 +269,8 @@ class ResolvedRun:
         if raw == "hadamard":
             return hadamard_coin()
         if isinstance(raw, dict):
+            import numpy as np
+
             try:
                 matrix = np.array(
                     [[complex(c[0], c[1]) for c in row] for row in raw["matrix"]]
@@ -250,6 +295,16 @@ class Table:
         if len(cells) != len(self.columns):
             raise ValueError("row width mismatch")
         self.rows.append([str(c) for c in cells])
+
+
+def _config_number(config: dict, key: str, kind):
+    """The config value at dotted `key` converted by `kind` (int or float)."""
+    section, leaf = key.split(".")
+    try:
+        return kind(config[section][leaf])
+    except (TypeError, ValueError, OverflowError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}: {exc}") from exc
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -359,16 +414,18 @@ def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
 
 
 def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
+    import numpy as np
+
     section = run.config["dos"]
-    eta = float(section["eta"])
+    eta = _config_number(run.config, "dos.eta", float)
     if not 1e-6 <= eta <= 1.0:
         raise ConfigError(f"dos.eta must lie in [1e-6, 1], got {eta}")
     # Default sweep: band [-omega, omega] plus 60*eta of margin so the
     # Lorentzian tails carry < 1% of the weight per edge state.
     reach = run.params.omega + 60.0 * eta
-    e_min = float(section["e_min"]) if section["e_min"] is not None else -reach
-    e_max = float(section["e_max"]) if section["e_max"] is not None else reach
-    points = int(section["points"])
+    e_min = -reach if section["e_min"] is None else _config_number(run.config, "dos.e_min", float)
+    e_max = reach if section["e_max"] is None else _config_number(run.config, "dos.e_max", float)
+    points = _config_number(run.config, "dos.points", int)
     if points < 2 or e_max <= e_min:
         raise ConfigError("dos sweep needs points >= 2 and e_max > e_min")
     sites = run.domain_points()
@@ -389,9 +446,12 @@ def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
 
 
 def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
-    section = run.config["coined"]
-    steps = int(section["steps"])
-    source = int(section["source"])
+    import numpy as np
+
+    from . import oracle
+
+    steps = _config_number(run.config, "coined.steps", int)
+    source = _config_number(run.config, "coined.source", int)
     coin = run.coin()
     L = run.space.L
     if not 1 <= source <= L:
@@ -437,7 +497,9 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
 
 
 def run_verify(run: ResolvedRun) -> tuple[Table, dict, int]:
-    results = run_checks(
+    from . import verify
+
+    results = verify.run_checks(
         run.space, run.representation, run.params, run.truncation, window=run.window
     )
     table = Table(["check", "passed", "deviation", "tolerance", "detail"])
@@ -451,7 +513,7 @@ def run_verify(run: ResolvedRun) -> tuple[Table, dict, int]:
             r.detail,
         )
         deviations[r.name] = float(_fmt(r.deviation, 10))
-    ok = all_passed(results)
+    ok = verify.all_passed(results)
     return table, {"deviations": deviations, "all_passed": ok}, 0 if ok else 4
 
 

@@ -3,7 +3,8 @@
 Everything here lives on the full integer lattice: the time-evolution kernel
 (phase times Bessel J), the heat kernel (Bessel I), the resolvent (complex
 momentum), products over walkers, and the exact light-cone blocks of a
-discrete-time coined step.
+discrete-time coined step.  numpy is imported only by the coined-walk code,
+so the scalar kernels load without it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 from .special import bessel_i, bessel_j, quarter_phase
@@ -105,6 +104,8 @@ class CoinSpec:
     shifts: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         if not 1 <= self.d <= COIN_DIM_MAX:
             raise DomainError(f"coin dimension must be in 1..{COIN_DIM_MAX}")
         coin = np.asarray(self.coin, dtype=complex)
@@ -122,12 +123,16 @@ class CoinSpec:
 
 def hadamard_coin() -> CoinSpec:
     """The standard 2-state coin with shifts (+1, -1)."""
+    import numpy as np
+
     coin = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
     return CoinSpec(2, coin, (1, -1))
 
 
 def _coined_blocks(steps: int, c: CoinSpec) -> dict:
     """All nonzero blocks of W^steps on the line, keyed by x - y (steps >= 0)."""
+    import numpy as np
+
     blocks = {0: np.eye(c.d, dtype=complex)}
     coin = c.coin
     for _ in range(steps):
@@ -161,5 +166,7 @@ def coined_line_blocks(steps: int, c: CoinSpec) -> dict:
 
 def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:
     """The (x, y) block of the n-step coined walk on the line (see `coined_line_blocks`)."""
+    import numpy as np
+
     blk = coined_line_blocks(steps, c).get(x - y)
     return blk.copy() if blk is not None else np.zeros((c.d, c.d), dtype=complex)

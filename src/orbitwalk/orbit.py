@@ -7,7 +7,8 @@ free-lattice term functions.  The resolvent's images form geometric series,
 so `orbit_resolvent` sums them in closed form.  Time and heat kernels of N
 identical walkers are permanents/determinants of single-walker sums, which a
 `KernelPlan` computes once per run; the direct N-walker group sum is kept as
-the reference (`method="direct"`) that tests compare against.
+the reference (`method="direct"`) that tests compare against.  numpy is
+imported only where arrays are built (fermion determinants, coined blocks).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, TruncationError
 from .group import (
@@ -243,7 +242,12 @@ class KernelPlan:
             return self._sum(x[0], y[0])
         matrix = [[self._sum(xi, yj) for yj in y] for xi in x]
         values = [[rep.value for rep in row] for row in matrix]
-        value = np.linalg.det(np.array(values)) if self._fermion else glynn_permanent(values)
+        if self._fermion:
+            import numpy as np
+
+            value = np.linalg.det(np.array(values))
+        else:
+            value = glynn_permanent(values)
         reps = [rep for row in matrix for rep in row]
         return OrbitKernelReport(
             complex(value),
@@ -456,6 +460,8 @@ def orbit_coined_kernel(
     passes `blocks = coined_line_blocks(steps, c)`, built once; by default
     they are built per call.
     """
+    import numpy as np
+
     if space.kind != "Circle" or space.N != 1:
         raise DomainError("discrete-time orbit kernels are wired for the single-walker circle")
     validate_representation(space, D)

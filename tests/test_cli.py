@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,15 @@ import orbitwalk.group
 import orbitwalk.kernels
 import orbitwalk.oracle
 import orbitwalk.orbit
-from orbitwalk.cli import COMMANDS, DEFAULT_CONFIG, apply_set, load_config, main
+from orbitwalk.cli import (
+    COMMANDS,
+    DEFAULT_CONFIG,
+    MAX_LIFT_WORK,
+    ResolvedRun,
+    apply_set,
+    load_config,
+    main,
+)
 from orbitwalk.errors import ConfigError
 
 
@@ -336,6 +346,24 @@ def test_config_errors_exit_2(capsys, argv):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dos", "--set", 'dos.eta="x"'),
+        ("dos", "--set", 'dos.e_min="x"'),
+        ("dos", "--set", 'dos.e_max="x"'),
+        ("coined", "--set", 'coined.steps="x"'),
+        ("coined", "--set", 'coined.source="x"'),
+    ],
+)
+def test_non_numeric_section_values_exit_2_naming_the_key(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    key = argv[2].partition("=")[0]
+    assert code == 2
+    assert out == ""
+    assert f"config error: {key} must be" in err
+
+
 def test_missing_config_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "evolve", "--config", "/no/such/file.json")
     assert code == 2
@@ -368,6 +396,88 @@ def test_oversized_tables_are_refused_before_the_domain_is_built(capsys, monkeyp
     assert code == 2
     assert out == ""
     assert "table rows" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thermal", "--set", "space.L=2", "--set", "space.N=20"),
+        ("evolve", "--set", "space.L=2", "--set", "space.N=20",
+         "--set", f"initial_state=[[{[1] * 20}, 1, 0]]"),
+        ("verify", "--set", "space.L=10", "--set", "space.N=8"),
+    ],
+)
+def test_large_boson_lifts_are_refused_before_any_permanent(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a permanent ran before the lift bound was checked")
+
+    monkeypatch.setattr(orbitwalk.orbit, "glynn_permanent", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "permanent row updates" in err
+
+
+def test_lift_work_counts_thermal_entries_times_glynn_steps():
+    config = load_config(None)
+    apply_set(config, "space.L=2")
+    apply_set(config, "space.N=10")
+    run = ResolvedRun("thermal", config)
+    points = 11  # sorted 10-walker points on two sites
+    assert run._lift_work() == (points * points + points) * 2**9 * 10
+    assert run._lift_work() < MAX_LIFT_WORK
+    config["representation"]["statistics"] = "Fermion"
+    assert ResolvedRun("thermal", config)._lift_work() == 0
+
+
+# -- import graph -------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_LAZY_MODULES = ("numpy", "orbitwalk.oracle", "orbitwalk.verify")
+_PAIR = ("--set", "space.N=2", "--set", "initial_state=[[[1,2],1,0]]")
+
+
+def _modules_after_main(*argv):
+    """Exit code, stdout and the lazily imported modules loaded by one fresh run."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from orbitwalk.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(sys.argv[1:])\n"
+        f"print(json.dumps([code, [m for m in {_LAZY_MODULES!r} if m in sys.modules]]))\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, _, table = proc.stdout.partition("\n")
+    code, loaded = json.loads(status)
+    return code, table, set(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("evolve",), set()),
+        (("thermal",), set()),
+        (("resolvent",), set()),
+        (("evolve", *_PAIR), set()),
+        (("evolve", *_PAIR, "--set", "representation.statistics=Fermion"), {"numpy"}),
+        (("dos",), {"numpy"}),
+        (("coined",), {"numpy", "orbitwalk.oracle"}),
+        (("verify",), {"numpy", "orbitwalk.oracle", "orbitwalk.verify"}),
+    ],
+)
+def test_commands_load_numpy_oracle_and_verify_only_when_used(argv, expected):
+    code, table, loaded = _modules_after_main(*argv)
+    assert code == 0
+    assert table.startswith(f"# orbitwalk {argv[0]}\n")
+    assert parse_csv(table)[1]
+    assert loaded == expected
 
 
 # -- output handling -----------------------------------------------------------
