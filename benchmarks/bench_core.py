@@ -2,9 +2,12 @@
 
 Run as `python benchmarks/bench_core.py`.  Each workload is timed over
 enough repetitions to be stable on a laptop; the table reports per-call
-microseconds and the compiled speedup.  The orbit-sum row times the full
-image-sum engine under whichever backend is active for this process
-(select it with ORBITWALK_BACKEND=pure|compiled).  The cold-start row runs
+microseconds and the compiled speedup.  The orbit-sum row times one kernel
+per pair, each with its own plan, under whichever backend is active for this
+process (select it with ORBITWALK_BACKEND=pure|compiled).  The plan-sweep row
+times one heat plan filling all L^2 entries of a circle, which reuses one
+winding sum per displacement.  The parser row times building the CLI parser
+and parsing one command line, as every `main()` call does.  The cold-start row runs
 the default `orbitwalk evolve` in fresh interpreters against this checkout's
 `src/` and reports the median wall time and the modules the run loaded.
 """
@@ -23,9 +26,10 @@ from pathlib import Path
 
 from orbitwalk import BACKEND_NAME
 from orbitwalk import _core_py
+from orbitwalk.cli import build_parser
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import KernelParams
-from orbitwalk.orbit import orbit_kernel
+from orbitwalk.orbit import KernelPlan, orbit_kernel
 
 try:
     from orbitwalk import _core
@@ -58,6 +62,31 @@ def bench_orbit_sum() -> float:
                 orbit_kernel(space, D, x, y, p)
 
     return per_call_us(sweep, 20)
+
+
+PLAN_SWEEP_L = 16
+
+
+def bench_plan_sweep() -> float:
+    space = OrbitSpaceSpec("Circle", PLAN_SWEEP_L)
+    D = Representation(theta=0.7)
+    p = KernelParams(omega=1.0, beta=1.0)
+    sites = range(1, PLAN_SWEEP_L + 1)
+
+    def sweep():
+        plan = KernelPlan(space, D, p, heat=True)
+        for x in sites:
+            for y in sites:
+                plan.kernel((x,), (y,))
+
+    return per_call_us(sweep, 20)
+
+
+PARSER_ARGV = ["thermal", "--set", "space.L=16", "--max-shell", "64", "--format", "csv"]
+
+
+def bench_parser() -> float:
+    return per_call_us(lambda: build_parser().parse_args(PARSER_ARGV), 500)
 
 
 COLD_START_RUNS = 9
@@ -114,6 +143,11 @@ def main() -> None:
     sweep_us = bench_orbit_sum()
     print(f"\norbit kernel 6x6 sweep (omega*tau=5, {BACKEND_NAME} backend): "
           f"{sweep_us / 1000.0:.2f} ms")
+    plan_us = bench_plan_sweep()
+    print(f"heat plan {PLAN_SWEEP_L}x{PLAN_SWEEP_L} sweep (one plan, beta*omega=1): "
+          f"{plan_us / 1000.0:.2f} ms")
+    print(f"parser: build_parser().parse_args, one thermal command line: "
+          f"{bench_parser():.0f} us")
     if _core is None:
         print("compiled extension not built; only the pure-Python core was timed")
 

@@ -460,13 +460,21 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     if steps < 0:
         power = power.conj().T
     blocks = coined_line_blocks(steps, coin)
+    kernels = {}  # by x - y: the circle kernel depends on the displacement alone
+
+    def kernel(x: int, y: int):
+        block = kernels.get(x - y)
+        if block is None:
+            block = kernels[x - y] = orbit_coined_kernel(
+                run.space, run.representation, steps, x, y, coin, run.truncation, blocks=blocks
+            )
+        return block
+
     table = Table(["x", "y", "i", "j", "re", "im", "deviation", "probability"])
     worst = 0.0
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            block = orbit_coined_kernel(
-                run.space, run.representation, steps, x, y, coin, run.truncation, blocks=blocks
-            )
+            block = kernel(x, y)
             want = oracle.coined_circle_block(power, coin.d, x, y)
             for i in range(coin.d):
                 for j in range(coin.d):
@@ -484,9 +492,7 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     total = 0.0
     dist_rows = []
     for x in range(1, L + 1):
-        block = orbit_coined_kernel(
-            run.space, run.representation, steps, x, source, coin, run.truncation, blocks=blocks
-        )
+        block = kernel(x, source)
         prob = float(np.sum(np.abs(block @ coin_state) ** 2))
         total += prob
         dist_rows.append((x, prob))
@@ -533,20 +539,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lattice walk kernels on quotient spaces: evolve states, "
         "compute resolvents, thermal states, densities of states, coined steps, "
         "and run the self-check suite.",
+        usage="%(prog)s COMMAND [options]",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(COMMANDS))
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override one config field (dotted path, JSON value)")
-        p.add_argument("--tolerance", type=float, default=None, help="truncation tolerance")
-        p.add_argument("--max-shell", type=int, default=None, help="shell cap for image sums")
-        p.add_argument("--window", default=None, metavar="LO:HI",
-                       help="site window for infinite spaces")
-        p.add_argument("--output", default=None, help="write to this path instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--precision", type=int, default=None, help="significant digits")
+    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                        help="one of " + ", ".join(COMMANDS))
+    parser.add_argument("--config", default=None, help="JSON config file")
+    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="override one config field (dotted path, JSON value)")
+    parser.add_argument("--tolerance", type=float, default=None, help="truncation tolerance")
+    parser.add_argument("--max-shell", type=int, default=None, help="shell cap for image sums")
+    parser.add_argument("--window", default=None, metavar="LO:HI",
+                        help="site window for infinite spaces")
+    parser.add_argument("--output", default=None, help="write to this path instead of stdout")
+    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--precision", type=int, default=None, help="significant digits")
     return parser
 
 

@@ -1,13 +1,17 @@
 """Weighted image sums over the symmetry group: kernels on the orbit space.
 
-The engine `_orbit_sum` walks the group shell by shell (shells are indexed
-by max winding), weights each image by the representation, and stops once
-whole shells fall below tolerance.  Time and heat kernels plug in different
-free-lattice term functions.  The resolvent's images form geometric series,
-so `orbit_resolvent` sums them in closed form.  Time and heat kernels of N
-identical walkers are permanents/determinants of single-walker sums, which a
-`KernelPlan` computes once per run; the direct N-walker group sum is kept as
-the reference (`method="direct"`) that tests compare against.  numpy is
+A kernel on the orbit space is a sum of free-lattice kernels over the images
+of the initial point, each weighted by the representation.  For one walker
+the images of y are the integers (c - y if m else y) + n P (winding n,
+reflection bit m), and the weight is a power of e^{i theta} and e^{i phi}.
+`KernelPlan` sums them in `_winding_sum`, shell by shell (shells are indexed
+by |n|), until whole shells fall below tolerance: no group element is built.
+Time and heat kernels plug in different free-lattice rows.  The resolvent's
+images form geometric series, so `orbit_resolvent` sums them in closed form.
+Time and heat kernels of N identical walkers are permanents/determinants of
+single-walker sums, which a `KernelPlan` computes once per run.  The generic
+group engine `_orbit_sum` sums over N-walker group elements; it is only the
+reference (`method="direct"`) that tests compare against.  numpy is
 imported only where arrays are built (fermion determinants, coined blocks).
 """
 
@@ -72,7 +76,11 @@ def _as_point(space: OrbitSpaceSpec, v) -> tuple:
 
 
 def _orbit_sum(space, D, x, y, term, trunc) -> OrbitKernelReport:
-    """sum_gamma D(gamma) * term(x, gamma y), truncated per policy."""
+    """sum_gamma D(gamma) * term(x, gamma y), truncated per policy.
+
+    The generic engine over group elements of any walker count: the direct
+    N-walker reference and the test cross-checks use it, no production path.
+    """
     validate_representation(space, D)
     total = 0j
     terms = 0
@@ -99,10 +107,63 @@ def _orbit_sum(space, D, x, y, term, trunc) -> OrbitKernelReport:
                 return OrbitKernelReport(total, shells_used, last_mag, terms)
         else:
             quiet = 0
-    raise TruncationError(
+    raise _truncation_error(trunc, last_mag)
+
+
+def _truncation_error(trunc, last_mag: float) -> TruncationError:
+    return TruncationError(
         f"image sum did not converge within {trunc.max_shell} shells "
         f"(last shell magnitude {last_mag:.3e}, tol {trunc.tol:.3e})"
     )
+
+
+def _winding_sum(space, weight, free, x: int, y: int, trunc) -> OrbitKernelReport:
+    """One walker's image sum: `_orbit_sum` on the single-walker space, group-free.
+
+    The images of y are (c - y if m else y) + n P, visited in the order of
+    `enumerate_shell` (per shell n = -s then +s, each with m = 0 then 1), and
+    `weight(n, m)` is D(t^n r^m).  `free[d]` is the free-lattice term at
+    distance d; past its end the term is 0j.  Those terms are counted but not
+    added: adding w * 0j leaves the total unchanged, so every report equals
+    the generic engine's to the last bit.
+    """
+    period = space.period
+    images = ((0, y), (1, space.reflection_center - y)) if space.has_reflections else ((0, y),)
+    reach = len(free)
+    total = 0j
+    terms = 0
+    quiet = 0
+    shells_used = 0
+    last_mag = 0.0
+    for shell in range(trunc.max_shell + 1):
+        if shell == 0:
+            windings = (0,)
+        elif period:
+            windings = (-shell, shell)
+        else:
+            return OrbitKernelReport(total, shells_used, 0.0, terms)  # group exhausted: exact
+        shell_max = 0.0
+        for n in windings:
+            for m, image in images:
+                terms += 1
+                d = x - image - n * period
+                if d < 0:
+                    d = -d
+                if d < reach:
+                    contrib = weight(n, m) * free[d]
+                    total += contrib
+                    mag = abs(contrib)
+                    if mag > shell_max:
+                        shell_max = mag
+        shells_used = shell + 1
+        last_mag = shell_max
+        if shell_max < trunc.tol:
+            quiet += 1
+            if quiet >= trunc.consecutive_quiet_shells:
+                return OrbitKernelReport(total, shells_used, last_mag, terms)
+        else:
+            quiet = 0
+    raise _truncation_error(trunc, last_mag)
 
 
 def _time_term(p: KernelParams):
@@ -143,8 +204,11 @@ def _heat_term(p: KernelParams):
     return term
 
 
-def _single_walker_space(space: OrbitSpaceSpec) -> OrbitSpaceSpec:
-    return OrbitSpaceSpec(space.kind, space.L, 1, space.boundary_convention)
+def _free_row(p: KernelParams, heat: bool) -> list:
+    """The single-walker free term at distances 0..radius; past radius it is 0j."""
+    term = _heat_term(p) if heat else _time_term(p)
+    radius = window_radius(p.omega, p.beta if heat else p.tau)
+    return [term((d,), (0,)) for d in range(radius + 1)]
 
 
 def _points(space: OrbitSpaceSpec, x, y, restrict_domain: bool) -> tuple:
@@ -196,12 +260,15 @@ class KernelPlan:
 
     A plan is built for one space, representation, parameter set and
     truncation policy, with the time-evolution term or, for `heat=True`, the
-    Gibbs term; that free-lattice term (one Bessel row) is built once.  The
-    single-walker image sum of each coordinate pair (x_i, y_j) is computed on
-    first use and kept, so a windowed run computes only the pairs it touches.
-    An N-walker entry is the determinant (fermions) or permanent (bosons) of
-    the N x N matrix of those sums.  Nothing is shared between plans: a
-    caller builds one per run and drops it with the run.
+    Gibbs term; that free-lattice row (one Bessel row) is built once.  Each
+    single-walker image sum is computed by `_winding_sum` on first use and
+    kept, so a windowed run computes only the sums it touches.  On the Line
+    and Circle a sum depends on x - y alone and is kept by that displacement
+    (2L - 1 sums cover a circle); with reflections it is kept by (x, y).  The
+    weight D(t^n r^m) of each (n, m) is computed once by `rep_weight`.  An
+    N-walker entry is the determinant (fermions) or permanent (bosons) of the
+    N x N matrix of those sums.  Nothing is shared between plans: a caller
+    builds one per run and drops it with the run.
     """
 
     def __init__(
@@ -218,10 +285,11 @@ class KernelPlan:
         self._params = p
         self._heat = heat
         self._fermion = D.statistics == "Fermion"
-        self._single = _single_walker_space(space)
         self._D1 = Representation(D.theta, D.phi, "Boson")
-        self._term = _heat_term(p) if heat else _time_term(p)
+        self._free = _free_row(p, heat)
         self._trunc = trunc or TruncationPolicy()
+        self._by_displacement = not space.has_reflections
+        self._weights: dict = {}
         self._sums: dict = {}
 
     @property
@@ -229,11 +297,19 @@ class KernelPlan:
         """The most shells any single-walker sum of this plan has needed."""
         return max((rep.shells_used for rep in self._sums.values()), default=0)
 
+    def _weight(self, n: int, m: int) -> complex:
+        w = self._weights.get((n, m))
+        if w is None:
+            w = self._weights[(n, m)] = rep_weight(self._D1, GroupElement((n,), (m,), (0,)))
+        return w
+
     def _sum(self, xi: int, yj: int) -> OrbitKernelReport:
-        rep = self._sums.get((xi, yj))
+        key = xi - yj if self._by_displacement else (xi, yj)
+        rep = self._sums.get(key)
         if rep is None:
-            rep = _orbit_sum(self._single, self._D1, (xi,), (yj,), self._term, self._trunc)
-            self._sums[(xi, yj)] = rep
+            rep = self._sums[key] = _winding_sum(
+                self._space, self._weight, self._free, xi, yj, self._trunc
+            )
         return rep
 
     def kernel(self, x: tuple, y: tuple) -> OrbitKernelReport:

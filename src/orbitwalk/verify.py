@@ -144,25 +144,31 @@ def check_equivariance(space, D, p, trunc, window=None, kernel=None) -> CheckRes
     return CheckResult("equivariance", worst <= EQUIVARIANCE_TOL, worst, EQUIVARIANCE_TOL)
 
 
+def _oracle_sites(space: OrbitSpaceSpec, p: KernelParams, window):
+    """Sites of the dense chain the oracle check diagonalizes; None on the free line."""
+    if space.kind in ("Circle", "Interval"):
+        return space.L
+    if space.kind == "HalfLine":
+        return max(oracle.half_line_window(p.omega, p.tau), (window[1] if window else 0) + 40)
+    return None
+
+
 def _oracle_decomposition(space: OrbitSpaceSpec, D: Representation, p: KernelParams, window):
     if space.kind == "Circle":
         boundary = oracle.CircleTwisted(D.theta)
-        sites = space.L
     elif space.kind == "Interval":
         if space.boundary_convention == "Dirichlet":
             boundary = oracle.Dirichlet()
         else:
             boundary = oracle.IntervalPhase(D.theta, D.phi)
-        sites = space.L
     elif space.kind == "HalfLine":
         if space.boundary_convention == "Dirichlet":
             boundary = oracle.Dirichlet()
         else:
             boundary = oracle.HalfLinePhase(D.phi)
-        sites = max(oracle.half_line_window(p.omega, p.tau), (window[1] if window else 0) + 40)
     else:
         return None
-    spec = oracle.HamiltonianSpec(sites, p.omega, boundary)
+    spec = oracle.HamiltonianSpec(_oracle_sites(space, p, window), p.omega, boundary)
     return oracle.diagonalize(oracle.build_hamiltonian(spec))
 
 
@@ -195,10 +201,25 @@ def run_checks(
     trunc: TruncationPolicy | None = None,
     window=None,
 ) -> list[CheckResult]:
-    """Full property suite for one (space, representation, parameters) triple."""
+    """Full property suite for one (space, representation, parameters) triple.
+
+    Runs the oracle cannot check are refused before any kernel is computed:
+    more than `oracle.MANY_BODY_MAX` walkers (the tau = 0 check also loops
+    over all N! matchings) or a dense chain of more than `oracle.SITES_MAX`
+    sites.
+    """
     trunc = trunc or TruncationPolicy()
     if not math.isfinite(p.tau) or p.tau == 0.0:
         raise DomainError("verification needs a nonzero finite tau")
+    if space.N > oracle.MANY_BODY_MAX:
+        raise DomainError(
+            f"verification handles at most {oracle.MANY_BODY_MAX} walkers, not N={space.N}"
+        )
+    sites = _oracle_sites(space, p, window)
+    if sites is not None and sites > oracle.SITES_MAX:
+        raise DomainError(
+            f"verification needs a dense oracle of {sites} sites, more than {oracle.SITES_MAX}"
+        )
     kernel = _Kernels(space, D, trunc)
     results = [
         check_initial_condition(space, D, trunc, window, kernel),

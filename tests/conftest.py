@@ -2,20 +2,32 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 import orbitwalk.orbit
 
 
 @pytest.fixture
-def orbit_sum_walkers(monkeypatch) -> list:
-    """The walker count of every image sum `orbit._orbit_sum` runs during the test."""
-    walkers = []
-    real = orbitwalk.orbit._orbit_sum
+def image_sums(monkeypatch) -> SimpleNamespace:
+    """The image sums run during the test.
 
-    def counted(space, *args):
-        walkers.append(space.N)
-        return real(space, *args)
+    `winding` holds the (x, y) of every single-walker sum `orbit._winding_sum`
+    runs, `direct` the walker count of every generic `orbit._orbit_sum`.
+    """
+    sums = SimpleNamespace(winding=[], direct=[])
+    winding = orbitwalk.orbit._winding_sum
+    direct = orbitwalk.orbit._orbit_sum
 
-    monkeypatch.setattr(orbitwalk.orbit, "_orbit_sum", counted)
-    return walkers
+    def counted_winding(space, weight, free, x, y, trunc):
+        sums.winding.append((x, y))
+        return winding(space, weight, free, x, y, trunc)
+
+    def counted_direct(space, *args):
+        sums.direct.append(space.N)
+        return direct(space, *args)
+
+    monkeypatch.setattr(orbitwalk.orbit, "_winding_sum", counted_winding)
+    monkeypatch.setattr(orbitwalk.orbit, "_orbit_sum", counted_direct)
+    return sums

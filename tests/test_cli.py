@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import orbitwalk.cli
@@ -26,6 +27,8 @@ from orbitwalk.cli import (
     main,
 )
 from orbitwalk.errors import ConfigError
+from orbitwalk.group import OrbitSpaceSpec, Representation
+from orbitwalk.kernels import hadamard_coin
 
 
 def run_cli(capsys, *argv):
@@ -174,11 +177,32 @@ def test_thermal_infinite_temperature(capsys):
 
 
 @pytest.mark.parametrize("N", [1, 2])
-def test_thermal_computes_each_single_walker_sum_once(capsys, orbit_sum_walkers, N):
+def test_thermal_computes_each_single_walker_sum_once(capsys, image_sums, N):
     code, _, _ = run_cli(capsys, "thermal", "--set", "space.L=5", "--set", f"space.N={N}")
     assert code == 0
-    assert set(orbit_sum_walkers) == {1}
-    assert len(orbit_sum_walkers) <= 5 * 5
+    assert image_sums.direct == []
+    # one sum per displacement x - y in -4..4, not one per pair of sites
+    assert len(image_sums.winding) == 2 * 5 - 1
+    assert len({x - y for x, y in image_sums.winding}) == 2 * 5 - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--set", "space.L=5"],
+        ["evolve", "--set", "space.kind=HalfLine", "--window=1:12"],
+        ["evolve", "--set", "space.N=2", "--set", "initial_state=[[[1, 3], 1, 0]]"],
+        ["thermal", "--set", "space.kind=Interval", "--set", "space.L=4"],
+        ["thermal", "--set", "space.N=2", "--set", "representation.statistics=Fermion"],
+        ["verify", "--set", "space.kind=Interval", "--set", "space.L=3"],
+        ["verify", "--set", "space.N=2"],
+    ],
+)
+def test_production_commands_never_run_the_generic_group_sum(capsys, image_sums, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert image_sums.winding
+    assert image_sums.direct == []
 
 
 @pytest.mark.parametrize("command", ["resolvent", "dos"])
@@ -251,6 +275,39 @@ def test_coined_builds_line_blocks_once(capsys, monkeypatch):
     assert steps == [6]
 
 
+def test_coined_computes_one_circle_kernel_per_displacement(capsys, monkeypatch):
+    L, steps, source = 7, 9, 3
+    argv = ("coined", "--set", f"space.L={L}", "--set", f"coined.steps={steps}",
+            "--set", f"coined.source={source}", "--set", "representation.theta=0.6")
+    pairs = []
+    real = orbitwalk.cli.orbit_coined_kernel
+
+    def counted(space, D, n, x, y, *args, **kwargs):
+        pairs.append((x, y))
+        return real(space, D, n, x, y, *args, **kwargs)
+
+    monkeypatch.setattr(orbitwalk.cli, "orbit_coined_kernel", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(pairs) == 2 * L - 1
+    assert len({x - y for x, y in pairs}) == 2 * L - 1
+
+    # every block row and the distribution equal an uncached per-pair kernel
+    space = OrbitSpaceSpec("Circle", L=L)
+    D = Representation(theta=0.6)
+    coin = hadamard_coin()
+    _, rows = parse_csv(out)
+    blocks = [r for r in rows if r[6] != ""]
+    assert len(blocks) == L * L * 4
+    for x, y, i, j, re_cell, im_cell, _, _ in blocks:
+        want = real(space, D, steps, int(x), int(y), coin)[int(i), int(j)]
+        assert (re_cell, im_cell) == (f"{want.real:.12e}", f"{want.imag:.12e}")
+    dist = [r for r in rows if r[7] != "" and r[0] != "total"]
+    for x, *_, prob in dist:
+        block = real(space, D, steps, int(x), source, coin)
+        assert prob == f"{float(np.sum(np.abs(block @ np.array([1, 0])) ** 2)):.12e}"
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -285,16 +342,38 @@ def test_verify_interval_all_phase_pairs(capsys):
             assert code == 0, (theta, phi, out)
 
 
-def test_verify_shares_single_walker_sums_across_checks(capsys, orbit_sum_walkers):
+def test_verify_shares_single_walker_sums_across_checks(capsys, image_sums):
     code, _, _ = run_cli(
         capsys, "verify", "--set", "space.L=5", "--set", "space.N=2",
         "--set", "representation.theta=0.7",
     )
     assert code == 0
-    assert set(orbit_sum_walkers) == {1}
-    # four plans (tau, tau/2, -tau, 0) of at most L^2 sums each, plus the
-    # equivariance images that leave the domain
-    assert len(orbit_sum_walkers) <= 6 * 5 * 5
+    assert image_sums.direct == []
+    # four plans (tau, tau/2, -tau, 0) of 2L - 1 displacement sums each, plus
+    # displacement 5 of the equivariance image t(1, 1) = (6, 1)
+    assert len(image_sums.winding) == 4 * (2 * 5 - 1) + 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--set", "space.L=2", "--set", "space.N=9",
+          "--set", "representation.statistics=Fermion"), "at most 6 walkers"),
+        (("verify", "--set", "space.L=4000"), "4000 sites"),
+        (("verify", "--set", "space.kind=HalfLine", "--window=1:2100"), "2140 sites"),
+    ],
+)
+def test_verify_refuses_what_the_oracle_cannot_check_before_any_kernel(
+    capsys, monkeypatch, argv, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran before the oracle limits were checked")
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "kernel", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_verify_broken_truncation_exits_3(capsys):
@@ -313,6 +392,25 @@ def test_verify_inaccurate_sum_exits_4(capsys):
 
 
 # -- exit codes and validation ----------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["evolve", "--bogus"], ["--max-shell", "3"]])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: orbitwalk" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_lists_commands_and_options(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: orbitwalk COMMAND [options]")
+    for text in (*COMMANDS, "--config", "--set", "--max-shell", "--window", "--precision"):
+        assert text in out
 
 
 @pytest.mark.parametrize(

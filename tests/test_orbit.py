@@ -24,6 +24,7 @@ from orbitwalk.group import (
 )
 from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin
 from orbitwalk.orbit import (
+    KernelPlan,
     OrbitKernelReport,
     TruncationPolicy,
     evolve_state,
@@ -36,6 +37,9 @@ from orbitwalk.orbit import (
     orbit_resolvent,
     partition_function,
     probability,
+    _heat_term,
+    _orbit_sum,
+    _time_term,
 )
 
 from _oracles import many_walker_gibbs, shell_sum_resolvent
@@ -355,13 +359,16 @@ def test_fermion_kernel_vanishes_at_coincident_points():
     assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p, method="direct").value) < 1e-13
 
 
-def test_default_method_lifts_from_single_walker_sums(orbit_sum_walkers):
+def test_default_method_lifts_from_single_walker_sums(image_sums):
     p = KernelParams(tau=0.5)
     orbit_kernel(OrbitSpaceSpec("Circle", L=4, N=2), Representation(), (1, 3), (2, 4), p)
-    assert orbit_sum_walkers == [1] * 4
+    # the four pairs (x_i, y_j) have three distinct displacements: -3, -1, 1
+    assert len(image_sums.winding) == 3
     space = OrbitSpaceSpec("Circle", L=4, N=4)
     lifted = orbit_kernel(space, Representation(), (1, 2, 3, 4), (1, 2, 3, 4), p)
-    assert orbit_sum_walkers == [1] * 20
+    # a new plan: the sixteen pairs have the seven displacements -3..3
+    assert len(image_sums.winding) == 3 + 7
+    assert image_sums.direct == []
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(4, 1.0, oracle.CircleTwisted(0.0)))
     )
@@ -728,6 +735,74 @@ def test_truncation_error_when_shell_cap_too_small():
         orbit_kernel(
             space, Representation(), 1, 1, KernelParams(tau=50.0), TruncationPolicy(max_shell=2)
         )
+
+
+# -- the plan's winding loop vs the generic group engine ------------------
+
+HALF_PI = math.pi / 2
+SINGLE_WALKER_CASES = [
+    (OrbitSpaceSpec("Line"), Representation()),
+    (OrbitSpaceSpec("Circle", L=5), Representation()),
+    (OrbitSpaceSpec("Circle", L=5), Representation(theta=HALF_PI)),
+    (OrbitSpaceSpec("Circle", L=5), Representation(theta=3 * HALF_PI)),
+    (OrbitSpaceSpec("Circle", L=5), Representation(theta=0.7)),
+    (OrbitSpaceSpec("HalfLine"), Representation()),
+    (OrbitSpaceSpec("HalfLine"), Representation(phi=math.pi)),
+    (OrbitSpaceSpec("HalfLine", boundary_convention="Dirichlet"), Representation(phi=math.pi)),
+    (OrbitSpaceSpec("Interval", L=4), Representation()),
+    (OrbitSpaceSpec("Interval", L=4), Representation(theta=math.pi)),
+    (OrbitSpaceSpec("Interval", L=4), Representation(phi=math.pi)),
+    (OrbitSpaceSpec("Interval", L=4), Representation(theta=math.pi, phi=math.pi)),
+    (OrbitSpaceSpec("Interval", L=4, boundary_convention="Dirichlet"), Representation(phi=math.pi)),
+]
+
+
+@pytest.mark.parametrize("space, D", SINGLE_WALKER_CASES)
+@pytest.mark.parametrize(
+    "p, heat",
+    [
+        (KernelParams(tau=2.0), False),
+        (KernelParams(tau=-3.5), False),
+        (KernelParams(omega=0.8, tau=9.0), False),
+        (KernelParams(beta=1.5), True),
+    ],
+)
+def test_plan_sums_equal_the_generic_engine_exactly(space, D, p, heat):
+    plan = KernelPlan(space, D, p, heat=heat)
+    term = _heat_term(p) if heat else _time_term(p)
+    trunc = TruncationPolicy()
+    for x in range(-3, 10):
+        for y in range(-3, 10):
+            got = plan.kernel((x,), (y,))
+            want = _orbit_sum(space, D, (x,), (y,), term, trunc)
+            assert got.value == want.value
+            assert repr(got.value) == repr(want.value)  # signed zeros too
+            assert got.shells_used == want.shells_used
+            assert got.last_shell_magnitude == want.last_shell_magnitude
+            assert got.terms_evaluated == want.terms_evaluated
+
+
+def test_plan_keeps_circle_sums_by_displacement_and_interval_sums_by_pair():
+    p = KernelParams(tau=1.5)
+    circle = KernelPlan(OrbitSpaceSpec("Circle", L=6), Representation(theta=0.3), p)
+    assert circle.kernel((1,), (3,)) is circle.kernel((4,), (6,))
+    interval = KernelPlan(OrbitSpaceSpec("Interval", L=6), Representation(), p)
+    assert interval.kernel((1,), (3,)) != interval.kernel((4,), (6,))
+
+
+@pytest.mark.parametrize("heat", [False, True])
+def test_plan_and_generic_engine_raise_the_same_truncation_error(heat):
+    space = OrbitSpaceSpec("Circle", L=3)
+    D = Representation(theta=0.4)
+    p = KernelParams(tau=50.0, beta=50.0)
+    trunc = TruncationPolicy(max_shell=2)
+    with pytest.raises(TruncationError) as got:
+        KernelPlan(space, D, p, trunc, heat=heat).kernel((1,), (1,))
+    term = _heat_term(p) if heat else _time_term(p)
+    with pytest.raises(TruncationError) as want:
+        _orbit_sum(space, D, (1,), (1,), term, trunc)
+    assert str(got.value) == str(want.value)
+    assert "within 2 shells" in str(got.value)
 
 
 @pytest.mark.parametrize(
