@@ -1,15 +1,14 @@
-"""Timings for the Bessel core: compiled extension vs pure Python.
+"""Timings for the pure-Python Bessel core and the layers above it.
 
 Run as `python benchmarks/bench_core.py`.  Each workload is timed over
 enough repetitions to be stable on a laptop; the table reports per-call
-microseconds and the compiled speedup.  The orbit-sum row times one kernel
-per pair, each with its own plan, under whichever backend is active for this
-process (select it with ORBITWALK_BACKEND=pure|compiled).  The plan-sweep row
-times one heat plan filling all L^2 entries of a circle, which reuses one
-winding sum per displacement.  The parser row times building the CLI parser
-and parsing one command line, as every `main()` call does.  The cold-start row runs
-the default `orbitwalk evolve` in fresh interpreters against this checkout's
-`src/` and reports the median wall time and the modules the run loaded.
+microseconds.  The orbit-sum row times one kernel per pair, each with its own
+plan.  The plan-sweep row times one heat plan filling all L^2 entries of a
+circle, which reuses one winding sum per displacement.  The parser row times
+building the CLI parser and parsing one command line, as every `main()` call
+does.  The cold-start row runs the default `orbitwalk evolve` in fresh
+interpreters against this checkout's `src/` and reports the median wall time
+and the modules the run loaded.
 """
 
 from __future__ import annotations
@@ -24,17 +23,11 @@ import time
 import timeit
 from pathlib import Path
 
-from orbitwalk import BACKEND_NAME
 from orbitwalk import _core_py
 from orbitwalk.cli import build_parser
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import KernelParams
 from orbitwalk.orbit import KernelPlan, orbit_kernel
-
-try:
-    from orbitwalk import _core
-except ImportError:
-    _core = None
 
 WORKLOADS = [
     ("bessel_j(3, 2.5)", lambda m: m.bessel_j(3, 2.5), 20000),
@@ -123,33 +116,20 @@ def cold_start(runs: int = COLD_START_RUNS) -> tuple[float, dict]:
 
 
 def main() -> None:
-    rows = []
-    for label, call, repeats in WORKLOADS:
-        pure = per_call_us(lambda: call(_core_py), repeats)
-        if _core is None:
-            rows.append((label, pure, None, None))
-        else:
-            fast = per_call_us(lambda: call(_core), repeats)
-            rows.append((label, pure, fast, pure / fast))
-
-    width = max(len(r[0]) for r in rows) + 2
-    print(f"{'workload':<{width}}{'pure (us)':>12}{'compiled (us)':>15}{'speedup':>10}")
-    for label, pure, fast, ratio in rows:
-        if fast is None:
-            print(f"{label:<{width}}{pure:>12.2f}{'absent':>15}{'-':>10}")
-        else:
-            print(f"{label:<{width}}{pure:>12.2f}{fast:>15.2f}{ratio:>9.1f}x")
+    rows = [(label, per_call_us(lambda: call(_core_py), repeats))
+            for label, call, repeats in WORKLOADS]
+    width = max(len(label) for label, _ in rows) + 2
+    print(f"{'workload':<{width}}{'us/call':>12}")
+    for label, us in rows:
+        print(f"{label:<{width}}{us:>12.2f}")
 
     sweep_us = bench_orbit_sum()
-    print(f"\norbit kernel 6x6 sweep (omega*tau=5, {BACKEND_NAME} backend): "
-          f"{sweep_us / 1000.0:.2f} ms")
+    print(f"\norbit kernel 6x6 sweep (omega*tau=5): {sweep_us / 1000.0:.2f} ms")
     plan_us = bench_plan_sweep()
     print(f"heat plan {PLAN_SWEEP_L}x{PLAN_SWEEP_L} sweep (one plan, beta*omega=1): "
           f"{plan_us / 1000.0:.2f} ms")
     print(f"parser: build_parser().parse_args, one thermal command line: "
           f"{bench_parser():.0f} us")
-    if _core is None:
-        print("compiled extension not built; only the pure-Python core was timed")
 
     median_s, loaded = cold_start()
     print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "

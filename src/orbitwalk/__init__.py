@@ -6,8 +6,9 @@ over a discrete symmetry group, then cross-checked against dense
 exact-diagonalization of the matching tight-binding Hamiltonians.
 """
 
-from ._backend import BACKEND_NAME, COMPILED
+# The Bessel core is pure Python; benchmark reports print this name.
+BACKEND_NAME = "pure"
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND_NAME", "COMPILED", "__version__"]
+__all__ = ["BACKEND_NAME", "__version__"]

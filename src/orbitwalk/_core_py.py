@@ -1,7 +1,7 @@
-"""Pure-Python Bessel core: the fallback backend for `orbitwalk._backend`.
+"""The Bessel core: the one implementation behind `orbitwalk.special`.
 
-Implements the same four entry points as the compiled extension
-`orbitwalk._core` — scalar J_n / I_n and full rows J_0..J_nmax / I_0..I_nmax.
+Four entry points, scalar J_n / I_n and full rows J_0..J_nmax / I_0..I_nmax,
+in pure Python; `special` validates the arguments before calling them.
 Ascending series are used where they are free of cancellation; everywhere
 else a backward (Miller) recurrence is run and normalized by the summation
 identities

@@ -337,13 +337,19 @@ class KernelPlan:
 
         Sorted points with coincident walkers carry 1/prod(multiplicity!),
         the norm of their symmetrized state; fermion diagonals vanish there.
+        More fermions than sites have no antisymmetric state (Z = 0): refused.
         """
+        space = self._space
         if not self._heat:
             raise DomainError("the partition function needs a heat-kernel plan")
-        if self._space.kind not in ("Circle", "Interval"):
-            raise DomainError(f"partition function needs a finite domain, not {self._space.kind}")
+        if space.kind not in ("Circle", "Interval"):
+            raise DomainError(f"partition function needs a finite domain, not {space.kind}")
+        if self._fermion and space.N > space.L:
+            raise DomainError(
+                f"{space.N} fermions on {space.L} sites have no antisymmetric state (Z = 0)"
+            )
         total = 0.0
-        for point in fundamental_domain(self._space):
+        for point in fundamental_domain(space):
             total += _gluing_weight(point) * self.kernel(point, point).value.real
         return total
 
@@ -513,7 +519,8 @@ def orbit_density_matrix(
     """Canonical density matrix entry rho_beta(x, y) = heat(x, y) / Z(beta)."""
     x, y = _points(space, x, y, True)
     plan = KernelPlan(space, D, p, trunc, heat=True)
-    return plan.kernel(x, y).value / plan.partition_function()
+    z = plan.partition_function()
+    return plan.kernel(x, y).value / z
 
 
 def orbit_coined_kernel(

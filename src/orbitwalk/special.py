@@ -1,22 +1,19 @@
 """Special functions and exact unit-phase arithmetic for the kernel formulas.
 
-Bessel evaluation is delegated to the active backend (compiled extension or
-pure Python, see `orbitwalk._backend`); this module owns argument validation
-and the shared range caps.
+Bessel evaluation is delegated to the pure-Python core `orbitwalk._core_py`;
+this module owns argument validation and the shared range caps.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._backend import BACKEND_NAME, COMPILED, core
+from . import _core_py as core
 from .errors import DomainError
 
 __all__ = [
     "N_MAX",
     "Z_MAX",
-    "BACKEND_NAME",
-    "COMPILED",
     "bessel_j",
     "bessel_i",
     "j_row",

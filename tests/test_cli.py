@@ -30,6 +30,8 @@ from orbitwalk.errors import ConfigError
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import hadamard_coin
 
+from _oracles import many_walker_gibbs
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -522,10 +524,64 @@ def test_lift_work_counts_thermal_entries_times_glynn_steps():
     apply_set(config, "space.N=10")
     run = ResolvedRun("thermal", config)
     points = 11  # sorted 10-walker points on two sites
-    assert run._lift_work() == (points * points + points) * 2**9 * 10
+    entries = points * points + points  # the table plus Z's diagonal
+    # per entry: 32 N for gathering and using it, plus 2^(N-1) x N Glynn updates
+    assert run._lift_work() == entries * (32 * 10 + 2**9 * 10)
     assert run._lift_work() < MAX_LIFT_WORK
     config["representation"]["statistics"] = "Fermion"
-    assert ResolvedRun("thermal", config)._lift_work() == 0
+    # fermions: the same per-entry term plus N^2 for the determinant's array
+    assert ResolvedRun("thermal", config)._lift_work() == entries * (32 * 10 + 10 * 10)
+
+
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+def test_large_line_verify_is_refused_before_any_kernel(capsys, monkeypatch, statistics):
+    # Composition glues through C(sites + 2, 3) middles of the window +- the
+    # light cone: 3.7 million lifted entries, minutes of work for either statistics.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran before the lift bound was checked")
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "kernel", refuse)
+    code, out, err = run_cli(
+        capsys, "verify", "--set", "space.kind=Line", "--set", "space.N=3",
+        "--set", f"representation.statistics={statistics}", "--window=0:3",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{statistics.lower()} verify at N=3" in err
+    assert "permanent row updates" in err
+
+
+def test_thermal_with_more_fermions_than_sites_exits_2(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran before the Z = 0 case was refused")
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "kernel", refuse)
+    code, out, err = run_cli(
+        capsys, "thermal", "--set", "space.L=2", "--set", "space.N=3",
+        "--set", "representation.statistics=Fermion",
+    )
+    assert code == 2
+    assert out == ""
+    assert "no antisymmetric state" in err
+
+
+def test_thermal_with_as_many_fermions_as_sites_matches_the_kron_oracle(capsys):
+    code, out, err = run_cli(
+        capsys, "thermal", "--set", "space.L=2", "--set", "space.N=2",
+        "--set", "representation.statistics=Fermion", "--precision", "17",
+    )
+    assert code == 0, err
+    h = orbitwalk.oracle.build_hamiltonian(
+        orbitwalk.oracle.HamiltonianSpec(2, 1.0, orbitwalk.oracle.CircleTwisted(0.0))
+    )
+    z_want, heat_want = many_walker_gibbs(h, 2, "Fermion", 1.0)
+    _, rows = parse_csv(out)
+    assert rows[-1][0] == "Z"
+    assert abs(float(rows[-1][4]) / z_want - 1.0) <= 1e-11
+    for row in rows[:-1]:
+        x, y = (int(row[0]), int(row[1])), (int(row[2]), int(row[3]))
+        rho = complex(float(row[4]), float(row[5]))
+        assert abs(rho - heat_want(x, y) / z_want) <= 1e-10
 
 
 # -- import graph -------------------------------------------------------------

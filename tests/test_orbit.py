@@ -511,6 +511,22 @@ def test_partition_function_rejects_infinite_domains():
         partition_function(OrbitSpaceSpec("Line"), Representation(), KernelParams(beta=1.0))
 
 
+@pytest.mark.parametrize("kind", ["Circle", "Interval"])
+def test_more_fermions_than_sites_are_refused_before_any_sum(monkeypatch, kind):
+    # No antisymmetric state exists, so Z = 0 and rho = K / Z is undefined.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran before the Z = 0 case was refused")
+
+    monkeypatch.setattr(KernelPlan, "kernel", refuse)
+    space = OrbitSpaceSpec(kind, L=2, N=3)
+    D = Representation(statistics="Fermion")
+    p = KernelParams(beta=1.0)
+    with pytest.raises(DomainError, match="no antisymmetric state"):
+        partition_function(space, D, p)
+    with pytest.raises(DomainError, match="no antisymmetric state"):
+        orbit_density_matrix(space, D, (1, 1, 2), (1, 2, 2), p)
+
+
 def test_density_matrix_has_unit_trace_and_hermiticity():
     space = OrbitSpaceSpec("Circle", L=5)
     D = Representation(theta=1.3)
