@@ -6,13 +6,16 @@ microseconds.  The orbit-sum row times one kernel per pair, each with its own
 plan.  The plan-sweep row times one heat plan filling all L^2 entries of a
 circle, which reuses one winding sum per displacement.  The parser row times
 building the CLI parser and parsing one command line, as every `main()` call
-does.  The cold-start row runs the default `orbitwalk evolve` in fresh
+does.  The dos-sweep row times the default `orbitwalk dos` (201 energies on
+a 4-site circle) in-process through `cli.main`, output discarded.  The cold-start row runs the default `orbitwalk evolve` in fresh
 interpreters against this checkout's `src/` and reports the median wall time
 and the modules the run loaded.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -24,7 +27,7 @@ import timeit
 from pathlib import Path
 
 from orbitwalk import _core_py
-from orbitwalk.cli import build_parser
+from orbitwalk.cli import build_parser, main as cli_main
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import KernelParams
 from orbitwalk.orbit import KernelPlan, orbit_kernel
@@ -67,7 +70,7 @@ def bench_plan_sweep() -> float:
     sites = range(1, PLAN_SWEEP_L + 1)
 
     def sweep():
-        plan = KernelPlan(space, D, p, heat=True)
+        plan = KernelPlan(space, D, p, mode="heat")
         for x in sites:
             for y in sites:
                 plan.kernel((x,), (y,))
@@ -80,6 +83,14 @@ PARSER_ARGV = ["thermal", "--set", "space.L=16", "--max-shell", "64", "--format"
 
 def bench_parser() -> float:
     return per_call_us(lambda: build_parser().parse_args(PARSER_ARGV), 500)
+
+
+def bench_dos_sweep() -> float:
+    def sweep():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["dos"])
+
+    return per_call_us(sweep, 10)
 
 
 COLD_START_RUNS = 9
@@ -130,6 +141,7 @@ def main() -> None:
           f"{plan_us / 1000.0:.2f} ms")
     print(f"parser: build_parser().parse_args, one thermal command line: "
           f"{bench_parser():.0f} us")
+    print(f"dos sweep: default dos through cli.main: {bench_dos_sweep() / 1000.0:.2f} ms")
 
     median_s, loaded = cold_start()
     print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "

@@ -6,8 +6,8 @@ resolved config is echoed in the output header so any emitted table can be
 reproduced from its own file.  Exit codes: 0 success, 2 config error,
 3 convergence failure, 4 verification failure.
 
-A run imports only what its command uses: numpy for `dos`, `coined` and
-fermion lifts (N >= 2), the dense `oracle` for `coined` and `verify`, and the
+A run imports only what its command uses: numpy for `coined` and fermion
+lifts (N >= 2), the dense `oracle` for `coined` and `verify`, and the
 `verify` suite for `verify`.  Lazy imports bind the module and look its
 functions up at call time, so patched or traced functions are seen.
 """
@@ -24,7 +24,7 @@ import warnings
 from .errors import ConfigError, DomainError, RepresentationError, TruncationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
 from .kernels import CoinSpec, KernelParams, coined_line_blocks, hadamard_coin, window_radius
-from .orbit import KernelPlan, TruncationPolicy, orbit_coined_kernel, orbit_resolvent
+from .orbit import KernelPlan, TruncationPolicy, orbit_coined_kernel
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 
@@ -387,10 +387,11 @@ def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re", "im"]
     )
+    plan = KernelPlan(run.space, run.representation, run.params, run.truncation, mode="resolvent")
     points = run.domain_points()
     for x in points:
         for y in points:
-            rep = orbit_resolvent(run.space, run.representation, x, y, run.params)
+            rep = plan.kernel(x, y)
             table.add(
                 *[str(c) for c in x],
                 *[str(c) for c in y],
@@ -401,7 +402,7 @@ def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
 
 
 def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
-    plan = KernelPlan(run.space, run.representation, run.params, run.truncation, heat=True)
+    plan = KernelPlan(run.space, run.representation, run.params, run.truncation, mode="heat")
     z = plan.partition_function()
     table = Table(
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re_density", "im_density"]
@@ -421,9 +422,19 @@ def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
     return table, {"partition_function": z}, 0
 
 
-def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
-    import numpy as np
+def _trapezoid(xs: list, ys) -> float:
+    """Trapezoid rule, accumulated step by step from the left.
 
+    An explicit loop rather than `sum`, whose float rounding differs between
+    Python versions, so a table's digits depend on its config alone.
+    """
+    area = 0.0
+    for k in range(len(xs) - 1):
+        area += (xs[k + 1] - xs[k]) * (ys[k + 1] + ys[k])
+    return 0.5 * area
+
+
+def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
     section = run.config["dos"]
     eta = _config_number(run.config, "dos.eta", float)
     if not 1e-6 <= eta <= 1.0:
@@ -440,15 +451,14 @@ def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
     labels = ["_".join(str(c) for c in pt) for pt in sites]
     table = Table(["energy"] + [f"dos_{lab}" for lab in labels])
     energies = [e_min + (e_max - e_min) * k / (points - 1) for k in range(points)]
-    values = np.empty((points, len(sites)))
-    for row, e_real in enumerate(energies):
+    values = []
+    for e_real in energies:
         p = KernelParams(omega=run.params.omega, energy=complex(e_real, eta))
-        for col, site in enumerate(sites):
-            rep = orbit_resolvent(run.space, run.representation, site, site, p)
-            values[row, col] = -rep.value.imag / math.pi
-        table.add(_fmt(e_real, run.precision), *(_fmt(v, run.precision) for v in values[row]))
-    steps = np.diff(np.asarray(energies))[:, None]
-    integrals = 0.5 * np.sum(steps * (values[1:] + values[:-1]), axis=0)
+        plan = KernelPlan(run.space, run.representation, p, run.truncation, mode="resolvent")
+        row = [-plan.kernel(site, site).value.imag / math.pi for site in sites]
+        values.append(row)
+        table.add(_fmt(e_real, run.precision), *(_fmt(v, run.precision) for v in row))
+    integrals = [_trapezoid(energies, column) for column in zip(*values)]
     table.add("total", *(_fmt(v, run.precision) for v in integrals))
     return table, {"integrals": [float(_fmt(v, 10)) for v in integrals]}, 0
 

@@ -252,9 +252,16 @@ def validate_representation(space: OrbitSpaceSpec, D: Representation) -> None:
 
 def rep_weight(D: Representation, g: GroupElement) -> complex:
     """D(g) = e^{i theta sum(n_i)} e^{i phi sum(m_i)} (+-1)^{#sigma}, unchecked."""
-    n_sum = sum(g.winding)
-    m_sum = sum(g.reflect)
-    sign = -1.0 if (D.statistics == "Fermion" and perm_parity(g.perm)) else 1.0
+    odd = D.statistics == "Fermion" and perm_parity(g.perm)
+    return weight_from_sums(D, sum(g.winding), sum(g.reflect), odd)
+
+
+def weight_from_sums(D: Representation, n_sum: int, m_sum: int, odd: bool = False) -> complex:
+    """D(g) from g's winding sum, reflection sum and (fermion) permutation parity.
+
+    A single walker's t^n r^m is (n, m) with odd=False: no element is built.
+    """
+    sign = -1.0 if (D.statistics == "Fermion" and odd) else 1.0
 
     k_phi = _quarter_multiple(D.phi) if m_sum else 0
     k_theta = _quarter_multiple(D.theta) if n_sum else 0

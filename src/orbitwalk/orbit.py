@@ -4,14 +4,16 @@ A kernel on the orbit space is a sum of free-lattice kernels over the images
 of the initial point, each weighted by the representation.  For one walker
 the images of y are the integers (c - y if m else y) + n P (winding n,
 reflection bit m), and the weight is a power of e^{i theta} and e^{i phi}.
-`KernelPlan` sums them in `_winding_sum`, shell by shell (shells are indexed
-by |n|), until whole shells fall below tolerance: no group element is built.
-Time and heat kernels plug in different free-lattice rows.  The resolvent's
-images form geometric series, so `orbit_resolvent` sums them in closed form.
-Time and heat kernels of N identical walkers are permanents/determinants of
-single-walker sums, which a `KernelPlan` computes once per run.  The generic
-group engine `_orbit_sum` sums over N-walker group elements; it is only the
-reference (`method="direct"`) that tests compare against.  numpy is
+One plan type, `KernelPlan`, serves every command (`evolve`, `thermal`,
+`resolvent`, `dos` and `verify`): it computes each single-walker image sum
+once per run.  Time and heat kernels plug different free-lattice rows into
+`_winding_sum`, which sums shell by shell (shells are indexed by |n|) until
+whole shells fall below tolerance: no group element is built.  The
+resolvent's images form geometric series, which the plan sums in closed
+form, once per reflection sector and displacement.  Time and heat kernels of
+N identical walkers are permanents/determinants of single-walker sums.  The
+generic group engine `_orbit_sum` sums over N-walker group elements; it is
+only the reference (`method="direct"`) that tests compare against.  numpy is
 imported only where arrays are built (fermion determinants, coined blocks).
 """
 
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, TruncationError
 from .group import (
-    GroupElement,
     OrbitSpaceSpec,
     Representation,
     act,
@@ -34,6 +35,7 @@ from .group import (
     rep_weight,
     translation,
     validate_representation,
+    weight_from_sums,
 )
 from .kernels import CoinSpec, KernelParams, coined_line_blocks, resolvent_momentum, window_radius
 from .special import i_row, j_row, quarter_phase
@@ -255,20 +257,36 @@ def glynn_permanent(m) -> complex:
     return total / (1 << (n - 1))
 
 
+MODES = ("time", "heat", "resolvent")
+
+
 class KernelPlan:
-    """Time or heat kernels of one run, lifted from single-walker sums computed once.
+    """Kernels of one run, built from single-walker image sums computed once.
 
     A plan is built for one space, representation, parameter set and
-    truncation policy, with the time-evolution term or, for `heat=True`, the
-    Gibbs term; that free-lattice row (one Bessel row) is built once.  Each
-    single-walker image sum is computed by `_winding_sum` on first use and
-    kept, so a windowed run computes only the sums it touches.  On the Line
-    and Circle a sum depends on x - y alone and is kept by that displacement
-    (2L - 1 sums cover a circle); with reflections it is kept by (x, y).  The
-    weight D(t^n r^m) of each (n, m) is computed once by `rep_weight`.  An
-    N-walker entry is the determinant (fermions) or permanent (bosons) of the
-    N x N matrix of those sums.  Nothing is shared between plans: a caller
-    builds one per run and drops it with the run.
+    truncation policy, in one of three modes:
+    - "time": the time-evolution kernel; its free-lattice row (one Bessel
+      row) is built once;
+    - "heat": the Gibbs kernel, likewise from one Bessel row;
+    - "resolvent": the single-walker resolvent G_E(x, y) at p.energy
+      (Im E > 0).  N >= 2 walkers are refused: the resolvent of a sum of
+      commuting walker Hamiltonians is not a product of single-walker
+      resolvents, so no permanent/determinant lift gives it.
+
+    Each single-walker sum is computed on first use and kept, so a windowed
+    run computes only the sums it touches.  On the Line and Circle a sum
+    depends on x - y alone and is kept by that displacement (2L - 1 sums
+    cover a circle); with reflections it is kept by (x, y).  Time and heat
+    sums run shell by shell in `_winding_sum`.  The resolvent is summed in
+    closed form one reflection sector at a time (`_resolvent_sector`): the
+    direct sector is kept by x - y and the reflected one by x + y - c, so
+    2L - 1 closed forms cover a circle and 2(2L - 1) an interval.  The
+    weight D(t^n r^m) of each (n, m) is computed once by `weight_from_sums`.
+    An N-walker entry is the determinant (fermions) or permanent (bosons) of
+    the N x N matrix of single-walker sums; a fermion entry whose x or y
+    repeats a coordinate is exactly 0.  Nothing is shared between plans: a
+    caller builds one per run (per energy for a DOS sweep) and drops it with
+    the run.
     """
 
     def __init__(
@@ -278,19 +296,39 @@ class KernelPlan:
         p: KernelParams,
         trunc: TruncationPolicy | None = None,
         *,
-        heat: bool = False,
+        mode: str = "time",
     ):
+        if mode not in MODES:
+            raise DomainError(f"unknown plan mode {mode!r}; expected one of {MODES}")
+        if mode == "resolvent" and space.N != 1:
+            raise DomainError(f"the resolvent is implemented for one walker only, not N={space.N}")
         validate_representation(space, D)
         self._space = space
         self._params = p
-        self._heat = heat
+        self._mode = mode
+        self._D = D
         self._fermion = D.statistics == "Fermion"
-        self._D1 = Representation(D.theta, D.phi, "Boson")
-        self._free = _free_row(p, heat)
         self._trunc = trunc or TruncationPolicy()
         self._by_displacement = not space.has_reflections
         self._weights: dict = {}
         self._sums: dict = {}
+        if mode == "resolvent":
+            self._init_resolvent(p)
+        else:
+            self._free = _free_row(p, mode == "heat")
+
+    def _init_resolvent(self, p: KernelParams) -> None:
+        """Per-energy constants of the closed-form resolvent (see `_resolvent_sector`)."""
+        q = self._q = resolvent_momentum(p)
+        self._denominator = 1j * p.omega * cmath.sin(q)
+        self._sectors: dict = {}
+        self._center = self._space.reflection_center if self._space.has_reflections else None
+        period = self._space.period
+        if period:
+            turn = self._weight(1, 0)  # e^{i theta}
+            wrap = cmath.exp(1j * q * period)  # e^{iqP}
+            self._ahead = 1.0 / (1.0 - wrap * turn.conjugate())
+            self._behind = turn / (1.0 - wrap * turn)
 
     @property
     def shells_used(self) -> int:
@@ -300,17 +338,63 @@ class KernelPlan:
     def _weight(self, n: int, m: int) -> complex:
         w = self._weights.get((n, m))
         if w is None:
-            w = self._weights[(n, m)] = rep_weight(self._D1, GroupElement((n,), (m,), (0,)))
+            w = self._weights[(n, m)] = weight_from_sums(self._D, n, m)
         return w
 
     def _sum(self, xi: int, yj: int) -> OrbitKernelReport:
         key = xi - yj if self._by_displacement else (xi, yj)
         rep = self._sums.get(key)
         if rep is None:
-            rep = self._sums[key] = _winding_sum(
-                self._space, self._weight, self._free, xi, yj, self._trunc
-            )
+            if self._mode == "resolvent":
+                rep = self._resolvent(xi, yj)
+            else:
+                rep = _winding_sum(self._space, self._weight, self._free, xi, yj, self._trunc)
+            self._sums[key] = rep
         return rep
+
+    def _resolvent(self, xi: int, yj: int) -> OrbitKernelReport:
+        """G_E(xi, yj): the direct sector, plus the reflected one where the space has it.
+
+        Each sector is kept by (m, displacement).  No shell is summed, so the
+        report has shells_used = terms_evaluated = 0.
+        """
+        keys = [(0, xi - yj)]
+        if self._center is not None:
+            keys.append((1, xi + yj - self._center))
+        total = 0j
+        for key in keys:
+            value = self._sectors.get(key)
+            if value is None:
+                value = self._sectors[key] = self._resolvent_sector(*key)
+            total += value
+        return OrbitKernelReport(total / self._denominator, 0, 0.0, 0)
+
+    def _resolvent_sector(self, m: int, d: int) -> complex:
+        """Reflection sector m of the resolvent at displacement d, times i omega sin q.
+
+        The sector is the image sum of the line resolvent
+        g(d) = e^{iq|d|} / (i omega sin q) over d - nP, weighted by
+        e^{i n theta} e^{i m phi}.  On the Line and HalfLine it is one term.
+        On the Circle and Interval it is two geometric series: with
+        d = n0 P + d0, 0 <= d0 < P and r± = e^{i(±theta + qP)},
+
+            sum_n e^{i n theta} g(d - nP) = e^{i n0 theta} [e^{iq d0} / (1 - r-)
+                + e^{i theta} e^{iq (P - d0)} / (1 - r+)] / (i omega sin q),
+
+        which converges because |r±| = e^{-P Im q} < 1.  `_resolvent`
+        divides the sum of the sectors by i omega sin q.
+        """
+        q = self._q
+        period = self._space.period
+        if period:
+            n0, d0 = divmod(d, period)
+            series = (
+                cmath.exp(1j * q * d0) * self._ahead
+                + cmath.exp(1j * q * (period - d0)) * self._behind
+            )
+        else:
+            n0, series = 0, cmath.exp(1j * q * abs(d))
+        return self._weight(n0, m) * series
 
     def kernel(self, x: tuple, y: tuple) -> OrbitKernelReport:
         """The kernel between N-walker lattice points x and y (no domain check)."""
@@ -318,12 +402,14 @@ class KernelPlan:
             return self._sum(x[0], y[0])
         matrix = [[self._sum(xi, yj) for yj in y] for xi in x]
         values = [[rep.value for rep in row] for row in matrix]
-        if self._fermion:
+        if not self._fermion:
+            value = glynn_permanent(values)
+        elif len(set(x)) < len(x) or len(set(y)) < len(y):
+            value = 0j  # a repeated coordinate repeats a row or column: det is exactly 0
+        else:
             import numpy as np
 
             value = np.linalg.det(np.array(values))
-        else:
-            value = glynn_permanent(values)
         reps = [rep for row in matrix for rep in row]
         return OrbitKernelReport(
             complex(value),
@@ -340,7 +426,7 @@ class KernelPlan:
         More fermions than sites have no antisymmetric state (Z = 0): refused.
         """
         space = self._space
-        if not self._heat:
+        if self._mode != "heat":
             raise DomainError("the partition function needs a heat-kernel plan")
         if space.kind not in ("Circle", "Interval"):
             raise DomainError(f"partition function needs a finite domain, not {space.kind}")
@@ -355,7 +441,7 @@ class KernelPlan:
 
     def evolve(self, psi0: dict, window=None) -> dict:
         """U_tau applied to a finitely supported state, by point (see `evolve_state`)."""
-        if self._heat:
+        if self._mode != "time":
             raise DomainError("state evolution needs a time-kernel plan")
         space = self._space
         state = {_as_point(space, pt): complex(a) for pt, a in psi0.items()}
@@ -420,49 +506,14 @@ def orbit_resolvent(
 ) -> OrbitKernelReport:
     """Resolvent kernel G_E(x, y) on the single-walker orbit space (Im E > 0).
 
-    The image sum of the line resolvent g(d) = e^{iq|d|} / (i omega sin q) is
-    summed exactly.  Each reflection sector m (weight e^{i m phi}, distance
-    d = x - y, or d = x - (c - y) for the reflected sector) is one term on
-    the Line and HalfLine.  On the Circle and Interval its translation images
-    are two geometric series: with d = n0 P + d0, 0 <= d0 < P and
-    r± = e^{i(±theta + qP)},
-
-        sum_n e^{i n theta} g(d - nP) = e^{i n0 theta} [e^{iq d0} / (1 - r-)
-            + e^{i theta} e^{iq (P - d0)} / (1 - r+)] / (i omega sin q),
-
-    which converges because |r±| = e^{-P Im q} < 1.  No shell is summed:
-    `trunc` is accepted for interface uniformity but unused, and the report
-    has shells_used = terms_evaluated = 0.
-
-    N >= 2 walkers are refused: the resolvent of a sum of commuting walker
-    Hamiltonians is not a product of single-walker resolvents, so neither the
-    product image sum nor a permanent/determinant lift gives it.
+    One entry of a resolvent-mode `KernelPlan`, which sums the images of the
+    line resolvent in closed form and refuses N >= 2 walkers.  No shell is
+    summed: `trunc` is accepted for interface uniformity but unused, and the
+    report has shells_used = terms_evaluated = 0.
     """
-    if space.N != 1:
-        raise DomainError(f"the resolvent is implemented for one walker only, not N={space.N}")
-    (x,), (y,) = _points(space, x, y, restrict_domain)
-    validate_representation(space, D)
-    q = resolvent_momentum(p)
-    period = space.period
-    if period:
-        turn = rep_weight(D, translation())  # e^{i theta}
-        wrap = cmath.exp(1j * q * period)  # e^{iqP}
-        ahead = 1.0 / (1.0 - wrap * turn.conjugate())
-        behind = turn / (1.0 - wrap * turn)
-    images = [(0, y)]
-    if space.has_reflections:
-        images.append((1, space.reflection_center - y))
-    total = 0j
-    for m, image in images:
-        d = x - image
-        if period:
-            n0, d0 = divmod(d, period)
-            series = cmath.exp(1j * q * d0) * ahead + cmath.exp(1j * q * (period - d0)) * behind
-        else:
-            n0, series = 0, cmath.exp(1j * q * abs(d))
-        total += rep_weight(D, GroupElement((n0,), (m,), (0,))) * series
-    value = total / (1j * p.omega * cmath.sin(q))
-    return OrbitKernelReport(complex(value), 0, 0.0, 0)
+    plan = KernelPlan(space, D, p, trunc, mode="resolvent")
+    x, y = _points(space, x, y, restrict_domain)
+    return plan.kernel(x, y)
 
 
 def local_dos(
@@ -495,7 +546,7 @@ def orbit_heat_kernel(
 ) -> OrbitKernelReport:
     """Unnormalized Gibbs kernel <x| e^{-beta H} |y> on the orbit space."""
     x, y = _points(space, x, y, restrict_domain)
-    return KernelPlan(space, D, p, trunc, heat=True).kernel(x, y)
+    return KernelPlan(space, D, p, trunc, mode="heat").kernel(x, y)
 
 
 def partition_function(
@@ -505,7 +556,7 @@ def partition_function(
     trunc: TruncationPolicy | None = None,
 ) -> float:
     """Z(beta): weighted trace of the Gibbs kernel over the finite fundamental domain."""
-    return KernelPlan(space, D, p, trunc, heat=True).partition_function()
+    return KernelPlan(space, D, p, trunc, mode="heat").partition_function()
 
 
 def orbit_density_matrix(
@@ -518,7 +569,7 @@ def orbit_density_matrix(
 ) -> complex:
     """Canonical density matrix entry rho_beta(x, y) = heat(x, y) / Z(beta)."""
     x, y = _points(space, x, y, True)
-    plan = KernelPlan(space, D, p, trunc, heat=True)
+    plan = KernelPlan(space, D, p, trunc, mode="heat")
     z = plan.partition_function()
     return plan.kernel(x, y).value / z
 

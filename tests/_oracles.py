@@ -3,9 +3,11 @@
 Everything here is deliberately written against mpmath/scipy/numpy primitives
 so that no production code path is exercised: the package under test evaluates
 Bessel values through its own series/recurrence core, while these oracles
-use arbitrary-precision ascending series and adaptive quadrature.  The one
-exception is `shell_sum_resolvent`, which runs the package's generic shell
-engine on the resolvent term to cross-check the closed-form resolvent.
+use arbitrary-precision ascending series and adaptive quadrature.  The
+single-walker Hamiltonians come from the package's dense `oracle`, which
+shares no code with the image sums.  The one exception is
+`shell_sum_resolvent`, which runs the package's generic shell engine on the
+resolvent term to cross-check the closed-form resolvent.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from orbitwalk import orbit
+from orbitwalk import oracle, orbit
 from orbitwalk.kernels import resolvent_momentum
 
 
@@ -89,6 +91,62 @@ def laplace_transform_j0(omega: float, energy: complex, t_max: float) -> complex
         im, _ = quad(integrand_im, a, b, limit=200)
         total += re + 1j * im
     return total
+
+
+def chain_hamiltonian(kind: str, L: int, omega: float, theta: float, phi: float,
+                      convention: str) -> np.ndarray:
+    """The dense single-walker Hamiltonian of a Circle or Interval, one row per site 1..L."""
+    if kind == "Circle":
+        boundary = oracle.CircleTwisted(theta)
+    elif convention == "Dirichlet":
+        boundary = oracle.Dirichlet()
+    else:
+        boundary = oracle.IntervalPhase(theta, phi)
+    if L >= 2:
+        return oracle.build_hamiltonian(oracle.HamiltonianSpec(L, omega, boundary))
+    # One site: the chain's boundary terms are all that is left of it.
+    if kind == "Circle":
+        return np.array([[-omega * math.cos(theta)]], dtype=complex)
+    if isinstance(boundary, oracle.Dirichlet):
+        return np.zeros((1, 1), dtype=complex)
+    return np.array([[-0.5 * omega * (math.cos(phi) + math.cos(theta + phi))]], dtype=complex)
+
+
+def lead_self_energy(omega: float, energy: complex) -> complex:
+    """What a semi-infinite free chain (bonds -omega/2) adds to the site it hangs from.
+
+    Sigma = t^2 g, with t = -omega/2 and g the Green's function of the
+    chain's end site: the root of t^2 g^2 - E g + 1 = 0 that decays into the
+    chain.  The two roots multiply to 1/t^2, so for Im E > 0 exactly one has
+    |t g| < 1.
+    """
+    t2 = 0.25 * omega * omega
+    root = cmath.sqrt(energy * energy - 4.0 * t2)
+    g = min((energy + root) / (2.0 * t2), (energy - root) / (2.0 * t2), key=abs)
+    return t2 * g
+
+
+def open_window_hamiltonian(kind: str, convention: str, phi: float, omega: float,
+                            energy: complex, lo: int, hi: int) -> tuple[np.ndarray, int]:
+    """A finite stand-in for the Line or HalfLine at one energy, and the site of row 0.
+
+    The chain covers the window (from site 1 on the HalfLine, with its
+    boundary term) plus one site past each open end; each open end carries
+    the exact self-energy of the infinite chain cut off beyond it.  Its
+    resolvent at `energy` therefore equals the infinite space's resolvent
+    on those sites, with no truncation error.
+    """
+    sigma = lead_self_energy(omega, energy)
+    if kind == "Line":
+        first, sites = lo - 1, hi - lo + 3
+        h = oracle.build_hamiltonian(oracle.HamiltonianSpec(sites, omega, oracle.Dirichlet()))
+        h[0, 0] += sigma
+    else:
+        first, sites = 1, hi + 1
+        boundary = oracle.Dirichlet() if convention == "Dirichlet" else oracle.HalfLinePhase(phi)
+        h = oracle.build_hamiltonian(oracle.HamiltonianSpec(sites, omega, boundary))
+    h[sites - 1, sites - 1] += sigma
+    return h, first
 
 
 def many_walker_gibbs(h, n_walkers: int, statistics: str, beta: float):

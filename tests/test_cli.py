@@ -215,6 +215,60 @@ def test_many_walker_resolvent_and_dos_are_refused(capsys, command):
     assert "one walker" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("resolvent", "--set", "space.N=2"),
+         "the resolvent is implemented for one walker only, not N=2"),
+        (("dos", "--set", "space.N=3"),
+         "the resolvent is implemented for one walker only, not N=3"),
+        (("resolvent", "--set", "params.energy=[0.4, 0.0]"),
+         "resolvent energy must have positive imaginary part"),
+        (("resolvent", "--set", "params.energy=[0.4, -0.2]"),
+         "resolvent energy must have positive imaginary part"),
+    ],
+)
+def test_resolvent_refusals_keep_their_exit_code_and_message(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.fixture
+def closed_forms(monkeypatch):
+    """(m, d) of every resolvent sector a plan evaluates in closed form."""
+    calls = []
+    real = orbitwalk.orbit.KernelPlan._resolvent_sector
+
+    def counted(self, m, d):
+        calls.append((m, d))
+        return real(self, m, d)
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "_resolvent_sector", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind, sectors",
+    [("Circle", lambda L: 2 * L - 1), ("Interval", lambda L: 2 * (2 * L - 1))],
+)
+def test_resolvent_evaluates_each_sector_once_per_displacement(capsys, closed_forms, kind, sectors):
+    L = 8
+    code, out, err = run_cli(
+        capsys, "resolvent", "--set", f"space.kind={kind}", "--set", f"space.L={L}"
+    )
+    assert code == 0, err
+    assert len(parse_csv(out)[1]) == L * L
+    assert len(closed_forms) == len(set(closed_forms)) == sectors(L)
+
+
+def test_circle_dos_evaluates_one_closed_form_per_energy(capsys, closed_forms):
+    code, out, err = run_cli(capsys, "dos")
+    assert code == 0, err
+    energies = DEFAULT_CONFIG["dos"]["points"]
+    assert len(parse_csv(out)[1]) == energies + 1  # plus the totals row
+    assert closed_forms == [(0, 0)] * energies
+
+
 def test_resolvent_emits_full_matrix(capsys):
     code, out, _ = run_cli(
         capsys, "resolvent", "--set", "space.L=3", "--max-shell", "300"
@@ -584,6 +638,20 @@ def test_thermal_with_as_many_fermions_as_sites_matches_the_kron_oracle(capsys):
         assert abs(rho - heat_want(x, y) / z_want) <= 1e-10
 
 
+def test_fermion_entries_at_coincident_points_are_exact_zeros(capsys):
+    code, out, err = run_cli(
+        capsys, "thermal", "--set", "space.L=2", "--set", "space.N=2",
+        "--set", "representation.statistics=Fermion",
+    )
+    assert code == 0, err
+    zero = "0.000000000000e+00"
+    _, rows = parse_csv(out)
+    coincident = [row for row in rows[:-1] if row[0] == row[1] or row[2] == row[3]]
+    assert len(coincident) == 8
+    assert all(row[4:] == [zero, zero] for row in coincident)
+    assert "1,1,2,2,0.000000000000e+00,0.000000000000e+00" in out.splitlines()
+
+
 # -- import graph -------------------------------------------------------------
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
@@ -621,7 +689,7 @@ def _modules_after_main(*argv):
         (("resolvent",), set()),
         (("evolve", *_PAIR), set()),
         (("evolve", *_PAIR, "--set", "representation.statistics=Fermion"), {"numpy"}),
-        (("dos",), {"numpy"}),
+        (("dos",), set()),
         (("coined",), {"numpy", "orbitwalk.oracle"}),
         (("verify",), {"numpy", "orbitwalk.oracle", "orbitwalk.verify"}),
     ],

@@ -1,9 +1,13 @@
 """Exit-code contract: seeded random configs run through `cli.main` in-process.
 
 Every run must return 0, 2, 3 or 4 without an exception escaping `main`, a
-refused or unconverged run (2, 3) must emit no table, and every exit-0
-`thermal` table must equal the dense projected-kron Gibbs state of
-`_oracles.many_walker_gibbs` at the gate-7 tolerances.
+refused or unconverged run (2, 3) must emit no table, every exit-0 `thermal`
+table must equal the dense projected-kron Gibbs state of
+`_oracles.many_walker_gibbs` at the gate-7 tolerances, and every exit-0
+`resolvent` table must equal `oracle.resolvent_direct` of the dense
+single-walker Hamiltonian at the gate-6 tolerance.  On the Line and HalfLine
+that Hamiltonian is the window with exact open ends
+(`_oracles.open_window_hamiltonian`).
 
 The configs are drawn once, from a fixed seed, across every command, the four
 space kinds, N <= 4, both statistics, and quarter-multiple and generic angles.
@@ -17,6 +21,7 @@ Two draws are capped to keep the campaign to a few seconds:
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -26,7 +31,7 @@ import pytest
 from orbitwalk import oracle
 from orbitwalk.cli import COMMANDS, main
 
-from _oracles import many_walker_gibbs
+from _oracles import chain_hamiltonian, many_walker_gibbs, open_window_hamiltonian
 
 SEED = 6061
 DRAWS_PER_COMMAND = 20
@@ -39,6 +44,8 @@ PRECISION = 16
 Z_REL_TOL = 1e-11
 TRACE_TOL = 1e-12
 RHO_TOL = 1e-10
+# The matrix tolerance of acceptance gate 6.
+RESOLVENT_TOL = 1e-9
 
 # Configs that once crashed or ran for minutes, with the exit code they must give.
 FIXED = [
@@ -136,26 +143,40 @@ def _setting(argv: list[str], key: str) -> str:
 
 
 def _chain(argv: list[str]) -> np.ndarray:
-    """The single-walker Hamiltonian of a finite thermal config, from the dense oracle."""
+    """The single-walker Hamiltonian of a finite config, from the dense oracle."""
+    return chain_hamiltonian(
+        _setting(argv, "space.kind"),
+        int(_setting(argv, "space.L")),
+        float(_setting(argv, "params.omega")),
+        float(_setting(argv, "representation.theta")),
+        float(_setting(argv, "representation.phi")),
+        _setting(argv, "space.boundary_convention"),
+    )
+
+
+def _rows(out: str) -> list[list[str]]:
+    return [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith("#")][1:]
+
+
+def _check_resolvent_table(argv: list[str], out: str) -> None:
+    energy = complex(*json.loads(_setting(argv, "params.energy")))
     kind = _setting(argv, "space.kind")
-    L = int(_setting(argv, "space.L"))
-    omega = float(_setting(argv, "params.omega"))
-    theta = float(_setting(argv, "representation.theta"))
-    phi = float(_setting(argv, "representation.phi"))
-    if kind == "Circle":
-        boundary = oracle.CircleTwisted(theta)
-    elif _setting(argv, "space.boundary_convention") == "Dirichlet":
-        boundary = oracle.Dirichlet()
+    if kind in ("Circle", "Interval"):
+        h, first = _chain(argv), 1
     else:
-        boundary = oracle.IntervalPhase(theta, phi)
-    if L >= 2:
-        return oracle.build_hamiltonian(oracle.HamiltonianSpec(L, omega, boundary))
-    # One site: the chain's boundary terms are all that is left of it.
-    if kind == "Circle":
-        return np.array([[-omega * math.cos(theta)]], dtype=complex)
-    if isinstance(boundary, oracle.Dirichlet):
-        return np.zeros((1, 1), dtype=complex)
-    return np.array([[-0.5 * omega * (math.cos(phi) + math.cos(theta + phi))]], dtype=complex)
+        window = next(a for a in argv if a.startswith("--window=")).partition("=")[2]
+        lo, hi = (int(c) for c in window.split(":"))
+        h, first = open_window_hamiltonian(
+            kind, _setting(argv, "space.boundary_convention"),
+            float(_setting(argv, "representation.phi")), float(_setting(argv, "params.omega")),
+            energy, lo, hi,
+        )
+    green = oracle.resolvent_direct(h, energy)
+    rows = _rows(out)
+    assert rows
+    for x, y, re, im in rows:
+        want = green[int(x) - first, int(y) - first]
+        assert abs(complex(float(re), float(im)) - want) <= RESOLVENT_TOL, (x, y)
 
 
 def _check_thermal_table(argv: list[str], out: str) -> None:
@@ -163,7 +184,7 @@ def _check_thermal_table(argv: list[str], out: str) -> None:
     statistics = _setting(argv, "representation.statistics")
     beta = float(_setting(argv, "params.beta"))
     z_want, heat_want = many_walker_gibbs(_chain(argv), N, statistics, beta)
-    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith("#")][1:]
+    rows = _rows(out)
     assert rows[-1][0] == "Z"
     z = float(rows[-1][2 * N])
     assert abs(z / z_want - 1.0) <= Z_REL_TOL
@@ -191,6 +212,8 @@ def test_exit_code_contract(capsys, argv, expected):
         assert out == ""
     if code == 0 and argv[0] == "thermal":
         _check_thermal_table(argv, out)
+    if code == 0 and argv[0] == "resolvent":
+        _check_resolvent_table(argv, out)
 
 
 def test_campaign_covers_every_command_kind_walker_count_and_statistics():

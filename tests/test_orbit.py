@@ -14,15 +14,17 @@ from hypothesis import strategies as st
 from orbitwalk import oracle
 from orbitwalk.errors import DomainError, TruncationError
 from orbitwalk.group import (
+    GroupElement,
     OrbitSpaceSpec,
     Representation,
     act,
     fundamental_domain,
     reflection,
     rep_value,
+    rep_weight,
     translation,
 )
-from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin
+from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin, resolvent_momentum
 from orbitwalk.orbit import (
     KernelPlan,
     OrbitKernelReport,
@@ -784,7 +786,7 @@ SINGLE_WALKER_CASES = [
     ],
 )
 def test_plan_sums_equal_the_generic_engine_exactly(space, D, p, heat):
-    plan = KernelPlan(space, D, p, heat=heat)
+    plan = KernelPlan(space, D, p, mode="heat" if heat else "time")
     term = _heat_term(p) if heat else _time_term(p)
     trunc = TruncationPolicy()
     for x in range(-3, 10):
@@ -813,12 +815,117 @@ def test_plan_and_generic_engine_raise_the_same_truncation_error(heat):
     p = KernelParams(tau=50.0, beta=50.0)
     trunc = TruncationPolicy(max_shell=2)
     with pytest.raises(TruncationError) as got:
-        KernelPlan(space, D, p, trunc, heat=heat).kernel((1,), (1,))
+        KernelPlan(space, D, p, trunc, mode="heat" if heat else "time").kernel((1,), (1,))
     term = _heat_term(p) if heat else _time_term(p)
     with pytest.raises(TruncationError) as want:
         _orbit_sum(space, D, (1,), (1,), term, trunc)
     assert str(got.value) == str(want.value)
     assert "within 2 shells" in str(got.value)
+
+
+# -- the plan's resolvent mode vs the per-pair closed form -----------------
+
+
+def _per_pair_resolvent(space, D, x: int, y: int, p) -> complex:
+    """G_E(x, y) in closed form, every constant rebuilt for the one pair.
+
+    The plan keeps each sector by displacement; it must still give these
+    values to the last bit, because it evaluates the same expressions in the
+    same order.
+    """
+    q = resolvent_momentum(p)
+    period = space.period
+    if period:
+        turn = rep_weight(D, translation())
+        wrap = cmath.exp(1j * q * period)
+        ahead = 1.0 / (1.0 - wrap * turn.conjugate())
+        behind = turn / (1.0 - wrap * turn)
+    images = [(0, y)]
+    if space.has_reflections:
+        images.append((1, space.reflection_center - y))
+    total = 0j
+    for m, image in images:
+        d = x - image
+        if period:
+            n0, d0 = divmod(d, period)
+            series = cmath.exp(1j * q * d0) * ahead + cmath.exp(1j * q * (period - d0)) * behind
+        else:
+            n0, series = 0, cmath.exp(1j * q * abs(d))
+        total += rep_weight(D, GroupElement((n0,), (m,), (0,))) * series
+    return total / (1j * p.omega * cmath.sin(q))
+
+
+RESOLVENT_CASES = SINGLE_WALKER_CASES + [
+    (OrbitSpaceSpec("Circle", L=1), Representation(theta=2.3)),
+    (OrbitSpaceSpec("Circle", L=2), Representation(theta=math.pi)),
+    (OrbitSpaceSpec("Circle", L=8), Representation(theta=-1.1, statistics="Fermion")),
+    (OrbitSpaceSpec("Interval", L=1), Representation(theta=math.pi)),
+    (OrbitSpaceSpec("Interval", L=3, boundary_convention="Dirichlet"), Representation(phi=math.pi)),
+]
+
+
+@pytest.mark.parametrize("space, D", RESOLVENT_CASES)
+@pytest.mark.parametrize(
+    "p",
+    [
+        KernelParams(energy=0.4 + 0.05j),
+        KernelParams(energy=-0.9 + 0.3j),
+        KernelParams(omega=1.5, energy=0.5j),
+        KernelParams(omega=0.8, energy=1.3 + 1.0j),
+    ],
+)
+def test_resolvent_plan_equals_the_per_pair_closed_form_exactly(space, D, p):
+    plan = KernelPlan(space, D, p, mode="resolvent")
+    for x in range(-3, 10):
+        for y in range(-3, 10):
+            got = plan.kernel((x,), (y,))
+            want = _per_pair_resolvent(space, D, x, y, p)
+            assert got.value == want
+            assert repr(got.value) == repr(want)  # signed zeros too
+            assert (got.shells_used, got.last_shell_magnitude, got.terms_evaluated) == (0, 0.0, 0)
+            assert orbit_resolvent(space, D, x, y, p, restrict_domain=False) == got
+    assert plan.shells_used == 0
+
+
+def test_resolvent_plan_refuses_several_walkers_and_the_lower_half_plane():
+    pair = OrbitSpaceSpec("Circle", L=4, N=2)
+    with pytest.raises(DomainError, match="one walker only, not N=2"):
+        KernelPlan(pair, Representation(), KernelParams(energy=0.4 + 0.3j), mode="resolvent")
+    circle = OrbitSpaceSpec("Circle", L=4)
+    for energy in (0.4, 0.4 - 0.3j):
+        with pytest.raises(DomainError, match="Im\\(energy\\) > 0"):
+            KernelPlan(circle, Representation(), KernelParams(energy=energy), mode="resolvent")
+
+
+def test_plan_modes_refuse_the_operations_of_other_modes():
+    space = OrbitSpaceSpec("Circle", L=3)
+    p = KernelParams(tau=1.0, beta=1.0, energy=0.4 + 0.3j)
+    with pytest.raises(DomainError, match="unknown plan mode"):
+        KernelPlan(space, Representation(), p, mode="spectral")
+    resolvent = KernelPlan(space, Representation(), p, mode="resolvent")
+    with pytest.raises(DomainError, match="time-kernel plan"):
+        resolvent.evolve({(1,): 1.0})
+    with pytest.raises(DomainError, match="heat-kernel plan"):
+        resolvent.partition_function()
+
+
+def test_fermion_entries_with_a_repeated_coordinate_are_exact_zeros(monkeypatch):
+    space = OrbitSpaceSpec("Circle", L=4, N=3)
+    p = KernelParams(beta=1.0)
+    bosons = KernelPlan(space, Representation(theta=0.4), p, mode="heat")
+    fermions = KernelPlan(space, Representation(theta=0.4, statistics="Fermion"), p, mode="heat")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a determinant was taken where a coordinate repeats")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    for x, y in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 4, 4)), ((3, 3, 3), (3, 3, 3))]:
+        got, sums = fermions.kernel(x, y), bosons.kernel(x, y)
+        assert repr(got.value) == repr(0j)
+        assert (got.shells_used, got.last_shell_magnitude, got.terms_evaluated) == (
+            sums.shells_used, sums.last_shell_magnitude, sums.terms_evaluated
+        )
+    assert fermions.shells_used == bosons.shells_used > 0
 
 
 @pytest.mark.parametrize(
