@@ -5,11 +5,14 @@ enough repetitions to be stable on a laptop; the table reports per-call
 microseconds.  The orbit-sum row times one kernel per pair, each with its own
 plan.  The plan-sweep row times one heat plan filling all L^2 entries of a
 circle, which reuses one winding sum per displacement.  The parser row times
-building the CLI parser and parsing one command line, as every `main()` call
-does.  The dos-sweep row times the default `orbitwalk dos` (201 energies on
-a 4-site circle) in-process through `cli.main`, output discarded.  The cold-start row runs the default `orbitwalk evolve` in fresh
-interpreters against this checkout's `src/` and reports the median wall time
-and the modules the run loaded.
+building the CLI parser and parsing one command line; `main()` builds the
+parser once per process and then only parses.  The dos-sweep row times the
+default `orbitwalk dos` (201 energies on a 4-site circle) and the
+coined-table row a coined walk on a 16-site circle with 20 steps (1,041 table
+rows), each in-process through `cli.main`, output discarded.  The cold-start
+row runs the default `orbitwalk evolve` in fresh interpreters against this
+checkout's `src/` and reports the median wall time and the modules the run
+loaded.
 """
 
 from __future__ import annotations
@@ -85,12 +88,16 @@ def bench_parser() -> float:
     return per_call_us(lambda: build_parser().parse_args(PARSER_ARGV), 500)
 
 
-def bench_dos_sweep() -> float:
-    def sweep():
+def bench_cli(argv: list[str], repeats: int) -> float:
+    """Microseconds per in-process `cli.main(argv)`, output discarded."""
+    def run():
         with contextlib.redirect_stdout(io.StringIO()):
-            cli_main(["dos"])
+            cli_main(argv)
 
-    return per_call_us(sweep, 10)
+    return per_call_us(run, repeats)
+
+
+COINED_ARGV = ["coined", "--set", "space.L=16", "--set", "coined.steps=20"]
 
 
 COLD_START_RUNS = 9
@@ -141,7 +148,9 @@ def main() -> None:
           f"{plan_us / 1000.0:.2f} ms")
     print(f"parser: build_parser().parse_args, one thermal command line: "
           f"{bench_parser():.0f} us")
-    print(f"dos sweep: default dos through cli.main: {bench_dos_sweep() / 1000.0:.2f} ms")
+    print(f"dos sweep: default dos through cli.main: {bench_cli(['dos'], 10) / 1000.0:.2f} ms")
+    print(f"coined table: L=16, steps=20 through cli.main: "
+          f"{bench_cli(COINED_ARGV, 20) / 1000.0:.2f} ms")
 
     median_s, loaded = cold_start()
     print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "

@@ -10,12 +10,17 @@ A run imports only what its command uses: numpy for `coined` and fermion
 lifts (N >= 2), the dense `oracle` for `coined` and `verify`, and the
 `verify` suite for `verify`.  Lazy imports bind the module and look its
 functions up at call time, so patched or traced functions are seen.
+
+Emission is cheap per run: a table formats each distinct value once
+(`_formatter`), the argument parser is built once per process, and the
+config echo copies only what it changes.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import sys
@@ -297,12 +302,12 @@ class Table:
 
     def __init__(self, columns: list[str]):
         self.columns = columns
-        self.rows: list[list[str]] = []
+        self.rows: list[tuple[str, ...]] = []
 
-    def add(self, *cells):
+    def add(self, *cells: str):
         if len(cells) != len(self.columns):
             raise ValueError("row width mismatch")
-        self.rows.append([str(c) for c in cells])
+        self.rows.append(cells)
 
 
 def _config_number(config: dict, key: str, kind):
@@ -319,15 +324,40 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}e}"
 
 
+def _formatter(precision: int):
+    """`_fmt` at `precision` for one table, formatting each distinct value once.
+
+    A kernel on a translation-invariant space repeats a few values across
+    its table.  Zeros stay out of the dict, where 0.0 and -0.0 would share a
+    key though they print differently: each sign's text is made up front.
+    NaN never equals itself, so it misses the dict, which is harmless.
+    """
+    texts: dict = {}
+    zero, negative_zero = _fmt(0.0, precision), _fmt(-0.0, precision)
+
+    def fmt(value: float) -> str:
+        if not value:
+            return negative_zero if math.copysign(1.0, value) < 0.0 else zero
+        text = texts.get(value)
+        if text is None:
+            text = texts[value] = _fmt(value, precision)
+        return text
+
+    return fmt
+
+
 def _site_columns(prefix: str, n: int) -> list[str]:
     return [prefix] if n == 1 else [f"{prefix}_{i + 1}" for i in range(n)]
 
 
 def _echoed_config(config: dict) -> dict:
-    """The config as echoed into output: the destination path is not content."""
-    echoed = copy.deepcopy(config)
-    echoed["output"]["path"] = None
-    return echoed
+    """The config as echoed into output: the destination path is not content.
+
+    Only the top level and the `output` section are copied; the echo is
+    serialized, never changed, so the sections it shares with `config` stay
+    as they are.
+    """
+    return {**config, "output": {**config["output"], "path": None}}
 
 
 def _canonical(config: dict) -> str:
@@ -369,18 +399,24 @@ def run_evolve(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(_site_columns("site", run.space.N) + ["re_amplitude", "im_amplitude", "probability"])
     plan = KernelPlan(run.space, run.representation, run.params, run.truncation)
     amplitudes = plan.evolve(run.initial_state, run.window)
+    fmt = _formatter(run.precision)
     total = 0.0
     for target, amp in amplitudes.items():
         prob = abs(amp) ** 2
         total += prob
-        table.add(
-            *[str(c) for c in target],
-            _fmt(amp.real, run.precision),
-            _fmt(amp.imag, run.precision),
-            _fmt(prob, run.precision),
-        )
-    table.add(*["total"] + [""] * (run.space.N - 1), "", "", _fmt(total, run.precision))
+        table.add(*map(str, target), fmt(amp.real), fmt(amp.imag), fmt(prob))
+    table.add(*["total"] + [""] * (run.space.N - 1), "", "", fmt(total))
     return table, {"shells_used": plan.shells_used, "total_probability": total}, 0
+
+
+def _pair_rows(run: ResolvedRun, table: Table, entry, fmt) -> None:
+    """One row per pair (x, y) of domain points: their sites, then Re and Im of entry(x, y)."""
+    points = run.domain_points()
+    labels = [tuple(map(str, pt)) for pt in points]
+    for x, x_sites in zip(points, labels):
+        for y, y_sites in zip(points, labels):
+            value = entry(x, y)
+            table.add(*x_sites, *y_sites, fmt(value.real), fmt(value.imag))
 
 
 def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
@@ -388,16 +424,7 @@ def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re", "im"]
     )
     plan = KernelPlan(run.space, run.representation, run.params, run.truncation, mode="resolvent")
-    points = run.domain_points()
-    for x in points:
-        for y in points:
-            rep = plan.kernel(x, y)
-            table.add(
-                *[str(c) for c in x],
-                *[str(c) for c in y],
-                _fmt(rep.value.real, run.precision),
-                _fmt(rep.value.imag, run.precision),
-            )
+    _pair_rows(run, table, lambda x, y: plan.kernel(x, y).value, _formatter(run.precision))
     return table, {}, 0
 
 
@@ -407,18 +434,10 @@ def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re_density", "im_density"]
     )
-    points = run.domain_points()
-    for x in points:
-        for y in points:
-            value = plan.kernel(x, y).value / z
-            table.add(
-                *[str(c) for c in x],
-                *[str(c) for c in y],
-                _fmt(value.real, run.precision),
-                _fmt(value.imag, run.precision),
-            )
+    fmt = _formatter(run.precision)
+    _pair_rows(run, table, lambda x, y: plan.kernel(x, y).value / z, fmt)
     width = 2 * run.space.N
-    table.add(*["Z"] + [""] * (width - 1), _fmt(z, run.precision), "")
+    table.add(*["Z"] + [""] * (width - 1), fmt(z), "")
     return table, {"partition_function": z}, 0
 
 
@@ -451,15 +470,17 @@ def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
     labels = ["_".join(str(c) for c in pt) for pt in sites]
     table = Table(["energy"] + [f"dos_{lab}" for lab in labels])
     energies = [e_min + (e_max - e_min) * k / (points - 1) for k in range(points)]
+    p = KernelParams(omega=run.params.omega, energy=complex(energies[0], eta))
+    plan = KernelPlan(run.space, run.representation, p, run.truncation, mode="resolvent")
+    fmt = _formatter(run.precision)
     values = []
     for e_real in energies:
-        p = KernelParams(omega=run.params.omega, energy=complex(e_real, eta))
-        plan = KernelPlan(run.space, run.representation, p, run.truncation, mode="resolvent")
+        plan.set_energy(complex(e_real, eta))
         row = [-plan.kernel(site, site).value.imag / math.pi for site in sites]
         values.append(row)
-        table.add(_fmt(e_real, run.precision), *(_fmt(v, run.precision) for v in row))
+        table.add(fmt(e_real), *map(fmt, row))
     integrals = [_trapezoid(energies, column) for column in zip(*values)]
-    table.add("total", *(_fmt(v, run.precision) for v in integrals))
+    table.add("total", *map(fmt, integrals))
     return table, {"integrals": [float(_fmt(v, 10)) for v in integrals]}, 0
 
 
@@ -480,43 +501,42 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     blocks = coined_line_blocks(steps, coin)
     kernels = {}  # by x - y: the circle kernel depends on the displacement alone
 
-    def kernel(x: int, y: int):
+    def kernel(x: int, y: int) -> list:
+        """The (x, y) block as nested lists of Python complex."""
         block = kernels.get(x - y)
         if block is None:
             block = kernels[x - y] = orbit_coined_kernel(
                 run.space, run.representation, steps, x, y, coin, run.truncation, blocks=blocks
-            )
+            ).tolist()
         return block
 
+    fmt = _formatter(run.precision)
+    label = [str(k) for k in range(max(L, coin.d) + 1)]
     table = Table(["x", "y", "i", "j", "re", "im", "deviation", "probability"])
     worst = 0.0
     for x in range(1, L + 1):
         for y in range(1, L + 1):
             block = kernel(x, y)
-            want = oracle.coined_circle_block(power, coin.d, x, y)
-            for i in range(coin.d):
-                for j in range(coin.d):
-                    dev = abs(block[i, j] - want[i, j])
-                    worst = max(worst, dev)
-                    table.add(
-                        x, y, i, j,
-                        _fmt(block[i, j].real, run.precision),
-                        _fmt(block[i, j].imag, run.precision),
-                        _fmt(dev, run.precision),
-                        "",
-                    )
+            want = oracle.coined_circle_block(power, coin.d, x, y).tolist()
+            for i, (row, want_row) in enumerate(zip(block, want)):
+                for j, (value, reference) in enumerate(zip(row, want_row)):
+                    dev = abs(value - reference)
+                    if dev > worst:
+                        worst = dev
+                    table.add(label[x], label[y], label[i], label[j],
+                              fmt(value.real), fmt(value.imag), fmt(dev), "")
     coin_state = np.zeros(coin.d, dtype=complex)
     coin_state[0] = 1.0
     total = 0.0
     dist_rows = []
     for x in range(1, L + 1):
-        block = kernel(x, source)
-        prob = float(np.sum(np.abs(block @ coin_state) ** 2))
+        # numpy's array abs rounds differently from abs() of a Python complex.
+        prob = float(np.sum(np.abs(np.array(kernel(x, source)) @ coin_state) ** 2))
         total += prob
         dist_rows.append((x, prob))
     for x, prob in dist_rows:
-        table.add(x, "", "", "", "", "", "", _fmt(prob, run.precision))
-    table.add("total", "", "", "", "", "", "", _fmt(total, run.precision))
+        table.add(label[x], "", "", "", "", "", "", fmt(prob))
+    table.add("total", "", "", "", "", "", "", fmt(total))
     return table, {"deviations": {"max_vs_matrix_power": float(_fmt(worst, 10))}}, 0
 
 
@@ -574,9 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
         apply_flags(config, args)

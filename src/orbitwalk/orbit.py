@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, TruncationError
 from .group import (
@@ -285,8 +285,8 @@ class KernelPlan:
     An N-walker entry is the determinant (fermions) or permanent (bosons) of
     the N x N matrix of single-walker sums; a fermion entry whose x or y
     repeats a coordinate is exactly 0.  Nothing is shared between plans: a
-    caller builds one per run (per energy for a DOS sweep) and drops it with
-    the run.
+    caller builds one per run and drops it with the run; a DOS sweep moves
+    its one resolvent plan from energy to energy with `set_energy`.
     """
 
     def __init__(
@@ -329,6 +329,19 @@ class KernelPlan:
             wrap = cmath.exp(1j * q * period)  # e^{iqP}
             self._ahead = 1.0 / (1.0 - wrap * turn.conjugate())
             self._behind = turn / (1.0 - wrap * turn)
+
+    def set_energy(self, energy: complex) -> None:
+        """Move a resolvent plan to another energy, as a DOS sweep does.
+
+        The space, representation and weights stay validated and kept; the
+        per-energy constants (with the momentum's branch and residual checks)
+        are recomputed and every kept sum is dropped.
+        """
+        if self._mode != "resolvent":
+            raise DomainError("only a resolvent plan has an energy to set")
+        self._params = replace(self._params, energy=energy)
+        self._sums = {}
+        self._init_resolvent(self._params)
 
     @property
     def shells_used(self) -> int:

@@ -101,13 +101,21 @@ def check_composition(space, D, p, trunc, window=None, kernel=None) -> CheckResu
         reach = window_radius(p.omega, p.tau) + 8
         lo = min(coords) - reach if space.kind == "Line" else max(1, min(coords) - reach)
         middles = fundamental_domain(space, (lo, max(coords) + reach))
+    ends = probes[:3]
+    # Each middle's entries to and from the probes are computed once and
+    # added into every glued sum that uses them, in the order of `middles`.
+    glued = [[0j] * len(ends) for _ in ends]
+    for z in middles:
+        weight = _gluing_weight(z)
+        into = [kernel(x, z, half) for x in ends]
+        out_of = [kernel(z, y, half) for y in ends]
+        for row, to_z in zip(glued, into):
+            for j, from_z in enumerate(out_of):
+                row[j] += weight * to_z * from_z
     worst = 0.0
-    for x in probes[:3]:
-        for y in probes[:3]:
-            glued = sum(
-                _gluing_weight(z) * kernel(x, z, half) * kernel(z, y, half) for z in middles
-            )
-            worst = max(worst, abs(glued - kernel(x, y, p)))
+    for x, row in zip(ends, glued):
+        for y, value in zip(ends, row):
+            worst = max(worst, abs(value - kernel(x, y, p)))
     return CheckResult("composition", worst <= COMPOSITION_TOL, worst, COMPOSITION_TOL)
 
 
@@ -205,8 +213,8 @@ def run_checks(
 
     Runs the oracle cannot check are refused before any kernel is computed:
     more than `oracle.MANY_BODY_MAX` walkers (the tau = 0 check also loops
-    over all N! matchings) or a dense chain of more than `oracle.SITES_MAX`
-    sites.
+    over all N! matchings), a dense chain of more than `oracle.SITES_MAX`
+    sites, or a window that holds no point to probe.
     """
     trunc = trunc or TruncationPolicy()
     if not math.isfinite(p.tau) or p.tau == 0.0:
@@ -220,6 +228,8 @@ def run_checks(
         raise DomainError(
             f"verification needs a dense oracle of {sites} sites, more than {oracle.SITES_MAX}"
         )
+    if not _probe_points(space, window):
+        raise DomainError(f"verification window {window} holds no point of the {space.kind} domain")
     kernel = _Kernels(space, D, trunc)
     results = [
         check_initial_condition(space, D, trunc, window, kernel),

@@ -149,40 +149,61 @@ def open_window_hamiltonian(kind: str, convention: str, phi: float, omega: float
     return h, first
 
 
-def many_walker_gibbs(h, n_walkers: int, statistics: str, beta: float):
-    """Dense N-walker Gibbs kernel: (Z, kernel(x, y)) from an explicit Kronecker sum.
+def many_walker_operator(h, n_walkers: int, statistics: str, spectral):
+    """Dense N-walker f(H_N) S: (its trace / N!, entry(x, y)), f applied to eigenvalues.
 
-    H_N = sum_i 1 x .. x h x .. x 1 is diagonalized with numpy's eigh.  Z is
-    the trace of e^{-beta H_N} over the symmetric (bosons) or antisymmetric
-    (fermions) subspace, Tr(e^{-beta H_N} S) / N!, with S the signed sum of
-    coordinate permutations.  kernel(x, y) = (e^{-beta H_N} S)[x, y] for
-    1-based site tuples, the unnormalized symmetrized kernel of sorted points.
+    H_N = sum_i 1 x .. x h x .. x 1 is a Kronecker sum, so its eigenvectors
+    are the Kronecker products of numpy's eigenvectors of h and its
+    eigenvalues the matching sums of h's.  `spectral` maps an array of
+    eigenvalues to f of them: e^{-beta E} for the Gibbs kernel, e^{-i tau E}
+    for time evolution.  S sums the coordinate permutations, each with its
+    sign for fermions, so f(H_N) S is the unnormalized symmetrized kernel of
+    sorted points; entry(x, y) takes 1-based site tuples.
     """
     n = h.shape[0]
-    eye = np.eye(n)
-    h_n = sum(
-        functools.reduce(np.kron, [h if k == i else eye for k in range(n_walkers)])
-        for i in range(n_walkers)
-    )
-    values, vectors = np.linalg.eigh(h_n)
-    gibbs = (vectors * np.exp(-beta * values)) @ vectors.conj().T
+    energies, modes = np.linalg.eigh(h)
+    values = functools.reduce(np.add.outer, [energies] * n_walkers).ravel()
+    vectors = functools.reduce(np.kron, [modes] * n_walkers)
+    operator = (vectors * spectral(values)) @ vectors.conj().T
     shape = (n,) * n_walkers
-    grid = np.indices(shape).reshape(n_walkers, -1)
-    rows = np.arange(n**n_walkers)
-    s = np.zeros((n**n_walkers, n**n_walkers))
+    signed = []
     for perm in itertools.permutations(range(n_walkers)):
         odd = sum(a > b for a, b in itertools.combinations(perm, 2)) & 1
-        sign = -1.0 if statistics == "Fermion" and odd else 1.0
-        s[rows, np.ravel_multi_index(grid[list(perm)], shape)] += sign
-    symmetrized = gibbs @ s
-    z = float(np.trace(symmetrized).real) / math.factorial(n_walkers)
+        signed.append((perm, -1.0 if statistics == "Fermion" and odd else 1.0))
+    grid = np.indices(shape).reshape(n_walkers, -1)
+    rows = np.arange(n**n_walkers)
+    trace = sum(
+        sign * operator[rows, np.ravel_multi_index(grid[list(perm)], shape)].sum()
+        for perm, sign in signed
+    )
 
-    def kernel(x: tuple, y: tuple) -> complex:
+    def entry(x: tuple, y: tuple) -> complex:
         i = np.ravel_multi_index([c - 1 for c in x], shape)
-        j = np.ravel_multi_index([c - 1 for c in y], shape)
-        return complex(symmetrized[i, j])
+        return complex(sum(
+            sign * operator[i, np.ravel_multi_index([y[k] - 1 for k in perm], shape)]
+            for perm, sign in signed
+        ))
 
-    return z, kernel
+    return complex(trace) / math.factorial(n_walkers), entry
+
+
+def many_walker_gibbs(h, n_walkers: int, statistics: str, beta: float):
+    """Dense N-walker Gibbs kernel: (Z, kernel(x, y)) from `many_walker_operator`.
+
+    Z is the trace of e^{-beta H_N} over the symmetric (bosons) or
+    antisymmetric (fermions) subspace, Tr(e^{-beta H_N} S) / N!.
+    """
+    trace, kernel = many_walker_operator(
+        h, n_walkers, statistics, lambda energies: np.exp(-beta * energies)
+    )
+    return trace.real, kernel
+
+
+def many_walker_evolution(h, n_walkers: int, statistics: str, tau: float):
+    """Dense N-walker time kernel (e^{-i tau H_N} S)(x, y) from `many_walker_operator`."""
+    return many_walker_operator(
+        h, n_walkers, statistics, lambda energies: np.exp(-1j * tau * energies)
+    )[1]
 
 
 def shell_sum_resolvent(space, D, x: int, y: int, p, trunc):

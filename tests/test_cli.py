@@ -22,6 +22,8 @@ from orbitwalk.cli import (
     DEFAULT_CONFIG,
     MAX_LIFT_WORK,
     ResolvedRun,
+    _fmt,
+    _formatter,
     apply_set,
     load_config,
     main,
@@ -261,6 +263,28 @@ def test_resolvent_evaluates_each_sector_once_per_displacement(capsys, closed_fo
     assert len(closed_forms) == len(set(closed_forms)) == sectors(L)
 
 
+def test_dos_builds_one_resolvent_plan_and_validates_once_per_sweep(capsys, monkeypatch):
+    modes, validations = [], []
+    plan = orbitwalk.cli.KernelPlan
+    validate = orbitwalk.orbit.validate_representation
+
+    def built(*args, **kwargs):
+        modes.append(kwargs.get("mode"))
+        return plan(*args, **kwargs)
+
+    def validated(*args):
+        validations.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(orbitwalk.cli, "KernelPlan", built)
+    monkeypatch.setattr(orbitwalk.orbit, "validate_representation", validated)
+    code, out, err = run_cli(capsys, "dos", "--set", "space.kind=Interval", "--set", "dos.points=7")
+    assert code == 0, err
+    assert len(parse_csv(out)[1]) == 7 + 1
+    assert modes == ["resolvent"]
+    assert len(validations) == 1
+
+
 def test_circle_dos_evaluates_one_closed_form_per_energy(capsys, closed_forms):
     code, out, err = run_cli(capsys, "dos")
     assert code == 0, err
@@ -430,6 +454,18 @@ def test_verify_refuses_what_the_oracle_cannot_check_before_any_kernel(
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_verify_on_a_window_without_domain_points_is_refused_before_any_kernel(
+    capsys, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran on an empty window")
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "kernel", refuse)
+    code, out, err = run_cli(capsys, "verify", "--set", "space.kind=HalfLine", "--window=-3:0")
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: verification window (-3, 0) holds no point")
 
 
 def test_verify_broken_truncation_exits_3(capsys):
@@ -700,6 +736,67 @@ def test_commands_load_numpy_oracle_and_verify_only_when_used(argv, expected):
     assert table.startswith(f"# orbitwalk {argv[0]}\n")
     assert parse_csv(table)[1]
     assert loaded == expected
+
+
+# -- emission ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+def test_formatter_prints_every_value_as_fmt_does(precision):
+    subnormal = 5e-324
+    values = [
+        0.0, -0.0, 0.0, np.float64(-0.0), -0.0, 0.0, 0, np.float64(0.0),
+        math.nan, float("nan"), math.nan, -math.nan,
+        math.inf, -math.inf, math.inf, -math.inf,
+        subnormal, -subnormal, subnormal, 2.5e-310, -2.5e-310,
+        0.1, 0.1, np.float64(0.1), -0.1, 1 / 3, 1 / 3, 1e300, -1e-300, 7, 7.0,
+    ]
+    fmt = _formatter(precision)
+    for value in values:
+        assert fmt(value) == _fmt(value, precision), value
+
+
+def test_consecutive_runs_share_no_parser_state(capsys):
+    fresh = subprocess.run(
+        [sys.executable, "-m", "orbitwalk.cli", "evolve"], capture_output=True, text=True
+    )
+    assert fresh.returncode == 0
+    code, _, _ = run_cli(
+        capsys, "evolve", "--set", "space.L=6", "--set", "params.tau=2",
+        "--set", "representation.theta=0.4", "--max-shell", "9", "--tolerance", "1e-12",
+        "--precision", "5", "--format", "json",
+    )
+    assert code == 0
+    code, out, _ = run_cli(capsys, "evolve")
+    assert code == 0
+    assert out == fresh.stdout
+    assert orbitwalk.cli._parser() is orbitwalk.cli._parser()
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_output_path_is_echoed_as_null_and_stays_in_the_run_config(
+    tmp_path, capsys, monkeypatch, output_format
+):
+    path = tmp_path / f"out.{output_format}"
+    runs = []
+    emit = orbitwalk.cli.emit
+
+    def recorded(run, table, meta):
+        runs.append(run)
+        return emit(run, table, meta)
+
+    monkeypatch.setattr(orbitwalk.cli, "emit", recorded)
+    code, out, _ = run_cli(capsys, "thermal", "--format", output_format, "--output", str(path))
+    assert (code, out) == (0, "")
+    text = path.read_text()
+    if output_format == "csv":
+        header = next(ln for ln in text.splitlines() if ln.startswith("# config "))
+        echoed = json.loads(header.removeprefix("# config "))
+    else:
+        echoed = json.loads(text)["meta"]["config"]
+    assert echoed["output"] == {"format": output_format, "path": None, "precision": 12}
+    [run] = runs
+    assert run.config["output"]["path"] == str(path)
 
 
 # -- output handling -----------------------------------------------------------

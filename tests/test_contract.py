@@ -3,11 +3,13 @@
 Every run must return 0, 2, 3 or 4 without an exception escaping `main`, a
 refused or unconverged run (2, 3) must emit no table, every exit-0 `thermal`
 table must equal the dense projected-kron Gibbs state of
-`_oracles.many_walker_gibbs` at the gate-7 tolerances, and every exit-0
-`resolvent` table must equal `oracle.resolvent_direct` of the dense
-single-walker Hamiltonian at the gate-6 tolerance.  On the Line and HalfLine
-that Hamiltonian is the window with exact open ends
-(`_oracles.open_window_hamiltonian`).
+`_oracles.many_walker_gibbs` at the gate-7 tolerances, every exit-0 `evolve`
+table on the Circle and Interval must equal the state evolved by the dense
+projected-kron time kernel of `_oracles.many_walker_evolution` at the gate-5
+tolerance, and every exit-0 `resolvent` table must equal
+`oracle.resolvent_direct` of the dense single-walker Hamiltonian at the
+gate-6 tolerance.  On the Line and HalfLine that Hamiltonian is the window
+with exact open ends (`_oracles.open_window_hamiltonian`).
 
 The configs are drawn once, from a fixed seed, across every command, the four
 space kinds, N <= 4, both statistics, and quarter-multiple and generic angles.
@@ -31,7 +33,12 @@ import pytest
 from orbitwalk import oracle
 from orbitwalk.cli import COMMANDS, main
 
-from _oracles import chain_hamiltonian, many_walker_gibbs, open_window_hamiltonian
+from _oracles import (
+    chain_hamiltonian,
+    many_walker_evolution,
+    many_walker_gibbs,
+    open_window_hamiltonian,
+)
 
 SEED = 6061
 DRAWS_PER_COMMAND = 20
@@ -46,6 +53,8 @@ TRACE_TOL = 1e-12
 RHO_TOL = 1e-10
 # The matrix tolerance of acceptance gate 6.
 RESOLVENT_TOL = 1e-9
+# The kernel tolerance of acceptance gate 5.
+EVOLVE_TOL = 1e-10
 
 # Configs that once crashed or ran for minutes, with the exit code they must give.
 FIXED = [
@@ -55,6 +64,7 @@ FIXED = [
       "--set", "representation.statistics=Fermion", "--window=0:3"], 2),
     (["verify", "--set", "space.kind=Line", "--set", "space.N=3",
       "--set", "representation.statistics=Boson", "--window=0:3"], 2),
+    (["verify", "--set", "space.kind=HalfLine", "--window=-3:0"], 2),
 ]
 
 
@@ -129,10 +139,15 @@ def _draw(rng: random.Random, command: str) -> list[str]:
     return argv
 
 
+# The fixed cases that precede the drawn ones; cases added to FIXED later
+# follow the draw, so every case keeps its position and test id.
+FIXED_BEFORE_DRAW = 3
+
+
 def _campaign() -> list:
     rng = random.Random(SEED)
     drawn = [(_draw(rng, command), None) for _ in range(DRAWS_PER_COMMAND) for command in COMMANDS]
-    return FIXED + drawn
+    return FIXED[:FIXED_BEFORE_DRAW] + drawn + FIXED[FIXED_BEFORE_DRAW:]
 
 
 CAMPAIGN = _campaign()
@@ -179,6 +194,29 @@ def _check_resolvent_table(argv: list[str], out: str) -> None:
         assert abs(complex(float(re), float(im)) - want) <= RESOLVENT_TOL, (x, y)
 
 
+def _check_evolve_table(argv: list[str], out: str) -> None:
+    N = int(_setting(argv, "space.N"))
+    kernel = many_walker_evolution(
+        _chain(argv), N, _setting(argv, "representation.statistics"),
+        float(_setting(argv, "params.tau")),
+    )
+    # A repeated point keeps its last amplitude, as the config reader does.
+    state = {
+        tuple(pt) if isinstance(pt, list) else (pt,): complex(re, im)
+        for pt, re, im in json.loads(_setting(argv, "initial_state"))
+    }
+    rows = _rows(out)
+    assert rows[-1][0] == "total"
+    L = int(_setting(argv, "space.L"))
+    assert len(rows) - 1 == math.comb(L + N - 1, N)
+    for row in rows[:-1]:
+        x = tuple(int(c) for c in row[:N])
+        want = sum(kernel(x, y) * a for y, a in state.items())
+        amp = complex(float(row[N]), float(row[N + 1]))
+        assert abs(amp - want) <= EVOLVE_TOL, x
+        assert abs(float(row[N + 2]) - abs(want) ** 2) <= EVOLVE_TOL, x
+
+
 def _check_thermal_table(argv: list[str], out: str) -> None:
     N = int(_setting(argv, "space.N"))
     statistics = _setting(argv, "representation.statistics")
@@ -214,6 +252,8 @@ def test_exit_code_contract(capsys, argv, expected):
         _check_thermal_table(argv, out)
     if code == 0 and argv[0] == "resolvent":
         _check_resolvent_table(argv, out)
+    if code == 0 and argv[0] == "evolve" and _setting(argv, "space.kind") in ("Circle", "Interval"):
+        _check_evolve_table(argv, out)
 
 
 def test_campaign_covers_every_command_kind_walker_count_and_statistics():

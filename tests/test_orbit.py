@@ -897,6 +897,36 @@ def test_resolvent_plan_refuses_several_walkers_and_the_lower_half_plane():
             KernelPlan(circle, Representation(), KernelParams(energy=energy), mode="resolvent")
 
 
+@pytest.mark.parametrize(
+    "space, D",
+    [
+        (OrbitSpaceSpec("Circle", L=5), Representation(theta=0.9)),
+        (OrbitSpaceSpec("Interval", L=4), Representation(theta=math.pi, phi=0.0)),
+        (OrbitSpaceSpec("HalfLine"), Representation(phi=math.pi)),
+    ],
+)
+def test_resolvent_plan_moved_to_an_energy_equals_a_plan_built_there(space, D):
+    energies = [0.4 + 0.05j, -0.9 + 0.3j, 0.0 + 1.0j, 0.4 + 0.05j]
+    moved = KernelPlan(space, D, KernelParams(omega=1.5, energy=energies[0]), mode="resolvent")
+    points = [(x,) for x in range(1, 5)]
+    for energy in energies:
+        moved.set_energy(energy)
+        fresh = KernelPlan(space, D, KernelParams(omega=1.5, energy=energy), mode="resolvent")
+        for x in points:
+            for y in points:
+                assert repr(moved.kernel(x, y).value) == repr(fresh.kernel(x, y).value)
+
+
+def test_set_energy_refuses_the_lower_half_plane_and_other_modes():
+    space = OrbitSpaceSpec("Circle", L=4)
+    plan = KernelPlan(space, Representation(), KernelParams(energy=0.4 + 0.3j), mode="resolvent")
+    with pytest.raises(DomainError, match="Im\\(energy\\) > 0"):
+        plan.set_energy(0.4 - 0.3j)
+    heat = KernelPlan(space, Representation(), KernelParams(beta=1.0), mode="heat")
+    with pytest.raises(DomainError, match="only a resolvent plan"):
+        heat.set_energy(0.4 + 0.3j)
+
+
 def test_plan_modes_refuse_the_operations_of_other_modes():
     space = OrbitSpaceSpec("Circle", L=3)
     p = KernelParams(tau=1.0, beta=1.0, energy=0.4 + 0.3j)

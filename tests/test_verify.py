@@ -7,13 +7,15 @@ import math
 import pytest
 
 from orbitwalk.errors import DomainError
-from orbitwalk.group import OrbitSpaceSpec, Representation
+from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams
-from orbitwalk.orbit import TruncationPolicy
+from orbitwalk.orbit import TruncationPolicy, _gluing_weight
 from orbitwalk.verify import (
     CheckResult,
+    _Kernels,
     _symmetrized_delta,
     all_passed,
+    check_composition,
     run_checks,
 )
 
@@ -114,3 +116,39 @@ def test_symmetrized_delta_counts_matchings():
     assert _symmetrized_delta((2, 2), (2, 2), "Boson") == 2.0
     assert _symmetrized_delta((2, 2), (2, 2), "Fermion") == 0.0
     assert _symmetrized_delta((1, 2), (1, 2), "Fermion") == 1.0
+
+
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+def test_composition_computes_each_probe_middle_entry_once(statistics):
+    space = OrbitSpaceSpec("Circle", L=4, N=2)
+    D = Representation(theta=0.7, statistics=statistics)
+    p = KernelParams(tau=1.0)
+    trunc = TruncationPolicy()
+    real = _Kernels(space, D, trunc)
+    calls = []
+
+    def kernel(x, y, params):
+        calls.append((x, y, params.tau))
+        return real(x, y, params)
+
+    result = check_composition(space, D, p, trunc, kernel=kernel)
+    assert result.passed
+    middles = fundamental_domain(space)
+    # three probes into each middle and three out of it
+    assert len([c for c in calls if c[2] == 0.5]) == 6 * len(middles)
+    assert len([c for c in calls if c[2] == 1.0]) == 9
+
+    # the same sums, one glued pair at a time, to the last bit
+    half = KernelParams(tau=0.5)
+    probes = middles[:3]
+    worst = 0.0
+    for x in probes:
+        for y in probes:
+            glued = sum(_gluing_weight(z) * real(x, z, half) * real(z, y, half) for z in middles)
+            worst = max(worst, abs(glued - real(x, y, p)))
+    assert repr(result.deviation) == repr(worst)
+
+
+def test_a_window_with_no_domain_point_is_refused():
+    with pytest.raises(DomainError, match="holds no point"):
+        run_checks(OrbitSpaceSpec("HalfLine"), Representation(), KernelParams(tau=1.0), window=(-3, 0))
