@@ -6,10 +6,12 @@ microseconds.  The orbit-sum row times one kernel per pair, each with its own
 plan.  The plan-sweep row times one heat plan filling all L^2 entries of a
 circle, which reuses one winding sum per displacement.  The parser row times
 building the CLI parser and parsing one command line; `main()` builds the
-parser once per process and then only parses.  The dos-sweep row times the
-default `orbitwalk dos` (201 energies on a 4-site circle) and the
-coined-table row a coined walk on a 16-site circle with 20 steps (1,041 table
-rows), each in-process through `cli.main`, output discarded.  The cold-start
+parser once per process and then only parses.  The dos-sweep rows time the
+default `orbitwalk dos` (201 energies on a 4-site circle, one sector key) and
+the same sweep on an 8-site interval (one reflected sector key per site), and
+the coined-table rows a coined walk on a 16-site circle with 20 steps (1,041
+table rows) in CSV and in JSON, each in-process through `cli.main`, output
+discarded.  The cold-start
 row runs the default `orbitwalk evolve` in fresh interpreters against this
 checkout's `src/` and reports the median wall time and the modules the run
 loaded.
@@ -98,6 +100,7 @@ def bench_cli(argv: list[str], repeats: int) -> float:
 
 
 COINED_ARGV = ["coined", "--set", "space.L=16", "--set", "coined.steps=20"]
+INTERVAL_DOS_ARGV = ["dos", "--set", "space.kind=Interval", "--set", "space.L=8"]
 
 
 COLD_START_RUNS = 9
@@ -149,8 +152,12 @@ def main() -> None:
     print(f"parser: build_parser().parse_args, one thermal command line: "
           f"{bench_parser():.0f} us")
     print(f"dos sweep: default dos through cli.main: {bench_cli(['dos'], 10) / 1000.0:.2f} ms")
+    print(f"dos sweep: Interval L=8 dos through cli.main: "
+          f"{bench_cli(INTERVAL_DOS_ARGV, 10) / 1000.0:.2f} ms")
     print(f"coined table: L=16, steps=20 through cli.main: "
           f"{bench_cli(COINED_ARGV, 20) / 1000.0:.2f} ms")
+    print(f"coined table: L=16, steps=20, --format json through cli.main: "
+          f"{bench_cli(COINED_ARGV + ['--format', 'json'], 20) / 1000.0:.2f} ms")
 
     median_s, loaded = cold_start()
     print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "

@@ -184,6 +184,8 @@ class ResolvedRun:
                 point = tuple(int(c) for c in point)
             else:
                 point = (int(point),)
+            if point in state:
+                raise ConfigError(f"initial_state lists point {point} twice")
             state[point] = complex(float(re_part), float(im_part))
         return state
 
@@ -374,16 +376,22 @@ def emit(run: ResolvedRun, table: Table, meta: dict) -> str:
         lines.append(",".join(table.columns))
         lines.extend(",".join(row) for row in table.rows)
         return "\n".join(lines) + "\n"
+    values = {"": None}  # json.loads per distinct cell text; a non-JSON text stays a string
+
+    def value(cell: str):
+        if cell in values:
+            return values[cell]
+        try:
+            parsed = json.loads(cell)
+        except json.JSONDecodeError:
+            parsed = cell
+        values[cell] = parsed
+        return parsed
+
     columns = {name: [] for name in table.columns}
     for row in table.rows:
         for name, cell in zip(table.columns, row):
-            if cell == "":
-                columns[name].append(None)
-            else:
-                try:
-                    columns[name].append(json.loads(cell))
-                except json.JSONDecodeError:
-                    columns[name].append(cell)
+            columns[name].append(value(cell))
     payload = {
         "command": run.command,
         "meta": {"config": _echoed_config(run.config), **meta},
@@ -470,16 +478,20 @@ def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
     labels = ["_".join(str(c) for c in pt) for pt in sites]
     table = Table(["energy"] + [f"dos_{lab}" for lab in labels])
     energies = [e_min + (e_max - e_min) * k / (points - 1) for k in range(points)]
-    p = KernelParams(omega=run.params.omega, energy=complex(energies[0], eta))
-    plan = KernelPlan(run.space, run.representation, p, run.truncation, mode="resolvent")
+    plan = KernelPlan(
+        run.space, run.representation, run.params, run.truncation,
+        mode="resolvent", energies=[complex(e_real, eta) for e_real in energies],
+    )
+    columns = plan.dos(sites)
     fmt = _formatter(run.precision)
-    values = []
-    for e_real in energies:
-        plan.set_energy(complex(e_real, eta))
-        row = [-plan.kernel(site, site).value.imag / math.pi for site in sites]
-        values.append(row)
-        table.add(fmt(e_real), *map(fmt, row))
-    integrals = [_trapezoid(energies, column) for column in zip(*values)]
+    # Sites that share a column (every site of a circle) share its texts and integral.
+    shared = {id(column): column for column in columns}
+    texts = {key: list(map(fmt, column)) for key, column in shared.items()}
+    areas = {key: _trapezoid(energies, column) for key, column in shared.items()}
+    rows = zip(*(texts[id(column)] for column in columns)) if columns else [()] * points
+    for e_real, row in zip(energies, rows):
+        table.add(fmt(e_real), *row)
+    integrals = [areas[id(column)] for column in columns]
     table.add("total", *map(fmt, integrals))
     return table, {"integrals": [float(_fmt(v, 10)) for v in integrals]}, 0
 

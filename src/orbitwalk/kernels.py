@@ -64,15 +64,23 @@ def line_heat_kernel(x: int, y: int, p: KernelParams) -> float:
 
 def resolvent_momentum(p: KernelParams) -> complex:
     """The complex momentum q with energy = -omega cos q, Re q in (0, pi), Im q > 0."""
-    e = complex(p.energy)
+    return _momentum(p.energy, p.omega)
+
+
+def _momentum(energy: complex, omega: float) -> complex:
+    """`resolvent_momentum` at an energy and an already validated omega.
+
+    An energy sweep calls it once per energy, with no `KernelParams` each.
+    """
+    e = complex(energy)
     if not e.imag > 0.0:
         raise DomainError(f"resolvent requires Im(energy) > 0, got {e}")
-    q = cmath.acos(-e / p.omega)
+    q = cmath.acos(-e / omega)
     if q.imag < 0.0:
         q = -q
     if not (q.imag > 0.0 and 0.0 <= q.real <= math.pi):
         raise DomainError(f"no valid momentum branch for energy {e}")
-    residual = abs(e + p.omega * cmath.cos(q))
+    residual = abs(e + omega * cmath.cos(q))
     if residual > 1e-12 * max(1.0, abs(e)):
         raise DomainError(f"momentum branch residual {residual:.2e} too large for energy {e}")
     return q
@@ -130,24 +138,29 @@ def hadamard_coin() -> CoinSpec:
 
 
 def _coined_blocks(steps: int, c: CoinSpec) -> dict:
-    """All nonzero blocks of W^steps on the line, keyed by x - y (steps >= 0)."""
+    """All nonzero blocks of W^steps on the line, keyed by x - y (steps >= 0).
+
+    A step sends row i of C times the block at delta to row i of the block at
+    delta + shift_i.  The blocks of one step are stacked over a contiguous
+    displacement range, so a step is one batched matmul and one slice-add
+    per shift.  Displacements the walk cannot reach (odd ones of a +-1 walk
+    after an even step count) stay zero in the stack and are not returned.
+    """
     import numpy as np
 
-    blocks = {0: np.eye(c.d, dtype=complex)}
-    coin = c.coin
+    low_shift, high_shift = min(c.shifts), max(c.shifts)
+    stack = np.eye(c.d, dtype=complex)[np.newaxis]
+    low = 0  # the displacement of stack[0]
+    reached = {0}
     for _ in range(steps):
-        new: dict = {}
-        for delta, blk in blocks.items():
-            rows = coin @ blk  # rows[i, j] = sum_k C_ik blk_kj
-            for i, s in enumerate(c.shifts):
-                target = delta + s
-                cur = new.get(target)
-                if cur is None:
-                    cur = np.zeros((c.d, c.d), dtype=complex)
-                    new[target] = cur
-                cur[i, :] += rows[i, :]
-        blocks = new
-    return blocks
+        rows = np.matmul(c.coin, stack)  # rows[k, i, j] = sum_l C_il stack[k, l, j]
+        size = len(stack)
+        new = np.zeros((size + high_shift - low_shift, c.d, c.d), dtype=complex)
+        for i, s in enumerate(c.shifts):
+            new[s - low_shift:s - low_shift + size, i, :] += rows[:, i, :]
+        stack, low = new, low + low_shift
+        reached = {delta + s for delta in reached for s in c.shifts}
+    return {delta: stack[delta - low] for delta in sorted(reached)}
 
 
 def coined_line_blocks(steps: int, c: CoinSpec) -> dict:

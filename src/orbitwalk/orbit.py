@@ -10,7 +10,8 @@ once per run.  Time and heat kernels plug different free-lattice rows into
 `_winding_sum`, which sums shell by shell (shells are indexed by |n|) until
 whole shells fall below tolerance: no group element is built.  The
 resolvent's images form geometric series, which the plan sums in closed
-form, once per reflection sector and displacement.  Time and heat kernels of
+form, once per reflection sector and displacement across a whole energy
+grid (a DOS sweep is one plan).  Time and heat kernels of
 N identical walkers are permanents/determinants of single-walker sums.  The
 generic group engine `_orbit_sum` sums over N-walker group elements; it is
 only the reference (`method="direct"`) that tests compare against.  numpy is
@@ -22,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, TruncationError
 from .group import (
@@ -37,7 +38,7 @@ from .group import (
     validate_representation,
     weight_from_sums,
 )
-from .kernels import CoinSpec, KernelParams, coined_line_blocks, resolvent_momentum, window_radius
+from .kernels import CoinSpec, KernelParams, _momentum, coined_line_blocks, window_radius
 from .special import i_row, j_row, quarter_phase
 
 
@@ -268,25 +269,28 @@ class KernelPlan:
     - "time": the time-evolution kernel; its free-lattice row (one Bessel
       row) is built once;
     - "heat": the Gibbs kernel, likewise from one Bessel row;
-    - "resolvent": the single-walker resolvent G_E(x, y) at p.energy
-      (Im E > 0).  N >= 2 walkers are refused: the resolvent of a sum of
-      commuting walker Hamiltonians is not a product of single-walker
-      resolvents, so no permanent/determinant lift gives it.
+    - "resolvent": the single-walker resolvent G_E(x, y) (Im E > 0) over an
+      energy grid, by default p.energy alone.  N >= 2 walkers are refused:
+      the resolvent of a sum of commuting walker Hamiltonians is not a
+      product of single-walker resolvents, so no permanent/determinant lift
+      gives it.
 
     Each single-walker sum is computed on first use and kept, so a windowed
     run computes only the sums it touches.  On the Line and Circle a sum
     depends on x - y alone and is kept by that displacement (2L - 1 sums
     cover a circle); with reflections it is kept by (x, y).  Time and heat
     sums run shell by shell in `_winding_sum`.  The resolvent is summed in
-    closed form one reflection sector at a time (`_resolvent_sector`): the
-    direct sector is kept by x - y and the reflected one by x + y - c, so
-    2L - 1 closed forms cover a circle and 2(2L - 1) an interval.  The
-    weight D(t^n r^m) of each (n, m) is computed once by `weight_from_sums`.
+    closed form one reflection sector at a time (`_resolvent_sector`), energy
+    major: the plan computes every grid energy's constants in one pass at
+    construction, then evaluates each sector key across the whole grid once,
+    the direct sector by x - y and the reflected one by x + y - c.  So 2L - 1
+    sector keys cover a circle and 2(2L - 1) an interval, and a DOS sweep
+    (`dos`) takes one key on a circle and L + 1 on an interval.  The weight
+    D(t^n r^m) of each (n, m) is computed once by `weight_from_sums`.
     An N-walker entry is the determinant (fermions) or permanent (bosons) of
     the N x N matrix of single-walker sums; a fermion entry whose x or y
     repeats a coordinate is exactly 0.  Nothing is shared between plans: a
-    caller builds one per run and drops it with the run; a DOS sweep moves
-    its one resolvent plan from energy to energy with `set_energy`.
+    caller builds one per run (one per sweep) and drops it with the run.
     """
 
     def __init__(
@@ -297,11 +301,14 @@ class KernelPlan:
         trunc: TruncationPolicy | None = None,
         *,
         mode: str = "time",
+        energies=None,
     ):
         if mode not in MODES:
             raise DomainError(f"unknown plan mode {mode!r}; expected one of {MODES}")
         if mode == "resolvent" and space.N != 1:
             raise DomainError(f"the resolvent is implemented for one walker only, not N={space.N}")
+        if energies is not None and mode != "resolvent":
+            raise DomainError("only a resolvent plan sweeps an energy grid")
         validate_representation(space, D)
         self._space = space
         self._params = p
@@ -313,35 +320,36 @@ class KernelPlan:
         self._weights: dict = {}
         self._sums: dict = {}
         if mode == "resolvent":
-            self._init_resolvent(p)
+            self._init_resolvent([p.energy] if energies is None else energies)
         else:
             self._free = _free_row(p, mode == "heat")
 
-    def _init_resolvent(self, p: KernelParams) -> None:
-        """Per-energy constants of the closed-form resolvent (see `_resolvent_sector`)."""
-        q = self._q = resolvent_momentum(p)
-        self._denominator = 1j * p.omega * cmath.sin(q)
-        self._sectors: dict = {}
-        self._center = self._space.reflection_center if self._space.has_reflections else None
+    def _init_resolvent(self, energies) -> None:
+        """Each grid energy's constants, in one pass (see `_resolvent_sector`).
+
+        Per energy: i q (q checked for branch and residual, so Im E <= 0
+        anywhere in the grid is refused before any sector), i omega sin q
+        and, on a period P, the series factors 1 / (1 - r-) and
+        e^{i theta} / (1 - r+).  omega was validated with p.
+        """
+        omega = self._params.omega
         period = self._space.period
+        self._center = self._space.reflection_center if self._space.has_reflections else None
+        self._sectors: dict = {}
+        self._grid = []  # (i q, ahead, behind) per energy
+        self._denominators = []  # i omega sin q per energy
+        ahead = behind = None
         if period:
             turn = self._weight(1, 0)  # e^{i theta}
-            wrap = cmath.exp(1j * q * period)  # e^{iqP}
-            self._ahead = 1.0 / (1.0 - wrap * turn.conjugate())
-            self._behind = turn / (1.0 - wrap * turn)
-
-    def set_energy(self, energy: complex) -> None:
-        """Move a resolvent plan to another energy, as a DOS sweep does.
-
-        The space, representation and weights stay validated and kept; the
-        per-energy constants (with the momentum's branch and residual checks)
-        are recomputed and every kept sum is dropped.
-        """
-        if self._mode != "resolvent":
-            raise DomainError("only a resolvent plan has an energy to set")
-        self._params = replace(self._params, energy=energy)
-        self._sums = {}
-        self._init_resolvent(self._params)
+            back = turn.conjugate()
+        for energy in energies:
+            q = _momentum(energy, omega)
+            if period:
+                wrap = cmath.exp(1j * q * period)  # e^{iqP}
+                ahead = 1.0 / (1.0 - wrap * back)
+                behind = turn / (1.0 - wrap * turn)
+            self._grid.append((1j * q, ahead, behind))
+            self._denominators.append(1j * omega * cmath.sin(q))
 
     @property
     def shells_used(self) -> int:
@@ -366,24 +374,36 @@ class KernelPlan:
         return rep
 
     def _resolvent(self, xi: int, yj: int) -> OrbitKernelReport:
-        """G_E(xi, yj): the direct sector, plus the reflected one where the space has it.
+        """G_E(xi, yj) at the plan's one energy.  No shell is summed, so the
+        report has shells_used = terms_evaluated = 0."""
+        if len(self._grid) != 1:
+            raise DomainError(
+                f"a resolvent plan over {len(self._grid)} energies has no single kernel; "
+                "use dos()"
+            )
+        return OrbitKernelReport(self._column(self._keys(xi, yj))[0], 0, 0.0, 0)
 
-        Each sector is kept by (m, displacement).  No shell is summed, so the
-        report has shells_used = terms_evaluated = 0.
-        """
-        keys = [(0, xi - yj)]
-        if self._center is not None:
-            keys.append((1, xi + yj - self._center))
-        total = 0j
+    def _keys(self, xi: int, yj: int) -> tuple:
+        """The (m, displacement) sector keys of G(xi, yj): direct, then reflected."""
+        if self._center is None:
+            return ((0, xi - yj),)
+        return ((0, xi - yj), (1, xi + yj - self._center))
+
+    def _column(self, keys: tuple) -> list:
+        """G_E at every grid energy: the sectors of `keys` summed from 0j, over i omega sin q."""
+        sectors = []
         for key in keys:
-            value = self._sectors.get(key)
-            if value is None:
-                value = self._sectors[key] = self._resolvent_sector(*key)
-            total += value
-        return OrbitKernelReport(total / self._denominator, 0, 0.0, 0)
+            values = self._sectors.get(key)
+            if values is None:
+                values = self._sectors[key] = self._resolvent_sector(*key)
+            sectors.append(values)
+        if len(sectors) == 1:
+            return [(0j + g) / den for g, den in zip(sectors[0], self._denominators)]
+        direct, reflected = sectors
+        return [(0j + g + h) / den for g, h, den in zip(direct, reflected, self._denominators)]
 
-    def _resolvent_sector(self, m: int, d: int) -> complex:
-        """Reflection sector m of the resolvent at displacement d, times i omega sin q.
+    def _resolvent_sector(self, m: int, d: int) -> list:
+        """Reflection sector m at displacement d, times i omega sin q, at every grid energy.
 
         The sector is the image sum of the line resolvent
         g(d) = e^{iq|d|} / (i omega sin q) over d - nP, weighted by
@@ -394,20 +414,39 @@ class KernelPlan:
             sum_n e^{i n theta} g(d - nP) = e^{i n0 theta} [e^{iq d0} / (1 - r-)
                 + e^{i theta} e^{iq (P - d0)} / (1 - r+)] / (i omega sin q),
 
-        which converges because |r±| = e^{-P Im q} < 1.  `_resolvent`
-        divides the sum of the sectors by i omega sin q.
+        which converges because |r±| = e^{-P Im q} < 1.  `_column` divides
+        the sum of the sectors by i omega sin q.
         """
-        q = self._q
         period = self._space.period
         if period:
             n0, d0 = divmod(d, period)
-            series = (
-                cmath.exp(1j * q * d0) * self._ahead
-                + cmath.exp(1j * q * (period - d0)) * self._behind
-            )
-        else:
-            n0, series = 0, cmath.exp(1j * q * abs(d))
-        return self._weight(n0, m) * series
+            weight = self._weight(n0, m)
+            rest = period - d0
+            return [
+                weight * (cmath.exp(iq * d0) * ahead + cmath.exp(iq * rest) * behind)
+                for iq, ahead, behind in self._grid
+            ]
+        weight = self._weight(0, m)
+        d = abs(d)
+        return [weight * cmath.exp(iq * d) for iq, _, _ in self._grid]
+
+    def dos(self, sites) -> list:
+        """The local DOS -(1/pi) Im G_E(x, x) at every grid energy, one column per site.
+
+        Sites with the same sector keys (every site of a circle) share one
+        column, the same list.  No domain check.
+        """
+        if self._mode != "resolvent":
+            raise DomainError("the density of states needs a resolvent plan")
+        columns: dict = {}
+        out = []
+        for site in sites:
+            keys = self._keys(site[0], site[0])
+            column = columns.get(keys)
+            if column is None:
+                column = columns[keys] = [-g.imag / math.pi for g in self._column(keys)]
+            out.append(column)
+        return out
 
     def kernel(self, x: tuple, y: tuple) -> OrbitKernelReport:
         """The kernel between N-walker lattice points x and y (no domain check)."""
@@ -539,12 +578,17 @@ def local_dos(
     *,
     omega: float = 1.0,
 ) -> float:
-    """Lorentzian-broadened local density of states -(1/pi) Im G(x, x), one walker."""
+    """Lorentzian-broadened local density of states -(1/pi) Im G(x, x), one walker.
+
+    One site of a one-energy `KernelPlan.dos` sweep.
+    """
     if not 1e-6 <= eta <= 1.0:
         raise DomainError(f"broadening eta must lie in [1e-6, 1], got {eta}")
     p = KernelParams(omega=omega, energy=complex(e_real, eta))
-    rep = orbit_resolvent(space, D, x, x, p, trunc)
-    return -rep.value.imag / math.pi
+    plan = KernelPlan(space, D, p, trunc, mode="resolvent")
+    x = _as_point(space, x)
+    check_in_domain(space, x, "x")
+    return plan.dos([x])[0][0]
 
 
 def orbit_heat_kernel(

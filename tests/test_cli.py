@@ -22,9 +22,11 @@ from orbitwalk.cli import (
     DEFAULT_CONFIG,
     MAX_LIFT_WORK,
     ResolvedRun,
+    Table,
     _fmt,
     _formatter,
     apply_set,
+    emit,
     load_config,
     main,
 )
@@ -237,13 +239,18 @@ def test_resolvent_refusals_keep_their_exit_code_and_message(capsys, argv, messa
 
 @pytest.fixture
 def closed_forms(monkeypatch):
-    """(m, d) of every resolvent sector a plan evaluates in closed form."""
+    """(m, d, energies) of every resolvent sector a plan evaluates in closed form.
+
+    A sector is evaluated across the plan's whole energy grid in one call, so
+    `energies` is how many closed forms that call computed.
+    """
     calls = []
     real = orbitwalk.orbit.KernelPlan._resolvent_sector
 
     def counted(self, m, d):
-        calls.append((m, d))
-        return real(self, m, d)
+        values = real(self, m, d)
+        calls.append((m, d, len(values)))
+        return values
 
     monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "_resolvent_sector", counted)
     return calls
@@ -261,6 +268,7 @@ def test_resolvent_evaluates_each_sector_once_per_displacement(capsys, closed_fo
     assert code == 0, err
     assert len(parse_csv(out)[1]) == L * L
     assert len(closed_forms) == len(set(closed_forms)) == sectors(L)
+    assert {energies for _, _, energies in closed_forms} == {1}
 
 
 def test_dos_builds_one_resolvent_plan_and_validates_once_per_sweep(capsys, monkeypatch):
@@ -290,7 +298,22 @@ def test_circle_dos_evaluates_one_closed_form_per_energy(capsys, closed_forms):
     assert code == 0, err
     energies = DEFAULT_CONFIG["dos"]["points"]
     assert len(parse_csv(out)[1]) == energies + 1  # plus the totals row
-    assert closed_forms == [(0, 0)] * energies
+    assert closed_forms == [(0, 0, energies)]
+
+
+def test_interval_dos_evaluates_each_sector_key_once_per_energy(capsys, closed_forms):
+    L, energies = 8, 9
+    code, out, err = run_cli(
+        capsys, "dos", "--set", "space.kind=Interval", "--set", f"space.L={L}",
+        "--set", f"dos.points={energies}",
+    )
+    assert code == 0, err
+    assert len(parse_csv(out)[1]) == energies + 1
+    # the direct sector of the diagonal, then one reflected sector per site
+    keys = [(m, d) for m, d, _ in closed_forms]
+    assert len(keys) == len(set(keys)) == L + 1
+    assert keys[0] == (0, 0) and all(m == 1 for m, _ in keys[1:])
+    assert {n for _, _, n in closed_forms} == {energies}
 
 
 def test_resolvent_emits_full_matrix(capsys):
@@ -534,6 +557,28 @@ def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "walkers, state, point",
+    [
+        (1, "[[1,0.6,0],[1,0.8,0]]", "(1,)"),
+        (1, "[[2,0.6,0],[[2],0.8,0]]", "(2,)"),
+        (2, "[[[1,3],0.6,0],[[2,3],0.6,0],[[1,3],0.5,0.1]]", "(1, 3)"),
+    ],
+)
+def test_initial_state_listing_a_point_twice_exits_2_before_any_kernel(
+    capsys, monkeypatch, walkers, state, point
+):
+    def no_plan(*args, **kwargs):
+        raise AssertionError("a kernel plan was built")
+
+    monkeypatch.setattr(orbitwalk.cli, "KernelPlan", no_plan)
+    code, out, err = run_cli(
+        capsys, "evolve", "--set", f"space.N={walkers}", "--set", f"initial_state={state}"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"config error: initial_state lists point {point} twice\n"
 
 
 @pytest.mark.parametrize(
@@ -827,6 +872,25 @@ def test_json_output_mirrors_columns_and_meta(capsys):
     lengths = {len(v) for v in columns.values()}
     assert len(lengths) == 1
     assert set(columns) == {"site", "re_amplitude", "im_amplitude", "probability"}
+
+
+def test_json_cells_parse_once_per_distinct_text(monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return loads(text, *args, **kwargs)
+
+    run = ResolvedRun("evolve", load_config(None))
+    run.output_format = "json"
+    table = Table(["a", "b"])
+    for cells in [("1.5e+00", ""), ("nan", "total"), ("1.5e+00", "-inf"), ("nan", "")]:
+        table.add(*cells)
+    monkeypatch.setattr(json, "loads", counted)
+    columns = loads(emit(run, table, {}))["columns"]
+    assert sorted(calls) == sorted(["1.5e+00", "nan", "total", "-inf"])
+    assert columns == {"a": [1.5, "nan", 1.5, "nan"], "b": [None, "total", "-inf", None]}
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

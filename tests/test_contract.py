@@ -65,6 +65,7 @@ FIXED = [
     (["verify", "--set", "space.kind=Line", "--set", "space.N=3",
       "--set", "representation.statistics=Boson", "--window=0:3"], 2),
     (["verify", "--set", "space.kind=HalfLine", "--window=-3:0"], 2),
+    (["evolve", "--set", "initial_state=[[1,0.6,0],[1,0.8,0]]", "--set", "params.tau=0"], 2),
 ]
 
 
@@ -200,7 +201,7 @@ def _check_evolve_table(argv: list[str], out: str) -> None:
         _chain(argv), N, _setting(argv, "representation.statistics"),
         float(_setting(argv, "params.tau")),
     )
-    # A repeated point keeps its last amplitude, as the config reader does.
+    # The config reader refuses a repeated point, so every point here is distinct.
     state = {
         tuple(pt) if isinstance(pt, list) else (pt,): complex(re, im)
         for pt, re, im in json.loads(_setting(argv, "initial_state"))

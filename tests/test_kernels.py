@@ -12,6 +12,7 @@ from orbitwalk.errors import DomainError
 from orbitwalk.kernels import (
     CoinSpec,
     KernelParams,
+    coined_line_blocks,
     coined_line_kernel,
     hadamard_coin,
     line_heat_kernel,
@@ -215,6 +216,44 @@ def test_coined_light_cone_is_strict():
     c = hadamard_coin()
     assert np.array_equal(coined_line_kernel(3, 4, 0, c), np.zeros((2, 2)))
     assert np.array_equal(coined_line_kernel(3, -4, 0, c), np.zeros((2, 2)))
+
+
+def _blocks_one_at_a_time(steps: int, c: CoinSpec) -> dict:
+    """W^steps on the line block by block: one coin product and one row add per block and shift."""
+    blocks = {0: np.eye(c.d, dtype=complex)}
+    for _ in range(steps):
+        new = {}
+        for delta, blk in blocks.items():
+            rows = c.coin @ blk
+            for i, s in enumerate(c.shifts):
+                new.setdefault(delta + s, np.zeros((c.d, c.d), dtype=complex))[i, :] += rows[i, :]
+        blocks = new
+    return blocks
+
+
+def _random_coin(rng, d: int, shifts: tuple) -> CoinSpec:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return CoinSpec(d, q * (np.diag(r) / np.abs(np.diag(r))), shifts)
+
+
+def test_coined_blocks_equal_the_block_by_block_walk_bit_for_bit():
+    rng = np.random.default_rng(7)
+    coins = [
+        hadamard_coin(),
+        _random_coin(rng, 3, (2, -1, 0)),
+        _random_coin(rng, 4, (-2, 1, 1, -1)),
+        _random_coin(rng, 1, (1,)),
+    ]
+    for c in coins:
+        for steps in range(0, 13):
+            got, want = coined_line_blocks(steps, c), _blocks_one_at_a_time(steps, c)
+            assert sorted(got) == sorted(want)  # reached displacements only
+            for delta, blk in want.items():
+                assert got[delta].tobytes() == blk.tobytes(), (steps, delta)
+        back, forward = coined_line_blocks(-5, c), _blocks_one_at_a_time(5, c)
+        assert sorted(back) == sorted(-delta for delta in forward)
+        for delta, blk in forward.items():
+            assert back[-delta].tobytes() == blk.conj().T.tobytes()
 
 
 def test_step_cap():

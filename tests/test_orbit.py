@@ -903,28 +903,53 @@ def test_resolvent_plan_refuses_several_walkers_and_the_lower_half_plane():
         (OrbitSpaceSpec("Circle", L=5), Representation(theta=0.9)),
         (OrbitSpaceSpec("Interval", L=4), Representation(theta=math.pi, phi=0.0)),
         (OrbitSpaceSpec("HalfLine"), Representation(phi=math.pi)),
+        (OrbitSpaceSpec("Line"), Representation(theta=2.1)),
     ],
 )
-def test_resolvent_plan_moved_to_an_energy_equals_a_plan_built_there(space, D):
+def test_resolvent_sweep_equals_a_plan_built_at_each_energy(space, D):
     energies = [0.4 + 0.05j, -0.9 + 0.3j, 0.0 + 1.0j, 0.4 + 0.05j]
-    moved = KernelPlan(space, D, KernelParams(omega=1.5, energy=energies[0]), mode="resolvent")
+    sweep = KernelPlan(
+        space, D, KernelParams(omega=1.5, energy=2.0 + 0.5j), mode="resolvent", energies=energies
+    )
     points = [(x,) for x in range(1, 5)]
-    for energy in energies:
-        moved.set_energy(energy)
+    dos = sweep.dos(points)
+    for k, energy in enumerate(energies):
         fresh = KernelPlan(space, D, KernelParams(omega=1.5, energy=energy), mode="resolvent")
-        for x in points:
-            for y in points:
-                assert repr(moved.kernel(x, y).value) == repr(fresh.kernel(x, y).value)
+        for i, x in enumerate(points):
+            want = -fresh.kernel(x, x).value.imag / math.pi
+            assert repr(dos[i][k]) == repr(want)
+            assert repr(local_dos(space, D, x, energy.real, energy.imag, omega=1.5)) == repr(want)
 
 
-def test_set_energy_refuses_the_lower_half_plane_and_other_modes():
+def test_resolvent_sweep_refuses_the_lower_half_plane_before_any_sector(monkeypatch):
+    sectors = []
+    real = KernelPlan._resolvent_sector
+
+    def counted(self, m, d):
+        sectors.append((m, d))
+        return real(self, m, d)
+
+    monkeypatch.setattr(KernelPlan, "_resolvent_sector", counted)
+    space = OrbitSpaceSpec("Interval", L=4)
+    p = KernelParams(energy=0.4 + 0.3j)
+    for bad in (0.4 - 0.3j, 0.4, -1.2 + 0.0j):
+        grid = [0.4 + 0.3j, -0.2 + 0.1j, bad, 0.1 + 0.2j]
+        with pytest.raises(DomainError, match="Im\\(energy\\) > 0"):
+            KernelPlan(space, Representation(), p, mode="resolvent", energies=grid).dos([(1,)])
+    assert sectors == []
+
+
+def test_resolvent_sweep_refuses_single_kernels_and_other_modes():
     space = OrbitSpaceSpec("Circle", L=4)
-    plan = KernelPlan(space, Representation(), KernelParams(energy=0.4 + 0.3j), mode="resolvent")
-    with pytest.raises(DomainError, match="Im\\(energy\\) > 0"):
-        plan.set_energy(0.4 - 0.3j)
-    heat = KernelPlan(space, Representation(), KernelParams(beta=1.0), mode="heat")
-    with pytest.raises(DomainError, match="only a resolvent plan"):
-        heat.set_energy(0.4 + 0.3j)
+    p = KernelParams(beta=1.0, energy=0.4 + 0.3j)
+    sweep = KernelPlan(space, Representation(), p, mode="resolvent", energies=[0.1 + 0.2j, 0.3 + 0.2j])
+    with pytest.raises(DomainError, match="over 2 energies has no single kernel"):
+        sweep.kernel((1,), (2,))
+    with pytest.raises(DomainError, match="only a resolvent plan sweeps"):
+        KernelPlan(space, Representation(), p, mode="heat", energies=[0.1 + 0.2j])
+    heat = KernelPlan(space, Representation(), p, mode="heat")
+    with pytest.raises(DomainError, match="needs a resolvent plan"):
+        heat.dos([(1,)])
 
 
 def test_plan_modes_refuse_the_operations_of_other_modes():
