@@ -10,8 +10,9 @@ parser once per process and then only parses.  The dos-sweep rows time the
 default `orbitwalk dos` (201 energies on a 4-site circle, one sector key) and
 the same sweep on an 8-site interval (one reflected sector key per site), and
 the coined-table rows a coined walk on a 16-site circle with 20 steps (1,041
-table rows) in CSV and in JSON, each in-process through `cli.main`, output
-discarded.  The cold-start
+table rows) in CSV and in JSON, and the N = 2 rows the two-walker `verify`
+on a 3-site circle (bosons) and fermion `thermal` on a 5-site circle, each
+in-process through `cli.main`, output discarded.  The cold-start
 row runs the default `orbitwalk evolve` in fresh interpreters against this
 checkout's `src/` and reports the median wall time and the modules the run
 loaded.
@@ -101,6 +102,13 @@ def bench_cli(argv: list[str], repeats: int) -> float:
 
 COINED_ARGV = ["coined", "--set", "space.L=16", "--set", "coined.steps=20"]
 INTERVAL_DOS_ARGV = ["dos", "--set", "space.kind=Interval", "--set", "space.L=8"]
+VERIFY_PAIR_ARGV = [
+    "verify", "--set", "space.L=3", "--set", "space.N=2", "--set", "representation.theta=0.7",
+]
+FERMION_THERMAL_ARGV = [
+    "thermal", "--set", "space.L=5", "--set", "space.N=2",
+    "--set", "representation.statistics=Fermion", "--set", "representation.theta=0.7",
+]
 
 
 COLD_START_RUNS = 9
@@ -158,6 +166,10 @@ def main() -> None:
           f"{bench_cli(COINED_ARGV, 20) / 1000.0:.2f} ms")
     print(f"coined table: L=16, steps=20, --format json through cli.main: "
           f"{bench_cli(COINED_ARGV + ['--format', 'json'], 20) / 1000.0:.2f} ms")
+    print(f"N = 2 verify: Circle L=3, bosons through cli.main: "
+          f"{bench_cli(VERIFY_PAIR_ARGV, 20) / 1000.0:.2f} ms")
+    print(f"N = 2 thermal: Circle L=5, fermions through cli.main: "
+          f"{bench_cli(FERMION_THERMAL_ARGV, 20) / 1000.0:.2f} ms")
 
     median_s, loaded = cold_start()
     print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "

@@ -6,10 +6,10 @@ resolved config is echoed in the output header so any emitted table can be
 reproduced from its own file.  Exit codes: 0 success, 2 config error,
 3 convergence failure, 4 verification failure.
 
-A run imports only what its command uses: numpy for `coined` and fermion
-lifts (N >= 2), the dense `oracle` for `coined` and `verify`, and the
-`verify` suite for `verify`.  Lazy imports bind the module and look its
-functions up at call time, so patched or traced functions are seen.
+A run imports only what its command uses: numpy and the dense `oracle`
+for `coined` and `verify`, and the `verify` suite for `verify`; N-walker
+lifts of both statistics are pure Python.  Lazy imports bind the module and
+look its functions up at call time, so patched or traced functions are seen.
 
 Emission is cheap per run: a table formats each distinct value once
 (`_formatter`), the argument parser is built once per process, and the
@@ -234,9 +234,13 @@ class ResolvedRun:
         Each entry costs 32 N for gathering its N x N single-walker sums,
         building its report and using it (a table row, a composition
         product), plus its lift: N 2^(N-1) row updates for a boson permanent,
-        N^2 for the array of a fermion determinant (one numpy LU call).
-        Timed on a shared 2-core VM, thermal and verify runs with N = 2..6
-        of both statistics took 0.7 to 1.35 times work x 0.3 us.
+        N^3 / 3 for a fermion determinant (the LU's complex multiply-adds,
+        each timed at about one row update).  Timed on a shared 2-core VM,
+        boson thermal and verify runs with N = 2..6 took 0.7 to 1.35 times
+        work x 0.3 us; fermion thermal, verify and evolve runs with
+        N = 2..10 took 0.07 to 0.4 times it, and one fermion entry with
+        distinct coordinates, gathered and lifted, at most 0.6 times its
+        share at N = 2..11.
         """
         n = self.space.N
         if n == 1 or self.command not in ("evolve", "thermal", "verify"):
@@ -251,7 +255,7 @@ class ResolvedRun:
         if entries == 0:
             return 0
         if self.representation.statistics == "Fermion":
-            return entries * (32 * n + n * n)
+            return entries * (32 * n + n**3 // 3)
         if n > 64:
             return math.inf  # past any bound; skips building a 2^(N-1) integer
         return entries * (32 * n + n * 2 ** (n - 1))

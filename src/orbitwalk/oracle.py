@@ -8,7 +8,9 @@ two routes is a genuine cross-check rather than a tautology.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,17 +187,32 @@ def partition_direct(dec: SpectralDecomposition, beta: float) -> float:
     return float(np.sum(np.exp(-beta * dec.eigenvalues)))
 
 
-def ryser_permanent(m: np.ndarray) -> complex:
-    """Permanent by Ryser's inclusion-exclusion formula (small matrices only)."""
-    n = m.shape[0]
+def ryser_permanent(m) -> complex:
+    """Permanent by Ryser's inclusion-exclusion formula (small matrices only).
+
+    `m` is a square matrix of nested lists or an array.  Each row sum over a
+    column subset and the product of those sums run left to right, the order
+    numpy's `sum(axis=1)` and `prod` take on such small rows, so the value
+    is the same to the last bit whichever container holds the entries.
+    """
+    rows = [[complex(v) for v in row] for row in m]
+    n = len(rows)
     if n > MANY_BODY_MAX:
         raise DomainError(f"permanent limited to {MANY_BODY_MAX}x{MANY_BODY_MAX}")
     total = 0j
     for mask in range(1, 1 << n):
         cols = [j for j in range(n) if mask >> j & 1]
-        prod = np.prod(m[:, cols].sum(axis=1))
-        total += (-1) ** len(cols) * prod
+        sums = [functools.reduce(operator.add, [row[j] for j in cols]) for row in rows]
+        total += (-1) ** len(cols) * functools.reduce(operator.mul, sums)
     return (-1) ** n * total
+
+
+def many_body_value(m: list, statistics: str) -> complex:
+    """Permanent (bosons) or determinant (fermions) of a single-particle kernel
+    matrix m[a][b] = <x_a| e^{-iH tau} |y_b>, given as nested lists."""
+    if statistics == "Fermion":
+        return complex(np.linalg.det(np.array(m)))
+    return complex(ryser_permanent(m))
 
 
 def many_body_kernel(
@@ -211,10 +228,8 @@ def many_body_kernel(
         raise DomainError("coordinate tuples must be sorted ascending")
     if statistics not in ("Boson", "Fermion"):
         raise DomainError(f"unknown statistics {statistics!r}")
-    m = np.array([[spectral_kernel(dec, tau, xa, yb) for yb in y] for xa in x])
-    if statistics == "Fermion":
-        return complex(np.linalg.det(m))
-    return complex(ryser_permanent(m))
+    m = [[spectral_kernel(dec, tau, xa, yb) for yb in y] for xa in x]
+    return many_body_value(m, statistics)
 
 
 def coined_circle_power(L: int, theta: float, c: CoinSpec, steps: int) -> np.ndarray:

@@ -12,10 +12,11 @@ whole shells fall below tolerance: no group element is built.  The
 resolvent's images form geometric series, which the plan sums in closed
 form, once per reflection sector and displacement across a whole energy
 grid (a DOS sweep is one plan).  Time and heat kernels of
-N identical walkers are permanents/determinants of single-walker sums.  The
-generic group engine `_orbit_sum` sums over N-walker group elements; it is
-only the reference (`method="direct"`) that tests compare against.  numpy is
-imported only where arrays are built (fermion determinants, coined blocks).
+N identical walkers are permanents (Glynn) or determinants (partial-pivot
+LU) of single-walker sums, both in pure Python.  The generic group engine
+`_orbit_sum` sums over N-walker group elements; it is only the reference
+(`method="direct"`) that tests compare against.  numpy is imported only
+where arrays are built (coined blocks).
 """
 
 from __future__ import annotations
@@ -258,6 +259,36 @@ def glynn_permanent(m) -> complex:
     return total / (1 << (n - 1))
 
 
+def lu_determinant(m) -> complex:
+    """Determinant of a square matrix by LU with partial pivoting, O(n^3).
+
+    Each column's pivot is the remaining row whose entry in it has the
+    largest |re| + |im| (LAPACK's pivot measure; the first such row on a
+    tie).  A swap flips the sign and the determinant is the product of the
+    pivots, so an exactly zero pivot column gives exactly 0j.  About n^3 / 3
+    complex multiply-adds.
+    """
+    rows = [[complex(v) for v in row] for row in m]
+    det = 1 + 0j
+    while rows:  # rows holds the block still to eliminate, one column fewer per step
+        sizes = [abs(row[0].real) + abs(row[0].imag) for row in rows]
+        best = sizes.index(max(sizes))
+        if sizes[best] == 0.0:
+            return 0j
+        if best:
+            rows[0], rows[best] = rows[best], rows[0]
+            det = -det
+        pivot = rows[0][0]
+        det *= pivot
+        tail = rows[0][1:]
+        reduced = []
+        for row in rows[1:]:
+            factor = row[0] / pivot
+            reduced.append([a - factor * b for a, b in zip(row[1:], tail)])
+        rows = reduced
+    return det
+
+
 MODES = ("time", "heat", "resolvent")
 
 
@@ -449,26 +480,35 @@ class KernelPlan:
         return out
 
     def kernel(self, x: tuple, y: tuple) -> OrbitKernelReport:
-        """The kernel between N-walker lattice points x and y (no domain check)."""
+        """The kernel between N-walker lattice points x and y (no domain check).
+
+        One pass over the N x N single-walker sums gathers their values and
+        the report: the most shells and the largest last-shell magnitude of
+        any sum, and the terms of all of them.
+        """
         if len(x) == 1:
             return self._sum(x[0], y[0])
-        matrix = [[self._sum(xi, yj) for yj in y] for xi in x]
-        values = [[rep.value for rep in row] for row in matrix]
+        values = []
+        shells = terms = 0
+        last = 0.0
+        for xi in x:
+            row = []
+            for yj in y:
+                rep = self._sum(xi, yj)
+                row.append(rep.value)
+                if rep.shells_used > shells:
+                    shells = rep.shells_used
+                if rep.last_shell_magnitude > last:
+                    last = rep.last_shell_magnitude
+                terms += rep.terms_evaluated
+            values.append(row)
         if not self._fermion:
             value = glynn_permanent(values)
         elif len(set(x)) < len(x) or len(set(y)) < len(y):
             value = 0j  # a repeated coordinate repeats a row or column: det is exactly 0
         else:
-            import numpy as np
-
-            value = np.linalg.det(np.array(values))
-        reps = [rep for row in matrix for rep in row]
-        return OrbitKernelReport(
-            complex(value),
-            max(rep.shells_used for rep in reps),
-            max(rep.last_shell_magnitude for rep in reps),
-            sum(rep.terms_evaluated for rep in reps),
-        )
+            value = lu_determinant(values)
+        return OrbitKernelReport(complex(value), shells, last, terms)
 
     def partition_function(self) -> float:
         """Z(beta): the weighted trace of the Gibbs kernel over the finite domain.

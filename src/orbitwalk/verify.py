@@ -3,7 +3,10 @@
 Each check returns a CheckResult with the worst deviation it measured; the
 suite passes iff every deviation is within its tolerance.  Infinite spaces
 are probed through an explicit site window.  `run_checks` shares one kernel
-plan per parameter set (tau, tau/2, -tau, 0) among its checks.
+plan per parameter set (tau, tau/2, -tau, 0) among its checks, and keeps
+each entry between probe points, so an entry several checks use is lifted
+once.  The oracle check computes each single-particle element once and lifts
+its N-walker references from those elements.
 """
 
 from __future__ import annotations
@@ -55,15 +58,32 @@ def _probe_points(space: OrbitSpaceSpec, window) -> list:
 
 
 class _Kernels:
-    """Time kernels of one verification run: one `KernelPlan` per parameter set."""
+    """Time kernels of one verification run: one `KernelPlan` per parameter set.
+
+    Calling it returns the (x, y) entry at p and keeps it in `kept[p]`, so an
+    entry the checks share is lifted once per run.  `unkept` computes an entry
+    without keeping it: composition uses each entry through a middle point
+    once, so the kept entries stay bounded by the probes (at most
+    4 x 8^2 + 36), not by the middles.
+    """
 
     def __init__(self, space: OrbitSpaceSpec, D: Representation, trunc: TruncationPolicy):
         self._space = space
         self._D = D
         self._trunc = trunc
         self._plans: dict = {}
+        self.kept: dict = {}  # p -> {(x, y): entry}
 
     def __call__(self, x: tuple, y: tuple, p: KernelParams) -> complex:
+        kept = self.kept.get(p)
+        if kept is None:
+            kept = self.kept[p] = {}
+        value = kept.get((x, y))
+        if value is None:
+            value = kept[(x, y)] = self.unkept(x, y, p)
+        return value
+
+    def unkept(self, x: tuple, y: tuple, p: KernelParams) -> complex:
         plan = self._plans.get(p)
         if plan is None:
             plan = self._plans[p] = KernelPlan(self._space, self._D, p, self._trunc)
@@ -82,9 +102,10 @@ def _symmetrized_delta(x: tuple, y: tuple, statistics: str) -> float:
 def check_initial_condition(space, D, trunc, window=None, kernel=None) -> CheckResult:
     kernel = kernel or _Kernels(space, D, trunc)
     p = KernelParams(omega=1.0, tau=0.0)
+    probes = _probe_points(space, window)
     worst = 0.0
-    for x in _probe_points(space, window):
-        for y in _probe_points(space, window):
+    for x in probes:
+        for y in probes:
             want = _symmetrized_delta(x, y, D.statistics)
             worst = max(worst, abs(kernel(x, y, p) - want))
     return CheckResult("initial_condition", worst <= INITIAL_TOL, worst, INITIAL_TOL)
@@ -102,13 +123,15 @@ def check_composition(space, D, p, trunc, window=None, kernel=None) -> CheckResu
         lo = min(coords) - reach if space.kind == "Line" else max(1, min(coords) - reach)
         middles = fundamental_domain(space, (lo, max(coords) + reach))
     ends = probes[:3]
-    # Each middle's entries to and from the probes are computed once and
-    # added into every glued sum that uses them, in the order of `middles`.
+    # Each middle's entries to and from the probes are computed once, not
+    # kept, and added into every glued sum that uses them, in the order of
+    # `middles`.
+    through = kernel.unkept if isinstance(kernel, _Kernels) else kernel
     glued = [[0j] * len(ends) for _ in ends]
     for z in middles:
         weight = _gluing_weight(z)
-        into = [kernel(x, z, half) for x in ends]
-        out_of = [kernel(z, y, half) for y in ends]
+        into = [through(x, z, half) for x in ends]
+        out_of = [through(z, y, half) for y in ends]
         for row, to_z in zip(glued, into):
             for j, from_z in enumerate(out_of):
                 row[j] += weight * to_z * from_z
@@ -181,18 +204,35 @@ def _oracle_decomposition(space: OrbitSpaceSpec, D: Representation, p: KernelPar
 
 
 def check_against_oracle(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+    """The kernel against the dense oracle at every probe pair.
+
+    Each single-particle element e^{-iH tau}[a, b] is computed once by
+    `oracle.spectral_kernel`; N-walker references are the oracle's
+    permanent or determinant of those elements (`oracle.many_body_value`),
+    the same values `oracle.many_body_kernel` gives.
+    """
     kernel = kernel or _Kernels(space, D, trunc)
     dec = _oracle_decomposition(space, D, p, window)
     if dec is None:
         return CheckResult("orbit_vs_oracle", True, 0.0, ORACLE_TOL, "free line: orbit sum is the reference")
+    elements: dict = {}
+
+    def element(a: int, b: int) -> complex:
+        value = elements.get((a, b))
+        if value is None:
+            value = elements[(a, b)] = oracle.spectral_kernel(dec, p.tau, a, b)
+        return value
+
+    probes = _probe_points(space, window)
     worst = 0.0
-    for x in _probe_points(space, window):
-        for y in _probe_points(space, window):
+    for x in probes:
+        for y in probes:
             got = kernel(x, y, p)
             if space.N == 1:
-                want = oracle.spectral_kernel(dec, p.tau, x[0], y[0])
+                want = element(x[0], y[0])
             else:
-                want = oracle.many_body_kernel(dec, space.N, D.statistics, x, y, p.tau)
+                matrix = [[element(a, b) for b in y] for a in x]
+                want = oracle.many_body_value(matrix, D.statistics)
             worst = max(worst, abs(got - want))
     return CheckResult("orbit_vs_oracle", worst <= ORACLE_TOL, worst, ORACLE_TOL)
 

@@ -21,6 +21,7 @@ from orbitwalk.cli import (
     COMMANDS,
     DEFAULT_CONFIG,
     MAX_LIFT_WORK,
+    MAX_TABLE_ROWS,
     ResolvedRun,
     Table,
     _fmt,
@@ -664,8 +665,28 @@ def test_lift_work_counts_thermal_entries_times_glynn_steps():
     assert run._lift_work() == entries * (32 * 10 + 2**9 * 10)
     assert run._lift_work() < MAX_LIFT_WORK
     config["representation"]["statistics"] = "Fermion"
-    # fermions: the same per-entry term plus N^2 for the determinant's array
-    assert ResolvedRun("thermal", config)._lift_work() == entries * (32 * 10 + 10 * 10)
+    # fermions: the same per-entry term plus N^3 / 3 for the LU's multiply-adds
+    assert ResolvedRun("thermal", config)._lift_work() == entries * (32 * 10 + 10**3 // 3)
+
+
+def test_fermion_run_just_past_the_lift_bound_exits_2_before_any_kernel(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran before the lift bound was checked")
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "kernel", refuse)
+    monkeypatch.setattr(orbitwalk.orbit, "lu_determinant", refuse)
+    argv = (
+        "evolve", "--set", "space.L=34", "--set", "space.N=5",
+        "--set", "representation.statistics=Fermion", "--set", "initial_state=[[[1,2,3,4,5],1,0]]",
+    )
+    points = math.comb(34 + 5 - 1, 5)  # sorted 5-walker points on 34 sites
+    work = points * (32 * 5 + 5**3 // 3)
+    assert MAX_LIFT_WORK < work < 1.01 * MAX_LIFT_WORK
+    assert points < MAX_TABLE_ROWS  # the lift bound refuses it, not the row bound
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"fermion evolve at N=5 would do the work of {work:.3g} permanent row updates" in err
 
 
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
@@ -769,7 +790,9 @@ def _modules_after_main(*argv):
         (("thermal",), set()),
         (("resolvent",), set()),
         (("evolve", *_PAIR), set()),
-        (("evolve", *_PAIR, "--set", "representation.statistics=Fermion"), {"numpy"}),
+        (("evolve", *_PAIR, "--set", "representation.statistics=Fermion"), set()),
+        (("thermal", "--set", "space.N=2", "--set", "representation.statistics=Fermion"), set()),
+        (("thermal", "--set", "space.N=3", "--set", "representation.statistics=Fermion"), set()),
         (("dos",), set()),
         (("coined",), {"numpy", "orbitwalk.oracle"}),
         (("verify",), {"numpy", "orbitwalk.oracle", "orbitwalk.verify"}),

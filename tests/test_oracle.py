@@ -170,6 +170,27 @@ def test_ryser_permanent_matches_brute_force(n):
     assert oracle.ryser_permanent(m) == pytest.approx(brute_permanent(m), rel=1e-12)
 
 
+def _ryser_on_arrays(m):
+    """Ryser's formula with numpy row sums and products, as the oracle had it on arrays."""
+    n = m.shape[0]
+    total = 0j
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        total += (-1) ** len(cols) * np.prod(m[:, cols].sum(axis=1))
+    return complex((-1) ** n * total)
+
+
+@pytest.mark.parametrize("n", range(1, oracle.MANY_BODY_MAX + 1))
+def test_ryser_permanent_on_lists_equals_numpy_row_sums_to_the_last_bit(n):
+    rng = np.random.default_rng(40 + n)
+    for scale in (1e-3, 1.0, 1e3):
+        m = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        m[rng.random(size=(n, n)) < 0.2] = -0.0  # signed zeros take part in the sums
+        want = _ryser_on_arrays(m)
+        assert repr(oracle.ryser_permanent(m.tolist())) == repr(want)
+        assert repr(oracle.ryser_permanent(m)) == repr(want)
+
+
 def test_ryser_permanent_size_cap():
     with pytest.raises(DomainError):
         oracle.ryser_permanent(np.eye(oracle.MANY_BODY_MAX + 1))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbitwalk.orbit
 from orbitwalk import oracle
 from orbitwalk.errors import DomainError, TruncationError
 from orbitwalk.group import (
@@ -32,6 +33,7 @@ from orbitwalk.orbit import (
     evolve_state,
     glynn_permanent,
     local_dos,
+    lu_determinant,
     orbit_coined_kernel,
     orbit_density_matrix,
     orbit_heat_kernel,
@@ -404,6 +406,53 @@ def test_glynn_permanent_matches_ryser(n):
     # Ryser's oracle stops at MANY_BODY_MAX; beyond it, sum over all n! permutations.
     want = oracle.ryser_permanent(m) if n <= oracle.MANY_BODY_MAX else _permanent_by_definition(m)
     assert abs(glynn_permanent(m) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lu_determinant_matches_numpy(n):
+    rng = np.random.default_rng(100 + n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    want = complex(np.linalg.det(m))
+    got = lu_determinant(m.tolist())
+    assert type(got) is complex
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_lu_determinant_row_swap_flips_the_sign():
+    assert lu_determinant([[0j, 1 + 0j], [1 + 0j, 0j]]) == -1
+    rng = np.random.default_rng(7)
+    m = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))).tolist()
+    swapped = [m[3], m[1], m[2], m[0], m[4]]
+    # the same pivots in the same order, one swap more
+    assert lu_determinant(swapped) == -lu_determinant(m)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],  # the first pivot column is zero
+        [[1, 2], [2, 4]],  # elimination leaves an exactly zero pivot
+        [[1j, 2, 3], [2j, 4, 6], [0, 1, 1]],
+    ],
+    ids=["first-column", "eliminated", "eliminated-complex"],
+)
+def test_lu_determinant_of_a_zero_pivot_column_is_exact_zero(m):
+    got = lu_determinant(m)
+    assert got == 0j
+    assert type(got) is complex
+
+
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+def test_lifted_report_gathers_its_single_walker_reports(statistics):
+    space = OrbitSpaceSpec("Interval", L=6, N=3)
+    plan = KernelPlan(space, Representation(theta=math.pi, statistics=statistics), KernelParams(tau=2.0))
+    x, y = (1, 3, 5), (2, 4, 5)
+    got = plan.kernel(x, y)
+    sums = [plan.kernel((a,), (b,)) for a in x for b in y]
+    # the most shells and the largest last shell come from different sums here
+    assert got.shells_used == max(rep.shells_used for rep in sums)
+    assert got.last_shell_magnitude == max(rep.last_shell_magnitude for rep in sums)
+    assert got.terms_evaluated == sum(rep.terms_evaluated for rep in sums)
 
 
 def test_unknown_method_rejected():
@@ -973,7 +1022,7 @@ def test_fermion_entries_with_a_repeated_coordinate_are_exact_zeros(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("a determinant was taken where a coordinate repeats")
 
-    monkeypatch.setattr(np.linalg, "det", refuse)
+    monkeypatch.setattr(orbitwalk.orbit, "lu_determinant", refuse)
     for x, y in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 4, 4)), ((3, 3, 3), (3, 3, 3))]:
         got, sums = fermions.kernel(x, y), bosons.kernel(x, y)
         assert repr(got.value) == repr(0j)

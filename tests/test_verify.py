@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import collections
 import math
 
 import pytest
 
+from orbitwalk import oracle
 from orbitwalk.errors import DomainError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
-from orbitwalk.kernels import KernelParams
-from orbitwalk.orbit import TruncationPolicy, _gluing_weight
+from orbitwalk.kernels import KernelParams, window_radius
+from orbitwalk.orbit import KernelPlan, TruncationPolicy, _gluing_weight
 from orbitwalk.verify import (
     CheckResult,
     _Kernels,
+    _oracle_decomposition,
     _symmetrized_delta,
     all_passed,
+    check_against_oracle,
     check_composition,
+    check_initial_condition,
     run_checks,
 )
 
@@ -152,3 +157,96 @@ def test_composition_computes_each_probe_middle_entry_once(statistics):
 def test_a_window_with_no_domain_point_is_refused():
     with pytest.raises(DomainError, match="holds no point"):
         run_checks(OrbitSpaceSpec("HalfLine"), Representation(), KernelParams(tau=1.0), window=(-3, 0))
+
+
+@pytest.mark.parametrize(
+    "space, theta, window",
+    [
+        (OrbitSpaceSpec("Circle", L=4, N=2), 0.7, None),
+        (OrbitSpaceSpec("Interval", L=4, N=3), math.pi, None),
+        (OrbitSpaceSpec("HalfLine", N=2), 0.0, (1, 4)),
+    ],
+    ids=["circle", "interval", "half-line"],
+)
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+def test_each_probe_entry_is_lifted_once_per_run(monkeypatch, space, theta, window, statistics):
+    lifts = collections.Counter()
+    kernel = KernelPlan.kernel
+
+    def counted(plan, x, y):
+        lifts[(plan._params.tau, x, y)] += 1
+        return kernel(plan, x, y)
+
+    monkeypatch.setattr(KernelPlan, "kernel", counted)
+    results = run_checks(
+        space, Representation(theta=theta, statistics=statistics), KernelParams(tau=1.0), window=window
+    )
+    assert all_passed(results)
+    probe_entries = {key: n for key, n in lifts.items() if key[0] != 0.5}
+    assert probe_entries and set(probe_entries.values()) == {1}
+    # composition: three probes into every middle and three out of it
+    assert sum(n for key, n in lifts.items() if key[0] == 0.5) == 6 * len(_middles(space, window))
+
+
+def _middles(space, window):
+    """The points `check_composition` glues through at tau = 1 (on the HalfLine,
+    for a window whose probes reach both its ends): the window plus the light cone."""
+    if window is None:
+        return fundamental_domain(space)
+    reach = window_radius(1.0, 1.0) + 8
+    return fundamental_domain(space, (max(1, window[0] - reach), window[1] + reach))
+
+
+def test_oracle_elements_are_computed_once_per_site_pair(monkeypatch):
+    pairs = collections.Counter()
+    spectral_kernel = oracle.spectral_kernel
+
+    def counted(dec, tau, x, y):
+        pairs[(x, y)] += 1
+        return spectral_kernel(dec, tau, x, y)
+
+    monkeypatch.setattr(oracle, "spectral_kernel", counted)
+    space = OrbitSpaceSpec("Circle", L=5, N=3)
+    results = run_checks(space, Representation(theta=0.4), KernelParams(tau=0.8))
+    assert all_passed(results)
+    assert pairs and set(pairs.values()) == {1}
+    assert len(pairs) <= space.L**2
+
+
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+def test_oracle_references_equal_the_many_body_kernel(statistics):
+    space = OrbitSpaceSpec("Interval", L=4, N=2)
+    D = Representation(theta=math.pi, statistics=statistics)
+    p = KernelParams(tau=1.3)
+    trunc = TruncationPolicy()
+    got = {}
+
+    def kernel(x, y, params):
+        got[(x, y)] = 0j
+        return 0j
+
+    result = check_against_oracle(space, D, p, trunc, kernel=kernel)
+    dec = _oracle_decomposition(space, D, p, None)
+    want = max(
+        abs(oracle.many_body_kernel(dec, 2, statistics, x, y, p.tau)) for x, y in got
+    )
+    # against a zero kernel the deviation is the largest reference, to the last bit
+    assert repr(result.deviation) == repr(want)
+
+
+def test_kept_entries_stay_bounded_by_the_probes():
+    space = OrbitSpaceSpec("Circle", L=6, N=2)  # 21 domain points, 8 probes
+    D = Representation(theta=0.7)
+    p = KernelParams(tau=1.0)
+    trunc = TruncationPolicy()
+    kernel = _Kernels(space, D, trunc)
+    assert check_composition(space, D, p, trunc, kernel=kernel).passed
+    probes = fundamental_domain(space)[:8]
+    # only the 3 x 3 glued pairs, at tau: no entry through a middle point
+    assert list(kernel.kept) == [p]
+    assert set(kernel.kept[p]) == {(x, y) for x in probes[:3] for y in probes[:3]}
+    for check in (check_initial_condition, check_against_oracle):
+        args = (space, D, trunc) if check is check_initial_condition else (space, D, p, trunc)
+        assert check(*args, kernel=kernel).passed
+    assert KernelParams(tau=0.5) not in kernel.kept
+    assert sum(len(entries) for entries in kernel.kept.values()) <= 4 * 8**2 + 36
