@@ -136,7 +136,7 @@ class ResolvedRun:
         self.command = command
         self.config = config
         try:
-            self.space = OrbitSpaceSpec(**config["space"])
+            self.space = OrbitSpaceSpec(**_with_integers(config["space"], "space", ("L", "N")))
             self.representation = Representation(**config["representation"])
             raw = config["params"]
             energy = raw["energy"]
@@ -148,7 +148,11 @@ class ResolvedRun:
                 beta=float(raw["beta"]),
                 energy=complex(float(energy[0]), float(energy[1])),
             )
-            self.truncation = TruncationPolicy(**config["truncation"])
+            self.truncation = TruncationPolicy(
+                **_with_integers(
+                    config["truncation"], "truncation", ("max_shell", "consecutive_quiet_shells")
+                )
+            )
         except (DomainError, RepresentationError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         self.window = self._resolve_window(config["window"])
@@ -156,7 +160,8 @@ class ResolvedRun:
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {self.output_format!r}")
         self.precision = config["output"]["precision"]
-        if not isinstance(self.precision, int) or not 1 <= self.precision <= 17:
+        # type(), not isinstance(): a bool is an int to isinstance and breaks the format spec
+        if type(self.precision) is not int or not 1 <= self.precision <= 17:
             raise ConfigError("output precision must be an integer in 1..17")
         self.path = config["output"]["path"]
         self.initial_state = self._resolve_state(config["initial_state"])
@@ -167,7 +172,7 @@ class ResolvedRun:
             return None
         if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
             raise ConfigError("window must be [lo, hi]")
-        lo, hi = int(raw[0]), int(raw[1])
+        lo, hi = (_integer(bound, "window bound") for bound in raw)
         if lo > hi:
             raise ConfigError(f"window {raw} is empty")
         return lo, hi
@@ -181,12 +186,15 @@ class ResolvedRun:
                 raise ConfigError(f"initial_state entry {entry!r} is not [point, re, im]")
             point, re_part, im_part = entry
             if isinstance(point, list):
-                point = tuple(int(c) for c in point)
+                point = tuple(_integer(c, "initial_state coordinate") for c in point)
             else:
-                point = (int(point),)
+                point = (_integer(point, "initial_state coordinate"),)
             if point in state:
                 raise ConfigError(f"initial_state lists point {point} twice")
-            state[point] = complex(float(re_part), float(im_part))
+            try:
+                state[point] = complex(float(re_part), float(im_part))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"initial_state entry {entry!r} has a bad amplitude") from exc
         return state
 
     def _validate_for_command(self):
@@ -294,7 +302,8 @@ class ResolvedRun:
                 matrix = np.array(
                     [[complex(c[0], c[1]) for c in row] for row in raw["matrix"]]
                 )
-                return CoinSpec(matrix.shape[0], matrix, tuple(int(s) for s in raw["shifts"]))
+                shifts = tuple(_integer(s, "coin shift") for s in raw["shifts"])
+                return CoinSpec(matrix.shape[0], matrix, shifts)
             except (KeyError, TypeError, ValueError, DomainError) as exc:
                 raise ConfigError(f"bad custom coin: {exc}") from exc
         raise ConfigError(f"unknown coin {raw!r}")
@@ -316,14 +325,36 @@ class Table:
         self.rows.append(cells)
 
 
-def _config_number(config: dict, key: str, kind):
-    """The config value at dotted `key` converted by `kind` (int or float)."""
-    section, leaf = key.split(".")
+def _integer(value, name: str) -> int:
+    """`value` as an int, refusing what int() would truncate or misread.
+
+    An integral float such as 4.0 is accepted; 2.7, true and null are not.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     try:
-        return kind(config[section][leaf])
+        return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{key} must be {noun}: {exc}") from exc
+        raise ConfigError(f"{name} must be an integer: {exc}") from exc
+
+
+def _with_integers(section, name: str, keys: tuple) -> dict:
+    """A copy of the config object `section` whose `keys` hold ints (see `_integer`)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    return {k: _integer(v, f"{name}.{k}") if k in keys else v for k, v in section.items()}
+
+
+def _config_number(config: dict, key: str, kind):
+    """The config value at dotted `key` as `kind` (int or float)."""
+    section, leaf = key.split(".")
+    value = config[section][leaf]
+    if kind is int:
+        return _integer(value, key)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a number: {exc}") from exc
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -522,7 +553,7 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
         block = kernels.get(x - y)
         if block is None:
             block = kernels[x - y] = orbit_coined_kernel(
-                run.space, run.representation, steps, x, y, coin, run.truncation, blocks=blocks
+                run.space, run.representation, steps, x, y, coin, blocks=blocks
             ).tolist()
         return block
 

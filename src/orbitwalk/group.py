@@ -1,9 +1,12 @@
-"""Discrete symmetry groups acting on integer lattices.
+"""Orbit spaces, the weights of their symmetry groups, and fundamental domains.
 
-A group element is stored in the normal form (winding, reflect, perm): per
-coordinate a translation power n_i and a reflection bit m_i, followed by a
-permutation of the coordinates.  Composition uses the conjugation rule
-r t r = t^{-1}, so equality of elements is equality of normal forms.
+An `OrbitSpaceSpec` fixes which generators act on each walker coordinate:
+the translation t x = x + P on the Circle and Interval and the reflection
+r x = c - x on the HalfLine and Interval, with walker exchanges on top.  A
+`Representation` weighs an element by its winding sum, reflection sum and
+permutation parity alone (`weight_from_sums`), so no group element is ever
+built.  The fundamental-domain helpers list and count the sorted points the
+commands tabulate.
 """
 
 from __future__ import annotations
@@ -23,35 +26,6 @@ STATISTICS = ("Boson", "Fermion")
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """t^{n_1} r^{m_1} ... t^{n_N} r^{m_N} sigma in normal form."""
-
-    winding: tuple
-    reflect: tuple
-    perm: tuple
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if len(self.winding) != n or len(self.reflect) != n:
-            raise DomainError("winding, reflect and perm must have equal length")
-        if sorted(self.perm) != list(range(n)):
-            raise DomainError(f"perm {self.perm} is not a permutation of 0..{n - 1}")
-        if any(m not in (0, 1) for m in self.reflect):
-            raise DomainError("reflect entries must be bits")
-
-    @property
-    def n_walkers(self) -> int:
-        return len(self.perm)
-
-    def is_identity(self) -> bool:
-        return (
-            all(n == 0 for n in self.winding)
-            and all(m == 0 for m in self.reflect)
-            and self.perm == tuple(range(len(self.perm)))
-        )
 
 
 @dataclass(frozen=True)
@@ -114,91 +88,6 @@ class Representation:
             raise RepresentationError("angles must be finite")
 
 
-def identity(n_walkers: int) -> GroupElement:
-    return GroupElement((0,) * n_walkers, (0,) * n_walkers, tuple(range(n_walkers)))
-
-
-def translation(i: int = 0, n_walkers: int = 1, power: int = 1) -> GroupElement:
-    """t_i^power."""
-    w = [0] * n_walkers
-    w[i] = power
-    return GroupElement(tuple(w), (0,) * n_walkers, tuple(range(n_walkers)))
-
-
-def reflection(i: int = 0, n_walkers: int = 1) -> GroupElement:
-    """r_i."""
-    m = [0] * n_walkers
-    m[i] = 1
-    return GroupElement((0,) * n_walkers, tuple(m), tuple(range(n_walkers)))
-
-
-def transposition(i: int, n_walkers: int) -> GroupElement:
-    """sigma_i, swapping walkers i and i+1."""
-    p = list(range(n_walkers))
-    p[i], p[i + 1] = p[i + 1], p[i]
-    return GroupElement((0,) * n_walkers, (0,) * n_walkers, tuple(p))
-
-
-def _check_element_for_space(g: GroupElement, space: OrbitSpaceSpec) -> None:
-    if g.n_walkers != space.N:
-        raise DomainError(f"element acts on {g.n_walkers} walkers, space has {space.N}")
-    if not space.has_translations and any(n != 0 for n in g.winding):
-        raise DomainError(f"{space.kind} space has no translation generator")
-    if not space.has_reflections and any(m != 0 for m in g.reflect):
-        raise DomainError(f"{space.kind} space has no reflection generator")
-
-
-def act(g: GroupElement, x: Point, space: OrbitSpaceSpec) -> Point:
-    """Apply gamma to a lattice point: coordinate i gets t^{n_i} r^{m_i} x_{sigma(i)}."""
-    _check_element_for_space(g, space)
-    if len(x) != space.N:
-        raise DomainError(f"point has {len(x)} coordinates, space has N={space.N}")
-    period = space.period
-    center = space.reflection_center
-    out = []
-    for i in range(space.N):
-        xi = x[g.perm[i]]
-        if g.reflect[i]:
-            xi = center - xi
-        out.append(xi + g.winding[i] * period)
-    return tuple(out)
-
-
-def compose(g1: GroupElement, g2: GroupElement, space: OrbitSpaceSpec) -> GroupElement:
-    """Normal form of g1 g2, so act(compose(g1,g2), x) = act(g1, act(g2, x))."""
-    if g1.n_walkers != g2.n_walkers:
-        raise DomainError("cannot compose elements with different walker counts")
-    _check_element_for_space(g1, space)
-    _check_element_for_space(g2, space)
-    n = g1.n_walkers
-    winding = []
-    reflect = []
-    perm = []
-    for i in range(n):
-        j = g1.perm[i]
-        sign = -1 if g1.reflect[i] else 1
-        winding.append(g1.winding[i] + sign * g2.winding[j])
-        reflect.append(g1.reflect[i] ^ g2.reflect[j])
-        perm.append(g2.perm[j])
-    return GroupElement(tuple(winding), tuple(reflect), tuple(perm))
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    """The unique h with compose(g, h) = compose(h, g) = identity."""
-    n = g.n_walkers
-    pinv = [0] * n
-    for i, j in enumerate(g.perm):
-        pinv[j] = i
-    winding = []
-    reflect = []
-    for i in range(n):
-        j = pinv[i]
-        m = g.reflect[j]
-        winding.append(g.winding[j] if m else -g.winding[j])
-        reflect.append(m)
-    return GroupElement(tuple(winding), tuple(reflect), tuple(pinv))
-
-
 def perm_parity(perm: tuple) -> int:
     """0 for even, 1 for odd, by counting inversions."""
     inv = 0
@@ -250,12 +139,6 @@ def validate_representation(space: OrbitSpaceSpec, D: Representation) -> None:
             )
 
 
-def rep_weight(D: Representation, g: GroupElement) -> complex:
-    """D(g) = e^{i theta sum(n_i)} e^{i phi sum(m_i)} (+-1)^{#sigma}, unchecked."""
-    odd = D.statistics == "Fermion" and perm_parity(g.perm)
-    return weight_from_sums(D, sum(g.winding), sum(g.reflect), odd)
-
-
 def weight_from_sums(D: Representation, n_sum: int, m_sum: int, odd: bool = False) -> complex:
     """D(g) from g's winding sum, reflection sum and (fermion) permutation parity.
 
@@ -275,73 +158,6 @@ def weight_from_sums(D: Representation, n_sum: int, m_sum: int, odd: bool = Fals
     elif k_phi and m_sum:
         value *= quarter_phase(k_phi * m_sum)
     return sign * value
-
-
-def rep_value(D: Representation, g: GroupElement, space: OrbitSpaceSpec) -> complex:
-    """rep_weight after checking D is a representation and g acts on the space."""
-    validate_representation(space, D)
-    _check_element_for_space(g, space)
-    return rep_weight(D, g)
-
-
-def _winding_tuples(n_walkers: int, shell: int):
-    """All winding vectors with max |n_i| == shell, deterministic order."""
-    if shell == 0:
-        yield (0,) * n_walkers
-        return
-    if n_walkers == 1:
-        yield (-shell,)
-        yield (shell,)
-        return
-    lo, hi = -shell, shell
-    for tup in itertools.product(range(lo, hi + 1), repeat=n_walkers):
-        if max(abs(v) for v in tup) == shell:
-            yield tup
-
-
-def enumerate_shell(space: OrbitSpaceSpec, D: Representation, shell: int) -> list:
-    """Group elements whose max |winding| equals `shell`.
-
-    Shell lists partition the group; spaces without translations put the
-    whole (finite) group in shell 0.  D is accepted for signature stability
-    but the enumeration is independent of the representation.
-    """
-    if shell < 0:
-        raise DomainError("shell must be non-negative")
-    n = space.N
-    if not space.has_translations and shell > 0:
-        return []
-    reflect_opts = ((0, 1) if space.has_reflections else (0,))
-    perms = list(itertools.permutations(range(n)))
-    windings = (
-        _winding_tuples(n, shell) if space.has_translations else ((0,) * n,)
-    )
-    out = []
-    for w in windings:
-        for m in itertools.product(reflect_opts, repeat=n):
-            for p in perms:
-                out.append(GroupElement(w, m, p))
-    return out
-
-
-def fixed_point_free_check(space: OrbitSpaceSpec, sample_radius: int) -> bool:
-    """True iff no non-identity element of shells 0..2 fixes a single-walker point.
-
-    Used to warn before combining a fixed-point convention (Dirichlet) with a
-    trivial stabilizer weight.
-    """
-    if not 1 <= sample_radius <= 50:
-        raise DomainError("sample_radius must be in 1..50")
-    single = OrbitSpaceSpec(space.kind, space.L, 1, space.boundary_convention)
-    D = Representation()
-    for shell in range(3):
-        for g in enumerate_shell(single, D, shell):
-            if g.is_identity():
-                continue
-            for x in range(-sample_radius, sample_radius + 1):
-                if act(g, (x,), single) == (x,):
-                    return False
-    return True
 
 
 # -- fundamental domain helpers ---------------------------------------

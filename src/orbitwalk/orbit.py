@@ -13,9 +13,7 @@ resolvent's images form geometric series, which the plan sums in closed
 form, once per reflection sector and displacement across a whole energy
 grid (a DOS sweep is one plan).  Time and heat kernels of
 N identical walkers are permanents (Glynn) or determinants (partial-pivot
-LU) of single-walker sums, both in pure Python.  The generic group engine
-`_orbit_sum` sums over N-walker group elements; it is only the reference
-(`method="direct"`) that tests compare against.  numpy is imported only
+LU) of single-walker sums, both in pure Python.  numpy is imported only
 where arrays are built (coined blocks).
 """
 
@@ -30,12 +28,8 @@ from .errors import DomainError, TruncationError
 from .group import (
     OrbitSpaceSpec,
     Representation,
-    act,
     check_in_domain,
-    enumerate_shell,
     fundamental_domain,
-    rep_weight,
-    translation,
     validate_representation,
     weight_from_sums,
 )
@@ -79,41 +73,6 @@ def _as_point(space: OrbitSpaceSpec, v) -> tuple:
     return pt
 
 
-def _orbit_sum(space, D, x, y, term, trunc) -> OrbitKernelReport:
-    """sum_gamma D(gamma) * term(x, gamma y), truncated per policy.
-
-    The generic engine over group elements of any walker count: the direct
-    N-walker reference and the test cross-checks use it, no production path.
-    """
-    validate_representation(space, D)
-    total = 0j
-    terms = 0
-    quiet = 0
-    shells_used = 0
-    last_mag = 0.0
-    for shell in range(trunc.max_shell + 1):
-        elements = enumerate_shell(space, D, shell)
-        if not elements:
-            return OrbitKernelReport(total, shells_used, 0.0, terms)  # group exhausted: exact
-        shell_max = 0.0
-        for g in elements:
-            contrib = rep_weight(D, g) * term(x, act(g, y, space))
-            total += contrib
-            mag = abs(contrib)
-            if mag > shell_max:
-                shell_max = mag
-            terms += 1
-        shells_used = shell + 1
-        last_mag = shell_max
-        if shell_max < trunc.tol:
-            quiet += 1
-            if quiet >= trunc.consecutive_quiet_shells:
-                return OrbitKernelReport(total, shells_used, last_mag, terms)
-        else:
-            quiet = 0
-    raise _truncation_error(trunc, last_mag)
-
-
 def _truncation_error(trunc, last_mag: float) -> TruncationError:
     return TruncationError(
         f"image sum did not converge within {trunc.max_shell} shells "
@@ -122,14 +81,15 @@ def _truncation_error(trunc, last_mag: float) -> TruncationError:
 
 
 def _winding_sum(space, weight, free, x: int, y: int, trunc) -> OrbitKernelReport:
-    """One walker's image sum: `_orbit_sum` on the single-walker space, group-free.
+    """One walker's image sum, shell by shell, with no group element built.
 
-    The images of y are (c - y if m else y) + n P, visited in the order of
-    `enumerate_shell` (per shell n = -s then +s, each with m = 0 then 1), and
-    `weight(n, m)` is D(t^n r^m).  `free[d]` is the free-lattice term at
-    distance d; past its end the term is 0j.  Those terms are counted but not
-    added: adding w * 0j leaves the total unchanged, so every report equals
-    the generic engine's to the last bit.
+    The images of y are (c - y if m else y) + n P, visited per shell as
+    n = -s then +s, each with m = 0 then 1 (the shell order of the N-walker
+    group reference in tests/_reference_group.py), and `weight(n, m)` is
+    D(t^n r^m).  `free[d]` is the free-lattice term at distance d; past its
+    end the term is 0j.  Those terms are counted but not added: adding
+    w * 0j leaves the total unchanged, so every report equals the
+    reference's to the last bit.
     """
     period = space.period
     images = ((0, y), (1, space.reflection_center - y)) if space.has_reflections else ((0, y),)
@@ -170,49 +130,16 @@ def _winding_sum(space, weight, free, x: int, y: int, trunc) -> OrbitKernelRepor
     raise _truncation_error(trunc, last_mag)
 
 
-def _time_term(p: KernelParams):
-    """Free time-evolution term with a precomputed Bessel row."""
-    z = p.omega * abs(p.tau)
-    radius = window_radius(p.omega, p.tau)
-    row = j_row(radius, z)
-    sign = 1 if p.tau >= 0.0 else -1
-
-    def term(x: tuple, gy: tuple) -> complex:
-        prod = 1.0
-        phase = 0
-        for xi, yi in zip(x, gy):
-            d = xi - yi if xi >= yi else yi - xi
-            if d > radius:
-                return 0j
-            prod *= row[d]
-            phase += d
-        return quarter_phase(sign * phase) * prod
-
-    return term
-
-
-def _heat_term(p: KernelParams):
-    z = p.beta * p.omega
-    radius = window_radius(p.omega, p.beta)
-    row = i_row(radius, z)
-
-    def term(x: tuple, gy: tuple) -> complex:
-        prod = 1.0
-        for xi, yi in zip(x, gy):
-            d = abs(xi - yi)
-            if d > radius:
-                return 0j
-            prod *= row[d]
-        return complex(prod)
-
-    return term
-
-
 def _free_row(p: KernelParams, heat: bool) -> list:
-    """The single-walker free term at distances 0..radius; past radius it is 0j."""
-    term = _heat_term(p) if heat else _time_term(p)
-    radius = window_radius(p.omega, p.beta if heat else p.tau)
-    return [term((d,), (0,)) for d in range(radius + 1)]
+    """The single-walker free term at distances 0..radius; past radius it is 0j.
+
+    Time: i^d J_d(omega |tau|), i^-d for tau < 0; heat: I_d(beta omega).
+    """
+    if heat:
+        return [complex(v) for v in i_row(window_radius(p.omega, p.beta), p.beta * p.omega)]
+    row = j_row(window_radius(p.omega, p.tau), p.omega * abs(p.tau))
+    sign = 1 if p.tau >= 0.0 else -1
+    return [quarter_phase(sign * d) * v for d, v in enumerate(row)]
 
 
 def _points(space: OrbitSpaceSpec, x, y, restrict_domain: bool) -> tuple:
@@ -567,22 +494,15 @@ def orbit_kernel(
     trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
-    method: str = "factorized",
 ) -> OrbitKernelReport:
     """Time-evolution kernel U_tau(x, y) on the orbit space.
 
-    By default N >= 2 walkers are lifted from single-walker sums as a
-    permanent/determinant (`KernelPlan`).  `method="direct"` sums over the
-    N-walker group instead: it is the independent reference that tests
-    compare the lift against, and no production path uses it.
-    Set restrict_domain=False to evaluate at points outside the fundamental
-    domain (the sum is equivariant there).
+    N >= 2 walkers are lifted from single-walker sums as a
+    permanent/determinant (`KernelPlan`).  Set restrict_domain=False to
+    evaluate at points outside the fundamental domain (the sum is
+    equivariant there).
     """
-    if method not in ("factorized", "direct"):
-        raise DomainError(f"unknown method {method!r}")
     x, y = _points(space, x, y, restrict_domain)
-    if method == "direct":
-        return _orbit_sum(space, D, x, y, _time_term(p), trunc or TruncationPolicy())
     return KernelPlan(space, D, p, trunc).kernel(x, y)
 
 
@@ -592,7 +512,6 @@ def orbit_resolvent(
     x,
     y,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
 ) -> OrbitKernelReport:
@@ -600,10 +519,9 @@ def orbit_resolvent(
 
     One entry of a resolvent-mode `KernelPlan`, which sums the images of the
     line resolvent in closed form and refuses N >= 2 walkers.  No shell is
-    summed: `trunc` is accepted for interface uniformity but unused, and the
-    report has shells_used = terms_evaluated = 0.
+    summed, so the report has shells_used = terms_evaluated = 0.
     """
-    plan = KernelPlan(space, D, p, trunc, mode="resolvent")
+    plan = KernelPlan(space, D, p, mode="resolvent")
     x, y = _points(space, x, y, restrict_domain)
     return plan.kernel(x, y)
 
@@ -614,7 +532,6 @@ def local_dos(
     x,
     e_real: float,
     eta: float,
-    trunc: TruncationPolicy | None = None,
     *,
     omega: float = 1.0,
 ) -> float:
@@ -625,7 +542,7 @@ def local_dos(
     if not 1e-6 <= eta <= 1.0:
         raise DomainError(f"broadening eta must lie in [1e-6, 1], got {eta}")
     p = KernelParams(omega=omega, energy=complex(e_real, eta))
-    plan = KernelPlan(space, D, p, trunc, mode="resolvent")
+    plan = KernelPlan(space, D, p, mode="resolvent")
     x = _as_point(space, x)
     check_in_domain(space, x, "x")
     return plan.dos([x])[0][0]
@@ -678,7 +595,6 @@ def orbit_coined_kernel(
     x: int,
     y: int,
     c: CoinSpec,
-    trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
     blocks: dict | None = None,
@@ -686,10 +602,9 @@ def orbit_coined_kernel(
     """Discrete-time kernel on the circle: sum_n e^{i n theta} B_steps(x - y - nL).
 
     The line blocks have a strict light cone, so the winding sum is finite and
-    the result exact; the truncation policy is accepted for interface
-    uniformity but never cuts anything off.  A caller evaluating many pairs
-    passes `blocks = coined_line_blocks(steps, c)`, built once; by default
-    they are built per call.
+    the result exact.  A caller evaluating many pairs passes
+    `blocks = coined_line_blocks(steps, c)`, built once; by default they are
+    built per call.
     """
     import numpy as np
 
@@ -709,7 +624,7 @@ def orbit_coined_kernel(
     for n in range(n_lo, n_hi + 1):
         blk = blocks.get(x - y - n * L)
         if blk is not None:
-            out += rep_weight(D, translation(power=n)) * blk
+            out += weight_from_sums(D, n, 0) * blk
     return out
 
 

@@ -20,12 +20,9 @@ from .errors import DomainError
 from .group import (
     OrbitSpaceSpec,
     Representation,
-    act,
     fundamental_domain,
     perm_parity,
-    reflection,
-    rep_value,
-    translation,
+    weight_from_sums,
 )
 from .kernels import KernelParams, window_radius
 from .orbit import KernelPlan, TruncationPolicy, _gluing_weight
@@ -156,21 +153,25 @@ def check_unitarity(space, D, p, trunc, window=None, kernel=None) -> CheckResult
 
 
 def check_equivariance(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+    """K(g x, y) = D(g) K(x, y) for the generator g acting on walker 0.
+
+    The translation maps x_0 to x_0 + P with weight D(t) = e^{i theta}, the
+    reflection maps it to c - x_0 with weight D(r) = e^{i phi}.
+    """
     kernel = kernel or _Kernels(space, D, trunc)
-    generators = []
+    generators = []  # (image of walker 0's coordinate, weight)
     if space.has_translations:
-        generators.append(translation(0, space.N))
+        generators.append((lambda x0: x0 + space.period, weight_from_sums(D, 1, 0)))
     if space.has_reflections:
-        generators.append(reflection(0, space.N))
+        generators.append((lambda x0: space.reflection_center - x0, weight_from_sums(D, 0, 1)))
     if not generators:
         return CheckResult("equivariance", True, 0.0, EQUIVARIANCE_TOL, "no generators")
     probes = _probe_points(space, window)[:3]
     worst = 0.0
-    for g in generators:
-        weight = rep_value(D, g, space)
+    for image, weight in generators:
         for x in probes:
             for y in probes:
-                moved = kernel(act(g, x, space), y, p)
+                moved = kernel((image(x[0]),) + x[1:], y, p)
                 worst = max(worst, abs(moved - weight * kernel(x, y, p)))
     return CheckResult("equivariance", worst <= EQUIVARIANCE_TOL, worst, EQUIVARIANCE_TOL)
 

@@ -5,9 +5,9 @@ so that no production code path is exercised: the package under test evaluates
 Bessel values through its own series/recurrence core, while these oracles
 use arbitrary-precision ascending series and adaptive quadrature.  The
 single-walker Hamiltonians come from the package's dense `oracle`, which
-shares no code with the image sums.  The one exception is
-`shell_sum_resolvent`, which runs the package's generic shell engine on the
-resolvent term to cross-check the closed-form resolvent.
+shares no code with the image sums.  `shell_sum_resolvent` runs the N-walker
+group reference of `_reference_group` on the resolvent term to cross-check
+the closed-form resolvent.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import math
 import mpmath as mp
 import numpy as np
 
-from orbitwalk import oracle, orbit
+from orbitwalk import oracle
 from orbitwalk.kernels import resolvent_momentum
+
+from _reference_group import _orbit_sum
 
 
 def bessel_j_series(n: int, z: float, terms: int = 30) -> float:
@@ -210,9 +212,9 @@ def shell_sum_resolvent(space, D, x: int, y: int, p, trunc):
     """Single-walker resolvent G_E(x, y) as an image sum truncated shell by shell.
 
     The free term is the line resolvent e^{iq|d|} / (i omega sin q); the sum
-    runs through `orbit._orbit_sum` under `trunc`, so a slowly decaying sum
-    raises `TruncationError` at the shell cap.  Points are not checked
-    against the fundamental domain.
+    runs through `_reference_group._orbit_sum` under `trunc`, so a slowly
+    decaying sum raises `TruncationError` at the shell cap.  Points are not
+    checked against the fundamental domain.
     """
     q = resolvent_momentum(p)
     prefactor = 1.0 / (1j * p.omega * cmath.sin(q))
@@ -220,4 +222,4 @@ def shell_sum_resolvent(space, D, x: int, y: int, p, trunc):
     def term(xs: tuple, gy: tuple) -> complex:
         return prefactor * cmath.exp(1j * q * abs(xs[0] - gy[0]))
 
-    return orbit._orbit_sum(space, D, (x,), (y,), term, trunc)
+    return _orbit_sum(space, D, (x,), (y,), term, trunc)

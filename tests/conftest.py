@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import _reference_group
 import orbitwalk.orbit
 
 
@@ -14,11 +15,12 @@ def image_sums(monkeypatch) -> SimpleNamespace:
     """The image sums run during the test.
 
     `winding` holds the (x, y) of every single-walker sum `orbit._winding_sum`
-    runs, `direct` the walker count of every generic `orbit._orbit_sum`.
+    runs, `direct` the walker count of every sum of the group reference
+    `_reference_group._orbit_sum`.
     """
     sums = SimpleNamespace(winding=[], direct=[])
     winding = orbitwalk.orbit._winding_sum
-    direct = orbitwalk.orbit._orbit_sum
+    direct = _reference_group._orbit_sum
 
     def counted_winding(space, weight, free, x, y, trunc):
         sums.winding.append((x, y))
@@ -29,5 +31,5 @@ def image_sums(monkeypatch) -> SimpleNamespace:
         return direct(space, *args)
 
     monkeypatch.setattr(orbitwalk.orbit, "_winding_sum", counted_winding)
-    monkeypatch.setattr(orbitwalk.orbit, "_orbit_sum", counted_direct)
+    monkeypatch.setattr(_reference_group, "_orbit_sum", counted_direct)
     return sums

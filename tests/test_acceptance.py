@@ -34,9 +34,9 @@ from orbitwalk.verify import (
 )
 
 from _oracles import bessel_j_series, laplace_transform_j0
+from _reference_group import direct_kernel
 
 OMEGA = 1.0
-WIDE = TruncationPolicy(max_shell=1500)
 
 
 def _gate(num: int, label: str, ok: bool, detail: str) -> None:
@@ -231,8 +231,8 @@ def test_05_identical_walkers_three_route_agreement():
                 D = Representation(statistics=statistics, **reps[kind])
                 for x in probes[n]:
                     for y in probes[n]:
-                        direct = orbit_kernel(space, D, x, y, p, method="direct").value
-                        fact = orbit_kernel(space, D, x, y, p, method="factorized").value
+                        direct = direct_kernel(space, D, x, y, p).value
+                        fact = orbit_kernel(space, D, x, y, p).value
                         want = oracle.many_body_kernel(
                             dec, n, statistics,
                             tuple(c + shift for c in x), tuple(c + shift for c in y), tau)
@@ -242,7 +242,7 @@ def test_05_identical_walkers_three_route_agreement():
                     x = tuple(sorted((probes[n][0][0],) * 2 + probes[n][0][2:] if n == 3
                                      else (probes[n][0][0],) * 2))
                     for y in probes[n]:
-                        val = orbit_kernel(space, D, x, y, p, method="direct").value
+                        val = direct_kernel(space, D, x, y, p).value
                         coincident_worst = max(coincident_worst, abs(val))
     ok = worst <= 1e-10 and coincident_worst <= 1e-13
     _gate(5, "permanent/determinant factorization, three routes", ok,
@@ -266,12 +266,12 @@ def test_06_resolvent_vs_direct_inverse_and_laplace_quadrature():
             exact = oracle.resolvent_direct(h, energy)
             for x in range(1, L + 1):
                 for y in range(1, L + 1):
-                    got = orbit_resolvent(space, D, x, y, p, WIDE).value
+                    got = orbit_resolvent(space, D, x, y, p).value
                     worst = max(worst, abs(got - exact[x - 1, y - 1]))
 
     energy = 0.3 + 0.5j
     p = KernelParams(omega=OMEGA, energy=energy)
-    got = orbit_resolvent(OrbitSpaceSpec("Line"), Representation(), 0, 0, p, WIDE).value
+    got = orbit_resolvent(OrbitSpaceSpec("Line"), Representation(), 0, 0, p).value
     want = -1j * laplace_transform_j0(OMEGA, energy, 40.0)
     laplace_dev = abs(got - want)
     ok = worst <= 1e-9 and laplace_dev <= 1e-6
@@ -313,14 +313,13 @@ def test_08_local_dos_vs_broadened_spectrum():
     L, eta = 5, 0.05
     space = OrbitSpaceSpec("Circle", L)
     D = Representation()
-    trunc = TruncationPolicy(max_shell=600)
     dec = _circle_dec(L, 0.0)
     lo = -(OMEGA + 60.0 * eta)
     energies = np.linspace(lo, -lo, 2000)
     values = np.empty((len(energies), L))
     for row, e in enumerate(energies):
         for col, x in enumerate(range(1, L + 1)):
-            values[row, col] = local_dos(space, D, x, float(e), eta, trunc, omega=OMEGA)
+            values[row, col] = local_dos(space, D, x, float(e), eta, omega=OMEGA)
     broadened = ((eta / math.pi) /
                  ((energies[:, None] - dec.eigenvalues[None, :]) ** 2 + eta ** 2)).sum(axis=1)
     sup_dev = float(np.max(np.abs(values.sum(axis=1) - broadened)))

@@ -561,6 +561,28 @@ def test_config_errors_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "command, integral, exact",
+    [
+        ("dos", "dos.points=4.0", "dos.points=4"),
+        ("coined", "coined.steps=2.0", "coined.steps=2"),
+        ("coined", "coined.source=3.0", "coined.source=3"),
+        ("evolve", "window=[0.0,3.0]", "window=[0,3]"),
+        ("evolve", "initial_state=[[2.0,1,0]]", "initial_state=[[2,1,0]]"),
+        ("thermal", "space.L=3.0", "space.L=3"),
+        ("evolve", "truncation.max_shell=64.0", "truncation.max_shell=64"),
+    ],
+)
+def test_integral_floats_in_integer_settings_run_as_their_integers(capsys, command, integral, exact):
+    line = ("--set", "space.kind=Line") if integral.startswith("window") else ()
+    tables = []
+    for setting in (integral, exact):
+        code, out, err = run_cli(capsys, command, *line, "--set", setting)
+        assert code == 0, err
+        tables.append(parse_csv(out))
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize(
     "walkers, state, point",
     [
         (1, "[[1,0.6,0],[1,0.8,0]]", "(1,)"),

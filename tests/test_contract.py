@@ -66,6 +66,21 @@ FIXED = [
       "--set", "representation.statistics=Boson", "--window=0:3"], 2),
     (["verify", "--set", "space.kind=HalfLine", "--window=-3:0"], 2),
     (["evolve", "--set", "initial_state=[[1,0.6,0],[1,0.8,0]]", "--set", "params.tau=0"], 2),
+    # Malformed values exit 2 rather than with a traceback.
+    (["evolve", "--set", 'window=["a",3]'], 2),
+    (["evolve", "--set", 'initial_state=[[1,"x",0]]'], 2),
+    (["evolve", "--set", 'initial_state=[[[1,"b"],1,0]]'], 2),
+    (["evolve", "--set", "initial_state=[[null,1,0]]"], 2),
+    (["evolve", "--set", "output.precision=true"], 2),
+    # Non-integral integer settings are refused, not truncated.
+    (["dos", "--set", "dos.points=2.7"], 2),
+    (["coined", "--set", "coined.steps=2.5"], 2),
+    (["coined", "--set", "coined.source=1.9"], 2),
+    (["evolve", "--set", "space.kind=Line", "--window=0:3", "--set", "initial_state=[[1.5,1,0]]"], 2),
+    (["coined", "--set",
+      'coined.coin={"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"shifts":[1.5,-1]}'], 2),
+    (["thermal", "--set", "space.L=2.5"], 2),
+    (["evolve", "--set", "truncation.max_shell=2.5"], 2),
 ]
 
 

@@ -1,4 +1,5 @@
-"""Group algebra tests: action compatibility, homomorphism, shells, domains."""
+"""Group tests: the reference group algebra (action, composition, weights,
+shells), representation validation and fundamental domains."""
 
 from __future__ import annotations
 
@@ -9,23 +10,25 @@ from hypothesis import given, settings, strategies as st
 
 from orbitwalk.errors import DomainError, RepresentationError
 from orbitwalk.group import (
-    GroupElement,
     OrbitSpaceSpec,
     Representation,
+    fundamental_domain,
+    in_fundamental_domain,
+    perm_parity,
+    validate_representation,
+)
+
+from _reference_group import (
+    GroupElement,
     act,
     compose,
     enumerate_shell,
-    fixed_point_free_check,
-    fundamental_domain,
     identity,
-    in_fundamental_domain,
     inverse,
-    perm_parity,
     reflection,
     rep_value,
     translation,
     transposition,
-    validate_representation,
 )
 
 SPACES = [
@@ -190,16 +193,6 @@ def test_shells_are_disjoint_and_cover():
             seen.add(g)
     # every small word lands in exactly one shell
     assert identity(2) in seen
-
-
-def test_fixed_point_free_check():
-    assert fixed_point_free_check(OrbitSpaceSpec("HalfLine"), 30) is True
-    assert fixed_point_free_check(OrbitSpaceSpec("HalfLine", boundary_convention="Dirichlet"), 30) is False
-    assert fixed_point_free_check(OrbitSpaceSpec("Circle", L=1), 30) is True
-    assert fixed_point_free_check(OrbitSpaceSpec("Circle", L=6), 30) is True
-    assert fixed_point_free_check(OrbitSpaceSpec("Interval", L=3), 30) is True
-    with pytest.raises(DomainError):
-        fixed_point_free_check(OrbitSpaceSpec("Circle", L=2), 99)
 
 
 def test_representation_validation():

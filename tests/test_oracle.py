@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,28 @@ from orbitwalk.kernels import CoinSpec, hadamard_coin
 
 def circle_spec(L, theta=0.0, omega=1.0):
     return oracle.HamiltonianSpec(L, omega, oracle.CircleTwisted(theta))
+
+
+# The production route's single-walker sums and lift.
+PRODUCTION_ROUTE = {"_winding_sum", "_free_row", "KernelPlan", "glynn_permanent", "lu_determinant"}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [Path(__file__).parent / "_reference_group.py", Path(oracle.__file__)],
+    ids=["group-reference", "dense-oracle"],
+)
+def test_references_share_no_code_with_the_route_they_check(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    assert not used & PRODUCTION_ROUTE
 
 
 # -- Hamiltonian assembly ------------------------------------------------

@@ -14,17 +14,7 @@ from hypothesis import strategies as st
 import orbitwalk.orbit
 from orbitwalk import oracle
 from orbitwalk.errors import DomainError, TruncationError
-from orbitwalk.group import (
-    GroupElement,
-    OrbitSpaceSpec,
-    Representation,
-    act,
-    fundamental_domain,
-    reflection,
-    rep_value,
-    rep_weight,
-    translation,
-)
+from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin, resolvent_momentum
 from orbitwalk.orbit import (
     KernelPlan,
@@ -41,14 +31,21 @@ from orbitwalk.orbit import (
     orbit_resolvent,
     partition_function,
     probability,
-    _heat_term,
-    _orbit_sum,
-    _time_term,
 )
 
 from _oracles import many_walker_gibbs, shell_sum_resolvent
-
-WIDE = TruncationPolicy(max_shell=500)
+from _reference_group import (
+    GroupElement,
+    _heat_term,
+    _orbit_sum,
+    _time_term,
+    act,
+    direct_kernel,
+    reflection,
+    rep_value,
+    rep_weight,
+    translation,
+)
 
 
 def time_value(space, D, x, y, tau, omega=1.0, **kw):
@@ -80,9 +77,7 @@ def test_interval_value():
 
 def test_resolvent_value():
     space = OrbitSpaceSpec("Circle", L=6)
-    rep = orbit_resolvent(
-        space, Representation(theta=0.7), 1, 3, KernelParams(energy=0.4 + 0.3j), WIDE
-    )
+    rep = orbit_resolvent(space, Representation(theta=0.7), 1, 3, KernelParams(energy=0.4 + 0.3j))
     assert rep.value == pytest.approx(-0.27881446688369005 + 0.20772976280130492j, abs=1e-11)
 
 
@@ -330,8 +325,8 @@ def test_many_walker_routes_agree_on_circle(statistics, N, x, y):
     space = OrbitSpaceSpec("Circle", L=6, N=N)
     D = Representation(theta=0.9, statistics=statistics)
     p = KernelParams(tau=1.0)
-    direct = orbit_kernel(space, D, x, y, p, method="direct").value
-    factorized = orbit_kernel(space, D, x, y, p, method="factorized").value
+    direct = direct_kernel(space, D, x, y, p).value
+    factorized = orbit_kernel(space, D, x, y, p).value
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.9)))
     )
@@ -345,8 +340,8 @@ def test_two_walker_routes_agree_on_interval(statistics):
     space = OrbitSpaceSpec("Interval", L=5, N=2)
     D = Representation(theta=math.pi, phi=0.0, statistics=statistics)
     p = KernelParams(tau=1.0)
-    direct = orbit_kernel(space, D, (1, 3), (2, 4), p, method="direct").value
-    factorized = orbit_kernel(space, D, (1, 3), (2, 4), p, method="factorized").value
+    direct = direct_kernel(space, D, (1, 3), (2, 4), p).value
+    factorized = orbit_kernel(space, D, (1, 3), (2, 4), p).value
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(5, 1.0, oracle.IntervalPhase(math.pi, 0.0)))
     )
@@ -359,8 +354,8 @@ def test_fermion_kernel_vanishes_at_coincident_points():
     space = OrbitSpaceSpec("Circle", L=6, N=2)
     D = Representation(statistics="Fermion")
     p = KernelParams(tau=1.0)
-    assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p, method="factorized").value) < 1e-13
-    assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p, method="direct").value) < 1e-13
+    assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p).value) < 1e-13
+    assert abs(direct_kernel(space, D, (2, 2), (1, 3), p).value) < 1e-13
 
 
 def test_default_method_lifts_from_single_walker_sums(image_sums):
@@ -455,12 +450,6 @@ def test_lifted_report_gathers_its_single_walker_reports(statistics):
     assert got.terms_evaluated == sum(rep.terms_evaluated for rep in sums)
 
 
-def test_unknown_method_rejected():
-    space = OrbitSpaceSpec("Circle", L=4)
-    with pytest.raises(DomainError):
-        orbit_kernel(space, Representation(), 1, 1, KernelParams(tau=1.0), method="magic")
-
-
 # -- resolvent, thermal, dos -------------------------------------------
 
 
@@ -472,14 +461,14 @@ def test_resolvent_matches_direct_solve(energy):
     green = oracle.resolvent_direct(h, energy)
     for x in range(1, 7):
         for y in range(1, 7):
-            rep = orbit_resolvent(space, D, x, y, KernelParams(energy=energy), WIDE)
+            rep = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
             assert rep.value == pytest.approx(green[x - 1, y - 1], abs=1e-9)
 
 
 def test_resolvent_needs_upper_half_plane():
     space = OrbitSpaceSpec("Circle", L=4)
     with pytest.raises(DomainError):
-        orbit_resolvent(space, Representation(), 1, 1, KernelParams(energy=0.5 - 0.1j), WIDE)
+        orbit_resolvent(space, Representation(), 1, 1, KernelParams(energy=0.5 - 0.1j))
 
 
 def test_resolvent_shell_sum_trips_default_cap_closed_form_matches_direct_solve():
@@ -490,7 +479,7 @@ def test_resolvent_shell_sum_trips_default_cap_closed_form_matches_direct_solve(
         shell_sum_resolvent(space, D, 1, 1, p, TruncationPolicy())
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.0)))
     green = oracle.resolvent_direct(h, p.energy)
-    rep = orbit_resolvent(space, D, 1, 1, p, TruncationPolicy())
+    rep = orbit_resolvent(space, D, 1, 1, p)
     assert abs(rep.value - green[0, 0]) <= 1e-9
     assert (rep.shells_used, rep.terms_evaluated) == (0, 0)
 
@@ -601,9 +590,9 @@ def test_heat_kernel_report_contract():
 def test_resolvent_and_dos_refuse_several_walkers():
     space = OrbitSpaceSpec("Circle", L=4, N=2)
     with pytest.raises(DomainError):
-        orbit_resolvent(space, Representation(), (1, 2), (1, 3), KernelParams(energy=0.4 + 0.9j), WIDE)
+        orbit_resolvent(space, Representation(), (1, 2), (1, 3), KernelParams(energy=0.4 + 0.9j))
     with pytest.raises(DomainError):
-        local_dos(space, Representation(), (1, 2), 0.3, 0.5, WIDE)
+        local_dos(space, Representation(), (1, 2), 0.3, 0.5)
 
 
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
@@ -632,7 +621,7 @@ def test_many_walker_thermal_matches_projected_kron_oracle(kind, N, statistics):
 
 def test_local_dos_matches_direct_resolvent():
     space = OrbitSpaceSpec("Circle", L=5)
-    value = local_dos(space, Representation(), 1, 0.3, 0.05, TruncationPolicy(max_shell=3000))
+    value = local_dos(space, Representation(), 1, 0.3, 0.05)
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(5, 1.0, oracle.CircleTwisted(0.0)))
     green = oracle.resolvent_direct(h, 0.3 + 0.05j)
     assert value == pytest.approx(-green[0, 0].imag / math.pi, abs=1e-12)

@@ -20,6 +20,7 @@ from orbitwalk.verify import (
     all_passed,
     check_against_oracle,
     check_composition,
+    check_equivariance,
     check_initial_condition,
     run_checks,
 )
@@ -107,6 +108,25 @@ def test_loose_truncation_fails_oracle_check():
     by_name = {r.name: r for r in results}
     assert not by_name["orbit_vs_oracle"].passed
     assert by_name["orbit_vs_oracle"].deviation > by_name["orbit_vs_oracle"].tolerance
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize(
+    "kind, D, wrong",
+    [
+        ("Circle", Representation(theta=0.7), Representation(theta=0.3)),
+        ("Interval", Representation(phi=math.pi), Representation(phi=0.0)),
+    ],
+    ids=["circle-theta", "interval-phi"],
+)
+def test_equivariance_fails_for_a_kernel_at_the_wrong_weight(kind, D, wrong, N):
+    space = OrbitSpaceSpec(kind, L=4, N=N)
+    p = KernelParams(tau=1.0)
+    trunc = TruncationPolicy()
+    assert check_equivariance(space, D, p, trunc, kernel=_Kernels(space, D, trunc)).passed
+    result = check_equivariance(space, D, p, trunc, kernel=_Kernels(space, wrong, trunc))
+    assert result.passed is False
+    assert result.deviation > result.tolerance
 
 
 def test_check_result_is_plain_data():
