@@ -2,14 +2,16 @@
 
 Four entry points, scalar J_n / I_n and full rows J_0..J_nmax / I_0..I_nmax,
 in pure Python; `special` validates the arguments before calling them.
-Ascending series are used where they are free of cancellation; everywhere
-else a backward (Miller) recurrence is run and normalized by the summation
+A row is one backward (Miller) recurrence, normalized by the summation
 identities
 
     J_0(z) + 2 J_2(z) + 2 J_4(z) + ... = 1
     I_0(z) + 2 I_1(z) + 2 I_2(z) + ... = e^z
 
-with periodic rescaling so intermediate values never overflow.
+with periodic rescaling so intermediate values never overflow.  It serves
+every z above `_ROW_SERIES_CUT`, where 2k/z stays finite; a row below the
+cut, and the scalar J_n / I_n wherever they are free of cancellation, use
+the ascending series.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ _BIG_INV = 1e-10
 _SERIES_Z_CUT = 6.5
 
 _SERIES_KMAX = 800
+
+# Rows at z at or below this take the series per order.  Above it one
+# recurrence pass replaces a series per order and is as accurate: within
+# 1.1e-16 absolute of a 50-digit series for J, and an ulp for I, up to z = 6.4.
+_ROW_SERIES_CUT = 0.01
 
 
 def _series_j(n: int, z: float) -> float:
@@ -101,10 +108,6 @@ def _miller_j_row(nmax: int, z: float) -> list:
     return [v * inv for v in row]
 
 
-def _series_j_row(nmax: int, z: float) -> list:
-    return [_series_j(n, z) for n in range(nmax + 1)]
-
-
 def bessel_j(n: int, z: float) -> float:
     """J_n(z), n >= 0, z >= 0; series in the safe regimes, Miller otherwise."""
     if z == 0.0:
@@ -126,8 +129,8 @@ def j_row(nmax: int, z: float) -> list:
     """[J_0(z), ..., J_nmax(z)] in one pass."""
     if z == 0.0:
         return [1.0] + [0.0] * nmax
-    if z <= _SERIES_Z_CUT:
-        return _series_j_row(nmax, z)
+    if z <= _ROW_SERIES_CUT:
+        return [_series_j(n, z) for n in range(nmax + 1)]
     return _miller_j_row(nmax, z)
 
 
@@ -137,7 +140,7 @@ def i_row(nmax: int, z: float) -> list:
         return [1.0] + [0.0] * nmax
     if z > 700.0:
         raise OverflowError(f"I_n({z}) normalization e^z exceeds double range")
-    if z <= 2.0:
+    if z <= _ROW_SERIES_CUT:
         return [_series_i(n, z) for n in range(nmax + 1)]
     m0 = max(nmax, int(z) + 1)
     m = m0 + int(12.0 * m0 ** (1.0 / 3.0)) + 42

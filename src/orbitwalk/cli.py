@@ -136,21 +136,24 @@ class ResolvedRun:
         self.command = command
         self.config = config
         try:
-            self.space = OrbitSpaceSpec(**_with_integers(config["space"], "space", ("L", "N")))
-            self.representation = Representation(**config["representation"])
+            self.space = OrbitSpaceSpec(**_with_numbers(config["space"], "space", ("L", "N")))
+            self.representation = Representation(
+                **_with_numbers(config["representation"], "representation", reals=("theta", "phi"))
+            )
             raw = config["params"]
             energy = raw["energy"]
             if not (isinstance(energy, (list, tuple)) and len(energy) == 2):
                 raise ConfigError("params.energy must be [re, im]")
             self.params = KernelParams(
-                omega=float(raw["omega"]),
-                tau=float(raw["tau"]),
-                beta=float(raw["beta"]),
-                energy=complex(float(energy[0]), float(energy[1])),
+                omega=_real(raw["omega"], "params.omega"),
+                tau=_real(raw["tau"], "params.tau"),
+                beta=_real(raw["beta"], "params.beta"),
+                energy=complex(*(_real(part, "params.energy") for part in energy)),
             )
             self.truncation = TruncationPolicy(
-                **_with_integers(
-                    config["truncation"], "truncation", ("max_shell", "consecutive_quiet_shells")
+                **_with_numbers(
+                    config["truncation"], "truncation",
+                    ("max_shell", "consecutive_quiet_shells"), reals=("tol",),
                 )
             )
         except (DomainError, RepresentationError, TypeError, ValueError) as exc:
@@ -192,8 +195,8 @@ class ResolvedRun:
             if point in state:
                 raise ConfigError(f"initial_state lists point {point} twice")
             try:
-                state[point] = complex(float(re_part), float(im_part))
-            except (TypeError, ValueError) as exc:
+                state[point] = complex(*(_real(part, "amplitude") for part in (re_part, im_part)))
+            except ConfigError as exc:
                 raise ConfigError(f"initial_state entry {entry!r} has a bad amplitude") from exc
         return state
 
@@ -338,23 +341,36 @@ def _integer(value, name: str) -> int:
         raise ConfigError(f"{name} must be an integer: {exc}") from exc
 
 
-def _with_integers(section, name: str, keys: tuple) -> dict:
-    """A copy of the config object `section` whose `keys` hold ints (see `_integer`)."""
+def _real(value, name: str) -> float:
+    """`value` as a float, refusing a bool, which float() would read as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} must be a number: {exc}") from exc
+
+
+def _with_numbers(section, name: str, integers: tuple = (), reals: tuple = ()) -> dict:
+    """A copy of the config object `section` whose `integers` hold ints (see
+    `_integer`) and whose `reals` hold floats (see `_real`)."""
     if not isinstance(section, dict):
         raise ConfigError(f"config key {name!r} must be an object")
-    return {k: _integer(v, f"{name}.{k}") if k in keys else v for k, v in section.items()}
+    out = {}
+    for key, value in section.items():
+        if key in integers:
+            value = _integer(value, f"{name}.{key}")
+        elif key in reals:
+            value = _real(value, f"{name}.{key}")
+        out[key] = value
+    return out
 
 
 def _config_number(config: dict, key: str, kind):
     """The config value at dotted `key` as `kind` (int or float)."""
     section, leaf = key.split(".")
     value = config[section][leaf]
-    if kind is int:
-        return _integer(value, key)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be a number: {exc}") from exc
+    return _integer(value, key) if kind is int else _real(value, key)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -467,7 +483,7 @@ def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re", "im"]
     )
     plan = KernelPlan(run.space, run.representation, run.params, run.truncation, mode="resolvent")
-    _pair_rows(run, table, lambda x, y: plan.kernel(x, y).value, _formatter(run.precision))
+    _pair_rows(run, table, plan.value, _formatter(run.precision))
     return table, {}, 0
 
 
@@ -478,7 +494,7 @@ def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re_density", "im_density"]
     )
     fmt = _formatter(run.precision)
-    _pair_rows(run, table, lambda x, y: plan.kernel(x, y).value / z, fmt)
+    _pair_rows(run, table, lambda x, y: plan.value(x, y) / z, fmt)
     width = 2 * run.space.N
     table.add(*["Z"] + [""] * (width - 1), fmt(z), "")
     return table, {"partition_function": z}, 0

@@ -12,9 +12,12 @@ whole shells fall below tolerance: no group element is built.  The
 resolvent's images form geometric series, which the plan sums in closed
 form, once per reflection sector and displacement across a whole energy
 grid (a DOS sweep is one plan).  Time and heat kernels of
-N identical walkers are permanents (Glynn) or determinants (partial-pivot
-LU) of single-walker sums, both in pure Python.  numpy is imported only
-where arrays are built (coined blocks).
+N identical walkers are permanents or determinants of single-walker sums, in
+pure Python: written out by definition for N = 2 and 3, by Glynn's formula
+or a partial-pivot LU beyond (`_lift`).  `KernelPlan.value` returns an
+entry alone; `KernelPlan.kernel` returns it with its report.  A free-lattice
+row is one Bessel recurrence (`special.j_row`/`i_row`).  numpy is imported
+only where arrays are built (coined blocks).
 """
 
 from __future__ import annotations
@@ -216,6 +219,25 @@ def lu_determinant(m) -> complex:
     return det
 
 
+def _lift(values: list, fermion: bool) -> complex:
+    """Permanent (bosons) or determinant (fermions) of N x N single-walker sums, N >= 2.
+
+    N = 2 and 3 are written out by definition, ad +- bc and the cofactor
+    expansion along the first row; larger N go to `glynn_permanent` or
+    `lu_determinant`.
+    """
+    n = len(values)
+    if n == 2:
+        (a, b), (c, d) = values
+        return a * d - b * c if fermion else a * d + b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = values
+        if fermion:
+            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+    return lu_determinant(values) if fermion else glynn_permanent(values)
+
+
 MODES = ("time", "heat", "resolvent")
 
 
@@ -406,6 +428,23 @@ class KernelPlan:
             out.append(column)
         return out
 
+    def _repeats(self, x: tuple, y: tuple) -> bool:
+        """A fermion entry whose x or y repeats a coordinate: its det is exactly 0."""
+        return self._fermion and (len(set(x)) < len(x) or len(set(y)) < len(y))
+
+    def value(self, x: tuple, y: tuple) -> complex:
+        """The kernel between N-walker lattice points x and y, without its report.
+
+        The same value as `kernel(x, y).value`, bit for bit.  A fermion entry
+        whose x or y repeats a coordinate is 0j before any sum is gathered.
+        """
+        if len(x) == 1:
+            return self._sum(x[0], y[0]).value
+        if self._repeats(x, y):
+            return 0j
+        s = self._sum
+        return _lift([[s(xi, yj).value for yj in y] for xi in x], self._fermion)
+
     def kernel(self, x: tuple, y: tuple) -> OrbitKernelReport:
         """The kernel between N-walker lattice points x and y (no domain check).
 
@@ -429,13 +468,8 @@ class KernelPlan:
                     last = rep.last_shell_magnitude
                 terms += rep.terms_evaluated
             values.append(row)
-        if not self._fermion:
-            value = glynn_permanent(values)
-        elif len(set(x)) < len(x) or len(set(y)) < len(y):
-            value = 0j  # a repeated coordinate repeats a row or column: det is exactly 0
-        else:
-            value = lu_determinant(values)
-        return OrbitKernelReport(complex(value), shells, last, terms)
+        value = 0j if self._repeats(x, y) else _lift(values, self._fermion)
+        return OrbitKernelReport(value, shells, last, terms)
 
     def partition_function(self) -> float:
         """Z(beta): the weighted trace of the Gibbs kernel over the finite domain.
@@ -455,7 +489,7 @@ class KernelPlan:
             )
         total = 0.0
         for point in fundamental_domain(space):
-            total += _gluing_weight(point) * self.kernel(point, point).value.real
+            total += _gluing_weight(point) * self.value(point, point).real
         return total
 
     def evolve(self, psi0: dict, window=None) -> dict:
@@ -468,7 +502,12 @@ class KernelPlan:
             raise DomainError("initial state must have at least one amplitude")
         for pt in state:
             check_in_domain(space, pt, "initial-state point")
-        norm = sum(abs(a) ** 2 for a in state.values())
+        try:
+            norm = sum(abs(a) ** 2 for a in state.values())
+        except OverflowError:  # an |a|^2 past the double range
+            norm = math.inf
+        if not math.isfinite(norm):
+            raise DomainError(f"initial state norm {norm} is not finite")
         if abs(norm - 1.0) > 1e-12:
             warnings.warn(f"initial state norm {norm:.6f} differs from 1", stacklevel=2)
         if space.kind in ("Circle", "Interval"):
@@ -480,7 +519,7 @@ class KernelPlan:
             amp = 0j
             for source, a in state.items():
                 if a != 0j:
-                    amp += self.kernel(target, source).value * a
+                    amp += self.value(target, source) * a
             out[target] = amp
         return out
 
@@ -585,7 +624,7 @@ def orbit_density_matrix(
     x, y = _points(space, x, y, True)
     plan = KernelPlan(space, D, p, trunc, mode="heat")
     z = plan.partition_function()
-    return plan.kernel(x, y).value / z
+    return plan.value(x, y) / z
 
 
 def orbit_coined_kernel(
@@ -672,5 +711,5 @@ def probability(
         src = _as_point(space, source)
         check_in_domain(space, src, "initial-state point")
         if complex(a) != 0j:
-            amp += plan.kernel(target, src).value * complex(a)
+            amp += plan.value(target, src) * complex(a)
     return abs(amp) ** 2

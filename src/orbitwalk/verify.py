@@ -84,7 +84,7 @@ class _Kernels:
         plan = self._plans.get(p)
         if plan is None:
             plan = self._plans[p] = KernelPlan(self._space, self._D, p, self._trunc)
-        return plan.kernel(x, y).value
+        return plan.value(x, y)
 
 
 def _symmetrized_delta(x: tuple, y: tuple, statistics: str) -> float:

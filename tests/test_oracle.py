@@ -20,7 +20,9 @@ def circle_spec(L, theta=0.0, omega=1.0):
 
 
 # The production route's single-walker sums and lift.
-PRODUCTION_ROUTE = {"_winding_sum", "_free_row", "KernelPlan", "glynn_permanent", "lu_determinant"}
+PRODUCTION_ROUTE = {
+    "_winding_sum", "_free_row", "KernelPlan", "_lift", "glynn_permanent", "lu_determinant",
+}
 
 
 @pytest.mark.parametrize(

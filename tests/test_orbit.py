@@ -18,6 +18,7 @@ from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin, resolvent_momentum
 from orbitwalk.orbit import (
     KernelPlan,
+    _lift,
     OrbitKernelReport,
     TruncationPolicy,
     evolve_state,
@@ -401,6 +402,8 @@ def test_glynn_permanent_matches_ryser(n):
     # Ryser's oracle stops at MANY_BODY_MAX; beyond it, sum over all n! permutations.
     want = oracle.ryser_permanent(m) if n <= oracle.MANY_BODY_MAX else _permanent_by_definition(m)
     assert abs(glynn_permanent(m) - want) <= 1e-12 * abs(want)
+    if n >= 2:  # the lift: by definition for n = 2 and 3, Glynn beyond
+        assert abs(_lift(m.tolist(), False) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -411,6 +414,10 @@ def test_lu_determinant_matches_numpy(n):
     got = lu_determinant(m.tolist())
     assert type(got) is complex
     assert abs(got - want) <= 1e-12 * abs(want)
+    if n >= 2:  # the lift: by definition for n = 2 and 3, LU beyond
+        lifted = _lift(m.tolist(), True)
+        assert type(lifted) is complex
+        assert abs(lifted - want) <= 1e-12 * abs(want)
 
 
 def test_lu_determinant_row_swap_flips_the_sign():
@@ -1019,6 +1026,34 @@ def test_fermion_entries_with_a_repeated_coordinate_are_exact_zeros(monkeypatch)
             sums.shells_used, sums.last_shell_magnitude, sums.terms_evaluated
         )
     assert fermions.shells_used == bosons.shells_used > 0
+
+
+def test_fermion_value_with_a_repeated_coordinate_gathers_no_sum():
+    space = OrbitSpaceSpec("Interval", L=4, N=3)
+    plan = KernelPlan(space, Representation(theta=math.pi, statistics="Fermion"), KernelParams(tau=1.0))
+    for x, y in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 4, 4))]:
+        assert repr(plan.value(x, y)) == repr(0j)
+    assert plan.shells_used == 0
+
+
+@pytest.mark.parametrize("kind", ["Circle", "Interval", "HalfLine"])
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+@pytest.mark.parametrize("mode", ["time", "heat"])
+def test_value_is_the_kernel_reports_value_bit_for_bit(kind, statistics, mode):
+    theta = math.pi if kind == "Interval" else 0.3
+    D = Representation(theta=theta, phi=0.0, statistics=statistics)
+    p = KernelParams(tau=1.3, beta=0.7)
+    for n in range(1, 6):
+        space = OrbitSpaceSpec(kind, L=5, N=n)
+        plan = KernelPlan(space, D, p, mode=mode)
+        rng = np.random.default_rng(10 * n)
+        pairs = [(tuple(range(1, n + 1)), tuple(range(2, n + 2)))]  # distinct coordinates
+        pairs += [(tuple(sorted(rng.integers(1, 6, n).tolist())),) * 2 for _ in range(3)]
+        if n >= 2:  # repeated coordinates
+            pairs.append(((1,) * n, tuple(range(1, n + 1))))
+            pairs.append((tuple(range(1, n + 1)), (2,) * (n - 1) + (3,)))
+        for x, y in pairs:
+            assert repr(plan.value(x, y)) == repr(plan.kernel(x, y).value), (n, x, y)
 
 
 @pytest.mark.parametrize(

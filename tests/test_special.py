@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from orbitwalk import _core_py
 from orbitwalk.errors import DomainError
+from orbitwalk.kernels import window_radius
 from orbitwalk.special import N_MAX, Z_MAX, bessel_i, bessel_j, i_row, j_row, quarter_phase
 
 from _oracles import bessel_j_series, bessel_i_series
@@ -105,6 +106,18 @@ def test_j_addition_theorem(z1, z2):
             n = n1 + n2
             total = sum(j_signed(m, z1) * j_signed(n - m, z2) for m in range(-60, 61))
             assert abs(total - j_signed(n, z1 + z2)) <= 1e-11
+
+
+@pytest.mark.parametrize("z", [1e-6, 1e-3, 0.05, 0.5, 1.0, 2.0, 4.0, 6.4])
+def test_rows_match_the_series_oracle_to_the_last_bits(z):
+    # A row is one backward recurrence above a tiny z; below it, the series.
+    nmax = window_radius(1.0, z)
+    for n, (j, i) in enumerate(zip(j_row(nmax, z), i_row(nmax, z))):
+        assert abs(j - bessel_j_series(n, z)) <= 1e-15, n
+        want = bessel_i_series(n, z)
+        # I_0(6.4) is about 116, where one ulp is 1.4e-14: relative above 1
+        assert abs(i - want) <= 1e-15 * max(1.0, want), n
+    assert j_row(2, 5e-324) == [1.0, 0.0, 0.0]
 
 
 def test_rows_match_scalars():

@@ -191,13 +191,13 @@ def test_a_window_with_no_domain_point_is_refused():
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
 def test_each_probe_entry_is_lifted_once_per_run(monkeypatch, space, theta, window, statistics):
     lifts = collections.Counter()
-    kernel = KernelPlan.kernel
+    value = KernelPlan.value
 
     def counted(plan, x, y):
         lifts[(plan._params.tau, x, y)] += 1
-        return kernel(plan, x, y)
+        return value(plan, x, y)
 
-    monkeypatch.setattr(KernelPlan, "kernel", counted)
+    monkeypatch.setattr(KernelPlan, "value", counted)
     results = run_checks(
         space, Representation(theta=theta, statistics=statistics), KernelParams(tau=1.0), window=window
     )
