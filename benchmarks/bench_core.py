@@ -10,9 +10,11 @@ parser once per process and then only parses.  The dos-sweep rows time the
 default `orbitwalk dos` (201 energies on a 4-site circle, one sector key) and
 the same sweep on an 8-site interval (one reflected sector key per site), and
 the coined-table rows a coined walk on a 16-site circle with 20 steps (1,041
-table rows) in CSV and in JSON, and the N = 2 rows the two-walker `verify`
-on a 3-site circle (bosons) and fermion `thermal` on a 5-site circle, each
-in-process through `cli.main`, output discarded.  The cold-start
+table rows) in CSV and in JSON.  The command builds all 31 circle blocks in
+one `orbit_coined_blocks` call, which the coined-blocks row times alone.  The
+N = 2 rows time the two-walker `verify` on a 3-site circle (bosons) and
+fermion `thermal` on a 5-site circle.  The dos, coined-table and N = 2 rows
+run in-process through `cli.main`, output discarded.  The cold-start
 row runs the default `orbitwalk evolve` in fresh interpreters against this
 checkout's `src/` and reports the median wall time and the modules the run
 loaded.
@@ -35,8 +37,8 @@ from pathlib import Path
 from orbitwalk import _core_py
 from orbitwalk.cli import build_parser, main as cli_main
 from orbitwalk.group import OrbitSpaceSpec, Representation
-from orbitwalk.kernels import KernelParams
-from orbitwalk.orbit import KernelPlan, orbit_kernel
+from orbitwalk.kernels import KernelParams, hadamard_coin
+from orbitwalk.orbit import KernelPlan, orbit_coined_blocks, orbit_kernel
 
 WORKLOADS = [
     ("bessel_j(3, 2.5)", lambda m: m.bessel_j(3, 2.5), 20000),
@@ -82,6 +84,14 @@ def bench_plan_sweep() -> float:
                 plan.kernel((x,), (y,))
 
     return per_call_us(sweep, 20)
+
+
+def bench_coined_blocks() -> float:
+    """One `orbit_coined_blocks` call: every displacement of a 16-site circle, 20 steps."""
+    space = OrbitSpaceSpec("Circle", 16)
+    D = Representation(theta=0.7)
+    coin = hadamard_coin()
+    return per_call_us(lambda: orbit_coined_blocks(space, D, 20, coin, -15, 15), 200)
 
 
 PARSER_ARGV = ["thermal", "--set", "space.L=16", "--max-shell", "64", "--format", "csv"]
@@ -162,6 +172,8 @@ def main() -> None:
     print(f"dos sweep: default dos through cli.main: {bench_cli(['dos'], 10) / 1000.0:.2f} ms")
     print(f"dos sweep: Interval L=8 dos through cli.main: "
           f"{bench_cli(INTERVAL_DOS_ARGV, 10) / 1000.0:.2f} ms")
+    print(f"coined blocks: L=16, steps=20, all 31 displacements in one call: "
+          f"{bench_coined_blocks():.0f} us")
     print(f"coined table: L=16, steps=20 through cli.main: "
           f"{bench_cli(COINED_ARGV, 20) / 1000.0:.2f} ms")
     print(f"coined table: L=16, steps=20, --format json through cli.main: "

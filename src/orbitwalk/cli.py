@@ -19,7 +19,6 @@ config echo copies only what it changes.
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import math
@@ -28,8 +27,8 @@ import warnings
 
 from .errors import ConfigError, DomainError, RepresentationError, TruncationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
-from .kernels import CoinSpec, KernelParams, coined_line_blocks, hadamard_coin, window_radius
-from .orbit import KernelPlan, TruncationPolicy, orbit_coined_kernel
+from .kernels import CoinSpec, KernelParams, hadamard_coin, window_radius
+from .orbit import KernelPlan, TruncationPolicy, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 
@@ -55,24 +54,29 @@ DEFAULT_CONFIG = {
 _REPLACED_WHOLESALE = ("initial_state", "window", "energy", "coin")
 
 
-def _merge(defaults: dict, user: dict, prefix: str = "") -> dict:
-    out = copy.deepcopy(defaults)
+def _merge(config: dict, user: dict, prefix: str = "") -> dict:
+    """`config` with the parsed JSON `user` written over it in place."""
     for key, value in user.items():
         path = f"{prefix}{key}"
-        if key not in defaults:
+        if key not in config:
             raise ConfigError(f"unknown config key {path!r}")
-        if isinstance(defaults[key], dict) and key not in _REPLACED_WHOLESALE:
+        if isinstance(config[key], dict) and key not in _REPLACED_WHOLESALE:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path!r} must be an object")
-            out[key] = _merge(defaults[key], value, prefix=f"{path}.")
+            _merge(config[key], value, prefix=f"{path}.")
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            config[key] = value
+    return config
 
 
 def load_config(path: str | None) -> dict:
+    # the defaults with what a run may change copied: the sections and list leaves
+    config = {key: dict(value) if isinstance(value, dict) else value
+              for key, value in DEFAULT_CONFIG.items()}
+    config["params"]["energy"] = list(config["params"]["energy"])
+    config["initial_state"] = [list(entry) for entry in config["initial_state"]]
     if path is None:
-        return copy.deepcopy(DEFAULT_CONFIG)
+        return config
     try:
         with open(path, encoding="utf-8") as fh:
             user = json.load(fh)
@@ -83,7 +87,7 @@ def load_config(path: str | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     user.pop("command", None)  # the subcommand on the command line wins
-    return _merge(DEFAULT_CONFIG, user)
+    return _merge(config, user)
 
 
 def apply_set(config: dict, assignment: str) -> None:
@@ -561,46 +565,33 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     power = oracle.coined_circle_power(L, run.representation.theta, coin, abs(steps))
     if steps < 0:
         power = power.conj().T
-    blocks = coined_line_blocks(steps, coin)
-    kernels = {}  # by x - y: the circle kernel depends on the displacement alone
-
-    def kernel(x: int, y: int) -> list:
-        """The (x, y) block as nested lists of Python complex."""
-        block = kernels.get(x - y)
-        if block is None:
-            block = kernels[x - y] = orbit_coined_kernel(
-                run.space, run.representation, steps, x, y, coin, blocks=blocks
-            ).tolist()
-        return block
-
+    d = coin.d
+    # on the circle a block depends on x - y alone: circ[x - y + L - 1]
+    circ = orbit_coined_blocks(run.space, run.representation, steps, coin, 1 - L, L - 1)
     fmt = _formatter(run.precision)
-    label = [str(k) for k in range(max(L, coin.d) + 1)]
+    label = [str(k) for k in range(max(L, d) + 1)]
+    cells = [[(label[i], label[j], fmt(v.real), fmt(v.imag)) for i, row in enumerate(block)
+              for j, v in enumerate(row)] for block in circ.tolist()]
+    pairs = circ[np.subtract.outer(range(L), range(L)) + L - 1]  # [x - 1, y - 1, i, j]
+    diff = pairs - power.reshape(L, d, L, d).transpose(0, 2, 1, 3)
+    # np.hypot is abs() of each Python complex to the bit (both are the C
+    # library's hypot); np.abs of a complex array is not
+    dev = np.hypot(diff.real, diff.imag)
+    devs = iter(map(fmt, dev.ravel().tolist()))
     table = Table(["x", "y", "i", "j", "re", "im", "deviation", "probability"])
-    worst = 0.0
-    for x in range(1, L + 1):
-        for y in range(1, L + 1):
-            block = kernel(x, y)
-            want = oracle.coined_circle_block(power, coin.d, x, y).tolist()
-            for i, (row, want_row) in enumerate(zip(block, want)):
-                for j, (value, reference) in enumerate(zip(row, want_row)):
-                    dev = abs(value - reference)
-                    if dev > worst:
-                        worst = dev
-                    table.add(label[x], label[y], label[i], label[j],
-                              fmt(value.real), fmt(value.imag), fmt(dev), "")
-    coin_state = np.zeros(coin.d, dtype=complex)
-    coin_state[0] = 1.0
+    table.rows.extend(
+        (label[x], label[y], li, lj, re, im, next(devs), "")
+        for x in range(1, L + 1) for y in range(1, L + 1)
+        for li, lj, re, im in cells[x - y + L - 1]
+    )
+    # the distribution's last bits are those of numpy's complex abs
+    dist = np.sum(np.abs(circ[L - source:2 * L - source, :, 0]) ** 2, axis=1).tolist()
     total = 0.0
-    dist_rows = []
-    for x in range(1, L + 1):
-        # numpy's array abs rounds differently from abs() of a Python complex.
-        prob = float(np.sum(np.abs(np.array(kernel(x, source)) @ coin_state) ** 2))
+    for x, prob in enumerate(dist, 1):
         total += prob
-        dist_rows.append((x, prob))
-    for x, prob in dist_rows:
         table.add(label[x], "", "", "", "", "", "", fmt(prob))
     table.add("total", "", "", "", "", "", "", fmt(total))
-    return table, {"deviations": {"max_vs_matrix_power": float(_fmt(worst, 10))}}, 0
+    return table, {"deviations": {"max_vs_matrix_power": float(_fmt(dev.max(), 10))}}, 0
 
 
 def run_verify(run: ResolvedRun) -> tuple[Table, dict, int]:

@@ -627,6 +627,37 @@ def orbit_density_matrix(
     return plan.value(x, y) / z
 
 
+def orbit_coined_blocks(
+    space: OrbitSpaceSpec,
+    D: Representation,
+    steps: int,
+    c: CoinSpec,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Circle blocks at displacements lo..hi: out[k] = sum_n e^{i n theta} B_steps(lo + k - nL).
+
+    The line blocks have a strict light cone, so the sum is finite and exact.
+    They are stacked by displacement once; each winding n, in ascending order,
+    then adds to every displacement it reaches in one array sum.
+    """
+    import numpy as np
+
+    if space.kind != "Circle" or space.N != 1:
+        raise DomainError("discrete-time orbit kernels are wired for the single-walker circle")
+    validate_representation(space, D)
+    L = space.L
+    reach = abs(steps) * max((abs(s) for s in c.shifts), default=0)
+    line = np.zeros((2 * reach + 1, c.d, c.d), dtype=complex)  # line[reach + delta]
+    for delta, blk in coined_line_blocks(steps, c).items():
+        line[reach + delta] = blk
+    out = np.zeros((hi - lo + 1, c.d, c.d), dtype=complex)
+    for n in range(math.ceil((lo - reach) / L), math.floor((hi + reach) / L) + 1):
+        a, b = max(lo, n * L - reach), min(hi, n * L + reach) + 1
+        out[a - lo:b - lo] += weight_from_sums(D, n, 0) * line[reach + a - n * L:reach + b - n * L]
+    return out
+
+
 def orbit_coined_kernel(
     space: OrbitSpaceSpec,
     D: Representation,
@@ -636,35 +667,12 @@ def orbit_coined_kernel(
     c: CoinSpec,
     *,
     restrict_domain: bool = True,
-    blocks: dict | None = None,
 ) -> np.ndarray:
-    """Discrete-time kernel on the circle: sum_n e^{i n theta} B_steps(x - y - nL).
-
-    The line blocks have a strict light cone, so the winding sum is finite and
-    the result exact.  A caller evaluating many pairs passes
-    `blocks = coined_line_blocks(steps, c)`, built once; by default they are
-    built per call.
-    """
-    import numpy as np
-
-    if space.kind != "Circle" or space.N != 1:
-        raise DomainError("discrete-time orbit kernels are wired for the single-walker circle")
-    validate_representation(space, D)
+    """Discrete-time kernel on the circle: `orbit_coined_blocks` at x - y alone."""
     if restrict_domain:
         check_in_domain(space, (x,), "x")
         check_in_domain(space, (y,), "y")
-    if blocks is None:
-        blocks = coined_line_blocks(steps, c)
-    L = space.L
-    reach = abs(steps) * max((abs(s) for s in c.shifts), default=0)
-    out = np.zeros((c.d, c.d), dtype=complex)
-    n_lo = math.ceil((x - y - reach) / L)
-    n_hi = math.floor((x - y + reach) / L)
-    for n in range(n_lo, n_hi + 1):
-        blk = blocks.get(x - y - n * L)
-        if blk is not None:
-            out += weight_from_sums(D, n, 0) * blk
-    return out
+    return orbit_coined_blocks(space, D, steps, c, x - y, x - y)[0]
 
 
 def _infinite_window(space: OrbitSpaceSpec, support, p: KernelParams):

@@ -7,7 +7,8 @@ use arbitrary-precision ascending series and adaptive quadrature.  The
 single-walker Hamiltonians come from the package's dense `oracle`, which
 shares no code with the image sums.  `shell_sum_resolvent` runs the N-walker
 group reference of `_reference_group` on the resolvent term to cross-check
-the closed-form resolvent.
+the closed-form resolvent.  `coined_table_reference` is the per-pair build of
+a `coined` table that the command's all-displacement route must reproduce.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+import json
 import math
 
 import mpmath as mp
 import numpy as np
 
 from orbitwalk import oracle
-from orbitwalk.kernels import resolvent_momentum
+from orbitwalk.group import Representation, weight_from_sums
+from orbitwalk.kernels import coined_line_blocks, resolvent_momentum
 
 from _reference_group import _orbit_sum
 
@@ -223,3 +226,55 @@ def shell_sum_resolvent(space, D, x: int, y: int, p, trunc):
         return prefactor * cmath.exp(1j * q * abs(xs[0] - gy[0]))
 
     return _orbit_sum(space, D, (x,), (y,), term, trunc)
+
+
+def coined_table_reference(L: int, theta: float, steps: int, coin, source: int,
+                           precision: int) -> str:
+    """A `coined` CSV table from its `# deviations` line on, built pair by pair.
+
+    Each (x, y) block is its own winding loop over the line blocks,
+    sum_n e^{i n theta} B_steps(x - y - nL) for the n in the light cone; each
+    reference block is sliced alone from the matrix power
+    (`oracle.coined_circle_block`); each site's probability is its block
+    times the coin state (1, 0, ...).  The line blocks and the weights are
+    the package's (`coined_line_blocks`, `weight_from_sums`), so what this
+    checks is the winding sum, the table's layout and its formatting.
+    """
+    D = Representation(theta=theta)
+    power = oracle.coined_circle_power(L, theta, coin, abs(steps))
+    if steps < 0:
+        power = power.conj().T
+    blocks = coined_line_blocks(steps, coin)
+    reach = abs(steps) * max(abs(s) for s in coin.shifts)
+
+    def kernel(x: int, y: int) -> np.ndarray:
+        out = np.zeros((coin.d, coin.d), dtype=complex)
+        for n in range(math.ceil((x - y - reach) / L), math.floor((x - y + reach) / L) + 1):
+            blk = blocks.get(x - y - n * L)
+            if blk is not None:
+                out += weight_from_sums(D, n, 0) * blk
+        return out
+
+    def fmt(value: float) -> str:
+        return f"{value:.{precision}e}"
+
+    rows, worst = [], 0.0
+    for x in range(1, L + 1):
+        for y in range(1, L + 1):
+            want = oracle.coined_circle_block(power, coin.d, x, y).tolist()
+            for i, row in enumerate(kernel(x, y).tolist()):
+                for j, value in enumerate(row):
+                    dev = abs(value - want[i][j])
+                    worst = max(worst, dev)
+                    rows.append(f"{x},{y},{i},{j},{fmt(value.real)},{fmt(value.imag)},{fmt(dev)},")
+    coin_state = np.zeros(coin.d, dtype=complex)
+    coin_state[0] = 1.0
+    total = 0.0
+    for x in range(1, L + 1):
+        prob = float(np.sum(np.abs(kernel(x, source) @ coin_state) ** 2))
+        total += prob
+        rows.append(f"{x},,,,,,,{fmt(prob)}")
+    rows.append(f"total,,,,,,,{fmt(total)}")
+    deviations = {"max_vs_matrix_power": float(f"{worst:.10e}")}
+    lines = [f"# deviations {json.dumps(deviations)}", "x,y,i,j,re,im,deviation,probability"]
+    return "\n".join(lines + rows) + "\n"

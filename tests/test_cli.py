@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -33,9 +34,9 @@ from orbitwalk.cli import (
 )
 from orbitwalk.errors import ConfigError
 from orbitwalk.group import OrbitSpaceSpec, Representation
-from orbitwalk.kernels import hadamard_coin
+from orbitwalk.kernels import CoinSpec, hadamard_coin
 
-from _oracles import many_walker_gibbs
+from _oracles import coined_table_reference, many_walker_gibbs
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,39 @@ def test_apply_set_parses_json_values():
         apply_set(cfg, "no.such.key=1")
     with pytest.raises(ConfigError):
         apply_set(cfg, "params")
+
+
+def _scribble(node) -> None:
+    """Overwrite every leaf of a config tree in place, depth first, and grow each container."""
+    for key in list(node) if isinstance(node, dict) else range(len(node)):
+        if isinstance(node[key], (dict, list)):
+            _scribble(node[key])
+        else:
+            node[key] = "scribbled"
+    if isinstance(node, dict):
+        node["extra"] = True
+    else:
+        node.append("extra")
+
+
+def test_runs_and_loaded_configs_leave_the_defaults_unchanged(capsys, tmp_path):
+    frozen = copy.deepcopy(DEFAULT_CONFIG)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "space": {"L": 5}, "params": {"tau": 2.0}, "initial_state": [[2, 1.0, 0.0]],
+    }))
+    for argv in (
+        ("evolve", "--config", str(path), "--set", "params.energy=[0.2,0.1]",
+         "--set", "initial_state=[[3,0.0,1.0]]", "--precision", "9"),
+        ("coined", "--set", "space.L=6", "--set", "representation.theta=0.3",
+         "--set", "coined.steps=3", "--format", "json"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+    for _ in range(2):
+        _scribble(load_config(None))
+    _scribble(load_config(str(path)))
+    assert DEFAULT_CONFIG == frozen
 
 
 # -- evolve ---------------------------------------------------------------
@@ -383,20 +417,20 @@ def test_coined_computes_one_circle_kernel_per_displacement(capsys, monkeypatch)
     L, steps, source = 7, 9, 3
     argv = ("coined", "--set", f"space.L={L}", "--set", f"coined.steps={steps}",
             "--set", f"coined.source={source}", "--set", "representation.theta=0.6")
-    pairs = []
-    real = orbitwalk.cli.orbit_coined_kernel
+    ranges = []
+    route = orbitwalk.cli.orbit_coined_blocks
+    real = orbitwalk.orbit.orbit_coined_kernel
 
-    def counted(space, D, n, x, y, *args, **kwargs):
-        pairs.append((x, y))
-        return real(space, D, n, x, y, *args, **kwargs)
+    def counted(space, D, n, coin, lo, hi):
+        ranges.append((lo, hi))
+        return route(space, D, n, coin, lo, hi)
 
-    monkeypatch.setattr(orbitwalk.cli, "orbit_coined_kernel", counted)
+    monkeypatch.setattr(orbitwalk.cli, "orbit_coined_blocks", counted)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(pairs) == 2 * L - 1
-    assert len({x - y for x, y in pairs}) == 2 * L - 1
+    assert ranges == [(1 - L, L - 1)]  # one call, all 2L - 1 displacements
 
-    # every block row and the distribution equal an uncached per-pair kernel
+    # every block row and the distribution equal a one-pair kernel
     space = OrbitSpaceSpec("Circle", L=L)
     D = Representation(theta=0.6)
     coin = hadamard_coin()
@@ -410,6 +444,36 @@ def test_coined_computes_one_circle_kernel_per_displacement(capsys, monkeypatch)
     for x, *_, prob in dist:
         block = real(space, D, steps, int(x), source, coin)
         assert prob == f"{float(np.sum(np.abs(block @ np.array([1, 0])) ** 2)):.12e}"
+
+
+# a unitary 3-state coin (the discrete Fourier transform) with unequal shifts
+_DFT3 = [[[math.cos(2 * math.pi * j * k / 3) / math.sqrt(3),
+           math.sin(2 * math.pi * j * k / 3) / math.sqrt(3)] for k in range(3)] for j in range(3)]
+_COINS = {
+    "hadamard": ("hadamard", hadamard_coin()),
+    "dft3": (
+        {"matrix": _DFT3, "shifts": [2, -1, 0]},
+        CoinSpec(3, np.array([[complex(*c) for c in row] for row in _DFT3]), (2, -1, 0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("precision", [12, 17])
+@pytest.mark.parametrize("coin_name", sorted(_COINS))
+def test_coined_table_equals_the_per_pair_reference_byte_for_byte(capsys, coin_name, precision):
+    raw, coin = _COINS[coin_name]
+    for theta in (0.0, 0.7):
+        for L in (1, 2, 3, 16):
+            for steps in (0, -3, 5, 20):
+                source = L if theta else 1
+                code, out, err = run_cli(
+                    capsys, "coined", "--set", f"space.L={L}", "--set", f"coined.steps={steps}",
+                    "--set", f"coined.source={source}", "--set", f"representation.theta={theta}",
+                    "--set", f"coined.coin={json.dumps(raw)}", "--precision", str(precision),
+                )
+                assert code == 0, err
+                want = coined_table_reference(L, theta, steps, coin, source, precision)
+                assert out.split("\n", 2)[2] == want, (L, theta, steps)
 
 
 # -- verify ------------------------------------------------------------------

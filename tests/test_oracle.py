@@ -19,9 +19,10 @@ def circle_spec(L, theta=0.0, omega=1.0):
     return oracle.HamiltonianSpec(L, omega, oracle.CircleTwisted(theta))
 
 
-# The production route's single-walker sums and lift.
+# The production route's single-walker sums, lift and coined winding sum.
 PRODUCTION_ROUTE = {
     "_winding_sum", "_free_row", "KernelPlan", "_lift", "glynn_permanent", "lu_determinant",
+    "orbit_coined_blocks",
 }
 
 

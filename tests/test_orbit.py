@@ -15,7 +15,7 @@ import orbitwalk.orbit
 from orbitwalk import oracle
 from orbitwalk.errors import DomainError, TruncationError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
-from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin, resolvent_momentum
+from orbitwalk.kernels import KernelParams, hadamard_coin, resolvent_momentum
 from orbitwalk.orbit import (
     KernelPlan,
     _lift,
@@ -25,6 +25,7 @@ from orbitwalk.orbit import (
     glynn_permanent,
     local_dos,
     lu_determinant,
+    orbit_coined_blocks,
     orbit_coined_kernel,
     orbit_density_matrix,
     orbit_heat_kernel,
@@ -662,11 +663,11 @@ def test_coined_shared_blocks_give_identical_kernels(steps):
     space = OrbitSpaceSpec("Circle", L=5)
     D = Representation(theta=0.8)
     coin = hadamard_coin()
-    blocks = coined_line_blocks(steps, coin)
+    shared = orbit_coined_blocks(space, D, steps, coin, -4, 4)
+    assert shared.shape == (9, 2, 2)
     for x in range(1, 6):
         for y in range(1, 6):
-            shared = orbit_coined_kernel(space, D, steps, x, y, coin, blocks=blocks)
-            assert np.array_equal(shared, orbit_coined_kernel(space, D, steps, x, y, coin))
+            assert np.array_equal(shared[x - y + 4], orbit_coined_kernel(space, D, steps, x, y, coin))
 
 
 def test_coined_zero_steps_is_identity_block():
