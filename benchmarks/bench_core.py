@@ -2,8 +2,11 @@
 
 Run as `python benchmarks/bench_core.py`.  Each workload is timed over
 enough repetitions to be stable on a laptop; the table reports per-call
-microseconds.  The orbit-sum row times one kernel per pair, each with its own
-plan.  The plan-sweep row times one heat plan filling all L^2 entries of a
+microseconds.  The Bessel rows are the core's only entry points: short rows
+at small and large arguments (`j_row(3, 2.5)`, `j_row(15, 40.0)`,
+`i_row(4, 1.8)`), then the long rows a time or heat plan builds.  The
+orbit-sum row times one kernel per pair, each with its own plan.  The
+plan-sweep row times one heat plan filling all L^2 entries of a
 circle, which reuses one winding sum per displacement.  The parser row times
 building the CLI parser and parsing one command line; `main()` builds the
 parser once per process and then only parses.  The dos-sweep rows time the
@@ -41,9 +44,9 @@ from orbitwalk.kernels import KernelParams, hadamard_coin
 from orbitwalk.orbit import KernelPlan, orbit_coined_blocks, orbit_kernel
 
 WORKLOADS = [
-    ("bessel_j(3, 2.5)", lambda m: m.bessel_j(3, 2.5), 20000),
-    ("bessel_j(15, 40.0)", lambda m: m.bessel_j(15, 40.0), 20000),
-    ("bessel_i(4, 1.8)", lambda m: m.bessel_i(4, 1.8), 20000),
+    ("j_row(3, 2.5)", lambda m: m.j_row(3, 2.5), 20000),
+    ("j_row(15, 40.0)", lambda m: m.j_row(15, 40.0), 20000),
+    ("i_row(4, 1.8)", lambda m: m.i_row(4, 1.8), 20000),
     ("j_row(60, 5.0)", lambda m: m.j_row(60, 5.0), 5000),
     ("j_row(140, 90.0)", lambda m: m.j_row(140, 90.0), 2000),
     ("i_row(60, 2.0)", lambda m: m.i_row(60, 2.0), 5000),

@@ -1,7 +1,7 @@
 """The Bessel core: the one implementation behind `orbitwalk.special`.
 
-Four entry points, scalar J_n / I_n and full rows J_0..J_nmax / I_0..I_nmax,
-in pure Python; `special` validates the arguments before calling them.
+Two entry points, the rows J_0..J_nmax and I_0..I_nmax, in pure Python;
+`special` validates the arguments before calling them.
 A row is one backward (Miller) recurrence, normalized by the summation
 identities
 
@@ -10,8 +10,7 @@ identities
 
 with periodic rescaling so intermediate values never overflow.  It serves
 every z above `_ROW_SERIES_CUT`, where 2k/z stays finite; a row below the
-cut, and the scalar J_n / I_n wherever they are free of cancellation, use
-the ascending series.
+cut takes the ascending series per order.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ import math
 # range, the normalization removes the accumulated factor at the end).
 _BIG = 1e10
 _BIG_INV = 1e-10
-
-# z at or below this, the alternating J series loses at most ~1e-15 to
-# cancellation (partial sums are bounded by I_0(6.5) ~ 1e2).
-_SERIES_Z_CUT = 6.5
 
 _SERIES_KMAX = 800
 
@@ -106,23 +101,6 @@ def _miller_j_row(nmax: int, z: float) -> list:
                 row[i] *= _BIG_INV
     inv = 1.0 / norm
     return [v * inv for v in row]
-
-
-def bessel_j(n: int, z: float) -> float:
-    """J_n(z), n >= 0, z >= 0; series in the safe regimes, Miller otherwise."""
-    if z == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if z <= _SERIES_Z_CUT or n + 1 >= 0.5 * z * z:
-        # second case: term ratio <= 1/2 from the start, no cancellation growth
-        return _series_j(n, z)
-    return _miller_j_row(n, z)[n]
-
-
-def bessel_i(n: int, z: float) -> float:
-    """I_n(z), n >= 0, z >= 0, by ascending series (cancellation-free)."""
-    if z == 0.0:
-        return 1.0 if n == 0 else 0.0
-    return _series_i(n, z)
 
 
 def j_row(nmax: int, z: float) -> list:

@@ -1,10 +1,13 @@
-"""Closed-form building-block kernels on the covering lattice.
+"""Parameters and building blocks of the free kernels on the covering lattice.
 
-Everything here lives on the full integer lattice: the time-evolution kernel
-(phase times Bessel J), the heat kernel (Bessel I), the resolvent (complex
-momentum), products over walkers, and the exact light-cone blocks of a
-discrete-time coined step.  numpy is imported only by the coined-walk code,
-so the scalar kernels load without it.
+The kernels on the full integer lattice have one implementation each, the
+one the orbit-space routes run once per run: the time and heat rows are
+Bessel rows (`orbit._free_row` over `special.j_row`/`i_row`), the resolvent
+e^{iq|x-y|} / (i omega sin q) is summed in closed form by the resolvent plan
+from the complex momentum `_momentum`, and the discrete-time coined walk is
+the exact light-cone blocks of `coined_line_blocks`.  A kernel on the line
+itself is the orbit-space kernel on `OrbitSpaceSpec("Line")`.  numpy is
+imported only by the coined-walk code.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .special import bessel_i, bessel_j, quarter_phase
 
 STEP_MAX = 10_000
 COIN_DIM_MAX = 8
@@ -46,31 +48,11 @@ def window_radius(omega: float, tau: float) -> int:
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 30.0)
 
 
-def line_kernel(x: int, y: int, p: KernelParams) -> complex:
-    """Walker amplitude on the line: e^{i pi |x-y| / 2} J_{|x-y|}(omega tau).
-
-    Negative times go through the unitarity relation, so the quarter phase
-    flips sign while the Bessel value is taken at |tau|.
-    """
-    d = abs(x - y)
-    value = bessel_j(d, p.omega * abs(p.tau))
-    return quarter_phase(d if p.tau >= 0.0 else -d) * value
-
-
-def line_heat_kernel(x: int, y: int, p: KernelParams) -> float:
-    """Gibbs-operator matrix element on the line: I_{x-y}(beta omega)."""
-    return bessel_i(abs(x - y), p.beta * p.omega)
-
-
-def resolvent_momentum(p: KernelParams) -> complex:
-    """The complex momentum q with energy = -omega cos q, Re q in (0, pi), Im q > 0."""
-    return _momentum(p.energy, p.omega)
-
-
 def _momentum(energy: complex, omega: float) -> complex:
-    """`resolvent_momentum` at an energy and an already validated omega.
+    """The complex momentum q with energy = -omega cos q, Re q in [0, pi], Im q > 0.
 
-    An energy sweep calls it once per energy, with no `KernelParams` each.
+    omega must already be validated (by `KernelParams`).  An energy sweep
+    calls it once per energy, with no `KernelParams` each.
     """
     e = complex(energy)
     if not e.imag > 0.0:
@@ -84,23 +66,6 @@ def _momentum(energy: complex, omega: float) -> complex:
     if residual > 1e-12 * max(1.0, abs(e)):
         raise DomainError(f"momentum branch residual {residual:.2e} too large for energy {e}")
     return q
-
-
-def line_resolvent(x: int, y: int, p: KernelParams) -> complex:
-    """Resolvent kernel on the line: e^{i q |x-y|} / (i omega sin q)."""
-    q = resolvent_momentum(p)
-    d = abs(x - y)
-    return cmath.exp(1j * q * d) / (1j * p.omega * cmath.sin(q))
-
-
-def product_kernel(x: tuple, y: tuple, p: KernelParams) -> complex:
-    """N independent walkers: the product of per-coordinate line kernels."""
-    if len(x) != len(y):
-        raise DomainError(f"coordinate tuples differ in length: {len(x)} vs {len(y)}")
-    out = 1 + 0j
-    for xi, yi in zip(x, y):
-        out *= line_kernel(xi, yi, p)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,10 +141,3 @@ def coined_line_blocks(steps: int, c: CoinSpec) -> dict:
         return {-delta: blk.conj().T for delta, blk in _coined_blocks(-steps, c).items()}
     return _coined_blocks(steps, c)
 
-
-def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:
-    """The (x, y) block of the n-step coined walk on the line (see `coined_line_blocks`)."""
-    import numpy as np
-
-    blk = coined_line_blocks(steps, c).get(x - y)
-    return blk.copy() if blk is not None else np.zeros((c.d, c.d), dtype=complex)

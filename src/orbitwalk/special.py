@@ -1,7 +1,9 @@
 """Special functions and exact unit-phase arithmetic for the kernel formulas.
 
-Bessel evaluation is delegated to the pure-Python core `orbitwalk._core_py`;
-this module owns argument validation and the shared range caps.
+Bessel values come in rows, J_0..J_nmax or I_0..I_nmax at one argument, the
+form every free-lattice kernel uses; one order is an entry of a row.  The
+rows are computed by the pure-Python core `orbitwalk._core_py`; this module
+owns argument validation and the shared range caps.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ from .errors import DomainError
 __all__ = [
     "N_MAX",
     "Z_MAX",
-    "bessel_j",
-    "bessel_i",
     "j_row",
     "i_row",
     "quarter_phase",
@@ -42,33 +42,14 @@ def _check(n: int, z: float) -> None:
         raise DomainError(f"argument {z} exceeds Z_MAX = {Z_MAX}")
 
 
-def bessel_j(n: int, z: float) -> float:
-    """Bessel function J_n(z) for integer n >= 0 and real 0 <= z <= Z_MAX.
-
-    Absolute error is below 1e-13 for z <= 100.  J_{-n} = (-1)^n J_n is the
-    caller's business.
-    """
-    _check(n, float(z))
-    return core.bessel_j(n, float(z))
-
-
-def bessel_i(n: int, z: float) -> float:
-    """Modified Bessel function I_n(z), same domain rules as `bessel_j`.
-
-    Raises OverflowError once I_n(z) leaves the double-precision range.
-    """
-    _check(n, float(z))
-    return core.bessel_i(n, float(z))
-
-
 def j_row(nmax: int, z: float) -> list:
-    """[J_0(z), ..., J_nmax(z)] computed in a single backward pass."""
+    """[J_0(z), ..., J_nmax(z)] in a single backward pass; absolute error < 1e-13 for z <= 100."""
     _check(nmax, float(z))
     return core.j_row(nmax, float(z))
 
 
 def i_row(nmax: int, z: float) -> list:
-    """[I_0(z), ..., I_nmax(z)] computed in a single backward pass."""
+    """[I_0(z), ..., I_nmax(z)] in a single backward pass; OverflowError past the double range."""
     _check(nmax, float(z))
     return core.i_row(nmax, float(z))
 

@@ -6,8 +6,9 @@ Bessel values through its own series/recurrence core, while these oracles
 use arbitrary-precision ascending series and adaptive quadrature.  The
 single-walker Hamiltonians come from the package's dense `oracle`, which
 shares no code with the image sums.  `shell_sum_resolvent` runs the N-walker
-group reference of `_reference_group` on the resolvent term to cross-check
-the closed-form resolvent.  `coined_table_reference` is the per-pair build of
+group reference of `_reference_group` on a resolvent term of its own, built
+from a root of the dispersion relation rather than the package's momentum,
+to cross-check the closed-form resolvent.  `coined_table_reference` is the per-pair build of
 a `coined` table that the command's all-displacement route must reproduce.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from orbitwalk import oracle
 from orbitwalk.group import Representation, weight_from_sums
-from orbitwalk.kernels import coined_line_blocks, resolvent_momentum
+from orbitwalk.kernels import coined_line_blocks
 
 from _reference_group import _orbit_sum
 
@@ -214,16 +215,22 @@ def many_walker_evolution(h, n_walkers: int, statistics: str, tau: float):
 def shell_sum_resolvent(space, D, x: int, y: int, p, trunc):
     """Single-walker resolvent G_E(x, y) as an image sum truncated shell by shell.
 
-    The free term is the line resolvent e^{iq|d|} / (i omega sin q); the sum
+    The free term is the line resolvent z^|d| / (i omega sin q) with
+    z = e^{iq}: the root of z^2 + (2E / omega) z + 1 = 0 (E = -omega cos q)
+    inside the unit circle, taken as the reciprocal of the root outside it.
+    So no momentum or branch choice is shared with the closed form, and
+    i omega sin q = omega (z - 1/z) / 2.  The sum
     runs through `_reference_group._orbit_sum` under `trunc`, so a slowly
     decaying sum raises `TruncationError` at the shell cap.  Points are not
     checked against the fundamental domain.
     """
-    q = resolvent_momentum(p)
-    prefactor = 1.0 / (1j * p.omega * cmath.sin(q))
+    b = p.energy / p.omega
+    root = cmath.sqrt(b * b - 1.0)
+    z = 1.0 / max(-b + root, -b - root, key=abs)  # the roots' product is 1
+    prefactor = 2.0 / (p.omega * (z - 1.0 / z))
 
     def term(xs: tuple, gy: tuple) -> complex:
-        return prefactor * cmath.exp(1j * q * abs(xs[0] - gy[0]))
+        return prefactor * z ** abs(xs[0] - gy[0])
 
     return _orbit_sum(space, D, (x,), (y,), term, trunc)
 

@@ -1,4 +1,9 @@
-"""Building-block kernel tests: frozen values, conservation laws, coin blocks."""
+"""Free-lattice kernel tests: frozen values, conservation laws, coin blocks.
+
+A kernel on the line is the orbit-space kernel on the one-image Line, so
+these tests run the production route (`KernelPlan` over one Bessel row, the
+closed-form resolvent, the light-cone coin blocks).
+"""
 
 from __future__ import annotations
 
@@ -9,25 +14,42 @@ import numpy as np
 import pytest
 
 from orbitwalk.errors import DomainError
+from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import (
     CoinSpec,
     KernelParams,
+    _momentum,
     coined_line_blocks,
-    coined_line_kernel,
     hadamard_coin,
-    line_heat_kernel,
-    line_kernel,
-    line_resolvent,
-    product_kernel,
-    resolvent_momentum,
     window_radius,
 )
+from orbitwalk.orbit import orbit_heat_kernel, orbit_kernel, orbit_resolvent
 
-from _oracles import bessel_j_series, bessel_i_series, laplace_transform_j0
+from _oracles import laplace_transform_j0
 
 J1_AT_1 = 0.4400505857449335
 J2_AT_1 = 0.11490348493190047
 I1_AT_1 = 0.565159103992485
+
+LINE = OrbitSpaceSpec("Line")
+FREE = Representation()
+
+
+def line_kernel(x: int, y: int, p: KernelParams) -> complex:
+    return orbit_kernel(LINE, FREE, x, y, p).value
+
+
+def line_heat_kernel(x: int, y: int, p: KernelParams) -> complex:
+    return orbit_heat_kernel(LINE, FREE, x, y, p).value
+
+
+def line_resolvent(x: int, y: int, p: KernelParams) -> complex:
+    return orbit_resolvent(LINE, FREE, x, y, p).value
+
+
+def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:
+    """The (x, y) block of the coined walk on the line; zero outside the light cone."""
+    return coined_line_blocks(steps, c).get(x - y, np.zeros((c.d, c.d), dtype=complex))
 
 
 def test_line_kernel_initial_condition():
@@ -82,16 +104,15 @@ def test_line_heat_kernel_values():
 
 
 def test_resolvent_momentum_branch():
-    p = KernelParams(energy=1j)
-    q = resolvent_momentum(p)
+    q = _momentum(1j, 1.0)
     assert q.imag > 0 and abs(q.real - math.pi / 2) <= 1e-12
     assert abs(q.imag - math.asinh(1.0)) <= 1e-12
     for e in [0.4 + 0.3j, -0.2 + 0.05j, 1.5 + 1j, -3.0 + 2.0j]:
-        q = resolvent_momentum(KernelParams(energy=e))
+        q = _momentum(e, 1.0)
         assert q.imag > 0.0
         assert abs(e + cmath.cos(q)) <= 1e-12 * max(1.0, abs(e))
     with pytest.raises(DomainError):
-        resolvent_momentum(KernelParams(energy=0.5 - 0.1j))
+        _momentum(0.5 - 0.1j, 1.0)
 
 
 def test_line_resolvent_geometric_decay_and_symmetry():
@@ -125,18 +146,6 @@ def test_line_resolvent_laplace_transform():
     p = KernelParams(energy=e)
     integral = laplace_transform_j0(1.0, e, 200.0)
     assert abs(integral - 1j * line_resolvent(0, 0, p)) <= 1e-6
-
-
-def test_product_kernel():
-    p0 = KernelParams(tau=0.0)
-    assert product_kernel((3, 5), (3, 5), p0) == 1 + 0j
-    p = KernelParams(tau=1.0)
-    expect = 1j * bessel_j_series(1, 1.0) * bessel_j_series(0, 1.0)
-    assert abs(product_kernel((0, 0), (1, 0), p) - expect) <= 1e-13
-    # simultaneous shift of every coordinate
-    assert product_kernel((0, 2), (1, -1), p) == product_kernel((4, 6), (5, 3), p)
-    with pytest.raises(DomainError):
-        product_kernel((0, 0), (1,), p)
 
 
 def test_kernel_params_validation():
@@ -258,4 +267,4 @@ def test_coined_blocks_equal_the_block_by_block_walk_bit_for_bit():
 
 def test_step_cap():
     with pytest.raises(DomainError):
-        coined_line_kernel(10_001, 0, 0, hadamard_coin())
+        coined_line_blocks(10_001, hadamard_coin())

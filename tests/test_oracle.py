@@ -19,17 +19,22 @@ def circle_spec(L, theta=0.0, omega=1.0):
     return oracle.HamiltonianSpec(L, omega, oracle.CircleTwisted(theta))
 
 
-# The production route's single-walker sums, lift and coined winding sum.
+# The production route's single-walker sums, closed-form resolvent, lift and
+# coined winding sum.
 PRODUCTION_ROUTE = {
     "_winding_sum", "_free_row", "KernelPlan", "_lift", "glynn_permanent", "lu_determinant",
-    "orbit_coined_blocks",
+    "orbit_coined_blocks", "_momentum", "_resolvent_sector",
 }
 
 
 @pytest.mark.parametrize(
     "path",
-    [Path(__file__).parent / "_reference_group.py", Path(oracle.__file__)],
-    ids=["group-reference", "dense-oracle"],
+    [
+        Path(__file__).parent / "_reference_group.py",
+        Path(__file__).parent / "_oracles.py",
+        Path(oracle.__file__),
+    ],
+    ids=["group-reference", "test-oracles", "dense-oracle"],
 )
 def test_references_share_no_code_with_the_route_they_check(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))

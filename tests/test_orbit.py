@@ -15,7 +15,7 @@ import orbitwalk.orbit
 from orbitwalk import oracle
 from orbitwalk.errors import DomainError, TruncationError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
-from orbitwalk.kernels import KernelParams, hadamard_coin, resolvent_momentum
+from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin
 from orbitwalk.orbit import (
     KernelPlan,
     _lift,
@@ -879,7 +879,7 @@ def _per_pair_resolvent(space, D, x: int, y: int, p) -> complex:
     values to the last bit, because it evaluates the same expressions in the
     same order.
     """
-    q = resolvent_momentum(p)
+    q = _momentum(p.energy, p.omega)
     period = space.period
     if period:
         turn = rep_weight(D, translation())
