@@ -6,8 +6,12 @@ microseconds.  The Bessel rows are the core's only entry points: short rows
 at small and large arguments (`j_row(3, 2.5)`, `j_row(15, 40.0)`,
 `i_row(4, 1.8)`), then the long rows a time or heat plan builds.  The
 orbit-sum row times one kernel per pair, each with its own plan.  The
-plan-sweep row times one heat plan filling all L^2 entries of a
-circle, which reuses one winding sum per displacement.  The parser row times
+plan-sweep rows time one heat plan filling all L^2 entries through
+`KernelPlan.value`: of a circle, which folds L residues and keeps one sum
+per displacement, and of an interval, which folds 2L residues and keeps one
+sum per pair, each the sum of a direct and a reflected fold.  The
+long-time fold row times a one-site circle at tau = 500, whose one residue
+takes every winding of a 627-term Bessel row.  The parser row times
 building the CLI parser and parsing one command line; `main()` builds the
 parser once per process and then only parses.  The dos-sweep rows time the
 default `orbitwalk dos` (201 energies on a 4-site circle, one sector key) and
@@ -74,19 +78,25 @@ def bench_orbit_sum() -> float:
 PLAN_SWEEP_L = 16
 
 
-def bench_plan_sweep() -> float:
-    space = OrbitSpaceSpec("Circle", PLAN_SWEEP_L)
-    D = Representation(theta=0.7)
+def bench_plan_sweep(space: OrbitSpaceSpec, D: Representation) -> float:
     p = KernelParams(omega=1.0, beta=1.0)
-    sites = range(1, PLAN_SWEEP_L + 1)
+    sites = range(1, space.L + 1)
 
     def sweep():
         plan = KernelPlan(space, D, p, mode="heat")
         for x in sites:
             for y in sites:
-                plan.kernel((x,), (y,))
+                plan.value((x,), (y,))
 
     return per_call_us(sweep, 20)
+
+
+def bench_long_fold() -> float:
+    """A one-site circle at tau = 500: one plan, one residue over every winding."""
+    space = OrbitSpaceSpec("Circle", 1)
+    D = Representation(theta=0.7)
+    p = KernelParams(omega=1.0, tau=500.0)
+    return per_call_us(lambda: KernelPlan(space, D, p).value((1,), (1,)), 50)
 
 
 def bench_coined_blocks() -> float:
@@ -167,9 +177,13 @@ def main() -> None:
 
     sweep_us = bench_orbit_sum()
     print(f"\norbit kernel 6x6 sweep (omega*tau=5): {sweep_us / 1000.0:.2f} ms")
-    plan_us = bench_plan_sweep()
-    print(f"heat plan {PLAN_SWEEP_L}x{PLAN_SWEEP_L} sweep (one plan, beta*omega=1): "
+    plan_us = bench_plan_sweep(OrbitSpaceSpec("Circle", PLAN_SWEEP_L), Representation(theta=0.7))
+    print(f"heat plan Circle {PLAN_SWEEP_L}x{PLAN_SWEEP_L} sweep (one plan, beta*omega=1): "
           f"{plan_us / 1000.0:.2f} ms")
+    plan_us = bench_plan_sweep(OrbitSpaceSpec("Interval", 12), Representation(theta=math.pi))
+    print(f"heat plan Interval 12x12 sweep (one plan, beta*omega=1): {plan_us / 1000.0:.2f} ms")
+    print(f"long-time fold: Circle L=1, tau=500, one plan and entry: "
+          f"{bench_long_fold() / 1000.0:.2f} ms")
     print(f"parser: build_parser().parse_args, one thermal command line: "
           f"{bench_parser():.0f} us")
     print(f"dos sweep: default dos through cli.main: {bench_cli(['dos'], 10) / 1000.0:.2f} ms")

@@ -4,7 +4,10 @@ Every run starts from the same default config, merges the user's JSON file
 over it, then applies `--set key=value` and the dedicated flags.  The fully
 resolved config is echoed in the output header so any emitted table can be
 reproduced from its own file.  Exit codes: 0 success, 2 config error,
-3 convergence failure, 4 verification failure.
+4 verification failure; 3 is reserved for a precision failure.  The
+`truncation` section, `--tolerance` and `--max-shell` are validated and
+echoed but read by no command: time and heat sums are exact, and the
+resolvent is closed-form.
 
 A run imports only what its command uses: numpy and the dense `oracle`
 for `coined` and `verify`, and the `verify` suite for `verify`; N-walker
@@ -25,7 +28,7 @@ import math
 import sys
 import warnings
 
-from .errors import ConfigError, DomainError, RepresentationError, TruncationError
+from .errors import ConfigError, DomainError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
 from .kernels import CoinSpec, KernelParams, hadamard_coin, window_radius
 from .orbit import KernelPlan, TruncationPolicy, orbit_coined_blocks
@@ -154,7 +157,8 @@ class ResolvedRun:
                 beta=_real(raw["beta"], "params.beta"),
                 energy=complex(*(_real(part, "params.energy") for part in energy)),
             )
-            self.truncation = TruncationPolicy(
+            # validated, then unused: time and heat sums are exact
+            TruncationPolicy(
                 **_with_numbers(
                     config["truncation"], "truncation",
                     ("max_shell", "consecutive_quiet_shells"), reals=("tol",),
@@ -235,7 +239,7 @@ class ResolvedRun:
         if self.command == "verify":
             return 0
         if self.command == "coined":
-            return (self.space.L * self.coin().d) ** 2
+            return (self.space.L * self.coin.d) ** 2
         points = domain_size(self.space, self._domain_window())
         if self.command == "evolve":
             return points
@@ -246,10 +250,10 @@ class ResolvedRun:
     def _lift_work(self):
         """Work of an N >= 2 run's lifted entries, in Glynn row updates.
 
-        Each entry costs 32 N for gathering its N x N single-walker sums,
-        building its report and using it (a table row, a composition
-        product), plus its lift: N 2^(N-1) row updates for a boson permanent,
-        N^3 / 3 for a fermion determinant (the LU's complex multiply-adds,
+        Each entry costs 32 N for gathering its N x N single-walker sums and
+        using it (a table row, a composition product), plus its lift:
+        N 2^(N-1) row updates for a boson permanent, N^3 / 3 for a fermion
+        determinant (the LU's complex multiply-adds,
         each timed at about one row update).  Timed on a shared 2-core VM,
         boson thermal and verify runs with N = 2..6 took 0.7 to 1.35 times
         work x 0.3 us; fermion thermal, verify and evolve runs with
@@ -298,7 +302,9 @@ class ResolvedRun:
     def domain_points(self) -> list:
         return fundamental_domain(self.space, self._domain_window())
 
+    @functools.cached_property
     def coin(self) -> CoinSpec:
+        """The configured coin, built and checked for unitarity once per run."""
         raw = self.config["coined"]["coin"]
         if raw == "hadamard":
             return hadamard_coin()
@@ -429,7 +435,7 @@ def emit(run: ResolvedRun, table: Table, meta: dict) -> str:
                 continue
             lines.append(f"# {key} {json.dumps(meta[key], sort_keys=True)}")
         lines.append(",".join(table.columns))
-        lines.extend(",".join(row) for row in table.rows)
+        lines.extend(map(",".join, table.rows))
         return "\n".join(lines) + "\n"
     values = {"": None}  # json.loads per distinct cell text; a non-JSON text stays a string
 
@@ -460,39 +466,55 @@ def emit(run: ResolvedRun, table: Table, meta: dict) -> str:
 
 def run_evolve(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(_site_columns("site", run.space.N) + ["re_amplitude", "im_amplitude", "probability"])
-    plan = KernelPlan(run.space, run.representation, run.params, run.truncation)
+    plan = KernelPlan(run.space, run.representation, run.params)
     amplitudes = plan.evolve(run.initial_state, run.window)
     fmt = _formatter(run.precision)
     total = 0.0
+    rows = table.rows
     for target, amp in amplitudes.items():
         prob = abs(amp) ** 2
         total += prob
-        table.add(*map(str, target), fmt(amp.real), fmt(amp.imag), fmt(prob))
+        rows.append(tuple(map(str, target)) + (fmt(amp.real), fmt(amp.imag), fmt(prob)))
     table.add(*["total"] + [""] * (run.space.N - 1), "", "", fmt(total))
-    return table, {"shells_used": plan.shells_used, "total_probability": total}, 0
+    return table, {"total_probability": total}, 0
 
 
 def _pair_rows(run: ResolvedRun, table: Table, entry, fmt) -> None:
-    """One row per pair (x, y) of domain points: their sites, then Re and Im of entry(x, y)."""
+    """One row per pair (x, y) of domain points: their sites, then Re and Im of entry(x, y).
+
+    One walker on a space without reflections has entries that depend on
+    x - y alone, so each displacement's two cells are computed once.
+    """
     points = run.domain_points()
     labels = [tuple(map(str, pt)) for pt in points]
+    rows = table.rows
+    if run.space.N == 1 and not run.space.has_reflections:
+        cells: dict = {}
+        for (x,), x_sites in zip(points, labels):
+            for (y,), y_sites in zip(points, labels):
+                pair = cells.get(x - y)
+                if pair is None:
+                    value = entry((x,), (y,))
+                    pair = cells[x - y] = (fmt(value.real), fmt(value.imag))
+                rows.append(x_sites + y_sites + pair)
+        return
     for x, x_sites in zip(points, labels):
         for y, y_sites in zip(points, labels):
             value = entry(x, y)
-            table.add(*x_sites, *y_sites, fmt(value.real), fmt(value.imag))
+            rows.append(x_sites + y_sites + (fmt(value.real), fmt(value.imag)))
 
 
 def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re", "im"]
     )
-    plan = KernelPlan(run.space, run.representation, run.params, run.truncation, mode="resolvent")
+    plan = KernelPlan(run.space, run.representation, run.params, mode="resolvent")
     _pair_rows(run, table, plan.value, _formatter(run.precision))
     return table, {}, 0
 
 
 def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
-    plan = KernelPlan(run.space, run.representation, run.params, run.truncation, mode="heat")
+    plan = KernelPlan(run.space, run.representation, run.params, mode="heat")
     z = plan.partition_function()
     table = Table(
         _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re_density", "im_density"]
@@ -534,7 +556,7 @@ def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
     table = Table(["energy"] + [f"dos_{lab}" for lab in labels])
     energies = [e_min + (e_max - e_min) * k / (points - 1) for k in range(points)]
     plan = KernelPlan(
-        run.space, run.representation, run.params, run.truncation,
+        run.space, run.representation, run.params,
         mode="resolvent", energies=[complex(e_real, eta) for e_real in energies],
     )
     columns = plan.dos(sites)
@@ -558,7 +580,7 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
 
     steps = _config_number(run.config, "coined.steps", int)
     source = _config_number(run.config, "coined.source", int)
-    coin = run.coin()
+    coin = run.coin
     L = run.space.L
     if not 1 <= source <= L:
         raise ConfigError(f"coined.source must lie in 1..{L}")
@@ -577,7 +599,11 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     # np.hypot is abs() of each Python complex to the bit (both are the C
     # library's hypot); np.abs of a complex array is not
     dev = np.hypot(diff.real, diff.imag)
-    devs = iter(map(fmt, dev.ravel().tolist()))
+    deviations = dev.ravel().tolist()
+    # each distinct deviation formatted once; hypot never gives -0.0, so the
+    # set cannot merge two zeros that print differently
+    texts = {value: _fmt(value, run.precision) for value in set(deviations)}
+    devs = map(texts.__getitem__, deviations)
     table = Table(["x", "y", "i", "j", "re", "im", "deviation", "probability"])
     table.rows.extend(
         (label[x], label[y], li, lj, re, im, next(devs), "")
@@ -597,9 +623,7 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
 def run_verify(run: ResolvedRun) -> tuple[Table, dict, int]:
     from . import verify
 
-    results = verify.run_checks(
-        run.space, run.representation, run.params, run.truncation, window=run.window
-    )
+    results = verify.run_checks(run.space, run.representation, run.params, window=run.window)
     table = Table(["check", "passed", "deviation", "tolerance", "detail"])
     deviations = {}
     for r in results:
@@ -638,8 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config field (dotted path, JSON value)")
-    parser.add_argument("--tolerance", type=float, default=None, help="truncation tolerance")
-    parser.add_argument("--max-shell", type=int, default=None, help="shell cap for image sums")
+    parser.add_argument("--tolerance", type=float, default=None, help="validated, unused")
+    parser.add_argument("--max-shell", type=int, default=None, help="validated, unused")
     parser.add_argument("--window", default=None, metavar="LO:HI",
                         help="site window for infinite spaces")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -671,9 +695,6 @@ def main(argv: list[str] | None = None) -> int:
     except (RepresentationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except TruncationError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return 3
     text = emit(run, table, meta)
     if run.path is None:
         sys.stdout.write(text)

@@ -13,7 +13,9 @@ imported only by the coined-walk code.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -106,26 +108,38 @@ def _coined_blocks(steps: int, c: CoinSpec) -> dict:
     """All nonzero blocks of W^steps on the line, keyed by x - y (steps >= 0).
 
     A step sends row i of C times the block at delta to row i of the block at
-    delta + shift_i.  The blocks of one step are stacked over a contiguous
-    displacement range, so a step is one batched matmul and one slice-add
-    per shift.  Displacements the walk cannot reach (odd ones of a +-1 walk
-    after an even step count) stay zero in the stack and are not returned.
+    delta + shift_i.  The blocks live in one stack over every displacement
+    the walk passes, allocated once; a step is one batched matmul over the
+    range reached so far, which it then clears and refills with one
+    slice-add per shift.  The reached displacements follow from the shifts
+    alone: bit k of `reached` marks displacement k + steps * min(shifts).
+    Displacements the walk cannot reach (odd ones of a +-1 walk after an
+    even step count) stay zero in the stack and are not returned.
     """
     import numpy as np
 
     low_shift, high_shift = min(c.shifts), max(c.shifts)
-    stack = np.eye(c.d, dtype=complex)[np.newaxis]
-    low = 0  # the displacement of stack[0]
-    reached = {0}
+    width = high_shift - low_shift
+    base = min(0, steps * low_shift)  # the displacement of stack[0]
+    stack = np.zeros((max(0, steps * high_shift) - base + 1, c.d, c.d), dtype=complex)
+    start, size = -base, 1  # stack[start:start + size] holds the blocks reached so far
+    stack[start] = np.eye(c.d, dtype=complex)
     for _ in range(steps):
-        rows = np.matmul(c.coin, stack)  # rows[k, i, j] = sum_l C_il stack[k, l, j]
-        size = len(stack)
-        new = np.zeros((size + high_shift - low_shift, c.d, c.d), dtype=complex)
+        rows = np.matmul(c.coin, stack[start:start + size])  # rows[k, i, j] = sum_l C_il stack[k, l, j]
+        start += low_shift
+        stack[start:start + size + width] = 0
         for i, s in enumerate(c.shifts):
-            new[s - low_shift:s - low_shift + size, i, :] += rows[:, i, :]
-        stack, low = new, low + low_shift
-        reached = {delta + s for delta in reached for s in c.shifts}
-    return {delta: stack[delta - low] for delta in sorted(reached)}
+            stack[start + s - low_shift:start + s - low_shift + size, i, :] += rows[:, i, :]
+        size += width
+    reached = 1
+    for _ in range(steps):
+        reached = functools.reduce(
+            operator.or_, (reached << (s - low_shift) for s in set(c.shifts))
+        )
+    first = steps * low_shift
+    return {
+        first + k: stack[first + k - base] for k in range(reached.bit_length()) if reached >> k & 1
+    }
 
 
 def coined_line_blocks(steps: int, c: CoinSpec) -> dict:

@@ -3,20 +3,24 @@
 A kernel on the orbit space is a sum of free-lattice kernels over the images
 of the initial point, each weighted by the representation.  For one walker
 the images of y are the integers (c - y if m else y) + n P (winding n,
-reflection bit m), and the weight is a power of e^{i theta} and e^{i phi}.
-One plan type, `KernelPlan`, serves every command (`evolve`, `thermal`,
-`resolvent`, `dos` and `verify`): it computes each single-walker image sum
-once per run.  Time and heat kernels plug different free-lattice rows into
-`_winding_sum`, which sums shell by shell (shells are indexed by |n|) until
-whole shells fall below tolerance: no group element is built.  The
-resolvent's images form geometric series, which the plan sums in closed
-form, once per reflection sector and displacement across a whole energy
-grid (a DOS sweep is one plan).  Time and heat kernels of
-N identical walkers are permanents or determinants of single-walker sums, in
-pure Python: written out by definition for N = 2 and 3, by Glynn's formula
-or a partial-pivot LU beyond (`_lift`).  `KernelPlan.value` returns an
-entry alone; `KernelPlan.kernel` returns it with its report.  A free-lattice
-row is one Bessel recurrence (`special.j_row`/`i_row`).  numpy is imported
+reflection bit m), and the weight is e^{i n theta} e^{i m phi}.  One plan
+type, `KernelPlan`, serves every command (`evolve`, `thermal`, `resolvent`,
+`dos` and `verify`) and computes each single-walker sum once per run:
+
+- Time and heat kernels are exact folds, K(x, y) = A(x - y)
+  + e^{i phi} A(x + y - c) with A(d) = sum_n e^{i n theta} free[|d - n P|].
+  The free row (one Bessel recurrence, `special.j_row`/`i_row`) ends at
+  `window_radius`, so A takes every winding the row reaches: there is no
+  tolerance and no shell cap.  A(d + P) = e^{i theta} A(d), so P residues
+  cover a space, each computed on first use.
+- The resolvent's images form geometric series, which the plan sums in
+  closed form, once per reflection sector and displacement across a whole
+  energy grid (a DOS sweep is one plan).
+
+Time and heat kernels of N identical walkers are permanents or determinants
+of single-walker sums, in pure Python: written out by definition for N = 2
+and 3, by Glynn's formula or a partial-pivot LU beyond (`_lift`).
+`KernelPlan.value` returns an entry as a plain complex.  numpy is imported
 only where arrays are built (coined blocks).
 """
 
@@ -27,7 +31,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, TruncationError
+from .errors import DomainError
 from .group import (
     OrbitSpaceSpec,
     Representation,
@@ -42,7 +46,8 @@ from .special import i_row, j_row, quarter_phase
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """When to stop the shell sum: absolute term tolerance and shell caps."""
+    """The validated `truncation` config section.  Every time and heat sum is
+    exact and the resolvent is closed-form, so no computation reads it."""
 
     tol: float = 1e-14
     max_shell: int = 64
@@ -57,16 +62,6 @@ class TruncationPolicy:
             raise DomainError("consecutive_quiet_shells must be positive")
 
 
-@dataclass(frozen=True)
-class OrbitKernelReport:
-    """Converged image-sum value plus how hard the sum had to work."""
-
-    value: complex
-    shells_used: int
-    last_shell_magnitude: float
-    terms_evaluated: int
-
-
 def _as_point(space: OrbitSpaceSpec, v) -> tuple:
     if isinstance(v, int):
         v = (v,)
@@ -74,63 +69,6 @@ def _as_point(space: OrbitSpaceSpec, v) -> tuple:
     if len(pt) != space.N:
         raise DomainError(f"point {pt} has {len(pt)} coordinates, space has N={space.N}")
     return pt
-
-
-def _truncation_error(trunc, last_mag: float) -> TruncationError:
-    return TruncationError(
-        f"image sum did not converge within {trunc.max_shell} shells "
-        f"(last shell magnitude {last_mag:.3e}, tol {trunc.tol:.3e})"
-    )
-
-
-def _winding_sum(space, weight, free, x: int, y: int, trunc) -> OrbitKernelReport:
-    """One walker's image sum, shell by shell, with no group element built.
-
-    The images of y are (c - y if m else y) + n P, visited per shell as
-    n = -s then +s, each with m = 0 then 1 (the shell order of the N-walker
-    group reference in tests/_reference_group.py), and `weight(n, m)` is
-    D(t^n r^m).  `free[d]` is the free-lattice term at distance d; past its
-    end the term is 0j.  Those terms are counted but not added: adding
-    w * 0j leaves the total unchanged, so every report equals the
-    reference's to the last bit.
-    """
-    period = space.period
-    images = ((0, y), (1, space.reflection_center - y)) if space.has_reflections else ((0, y),)
-    reach = len(free)
-    total = 0j
-    terms = 0
-    quiet = 0
-    shells_used = 0
-    last_mag = 0.0
-    for shell in range(trunc.max_shell + 1):
-        if shell == 0:
-            windings = (0,)
-        elif period:
-            windings = (-shell, shell)
-        else:
-            return OrbitKernelReport(total, shells_used, 0.0, terms)  # group exhausted: exact
-        shell_max = 0.0
-        for n in windings:
-            for m, image in images:
-                terms += 1
-                d = x - image - n * period
-                if d < 0:
-                    d = -d
-                if d < reach:
-                    contrib = weight(n, m) * free[d]
-                    total += contrib
-                    mag = abs(contrib)
-                    if mag > shell_max:
-                        shell_max = mag
-        shells_used = shell + 1
-        last_mag = shell_max
-        if shell_max < trunc.tol:
-            quiet += 1
-            if quiet >= trunc.consecutive_quiet_shells:
-                return OrbitKernelReport(total, shells_used, last_mag, terms)
-        else:
-            quiet = 0
-    raise _truncation_error(trunc, last_mag)
 
 
 def _free_row(p: KernelParams, heat: bool) -> list:
@@ -244,8 +182,8 @@ MODES = ("time", "heat", "resolvent")
 class KernelPlan:
     """Kernels of one run, built from single-walker image sums computed once.
 
-    A plan is built for one space, representation, parameter set and
-    truncation policy, in one of three modes:
+    A plan is built for one space, representation and parameter set (the
+    `trunc` argument is accepted and ignored), in one of three modes:
     - "time": the time-evolution kernel; its free-lattice row (one Bessel
       row) is built once;
     - "heat": the Gibbs kernel, likewise from one Bessel row;
@@ -255,12 +193,15 @@ class KernelPlan:
       product of single-walker resolvents, so no permanent/determinant lift
       gives it.
 
-    Each single-walker sum is computed on first use and kept, so a windowed
-    run computes only the sums it touches.  On the Line and Circle a sum
-    depends on x - y alone and is kept by that displacement (2L - 1 sums
-    cover a circle); with reflections it is kept by (x, y).  Time and heat
-    sums run shell by shell in `_winding_sum`.  The resolvent is summed in
-    closed form one reflection sector at a time (`_resolvent_sector`), energy
+    Each single-walker sum is computed on first use and kept as a plain
+    complex, so a windowed run computes only the sums it touches.  On the
+    Line and Circle a sum depends on x - y alone and is kept by that
+    displacement; with reflections it is kept by (x, y).  A time or heat sum
+    is the fold A(x - y) + e^{i phi} A(x + y - c) (`_fold`).  On a period P,
+    A(n0 P + r) = e^{i n0 theta} A(r), and each residue A(r), 0 <= r < P, is
+    summed over its windings on first use (`_residue`): L residues cover a
+    circle, 2L or 2(L + 1) an interval.  The resolvent is summed in closed
+    form one reflection sector at a time (`_resolvent_sector`), energy
     major: the plan computes every grid energy's constants in one pass at
     construction, then evaluates each sector key across the whole grid once,
     the direct sector by x - y and the reflected one by x + y - c.  So 2L - 1
@@ -295,14 +236,29 @@ class KernelPlan:
         self._mode = mode
         self._D = D
         self._fermion = D.statistics == "Fermion"
-        self._trunc = trunc or TruncationPolicy()
+        self._period = space.period
+        self._center = space.reflection_center if space.has_reflections else None
         self._by_displacement = not space.has_reflections
         self._weights: dict = {}
         self._sums: dict = {}
         if mode == "resolvent":
             self._init_resolvent([p.energy] if energies is None else energies)
         else:
-            self._free = _free_row(p, mode == "heat")
+            self._init_fold(_free_row(p, mode == "heat"))
+
+    def _init_fold(self, free: list) -> None:
+        """The free row, and on a period P the weight of every winding a residue reaches."""
+        self._free = free
+        period = self._period
+        if period:
+            reach = len(free) - 1
+            self._first = -(reach // period)  # the lowest winding, reached by residue 0
+            self._turns = [
+                self._weight(n, 0) for n in range(self._first, (period - 1 + reach) // period + 1)
+            ]
+            self._residues = [None] * period
+        if self._center is not None:
+            self._bounce = self._weight(0, 1)  # e^{i phi}
 
     def _init_resolvent(self, energies) -> None:
         """Each grid energy's constants, in one pass (see `_resolvent_sector`).
@@ -313,8 +269,7 @@ class KernelPlan:
         e^{i theta} / (1 - r+).  omega was validated with p.
         """
         omega = self._params.omega
-        period = self._space.period
-        self._center = self._space.reflection_center if self._space.has_reflections else None
+        period = self._period
         self._sectors: dict = {}
         self._grid = []  # (i q, ahead, behind) per energy
         self._denominators = []  # i omega sin q per energy
@@ -331,37 +286,58 @@ class KernelPlan:
             self._grid.append((1j * q, ahead, behind))
             self._denominators.append(1j * omega * cmath.sin(q))
 
-    @property
-    def shells_used(self) -> int:
-        """The most shells any single-walker sum of this plan has needed."""
-        return max((rep.shells_used for rep in self._sums.values()), default=0)
-
     def _weight(self, n: int, m: int) -> complex:
         w = self._weights.get((n, m))
         if w is None:
             w = self._weights[(n, m)] = weight_from_sums(self._D, n, m)
         return w
 
-    def _sum(self, xi: int, yj: int) -> OrbitKernelReport:
+    def _sum(self, xi: int, yj: int) -> complex:
+        """The single-walker kernel between sites xi and yj, computed once per key."""
         key = xi - yj if self._by_displacement else (xi, yj)
-        rep = self._sums.get(key)
-        if rep is None:
+        value = self._sums.get(key)
+        if value is None:
             if self._mode == "resolvent":
-                rep = self._resolvent(xi, yj)
+                value = self._resolvent(xi, yj)
+            elif self._center is None:
+                value = self._fold(xi - yj)
             else:
-                rep = _winding_sum(self._space, self._weight, self._free, xi, yj, self._trunc)
-            self._sums[key] = rep
-        return rep
+                value = self._fold(xi - yj) + self._bounce * self._fold(xi + yj - self._center)
+            self._sums[key] = value
+        return value
 
-    def _resolvent(self, xi: int, yj: int) -> OrbitKernelReport:
-        """G_E(xi, yj) at the plan's one energy.  No shell is summed, so the
-        report has shells_used = terms_evaluated = 0."""
+    def _fold(self, d: int) -> complex:
+        """A(d) = sum_n e^{i n theta} free[|d - n P|] over every winding the row reaches.
+
+        With no period it is free[|d|], 0j past the row's end.
+        """
+        period = self._period
+        if not period:
+            d = abs(d)
+            return self._free[d] if d < len(self._free) else 0j
+        n0, r = divmod(d, period)
+        value = self._residues[r]
+        if value is None:
+            value = self._residues[r] = self._residue(r)
+        return self._weight(n0, 0) * value if n0 else value
+
+    def _residue(self, r: int) -> complex:
+        """A(r) for 0 <= r < P: the windings n with |r - n P| <= R, ascending."""
+        free, period, turns, first = self._free, self._period, self._turns, self._first
+        reach = len(free) - 1
+        total = 0j
+        for n in range(-((reach - r) // period), (r + reach) // period + 1):
+            total += turns[n - first] * free[abs(r - n * period)]
+        return total
+
+    def _resolvent(self, xi: int, yj: int) -> complex:
+        """G_E(xi, yj) at the plan's one energy."""
         if len(self._grid) != 1:
             raise DomainError(
                 f"a resolvent plan over {len(self._grid)} energies has no single kernel; "
                 "use dos()"
             )
-        return OrbitKernelReport(self._column(self._keys(xi, yj))[0], 0, 0.0, 0)
+        return self._column(self._keys(xi, yj))[0]
 
     def _keys(self, xi: int, yj: int) -> tuple:
         """The (m, displacement) sector keys of G(xi, yj): direct, then reflected."""
@@ -433,43 +409,17 @@ class KernelPlan:
         return self._fermion and (len(set(x)) < len(x) or len(set(y)) < len(y))
 
     def value(self, x: tuple, y: tuple) -> complex:
-        """The kernel between N-walker lattice points x and y, without its report.
-
-        The same value as `kernel(x, y).value`, bit for bit.  A fermion entry
-        whose x or y repeats a coordinate is 0j before any sum is gathered.
-        """
-        if len(x) == 1:
-            return self._sum(x[0], y[0]).value
-        if self._repeats(x, y):
-            return 0j
-        s = self._sum
-        return _lift([[s(xi, yj).value for yj in y] for xi in x], self._fermion)
-
-    def kernel(self, x: tuple, y: tuple) -> OrbitKernelReport:
         """The kernel between N-walker lattice points x and y (no domain check).
 
-        One pass over the N x N single-walker sums gathers their values and
-        the report: the most shells and the largest last-shell magnitude of
-        any sum, and the terms of all of them.
+        A fermion entry whose x or y repeats a coordinate is 0j before any
+        sum is gathered.
         """
         if len(x) == 1:
             return self._sum(x[0], y[0])
-        values = []
-        shells = terms = 0
-        last = 0.0
-        for xi in x:
-            row = []
-            for yj in y:
-                rep = self._sum(xi, yj)
-                row.append(rep.value)
-                if rep.shells_used > shells:
-                    shells = rep.shells_used
-                if rep.last_shell_magnitude > last:
-                    last = rep.last_shell_magnitude
-                terms += rep.terms_evaluated
-            values.append(row)
-        value = 0j if self._repeats(x, y) else _lift(values, self._fermion)
-        return OrbitKernelReport(value, shells, last, terms)
+        if self._repeats(x, y):
+            return 0j
+        s = self._sum
+        return _lift([[s(xi, yj) for yj in y] for xi in x], self._fermion)
 
     def partition_function(self) -> float:
         """Z(beta): the weighted trace of the Gibbs kernel over the finite domain.
@@ -514,12 +464,23 @@ class KernelPlan:
             points = fundamental_domain(space)
         else:
             points = fundamental_domain(space, window or _infinite_window(space, state, self._params))
+        sources = [(source, a) for source, a in state.items() if a != 0j]
         out = {}
+        if space.N == 1:  # the single-walker sums themselves, by site
+            single = self._sum
+            sources = [(source[0], a) for source, a in sources]
+            for target in points:
+                site = target[0]
+                amp = 0j
+                for source, a in sources:
+                    amp += single(site, source) * a
+                out[target] = amp
+            return out
+        value = self.value
         for target in points:
             amp = 0j
-            for source, a in state.items():
-                if a != 0j:
-                    amp += self.value(target, source) * a
+            for source, a in sources:
+                amp += value(target, source) * a
             out[target] = amp
         return out
 
@@ -533,16 +494,16 @@ def orbit_kernel(
     trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
-) -> OrbitKernelReport:
+) -> complex:
     """Time-evolution kernel U_tau(x, y) on the orbit space.
 
     N >= 2 walkers are lifted from single-walker sums as a
     permanent/determinant (`KernelPlan`).  Set restrict_domain=False to
     evaluate at points outside the fundamental domain (the sum is
-    equivariant there).
+    equivariant there).  `trunc` is ignored: the sum is exact.
     """
     x, y = _points(space, x, y, restrict_domain)
-    return KernelPlan(space, D, p, trunc).kernel(x, y)
+    return KernelPlan(space, D, p).value(x, y)
 
 
 def orbit_resolvent(
@@ -553,16 +514,15 @@ def orbit_resolvent(
     p: KernelParams,
     *,
     restrict_domain: bool = True,
-) -> OrbitKernelReport:
+) -> complex:
     """Resolvent kernel G_E(x, y) on the single-walker orbit space (Im E > 0).
 
     One entry of a resolvent-mode `KernelPlan`, which sums the images of the
-    line resolvent in closed form and refuses N >= 2 walkers.  No shell is
-    summed, so the report has shells_used = terms_evaluated = 0.
+    line resolvent in closed form and refuses N >= 2 walkers.
     """
     plan = KernelPlan(space, D, p, mode="resolvent")
     x, y = _points(space, x, y, restrict_domain)
-    return plan.kernel(x, y)
+    return plan.value(x, y)
 
 
 def local_dos(
@@ -596,10 +556,10 @@ def orbit_heat_kernel(
     trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
-) -> OrbitKernelReport:
-    """Unnormalized Gibbs kernel <x| e^{-beta H} |y> on the orbit space."""
+) -> complex:
+    """Unnormalized Gibbs kernel <x| e^{-beta H} |y> on the orbit space (`trunc` is ignored)."""
     x, y = _points(space, x, y, restrict_domain)
-    return KernelPlan(space, D, p, trunc, mode="heat").kernel(x, y)
+    return KernelPlan(space, D, p, mode="heat").value(x, y)
 
 
 def partition_function(
@@ -609,7 +569,7 @@ def partition_function(
     trunc: TruncationPolicy | None = None,
 ) -> float:
     """Z(beta): weighted trace of the Gibbs kernel over the finite fundamental domain."""
-    return KernelPlan(space, D, p, trunc, mode="heat").partition_function()
+    return KernelPlan(space, D, p, mode="heat").partition_function()
 
 
 def orbit_density_matrix(
@@ -622,7 +582,7 @@ def orbit_density_matrix(
 ) -> complex:
     """Canonical density matrix entry rho_beta(x, y) = heat(x, y) / Z(beta)."""
     x, y = _points(space, x, y, True)
-    plan = KernelPlan(space, D, p, trunc, mode="heat")
+    plan = KernelPlan(space, D, p, mode="heat")
     z = plan.partition_function()
     return plan.value(x, y) / z
 
@@ -697,7 +657,7 @@ def evolve_state(
     the given (lo, hi) site window or, by default, the light cone around the
     initial support.
     """
-    return KernelPlan(space, D, p, trunc).evolve(psi0, window)
+    return KernelPlan(space, D, p).evolve(psi0, window)
 
 
 def probability(
@@ -713,7 +673,7 @@ def probability(
         raise DomainError("a detection point x is required")
     target = _as_point(space, x)
     check_in_domain(space, target, "x")
-    plan = KernelPlan(space, D, p, trunc)
+    plan = KernelPlan(space, D, p)
     amp = 0j
     for source, a in psi0.items():
         src = _as_point(space, source)

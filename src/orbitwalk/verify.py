@@ -6,7 +6,8 @@ are probed through an explicit site window.  `run_checks` shares one kernel
 plan per parameter set (tau, tau/2, -tau, 0) among its checks, and keeps
 each entry between probe points, so an entry several checks use is lifted
 once.  The oracle check computes each single-particle element once and lifts
-its N-walker references from those elements.
+its N-walker references from those elements.  Every check takes a `trunc`
+argument, which it ignores: the time kernels are exact sums.
 """
 
 from __future__ import annotations
@@ -64,10 +65,9 @@ class _Kernels:
     4 x 8^2 + 36), not by the middles.
     """
 
-    def __init__(self, space: OrbitSpaceSpec, D: Representation, trunc: TruncationPolicy):
+    def __init__(self, space: OrbitSpaceSpec, D: Representation):
         self._space = space
         self._D = D
-        self._trunc = trunc
         self._plans: dict = {}
         self.kept: dict = {}  # p -> {(x, y): entry}
 
@@ -83,7 +83,7 @@ class _Kernels:
     def unkept(self, x: tuple, y: tuple, p: KernelParams) -> complex:
         plan = self._plans.get(p)
         if plan is None:
-            plan = self._plans[p] = KernelPlan(self._space, self._D, p, self._trunc)
+            plan = self._plans[p] = KernelPlan(self._space, self._D, p)
         return plan.value(x, y)
 
 
@@ -97,7 +97,7 @@ def _symmetrized_delta(x: tuple, y: tuple, statistics: str) -> float:
 
 
 def check_initial_condition(space, D, trunc, window=None, kernel=None) -> CheckResult:
-    kernel = kernel or _Kernels(space, D, trunc)
+    kernel = kernel or _Kernels(space, D)
     p = KernelParams(omega=1.0, tau=0.0)
     probes = _probe_points(space, window)
     worst = 0.0
@@ -109,7 +109,7 @@ def check_initial_condition(space, D, trunc, window=None, kernel=None) -> CheckR
 
 
 def check_composition(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
-    kernel = kernel or _Kernels(space, D, trunc)
+    kernel = kernel or _Kernels(space, D)
     half = KernelParams(omega=p.omega, tau=0.5 * p.tau)
     probes = _probe_points(space, window)
     if space.kind in ("Circle", "Interval"):
@@ -140,7 +140,7 @@ def check_composition(space, D, p, trunc, window=None, kernel=None) -> CheckResu
 
 
 def check_unitarity(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
-    kernel = kernel or _Kernels(space, D, trunc)
+    kernel = kernel or _Kernels(space, D)
     back = KernelParams(omega=p.omega, tau=-p.tau)
     worst = 0.0
     probes = _probe_points(space, window)
@@ -158,7 +158,7 @@ def check_equivariance(space, D, p, trunc, window=None, kernel=None) -> CheckRes
     The translation maps x_0 to x_0 + P with weight D(t) = e^{i theta}, the
     reflection maps it to c - x_0 with weight D(r) = e^{i phi}.
     """
-    kernel = kernel or _Kernels(space, D, trunc)
+    kernel = kernel or _Kernels(space, D)
     generators = []  # (image of walker 0's coordinate, weight)
     if space.has_translations:
         generators.append((lambda x0: x0 + space.period, weight_from_sums(D, 1, 0)))
@@ -212,7 +212,7 @@ def check_against_oracle(space, D, p, trunc, window=None, kernel=None) -> CheckR
     permanent or determinant of those elements (`oracle.many_body_value`),
     the same values `oracle.many_body_kernel` gives.
     """
-    kernel = kernel or _Kernels(space, D, trunc)
+    kernel = kernel or _Kernels(space, D)
     dec = _oracle_decomposition(space, D, p, window)
     if dec is None:
         return CheckResult("orbit_vs_oracle", True, 0.0, ORACLE_TOL, "free line: orbit sum is the reference")
@@ -257,7 +257,6 @@ def run_checks(
     over all N! matchings), a dense chain of more than `oracle.SITES_MAX`
     sites, or a window that holds no point to probe.
     """
-    trunc = trunc or TruncationPolicy()
     if not math.isfinite(p.tau) or p.tau == 0.0:
         raise DomainError("verification needs a nonzero finite tau")
     if space.N > oracle.MANY_BODY_MAX:
@@ -271,7 +270,7 @@ def run_checks(
         )
     if not _probe_points(space, window):
         raise DomainError(f"verification window {window} holds no point of the {space.kind} domain")
-    kernel = _Kernels(space, D, trunc)
+    kernel = _Kernels(space, D)
     results = [
         check_initial_condition(space, D, trunc, window, kernel),
         check_composition(space, D, p, trunc, window, kernel),

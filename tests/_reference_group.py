@@ -1,11 +1,13 @@
 """The N-walker group engine: the independent reference for the image sums.
 
-Production sums one walker's images as integers (`orbit._winding_sum`) and
+Production folds one walker's images by residue (`KernelPlan._fold`) and
 lifts N walkers by permanent or determinant.  This engine instead builds
 every element of the N-walker group shell by shell and sums
-D(gamma) term(x, gamma y) over them (`_orbit_sum`).  The acceptance gates and
-the parity tests compare production against it, and it shares no code with
-the winding sum or the lift (`tests/test_oracle.py` checks its imports).
+D(gamma) term(x, gamma y) over them (`_orbit_sum`), until whole shells fall
+below a tolerance (`ShellPolicy`), and returns the sum with a report of its
+work (`ShellReport`).  The acceptance gates and the parity tests compare
+production against it at their tolerances, and it shares no code with the
+fold or the lift (`tests/test_oracle.py` checks its imports).
 
 A group element is stored in the normal form (winding, reflect, perm): per
 coordinate a translation power n_i and a reflection bit m_i, followed by a
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from orbitwalk.errors import DomainError
+from orbitwalk.errors import DomainError, TruncationError
 from orbitwalk.group import (
     OrbitSpaceSpec,
     Point,
@@ -28,8 +30,26 @@ from orbitwalk.group import (
     weight_from_sums,
 )
 from orbitwalk.kernels import KernelParams, window_radius
-from orbitwalk.orbit import OrbitKernelReport, TruncationPolicy, _truncation_error
 from orbitwalk.special import i_row, j_row, quarter_phase
+
+
+@dataclass(frozen=True)
+class ShellPolicy:
+    """When the shell sum stops: absolute term tolerance and shell caps."""
+
+    tol: float = 1e-14
+    max_shell: int = 64
+    consecutive_quiet_shells: int = 2
+
+
+@dataclass(frozen=True)
+class ShellReport:
+    """A shell sum's value plus how hard the sum had to work."""
+
+    value: complex
+    shells_used: int
+    last_shell_magnitude: float
+    terms_evaluated: int
 
 
 @dataclass(frozen=True)
@@ -181,7 +201,7 @@ def enumerate_shell(space: OrbitSpaceSpec, D: Representation, shell: int) -> lis
     return out
 
 
-def _orbit_sum(space, D, x, y, term, trunc) -> OrbitKernelReport:
+def _orbit_sum(space, D, x, y, term, trunc) -> ShellReport:
     """sum_gamma D(gamma) * term(x, gamma y), truncated per policy.
 
     The generic engine over group elements of any walker count: the direct
@@ -196,7 +216,7 @@ def _orbit_sum(space, D, x, y, term, trunc) -> OrbitKernelReport:
     for shell in range(trunc.max_shell + 1):
         elements = enumerate_shell(space, D, shell)
         if not elements:
-            return OrbitKernelReport(total, shells_used, 0.0, terms)  # group exhausted: exact
+            return ShellReport(total, shells_used, 0.0, terms)  # group exhausted: exact
         shell_max = 0.0
         for g in elements:
             contrib = rep_weight(D, g) * term(x, act(g, y, space))
@@ -210,10 +230,13 @@ def _orbit_sum(space, D, x, y, term, trunc) -> OrbitKernelReport:
         if shell_max < trunc.tol:
             quiet += 1
             if quiet >= trunc.consecutive_quiet_shells:
-                return OrbitKernelReport(total, shells_used, last_mag, terms)
+                return ShellReport(total, shells_used, last_mag, terms)
         else:
             quiet = 0
-    raise _truncation_error(trunc, last_mag)
+    raise TruncationError(
+        f"image sum did not converge within {trunc.max_shell} shells "
+        f"(last shell magnitude {last_mag:.3e}, tol {trunc.tol:.3e})"
+    )
 
 
 def _time_term(p: KernelParams):
@@ -254,6 +277,6 @@ def _heat_term(p: KernelParams):
     return term
 
 
-def direct_kernel(space, D, x: tuple, y: tuple, p: KernelParams, trunc=None) -> OrbitKernelReport:
+def direct_kernel(space, D, x: tuple, y: tuple, p: KernelParams, trunc=None) -> ShellReport:
     """The time kernel U_tau(x, y) summed over the N-walker group; points are not checked."""
-    return _orbit_sum(space, D, x, y, _time_term(p), trunc or TruncationPolicy())
+    return _orbit_sum(space, D, x, y, _time_term(p), trunc or ShellPolicy())

@@ -45,7 +45,7 @@ def _gate(num: int, label: str, ok: bool, detail: str) -> None:
 
 
 def _kernel(space, D, x, y, p, **kw) -> complex:
-    return orbit_kernel(space, D, x, y, p, **kw).value
+    return orbit_kernel(space, D, x, y, p, **kw)
 
 
 def _circle_dec(L: int, theta: float):
@@ -232,7 +232,7 @@ def test_05_identical_walkers_three_route_agreement():
                 for x in probes[n]:
                     for y in probes[n]:
                         direct = direct_kernel(space, D, x, y, p).value
-                        fact = orbit_kernel(space, D, x, y, p).value
+                        fact = orbit_kernel(space, D, x, y, p)
                         want = oracle.many_body_kernel(
                             dec, n, statistics,
                             tuple(c + shift for c in x), tuple(c + shift for c in y), tau)
@@ -266,12 +266,12 @@ def test_06_resolvent_vs_direct_inverse_and_laplace_quadrature():
             exact = oracle.resolvent_direct(h, energy)
             for x in range(1, L + 1):
                 for y in range(1, L + 1):
-                    got = orbit_resolvent(space, D, x, y, p).value
+                    got = orbit_resolvent(space, D, x, y, p)
                     worst = max(worst, abs(got - exact[x - 1, y - 1]))
 
     energy = 0.3 + 0.5j
     p = KernelParams(omega=OMEGA, energy=energy)
-    got = orbit_resolvent(OrbitSpaceSpec("Line"), Representation(), 0, 0, p).value
+    got = orbit_resolvent(OrbitSpaceSpec("Line"), Representation(), 0, 0, p)
     want = -1j * laplace_transform_j0(OMEGA, energy, 40.0)
     laplace_dev = abs(got - want)
     ok = worst <= 1e-9 and laplace_dev <= 1e-6

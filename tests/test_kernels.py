@@ -36,15 +36,15 @@ FREE = Representation()
 
 
 def line_kernel(x: int, y: int, p: KernelParams) -> complex:
-    return orbit_kernel(LINE, FREE, x, y, p).value
+    return orbit_kernel(LINE, FREE, x, y, p)
 
 
 def line_heat_kernel(x: int, y: int, p: KernelParams) -> complex:
-    return orbit_heat_kernel(LINE, FREE, x, y, p).value
+    return orbit_heat_kernel(LINE, FREE, x, y, p)
 
 
 def line_resolvent(x: int, y: int, p: KernelParams) -> complex:
-    return orbit_resolvent(LINE, FREE, x, y, p).value
+    return orbit_resolvent(LINE, FREE, x, y, p)
 
 
 def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:

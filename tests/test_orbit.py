@@ -1,4 +1,4 @@
-"""Image-sum kernels: convergence reports, invariants, and oracle agreement."""
+"""Image-sum kernels: exact folds, invariants, and oracle agreement."""
 
 from __future__ import annotations
 
@@ -18,8 +18,8 @@ from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin
 from orbitwalk.orbit import (
     KernelPlan,
+    _free_row,
     _lift,
-    OrbitKernelReport,
     TruncationPolicy,
     evolve_state,
     glynn_permanent,
@@ -38,6 +38,7 @@ from orbitwalk.orbit import (
 from _oracles import many_walker_gibbs, shell_sum_resolvent
 from _reference_group import (
     GroupElement,
+    ShellPolicy,
     _heat_term,
     _orbit_sum,
     _time_term,
@@ -51,7 +52,7 @@ from _reference_group import (
 
 
 def time_value(space, D, x, y, tau, omega=1.0, **kw):
-    return orbit_kernel(space, D, x, y, KernelParams(omega=omega, tau=tau), **kw).value
+    return orbit_kernel(space, D, x, y, KernelParams(omega=omega, tau=tau), **kw)
 
 
 # -- frozen spot values (independently computed spectral sums) ---------
@@ -59,28 +60,28 @@ def time_value(space, D, x, y, tau, omega=1.0, **kw):
 
 def test_circle_untwisted_return_amplitude():
     space = OrbitSpaceSpec("Circle", L=4)
-    rep = orbit_kernel(space, Representation(), 1, 1, KernelParams(tau=1.0))
-    assert rep.value == pytest.approx(0.7701511529340699 + 0j, abs=1e-12)
+    value = orbit_kernel(space, Representation(), 1, 1, KernelParams(tau=1.0))
+    assert value == pytest.approx(0.7701511529340699 + 0j, abs=1e-12)
 
 
 def test_half_line_dirichlet_value():
     space = OrbitSpaceSpec("HalfLine", boundary_convention="Dirichlet")
-    rep = orbit_kernel(space, Representation(phi=math.pi), 1, 2, KernelParams(tau=2.0))
-    assert rep.value == pytest.approx(0.7056680572312752j, abs=1e-12)
+    value = orbit_kernel(space, Representation(phi=math.pi), 1, 2, KernelParams(tau=2.0))
+    assert value == pytest.approx(0.7056680572312752j, abs=1e-12)
 
 
 def test_interval_value():
     space = OrbitSpaceSpec("Interval", L=3)
-    rep = orbit_kernel(
+    value = orbit_kernel(
         space, Representation(theta=math.pi, phi=0.0), 2, 3, KernelParams(tau=1.5)
     )
-    assert rep.value == pytest.approx(0.2438581513733221 + 0.5561617649326516j, abs=1e-12)
+    assert value == pytest.approx(0.2438581513733221 + 0.5561617649326516j, abs=1e-12)
 
 
 def test_resolvent_value():
     space = OrbitSpaceSpec("Circle", L=6)
-    rep = orbit_resolvent(space, Representation(theta=0.7), 1, 3, KernelParams(energy=0.4 + 0.3j))
-    assert rep.value == pytest.approx(-0.27881446688369005 + 0.20772976280130492j, abs=1e-11)
+    value = orbit_resolvent(space, Representation(theta=0.7), 1, 3, KernelParams(energy=0.4 + 0.3j))
+    assert value == pytest.approx(-0.27881446688369005 + 0.20772976280130492j, abs=1e-11)
 
 
 def test_partition_value():
@@ -223,8 +224,8 @@ def test_initial_condition(space, D):
     p = KernelParams(tau=0.0)
     for x in (1, 2, 3):
         for y in (1, 2, 3):
-            rep = orbit_kernel(space, D, x, y, p)
-            assert rep.value == (1 + 0j if x == y else 0j)
+            value = orbit_kernel(space, D, x, y, p)
+            assert value == (1 + 0j if x == y else 0j)
 
 
 @pytest.mark.parametrize(
@@ -328,7 +329,7 @@ def test_many_walker_routes_agree_on_circle(statistics, N, x, y):
     D = Representation(theta=0.9, statistics=statistics)
     p = KernelParams(tau=1.0)
     direct = direct_kernel(space, D, x, y, p).value
-    factorized = orbit_kernel(space, D, x, y, p).value
+    factorized = orbit_kernel(space, D, x, y, p)
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.9)))
     )
@@ -343,7 +344,7 @@ def test_two_walker_routes_agree_on_interval(statistics):
     D = Representation(theta=math.pi, phi=0.0, statistics=statistics)
     p = KernelParams(tau=1.0)
     direct = direct_kernel(space, D, (1, 3), (2, 4), p).value
-    factorized = orbit_kernel(space, D, (1, 3), (2, 4), p).value
+    factorized = orbit_kernel(space, D, (1, 3), (2, 4), p)
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(5, 1.0, oracle.IntervalPhase(math.pi, 0.0)))
     )
@@ -356,32 +357,32 @@ def test_fermion_kernel_vanishes_at_coincident_points():
     space = OrbitSpaceSpec("Circle", L=6, N=2)
     D = Representation(statistics="Fermion")
     p = KernelParams(tau=1.0)
-    assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p).value) < 1e-13
+    assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p)) < 1e-13
     assert abs(direct_kernel(space, D, (2, 2), (1, 3), p).value) < 1e-13
 
 
 def test_default_method_lifts_from_single_walker_sums(image_sums):
     p = KernelParams(tau=0.5)
     orbit_kernel(OrbitSpaceSpec("Circle", L=4, N=2), Representation(), (1, 3), (2, 4), p)
-    # the four pairs (x_i, y_j) have three distinct displacements: -3, -1, 1
-    assert len(image_sums.winding) == 3
+    # the four pairs (x_i, y_j) have the displacements -3, -1 and 1: residues 1 and 3 mod 4
+    assert sorted(image_sums.residues) == [(4, 1), (4, 3)]
     space = OrbitSpaceSpec("Circle", L=4, N=4)
     lifted = orbit_kernel(space, Representation(), (1, 2, 3, 4), (1, 2, 3, 4), p)
-    # a new plan: the sixteen pairs have the seven displacements -3..3
-    assert len(image_sums.winding) == 3 + 7
+    # a new plan: the sixteen pairs have the seven displacements -3..3, every residue
+    assert sorted(image_sums.residues[2:]) == [(4, r) for r in range(4)]
     assert image_sums.direct == []
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(4, 1.0, oracle.CircleTwisted(0.0)))
     )
     want = oracle.many_body_kernel(dec, 4, "Boson", (1, 2, 3, 4), (1, 2, 3, 4), 0.5)
-    assert lifted.value == pytest.approx(want, abs=1e-10)
+    assert lifted == pytest.approx(want, abs=1e-10)
 
 
 def test_lifted_five_fermion_kernel_matches_oracle():
     space = OrbitSpaceSpec("Circle", L=7, N=5)
     D = Representation(theta=0.4, statistics="Fermion")
     x, y = (1, 2, 4, 5, 7), (1, 3, 4, 6, 7)
-    got = orbit_kernel(space, D, x, y, KernelParams(tau=1.5)).value
+    got = orbit_kernel(space, D, x, y, KernelParams(tau=1.5))
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(7, 1.0, oracle.CircleTwisted(0.4)))
     )
@@ -445,19 +446,6 @@ def test_lu_determinant_of_a_zero_pivot_column_is_exact_zero(m):
     assert type(got) is complex
 
 
-@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
-def test_lifted_report_gathers_its_single_walker_reports(statistics):
-    space = OrbitSpaceSpec("Interval", L=6, N=3)
-    plan = KernelPlan(space, Representation(theta=math.pi, statistics=statistics), KernelParams(tau=2.0))
-    x, y = (1, 3, 5), (2, 4, 5)
-    got = plan.kernel(x, y)
-    sums = [plan.kernel((a,), (b,)) for a in x for b in y]
-    # the most shells and the largest last shell come from different sums here
-    assert got.shells_used == max(rep.shells_used for rep in sums)
-    assert got.last_shell_magnitude == max(rep.last_shell_magnitude for rep in sums)
-    assert got.terms_evaluated == sum(rep.terms_evaluated for rep in sums)
-
-
 # -- resolvent, thermal, dos -------------------------------------------
 
 
@@ -469,8 +457,8 @@ def test_resolvent_matches_direct_solve(energy):
     green = oracle.resolvent_direct(h, energy)
     for x in range(1, 7):
         for y in range(1, 7):
-            rep = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
-            assert rep.value == pytest.approx(green[x - 1, y - 1], abs=1e-9)
+            value = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
+            assert value == pytest.approx(green[x - 1, y - 1], abs=1e-9)
 
 
 def test_resolvent_needs_upper_half_plane():
@@ -484,12 +472,11 @@ def test_resolvent_shell_sum_trips_default_cap_closed_form_matches_direct_solve(
     D = Representation()
     p = KernelParams(energy=-0.2 + 0.05j)
     with pytest.raises(TruncationError):
-        shell_sum_resolvent(space, D, 1, 1, p, TruncationPolicy())
+        shell_sum_resolvent(space, D, 1, 1, p, ShellPolicy())
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.0)))
     green = oracle.resolvent_direct(h, p.energy)
-    rep = orbit_resolvent(space, D, 1, 1, p)
-    assert abs(rep.value - green[0, 0]) <= 1e-9
-    assert (rep.shells_used, rep.terms_evaluated) == (0, 0)
+    value = orbit_resolvent(space, D, 1, 1, p)
+    assert abs(value - green[0, 0]) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -514,9 +501,9 @@ def test_closed_form_resolvent_matches_shell_sum(space, D, energy):
     # Points run outside the fundamental domain (restrict_domain=False), on
     # both sides of it; the error is relative to the largest value compared.
     p = KernelParams(energy=energy)
-    trunc = TruncationPolicy(max_shell=3000)
+    trunc = ShellPolicy(max_shell=3000)
     pairs = list(itertools.product(range(-3, 9), repeat=2))
-    got = [orbit_resolvent(space, D, x, y, p, restrict_domain=False).value for x, y in pairs]
+    got = [orbit_resolvent(space, D, x, y, p, restrict_domain=False) for x, y in pairs]
     want = [shell_sum_resolvent(space, D, x, y, p, trunc).value for x, y in pairs]
     scale = max(abs(w) for w in want)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
@@ -530,8 +517,8 @@ def test_closed_form_resolvent_near_band_edge_matches_direct_solve():
     green = oracle.resolvent_direct(h, energy)
     for x in range(1, 6):
         for y in range(1, 6):
-            rep = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
-            assert abs(rep.value - green[x - 1, y - 1]) <= 1e-9
+            value = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
+            assert abs(value - green[x - 1, y - 1]) <= 1e-9
 
 
 @pytest.mark.parametrize("L", [3, 5, 8])
@@ -565,7 +552,7 @@ def test_more_fermions_than_sites_are_refused_before_any_sum(monkeypatch, kind):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel ran before the Z = 0 case was refused")
 
-    monkeypatch.setattr(KernelPlan, "kernel", refuse)
+    monkeypatch.setattr(KernelPlan, "value", refuse)
     space = OrbitSpaceSpec(kind, L=2, N=3)
     D = Representation(statistics="Fermion")
     p = KernelParams(beta=1.0)
@@ -587,12 +574,18 @@ def test_density_matrix_has_unit_trace_and_hermiticity():
 
 
 def test_heat_kernel_report_contract():
+    # the wrapper returns the plan's entry as a plain complex, and it is the
+    # dense oracle's e^{-beta H}[1, 3] at the gate-7 entry tolerance
     space = OrbitSpaceSpec("Interval", L=4)
     D = Representation(theta=0.0, phi=0.0)
-    rep = orbit_heat_kernel(space, D, 1, 3, KernelParams(beta=1.0))
-    assert isinstance(rep, OrbitKernelReport)
-    assert rep.last_shell_magnitude < TruncationPolicy().tol
-    assert rep.terms_evaluated > 0
+    p = KernelParams(beta=1.0)
+    value = orbit_heat_kernel(space, D, 1, 3, p)
+    assert type(value) is complex
+    assert repr(value) == repr(KernelPlan(space, D, p, mode="heat").value((1,), (3,)))
+    dec = oracle.diagonalize(
+        oracle.build_hamiltonian(oracle.HamiltonianSpec(4, 1.0, oracle.IntervalPhase(0.0, 0.0)))
+    )
+    assert abs(value - oracle.gibbs_direct(dec, 1.0)[0, 2]) <= 1e-10
 
 
 def test_resolvent_and_dos_refuse_several_walkers():
@@ -775,33 +768,48 @@ def test_probability_requires_detection_point():
         probability(space, Representation(), {(1,): 1.0}, KernelParams(tau=1.0))
 
 
-# -- reports and truncation ---------------------------------------------
-
-
-def test_report_fields_on_convergent_sum():
-    space = OrbitSpaceSpec("Circle", L=4)
-    rep = orbit_kernel(space, Representation(), 1, 1, KernelParams(tau=1.0))
-    assert rep.shells_used >= 1
-    assert rep.last_shell_magnitude < TruncationPolicy().tol
-    assert rep.terms_evaluated >= rep.shells_used
+# -- exact folds ----------------------------------------------------------
 
 
 def test_finite_group_sum_is_exact():
+    # the HalfLine's two images: K(2, 3) = free[1] + e^{i phi} free[|2 + 3 - 1|]
     space = OrbitSpaceSpec("HalfLine")
-    rep = orbit_kernel(space, Representation(phi=math.pi), 2, 3, KernelParams(tau=5.0))
-    assert rep.last_shell_magnitude == 0.0
-    assert rep.terms_evaluated == 2  # identity and the reflection
+    p = KernelParams(tau=5.0)
+    value = orbit_kernel(space, Representation(phi=math.pi), 2, 3, p)
+    free = _free_row(p, heat=False)
+    assert value == free[1] - free[4]
 
 
-def test_truncation_error_when_shell_cap_too_small():
-    space = OrbitSpaceSpec("Circle", L=3)
-    with pytest.raises(TruncationError):
-        orbit_kernel(
-            space, Representation(), 1, 1, KernelParams(tau=50.0), TruncationPolicy(max_shell=2)
-        )
+def test_shell_caps_are_ignored_and_long_times_stay_exact():
+    # about 2R / L + 1 = 84 windings per residue, against the dense kernel at the gate-5
+    # tolerance; a policy capped at 2 shells changes nothing
+    L, tau = 3, 50.0
+    space = OrbitSpaceSpec("Circle", L=L)
+    D = Representation(theta=0.8)
+    p = KernelParams(tau=tau)
+    dec = oracle.diagonalize(
+        oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, oracle.CircleTwisted(0.8)))
+    )
+    capped = TruncationPolicy(max_shell=2)
+    for x in range(1, L + 1):
+        for y in range(1, L + 1):
+            value = orbit_kernel(space, D, x, y, p, capped)
+            assert value == orbit_kernel(space, D, x, y, p)
+            assert abs(value - oracle.spectral_kernel(dec, tau, x, y)) <= 1e-10
 
 
-# -- the plan's winding loop vs the generic group engine ------------------
+def test_residues_are_computed_once_each_on_first_use(image_sums):
+    plan = KernelPlan(OrbitSpaceSpec("Interval", L=4), Representation(theta=math.pi), KernelParams(tau=2.0))
+    plan.value((1,), (1,))
+    # x - y = 0 and x + y - c = 1, of period 2L = 8
+    assert image_sums.residues == [(8, 0), (8, 1)]
+    for x in range(1, 5):
+        for y in range(1, 5):
+            plan.value((x,), (y,))
+    assert sorted(image_sums.residues) == [(8, r) for r in range(8)]
+
+
+# -- the plan's folds vs the generic group engine ------------------
 
 HALF_PI = math.pi / 2
 SINGLE_WALKER_CASES = [
@@ -832,41 +840,28 @@ SINGLE_WALKER_CASES = [
     ],
 )
 def test_plan_sums_equal_the_generic_engine_exactly(space, D, p, heat):
+    # The plan folds whole windings by residue and the engine sums shell by
+    # shell until shells fall below 1e-14, so they agree to rounding and the
+    # terms the engine leaves out: within 1e-11, the tightest tolerance of
+    # the gates that cover these kernels (1 for the circle, 2 and 3 for the
+    # half line and interval, 7 for heat).
     plan = KernelPlan(space, D, p, mode="heat" if heat else "time")
     term = _heat_term(p) if heat else _time_term(p)
-    trunc = TruncationPolicy()
+    trunc = ShellPolicy()
     for x in range(-3, 10):
         for y in range(-3, 10):
-            got = plan.kernel((x,), (y,))
-            want = _orbit_sum(space, D, (x,), (y,), term, trunc)
-            assert got.value == want.value
-            assert repr(got.value) == repr(want.value)  # signed zeros too
-            assert got.shells_used == want.shells_used
-            assert got.last_shell_magnitude == want.last_shell_magnitude
-            assert got.terms_evaluated == want.terms_evaluated
+            got = plan.value((x,), (y,))
+            want = _orbit_sum(space, D, (x,), (y,), term, trunc).value
+            assert abs(got - want) <= 1e-11, (x, y)
 
 
 def test_plan_keeps_circle_sums_by_displacement_and_interval_sums_by_pair():
     p = KernelParams(tau=1.5)
     circle = KernelPlan(OrbitSpaceSpec("Circle", L=6), Representation(theta=0.3), p)
-    assert circle.kernel((1,), (3,)) is circle.kernel((4,), (6,))
-    interval = KernelPlan(OrbitSpaceSpec("Interval", L=6), Representation(), p)
-    assert interval.kernel((1,), (3,)) != interval.kernel((4,), (6,))
-
-
-@pytest.mark.parametrize("heat", [False, True])
-def test_plan_and_generic_engine_raise_the_same_truncation_error(heat):
-    space = OrbitSpaceSpec("Circle", L=3)
-    D = Representation(theta=0.4)
-    p = KernelParams(tau=50.0, beta=50.0)
-    trunc = TruncationPolicy(max_shell=2)
-    with pytest.raises(TruncationError) as got:
-        KernelPlan(space, D, p, trunc, mode="heat" if heat else "time").kernel((1,), (1,))
-    term = _heat_term(p) if heat else _time_term(p)
-    with pytest.raises(TruncationError) as want:
-        _orbit_sum(space, D, (1,), (1,), term, trunc)
-    assert str(got.value) == str(want.value)
-    assert "within 2 shells" in str(got.value)
+    assert circle.value((1,), (3,)) is circle.value((4,), (6,))
+    # theta = pi: the reflected images 1 + 3 - 1 and 4 + 6 - 1 differ by the sign of A
+    interval = KernelPlan(OrbitSpaceSpec("Interval", L=6), Representation(theta=math.pi), p)
+    assert interval.value((1,), (3,)) != interval.value((4,), (6,))
 
 
 # -- the plan's resolvent mode vs the per-pair closed form -----------------
@@ -924,13 +919,11 @@ def test_resolvent_plan_equals_the_per_pair_closed_form_exactly(space, D, p):
     plan = KernelPlan(space, D, p, mode="resolvent")
     for x in range(-3, 10):
         for y in range(-3, 10):
-            got = plan.kernel((x,), (y,))
+            got = plan.value((x,), (y,))
             want = _per_pair_resolvent(space, D, x, y, p)
-            assert got.value == want
-            assert repr(got.value) == repr(want)  # signed zeros too
-            assert (got.shells_used, got.last_shell_magnitude, got.terms_evaluated) == (0, 0.0, 0)
-            assert orbit_resolvent(space, D, x, y, p, restrict_domain=False) == got
-    assert plan.shells_used == 0
+            assert got == want
+            assert repr(got) == repr(want)  # signed zeros too
+            assert repr(orbit_resolvent(space, D, x, y, p, restrict_domain=False)) == repr(got)
 
 
 def test_resolvent_plan_refuses_several_walkers_and_the_lower_half_plane():
@@ -962,7 +955,7 @@ def test_resolvent_sweep_equals_a_plan_built_at_each_energy(space, D):
     for k, energy in enumerate(energies):
         fresh = KernelPlan(space, D, KernelParams(omega=1.5, energy=energy), mode="resolvent")
         for i, x in enumerate(points):
-            want = -fresh.kernel(x, x).value.imag / math.pi
+            want = -fresh.value(x, x).imag / math.pi
             assert repr(dos[i][k]) == repr(want)
             assert repr(local_dos(space, D, x, energy.real, energy.imag, omega=1.5)) == repr(want)
 
@@ -990,7 +983,7 @@ def test_resolvent_sweep_refuses_single_kernels_and_other_modes():
     p = KernelParams(beta=1.0, energy=0.4 + 0.3j)
     sweep = KernelPlan(space, Representation(), p, mode="resolvent", energies=[0.1 + 0.2j, 0.3 + 0.2j])
     with pytest.raises(DomainError, match="over 2 energies has no single kernel"):
-        sweep.kernel((1,), (2,))
+        sweep.value((1,), (2,))
     with pytest.raises(DomainError, match="only a resolvent plan sweeps"):
         KernelPlan(space, Representation(), p, mode="heat", energies=[0.1 + 0.2j])
     heat = KernelPlan(space, Representation(), p, mode="heat")
@@ -1021,29 +1014,28 @@ def test_fermion_entries_with_a_repeated_coordinate_are_exact_zeros(monkeypatch)
 
     monkeypatch.setattr(orbitwalk.orbit, "lu_determinant", refuse)
     for x, y in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 4, 4)), ((3, 3, 3), (3, 3, 3))]:
-        got, sums = fermions.kernel(x, y), bosons.kernel(x, y)
-        assert repr(got.value) == repr(0j)
-        assert (got.shells_used, got.last_shell_magnitude, got.terms_evaluated) == (
-            sums.shells_used, sums.last_shell_magnitude, sums.terms_evaluated
-        )
-    assert fermions.shells_used == bosons.shells_used > 0
+        assert repr(fermions.value(x, y)) == repr(0j)
+        assert bosons.value(x, y) != 0j
 
 
-def test_fermion_value_with_a_repeated_coordinate_gathers_no_sum():
+def test_fermion_value_with_a_repeated_coordinate_gathers_no_sum(image_sums):
     space = OrbitSpaceSpec("Interval", L=4, N=3)
     plan = KernelPlan(space, Representation(theta=math.pi, statistics="Fermion"), KernelParams(tau=1.0))
     for x, y in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 4, 4))]:
         assert repr(plan.value(x, y)) == repr(0j)
-    assert plan.shells_used == 0
+    assert image_sums.residues == []
 
 
 @pytest.mark.parametrize("kind", ["Circle", "Interval", "HalfLine"])
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
 @pytest.mark.parametrize("mode", ["time", "heat"])
 def test_value_is_the_kernel_reports_value_bit_for_bit(kind, statistics, mode):
+    # An N-walker entry is the lift of a one-walker plan's entries, bit for
+    # bit, and 0j for fermions whose x or y repeats a coordinate.
     theta = math.pi if kind == "Interval" else 0.3
     D = Representation(theta=theta, phi=0.0, statistics=statistics)
     p = KernelParams(tau=1.3, beta=0.7)
+    single = KernelPlan(OrbitSpaceSpec(kind, L=5), D, p, mode=mode)
     for n in range(1, 6):
         space = OrbitSpaceSpec(kind, L=5, N=n)
         plan = KernelPlan(space, D, p, mode=mode)
@@ -1054,7 +1046,13 @@ def test_value_is_the_kernel_reports_value_bit_for_bit(kind, statistics, mode):
             pairs.append(((1,) * n, tuple(range(1, n + 1))))
             pairs.append((tuple(range(1, n + 1)), (2,) * (n - 1) + (3,)))
         for x, y in pairs:
-            assert repr(plan.value(x, y)) == repr(plan.kernel(x, y).value), (n, x, y)
+            if n == 1:
+                want = single.value(x, y)
+            elif statistics == "Fermion" and (len(set(x)) < n or len(set(y)) < n):
+                want = 0j
+            else:
+                want = _lift([[single.value((a,), (b,)) for b in y] for a in x], statistics == "Fermion")
+            assert repr(plan.value(x, y)) == repr(want), (n, x, y)
 
 
 @pytest.mark.parametrize(
@@ -1076,6 +1074,6 @@ def test_domain_restriction_is_enforced_by_default():
 
 def test_points_accept_ints_and_tuples():
     space = OrbitSpaceSpec("Circle", L=4)
-    a = orbit_kernel(space, Representation(), 2, 3, KernelParams(tau=1.0)).value
-    b = orbit_kernel(space, Representation(), (2,), (3,), KernelParams(tau=1.0)).value
+    a = orbit_kernel(space, Representation(), 2, 3, KernelParams(tau=1.0))
+    b = orbit_kernel(space, Representation(), (2,), (3,), KernelParams(tau=1.0))
     assert a == b
