@@ -107,7 +107,7 @@ def bench_coined_blocks() -> float:
     return per_call_us(lambda: orbit_coined_blocks(space, D, 20, coin, -15, 15), 200)
 
 
-PARSER_ARGV = ["thermal", "--set", "space.L=16", "--max-shell", "64", "--format", "csv"]
+PARSER_ARGV = ["thermal", "--set", "space.L=16", "--format", "csv"]
 
 
 def bench_parser() -> float:

@@ -25,6 +25,9 @@ _BIG_INV = 1e-10
 
 _SERIES_KMAX = 800
 
+# Largest z of an I row: its normalization e^z stays inside the double range.
+I_Z_MAX = 700.0
+
 # Rows at z at or below this take the series per order.  Above it one
 # recurrence pass replaces a series per order and is as accurate: within
 # 1.1e-16 absolute of a 50-digit series for J, and an ulp for I, up to z = 6.4.
@@ -116,7 +119,7 @@ def i_row(nmax: int, z: float) -> list:
     """[I_0(z), ..., I_nmax(z)] by backward recurrence, e^z normalized."""
     if z == 0.0:
         return [1.0] + [0.0] * nmax
-    if z > 700.0:
+    if z > I_Z_MAX:
         raise OverflowError(f"I_n({z}) normalization e^z exceeds double range")
     if z <= _ROW_SERIES_CUT:
         return [_series_i(n, z) for n in range(nmax + 1)]

@@ -4,10 +4,11 @@ Every run starts from the same default config, merges the user's JSON file
 over it, then applies `--set key=value` and the dedicated flags.  The fully
 resolved config is echoed in the output header so any emitted table can be
 reproduced from its own file.  Exit codes: 0 success, 2 config error,
-4 verification failure; 3 is reserved for a precision failure.  The
-`truncation` section, `--tolerance` and `--max-shell` are validated and
-echoed but read by no command: time and heat sums are exact, and the
-resolvent is closed-form.
+3 precision loss (a `thermal` Z that is not positive and finite), 4
+verification failure.  Time and heat sums are exact and the resolvent is
+closed-form, so no setting truncates a sum: `--max-shell` is accepted and
+read by no command, and a config file's `truncation` section, echoed by
+older versions, is dropped on load.
 
 A run imports only what its command uses: numpy and the dense `oracle`
 for `coined` and `verify`, and the `verify` suite for `verify`; N-walker
@@ -28,10 +29,10 @@ import math
 import sys
 import warnings
 
-from .errors import ConfigError, DomainError, RepresentationError
+from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
 from .kernels import CoinSpec, KernelParams, hadamard_coin, window_radius
-from .orbit import KernelPlan, TruncationPolicy, orbit_coined_blocks
+from .orbit import KernelPlan, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 
@@ -46,7 +47,6 @@ DEFAULT_CONFIG = {
     "space": {"kind": "Circle", "L": 4, "N": 1, "boundary_convention": "Standard"},
     "representation": {"theta": 0.0, "phi": 0.0, "statistics": "Boson"},
     "params": {"omega": 1.0, "tau": 1.0, "beta": 1.0, "energy": [0.4, 0.3]},
-    "truncation": {"tol": 1e-14, "max_shell": 64, "consecutive_quiet_shells": 2},
     "initial_state": [[1, 1.0, 0.0]],
     "window": None,
     "dos": {"eta": 0.05, "e_min": None, "e_max": None, "points": 201},
@@ -90,6 +90,7 @@ def load_config(path: str | None) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     user.pop("command", None)  # the subcommand on the command line wins
+    user.pop("truncation", None)  # echoed by older versions; no sum is truncated
     return _merge(config, user)
 
 
@@ -116,10 +117,6 @@ def apply_set(config: dict, assignment: str) -> None:
 def apply_flags(config: dict, args: argparse.Namespace) -> None:
     for assignment in args.set or []:
         apply_set(config, assignment)
-    if args.tolerance is not None:
-        config["truncation"]["tol"] = args.tolerance
-    if args.max_shell is not None:
-        config["truncation"]["max_shell"] = args.max_shell
     if args.window is not None:
         lo, sep, hi = args.window.partition(":")
         if not sep:
@@ -156,13 +153,6 @@ class ResolvedRun:
                 tau=_real(raw["tau"], "params.tau"),
                 beta=_real(raw["beta"], "params.beta"),
                 energy=complex(*(_real(part, "params.energy") for part in energy)),
-            )
-            # validated, then unused: time and heat sums are exact
-            TruncationPolicy(
-                **_with_numbers(
-                    config["truncation"], "truncation",
-                    ("max_shell", "consecutive_quiet_shells"), reals=("tol",),
-                )
             )
         except (DomainError, RepresentationError, TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -662,8 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="override one config field (dotted path, JSON value)")
-    parser.add_argument("--tolerance", type=float, default=None, help="validated, unused")
-    parser.add_argument("--max-shell", type=int, default=None, help="validated, unused")
+    parser.add_argument("--max-shell", type=int, default=None, help="accepted, unused")
     parser.add_argument("--window", default=None, metavar="LO:HI",
                         help="site window for infinite spaces")
     parser.add_argument("--output", default=None, help="write to this path instead of stdout")
@@ -689,12 +678,12 @@ def main(argv: list[str] | None = None) -> int:
             table, meta, code = HANDLERS[args.command](run)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-    except ConfigError as exc:
+    except (ConfigError, RepresentationError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RepresentationError, DomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except PrecisionError as exc:
+        print(f"precision loss: {exc}", file=sys.stderr)
+        return 3
     text = emit(run, table, meta)
     if run.path is None:
         sys.stdout.write(text)

@@ -18,4 +18,8 @@ class ConfigError(OrbitwalkError, ValueError):
 
 
 class TruncationError(OrbitwalkError, RuntimeError):
-    """An image sum failed to converge within the truncation policy."""
+    """A shell-by-shell image sum did not converge within its cap (test references only)."""
+
+
+class PrecisionError(OrbitwalkError, ArithmeticError):
+    """A computed value lost its digits to cancellation or overflow."""

@@ -3,10 +3,11 @@
 An `OrbitSpaceSpec` fixes which generators act on each walker coordinate:
 the translation t x = x + P on the Circle and Interval and the reflection
 r x = c - x on the HalfLine and Interval, with walker exchanges on top.  A
-`Representation` weighs an element by its winding sum, reflection sum and
-permutation parity alone (`weight_from_sums`), so no group element is ever
-built.  The fundamental-domain helpers list and count the sorted points the
-commands tabulate.
+`Representation` weighs an element by its winding sum and reflection sum
+alone (`weight_from_sums`), so no group element is ever built; the fermion
+sign of a walker exchange enters through the determinant lift.  The
+fundamental-domain helpers list and count the sorted points the commands
+tabulate.
 """
 
 from __future__ import annotations
@@ -139,17 +140,15 @@ def validate_representation(space: OrbitSpaceSpec, D: Representation) -> None:
             )
 
 
-def weight_from_sums(D: Representation, n_sum: int, m_sum: int, odd: bool = False) -> complex:
-    """D(g) from g's winding sum, reflection sum and (fermion) permutation parity.
+def weight_from_sums(D: Representation, n_sum: int, m_sum: int) -> complex:
+    """D(g) from g's winding sum and reflection sum, without the fermion sign.
 
-    A single walker's t^n r^m is (n, m) with odd=False: no element is built.
+    A single walker's t^n r^m is (n, m): no element is built.
     """
-    sign = -1.0 if (D.statistics == "Fermion" and odd) else 1.0
-
     k_phi = _quarter_multiple(D.phi) if m_sum else 0
     k_theta = _quarter_multiple(D.theta) if n_sum else 0
     if k_theta is not None and k_phi is not None:
-        return sign * quarter_phase(k_theta * n_sum + k_phi * m_sum)
+        return quarter_phase(k_theta * n_sum + k_phi * m_sum)
     # Generic theta: integer powers of the generator weight keep the
     # homomorphism property at the few-ulp level for any winding sum.
     value = complex(math.cos(D.theta), math.sin(D.theta)) ** n_sum
@@ -157,7 +156,7 @@ def weight_from_sums(D: Representation, n_sum: int, m_sum: int, odd: bool = Fals
         value *= complex(math.cos(D.phi), math.sin(D.phi)) ** m_sum
     elif k_phi and m_sum:
         value *= quarter_phase(k_phi * m_sum)
-    return sign * value
+    return value
 
 
 # -- fundamental domain helpers ---------------------------------------

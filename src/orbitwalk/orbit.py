@@ -12,7 +12,10 @@ type, `KernelPlan`, serves every command (`evolve`, `thermal`, `resolvent`,
   The free row (one Bessel recurrence, `special.j_row`/`i_row`) ends at
   `window_radius`, so A takes every winding the row reaches: there is no
   tolerance and no shell cap.  A(d + P) = e^{i theta} A(d), so P residues
-  cover a space, each computed on first use.
+  cover a space, each computed on first use.  A heat plan refuses
+  beta omega above `special.I_Z_MAX`, where e^(beta omega) overflows, and
+  a partition function that cancels to Z <= 0 or overflows raises
+  `PrecisionError`: the true Z is positive.
 - The resolvent's images form geometric series, which the plan sums in
   closed form, once per reflection sector and displacement across a whole
   energy grid (a DOS sweep is one plan).
@@ -29,9 +32,8 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .group import (
     OrbitSpaceSpec,
     Representation,
@@ -41,25 +43,7 @@ from .group import (
     weight_from_sums,
 )
 from .kernels import CoinSpec, KernelParams, _momentum, coined_line_blocks, window_radius
-from .special import i_row, j_row, quarter_phase
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """The validated `truncation` config section.  Every time and heat sum is
-    exact and the resolvent is closed-form, so no computation reads it."""
-
-    tol: float = 1e-14
-    max_shell: int = 64
-    consecutive_quiet_shells: int = 2
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise DomainError("tol must be positive")
-        if self.max_shell < 1:
-            raise DomainError("max_shell must be positive")
-        if self.consecutive_quiet_shells < 1:
-            raise DomainError("consecutive_quiet_shells must be positive")
+from .special import I_Z_MAX, i_row, j_row, quarter_phase
 
 
 def _as_point(space: OrbitSpaceSpec, v) -> tuple:
@@ -74,10 +58,14 @@ def _as_point(space: OrbitSpaceSpec, v) -> tuple:
 def _free_row(p: KernelParams, heat: bool) -> list:
     """The single-walker free term at distances 0..radius; past radius it is 0j.
 
-    Time: i^d J_d(omega |tau|), i^-d for tau < 0; heat: I_d(beta omega).
+    Time: i^d J_d(omega |tau|), i^-d for tau < 0; heat: I_d(beta omega),
+    refused for beta omega > `I_Z_MAX`, where e^(beta omega) overflows.
     """
     if heat:
-        return [complex(v) for v in i_row(window_radius(p.omega, p.beta), p.beta * p.omega)]
+        z = p.beta * p.omega
+        if z > I_Z_MAX:
+            raise DomainError(f"beta * omega = {z} exceeds {I_Z_MAX}: e^(beta omega) overflows")
+        return [complex(v) for v in i_row(window_radius(p.omega, p.beta), z)]
     row = j_row(window_radius(p.omega, p.tau), p.omega * abs(p.tau))
     sign = 1 if p.tau >= 0.0 else -1
     return [quarter_phase(sign * d) * v for d, v in enumerate(row)]
@@ -182,8 +170,8 @@ MODES = ("time", "heat", "resolvent")
 class KernelPlan:
     """Kernels of one run, built from single-walker image sums computed once.
 
-    A plan is built for one space, representation and parameter set (the
-    `trunc` argument is accepted and ignored), in one of three modes:
+    A plan is built for one space, representation and parameter set, in one
+    of three modes:
     - "time": the time-evolution kernel; its free-lattice row (one Bessel
       row) is built once;
     - "heat": the Gibbs kernel, likewise from one Bessel row;
@@ -219,7 +207,6 @@ class KernelPlan:
         space: OrbitSpaceSpec,
         D: Representation,
         p: KernelParams,
-        trunc: TruncationPolicy | None = None,
         *,
         mode: str = "time",
         energies=None,
@@ -427,6 +414,8 @@ class KernelPlan:
         Sorted points with coincident walkers carry 1/prod(multiplicity!),
         the norm of their symmetrized state; fermion diagonals vanish there.
         More fermions than sites have no antisymmetric state (Z = 0): refused.
+        The true Z is positive; a sum that cancels to Z <= 0 or overflows
+        raises `PrecisionError` instead of returning it.
         """
         space = self._space
         if self._mode != "heat":
@@ -440,6 +429,8 @@ class KernelPlan:
         total = 0.0
         for point in fundamental_domain(space):
             total += _gluing_weight(point) * self.value(point, point).real
+        if not 0.0 < total < math.inf:
+            raise PrecisionError(f"Z(beta) = {total} is not a positive finite number")
         return total
 
     def evolve(self, psi0: dict, window=None) -> dict:
@@ -491,7 +482,6 @@ def orbit_kernel(
     x,
     y,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
 ) -> complex:
@@ -500,7 +490,7 @@ def orbit_kernel(
     N >= 2 walkers are lifted from single-walker sums as a
     permanent/determinant (`KernelPlan`).  Set restrict_domain=False to
     evaluate at points outside the fundamental domain (the sum is
-    equivariant there).  `trunc` is ignored: the sum is exact.
+    equivariant there).
     """
     x, y = _points(space, x, y, restrict_domain)
     return KernelPlan(space, D, p).value(x, y)
@@ -553,11 +543,10 @@ def orbit_heat_kernel(
     x,
     y,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
     *,
     restrict_domain: bool = True,
 ) -> complex:
-    """Unnormalized Gibbs kernel <x| e^{-beta H} |y> on the orbit space (`trunc` is ignored)."""
+    """Unnormalized Gibbs kernel <x| e^{-beta H} |y> on the orbit space."""
     x, y = _points(space, x, y, restrict_domain)
     return KernelPlan(space, D, p, mode="heat").value(x, y)
 
@@ -566,7 +555,6 @@ def partition_function(
     space: OrbitSpaceSpec,
     D: Representation,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
 ) -> float:
     """Z(beta): weighted trace of the Gibbs kernel over the finite fundamental domain."""
     return KernelPlan(space, D, p, mode="heat").partition_function()
@@ -578,7 +566,6 @@ def orbit_density_matrix(
     x,
     y,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
 ) -> complex:
     """Canonical density matrix entry rho_beta(x, y) = heat(x, y) / Z(beta)."""
     x, y = _points(space, x, y, True)
@@ -647,7 +634,6 @@ def evolve_state(
     D: Representation,
     psi0: dict,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
     *,
     window=None,
 ) -> dict:
@@ -665,12 +651,9 @@ def probability(
     D: Representation,
     psi0: dict,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
-    x=None,
+    x,
 ) -> float:
     """Detection probability |(U_tau psi0)(x)|^2 at a single point."""
-    if x is None:
-        raise DomainError("a detection point x is required")
     target = _as_point(space, x)
     check_in_domain(space, target, "x")
     plan = KernelPlan(space, D, p)

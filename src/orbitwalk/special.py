@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 
 from . import _core_py as core
+from ._core_py import I_Z_MAX
 from .errors import DomainError
 
 __all__ = [
+    "I_Z_MAX",
     "N_MAX",
     "Z_MAX",
     "j_row",

@@ -6,8 +6,7 @@ are probed through an explicit site window.  `run_checks` shares one kernel
 plan per parameter set (tau, tau/2, -tau, 0) among its checks, and keeps
 each entry between probe points, so an entry several checks use is lifted
 once.  The oracle check computes each single-particle element once and lifts
-its N-walker references from those elements.  Every check takes a `trunc`
-argument, which it ignores: the time kernels are exact sums.
+its N-walker references from those elements.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .group import (
     weight_from_sums,
 )
 from .kernels import KernelParams, window_radius
-from .orbit import KernelPlan, TruncationPolicy, _gluing_weight
+from .orbit import KernelPlan, _gluing_weight
 
 COMPOSITION_TOL = 1e-10
 UNITARITY_TOL = 1e-12
@@ -96,7 +95,7 @@ def _symmetrized_delta(x: tuple, y: tuple, statistics: str) -> float:
     return total
 
 
-def check_initial_condition(space, D, trunc, window=None, kernel=None) -> CheckResult:
+def check_initial_condition(space, D, window=None, kernel=None) -> CheckResult:
     kernel = kernel or _Kernels(space, D)
     p = KernelParams(omega=1.0, tau=0.0)
     probes = _probe_points(space, window)
@@ -108,7 +107,7 @@ def check_initial_condition(space, D, trunc, window=None, kernel=None) -> CheckR
     return CheckResult("initial_condition", worst <= INITIAL_TOL, worst, INITIAL_TOL)
 
 
-def check_composition(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+def check_composition(space, D, p, window=None, kernel=None) -> CheckResult:
     kernel = kernel or _Kernels(space, D)
     half = KernelParams(omega=p.omega, tau=0.5 * p.tau)
     probes = _probe_points(space, window)
@@ -139,7 +138,7 @@ def check_composition(space, D, p, trunc, window=None, kernel=None) -> CheckResu
     return CheckResult("composition", worst <= COMPOSITION_TOL, worst, COMPOSITION_TOL)
 
 
-def check_unitarity(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+def check_unitarity(space, D, p, window=None, kernel=None) -> CheckResult:
     kernel = kernel or _Kernels(space, D)
     back = KernelParams(omega=p.omega, tau=-p.tau)
     worst = 0.0
@@ -152,7 +151,7 @@ def check_unitarity(space, D, p, trunc, window=None, kernel=None) -> CheckResult
     return CheckResult("unitarity", worst <= UNITARITY_TOL, worst, UNITARITY_TOL)
 
 
-def check_equivariance(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+def check_equivariance(space, D, p, window=None, kernel=None) -> CheckResult:
     """K(g x, y) = D(g) K(x, y) for the generator g acting on walker 0.
 
     The translation maps x_0 to x_0 + P with weight D(t) = e^{i theta}, the
@@ -204,7 +203,7 @@ def _oracle_decomposition(space: OrbitSpaceSpec, D: Representation, p: KernelPar
     return oracle.diagonalize(oracle.build_hamiltonian(spec))
 
 
-def check_against_oracle(space, D, p, trunc, window=None, kernel=None) -> CheckResult:
+def check_against_oracle(space, D, p, window=None, kernel=None) -> CheckResult:
     """The kernel against the dense oracle at every probe pair.
 
     Each single-particle element e^{-iH tau}[a, b] is computed once by
@@ -247,7 +246,6 @@ def run_checks(
     space: OrbitSpaceSpec,
     D: Representation,
     p: KernelParams,
-    trunc: TruncationPolicy | None = None,
     window=None,
 ) -> list[CheckResult]:
     """Full property suite for one (space, representation, parameters) triple.
@@ -272,11 +270,11 @@ def run_checks(
         raise DomainError(f"verification window {window} holds no point of the {space.kind} domain")
     kernel = _Kernels(space, D)
     results = [
-        check_initial_condition(space, D, trunc, window, kernel),
-        check_composition(space, D, p, trunc, window, kernel),
-        check_unitarity(space, D, p, trunc, window, kernel),
-        check_equivariance(space, D, p, trunc, window, kernel),
-        check_against_oracle(space, D, p, trunc, window, kernel),
+        check_initial_condition(space, D, window, kernel),
+        check_composition(space, D, p, window, kernel),
+        check_unitarity(space, D, p, window, kernel),
+        check_equivariance(space, D, p, window, kernel),
+        check_against_oracle(space, D, p, window, kernel),
     ]
     if space.kind == "Circle" and space.N == 1:
         results.append(check_gauge(space, D, p))

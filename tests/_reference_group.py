@@ -151,8 +151,8 @@ def inverse(g: GroupElement) -> GroupElement:
 
 def rep_weight(D: Representation, g: GroupElement) -> complex:
     """D(g) = e^{i theta sum(n_i)} e^{i phi sum(m_i)} (+-1)^{#sigma}, unchecked."""
-    odd = D.statistics == "Fermion" and perm_parity(g.perm)
-    return weight_from_sums(D, sum(g.winding), sum(g.reflect), odd)
+    weight = weight_from_sums(D, sum(g.winding), sum(g.reflect))
+    return -weight if D.statistics == "Fermion" and perm_parity(g.perm) else weight
 
 
 def rep_value(D: Representation, g: GroupElement, space: OrbitSpaceSpec) -> complex:

@@ -18,7 +18,6 @@ from orbitwalk import oracle
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import KernelParams, hadamard_coin, window_radius
 from orbitwalk.orbit import (
-    TruncationPolicy,
     local_dos,
     orbit_coined_kernel,
     orbit_density_matrix,
@@ -160,7 +159,6 @@ def test_03_interval_kernel_identities_and_dirichlet_zero():
 
 
 def test_04_algebraic_properties_on_all_configured_spaces():
-    trunc = TruncationPolicy()
     p = KernelParams(omega=OMEGA, tau=5.0)
     configs = []
     for L in range(2, 11):
@@ -181,10 +179,10 @@ def test_04_algebraic_properties_on_all_configured_spaces():
     failed = []
     for space, D, window in configs:
         results = [
-            check_initial_condition(space, D, trunc, window),
-            check_composition(space, D, p, trunc, window),
-            check_unitarity(space, D, p, trunc, window),
-            check_equivariance(space, D, p, trunc, window),
+            check_initial_condition(space, D, window),
+            check_composition(space, D, p, window),
+            check_unitarity(space, D, p, window),
+            check_equivariance(space, D, p, window),
         ]
         for r in results:
             deviations[r.name] = max(deviations.get(r.name, 0.0), r.deviation)

@@ -630,7 +630,7 @@ def test_config_errors_exit_2(capsys, argv):
         ("evolve", "window=[0.0,3.0]", "window=[0,3]"),
         ("evolve", "initial_state=[[2.0,1,0]]", "initial_state=[[2,1,0]]"),
         ("thermal", "space.L=3.0", "space.L=3"),
-        ("evolve", "truncation.max_shell=64.0", "truncation.max_shell=64"),
+        ("evolve", "space.N=1.0", "space.N=1"),
     ],
 )
 def test_integral_floats_in_integer_settings_run_as_their_integers(capsys, command, integral, exact):
@@ -703,7 +703,7 @@ RHO_TOL = 1e-10
 )
 def test_small_circles_at_long_times_evolve_exactly(capsys, L, tau, theta):
     # The fold takes every winding the free row reaches, about 2 tau / L of
-    # them, far past any shell cap; --max-shell is validated and ignored.
+    # them, far past any shell cap; --max-shell is accepted and ignored.
     code, out, err = run_cli(
         capsys, "evolve", "--set", f"space.L={L}", "--set", f"params.tau={tau}",
         "--set", f"representation.theta={theta}", "--max-shell", "2",
@@ -733,6 +733,40 @@ def test_one_site_circle_at_large_beta_is_exact(capsys):
     z = float(rows[-1][2])
     assert abs(z / math.exp(40.0 * math.cos(0.3)) - 1.0) <= Z_REL_TOL
     assert abs(complex(float(rows[0][2]), float(rows[0][3])) - 1.0) <= RHO_TOL  # rho = K / Z
+
+
+PI = repr(math.pi)
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ("space.L=2", f"representation.theta={PI}", "params.beta=60"),
+        ("space.L=1", f"representation.theta={PI}", "params.beta=40"),
+        ("space.L=4", "space.N=2", "representation.statistics=Fermion", "params.beta=40"),
+        ("space.kind=Interval", "space.L=4", f"representation.phi={PI}", "params.beta=200"),
+        ("space.N=2", "params.beta=400"),
+    ],
+    ids=["circle-L2-beta60", "circle-L1-beta40", "fermions-beta40", "interval-beta200", "N2-beta400"],
+)
+def test_thermal_with_an_impossible_partition_function_exits_3(capsys, sets):
+    # The true Z is positive; these sums cancel to Z < 0 or overflow to inf.
+    argv = ["thermal"]
+    for setting in sets:
+        argv += ["--set", setting]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "precision loss" in err
+
+
+@pytest.mark.parametrize("beta, expected", [("700", 0), ("705", 2), ("720", 2)])
+def test_thermal_past_the_i_row_range_exits_2(capsys, beta, expected):
+    code, out, err = run_cli(capsys, "thermal", "--set", f"params.beta={beta}")
+    assert code == expected, err
+    if expected == 2:
+        assert out == ""
+        assert "config error" in err and "exceeds" in err
 
 
 @pytest.mark.parametrize(
@@ -954,7 +988,7 @@ def test_consecutive_runs_share_no_parser_state(capsys):
     assert fresh.returncode == 0
     code, _, _ = run_cli(
         capsys, "evolve", "--set", "space.L=6", "--set", "params.tau=2",
-        "--set", "representation.theta=0.4", "--max-shell", "9", "--tolerance", "1e-12",
+        "--set", "representation.theta=0.4", "--max-shell", "9",
         "--precision", "5", "--format", "json",
     )
     assert code == 0
@@ -1051,11 +1085,41 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert rows[0][3] == "1.000e+00"  # three digits, not six
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("old_truncation", [False, True], ids=["echo", "echo-with-truncation"])
+def test_config_echo_reproduces_its_table(tmp_path, capsys, command, old_truncation):
+    code, out, err = run_cli(capsys, command)
+    assert code == 0, err
+    header = next(ln for ln in out.splitlines() if ln.startswith("# config "))
+    echoed = json.loads(header.removeprefix("# config "))
+    if old_truncation:  # the section earlier versions echoed
+        echoed["truncation"] = {"consecutive_quiet_shells": 2, "max_shell": 64, "tol": 1e-14}
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(echoed))
+    code, again, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 0, err
+    assert again == out
+
+
+@pytest.mark.parametrize("command", ["resolvent", "dos"])
+def test_max_shell_changes_no_output(capsys, command):
+    code, out, err = run_cli(capsys, command)
+    assert code == 0, err
+    assert run_cli(capsys, command, "--max-shell", "600") == (0, out, "")
+
+
+def test_truncation_keys_are_unknown_to_set(capsys):
+    code, out, err = run_cli(capsys, "evolve", "--set", "truncation.max_shell=64")
+    assert code == 2
+    assert out == ""
+    assert "unknown config key" in err
+
+
 def test_csv_header_echoes_resolved_defaults(capsys):
     _, out, _ = run_cli(capsys, "evolve", "--set", "params.tau=0")
     header_line = next(ln for ln in out.splitlines() if ln.startswith("# config"))
     echoed = json.loads(header_line.removeprefix("# config "))
-    assert echoed["truncation"]["max_shell"] == 64
+    assert "truncation" not in echoed
     assert echoed["output"]["format"] == "csv"
     assert echoed["space"]["boundary_convention"] == "Standard"
 

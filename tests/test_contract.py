@@ -80,13 +80,13 @@ FIXED = [
     (["coined", "--set",
       'coined.coin={"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"shifts":[1.5,-1]}'], 2),
     (["thermal", "--set", "space.L=2.5"], 2),
-    (["evolve", "--set", "truncation.max_shell=2.5"], 2),
+    (["evolve", "--set", "space.N=1.5"], 2),
     # A JSON true is not a real number, and an amplitude must be finite, its
     # squared norm too.
     (["evolve", "--set", "params.tau=true"], 2),
     (["evolve", "--set", "params.omega=true"], 2),
     (["evolve", "--set", "representation.theta=true"], 2),
-    (["evolve", "--set", "truncation.tol=true"], 2),
+    (["evolve", "--set", "params.beta=true"], 2),
     (["dos", "--set", "dos.eta=true"], 2),
     (["resolvent", "--set", "params.energy=[0.4,true]"], 2),
     (["evolve", "--set", "initial_state=[[1,true,0]]"], 2),

@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitwalk.orbit
-from orbitwalk import oracle
-from orbitwalk.errors import DomainError, TruncationError
+from orbitwalk import _core_py, oracle
+from orbitwalk.errors import DomainError, PrecisionError, TruncationError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin
 from orbitwalk.orbit import (
     KernelPlan,
     _free_row,
     _lift,
-    TruncationPolicy,
     evolve_state,
     glynn_permanent,
     local_dos,
@@ -546,6 +545,38 @@ def test_partition_function_rejects_infinite_domains():
         partition_function(OrbitSpaceSpec("Line"), Representation(), KernelParams(beta=1.0))
 
 
+def test_a_partition_function_that_cancels_below_zero_is_refused(monkeypatch):
+    # One site at theta = pi: the exact Z is e^{-40} = 4.2e-18, but the
+    # I-row terms alternate in sign and add to e^{40} in magnitude.
+    space = OrbitSpaceSpec("Circle", L=1)
+    D = Representation(theta=math.pi)
+    p = KernelParams(beta=40.0)
+    with pytest.raises(PrecisionError, match="not a positive finite number"):
+        partition_function(space, D, p)
+    with pytest.raises(PrecisionError):
+        orbit_density_matrix(space, D, 1, 1, p)
+    for diagonal in (0j, complex(math.nan, 0.0)):  # Z exactly 0, or not a number
+        monkeypatch.setattr(KernelPlan, "value", lambda plan, x, y, d=diagonal: d)
+        with pytest.raises(PrecisionError):
+            partition_function(OrbitSpaceSpec("Circle", L=3), Representation(), p)
+
+
+def test_heat_plan_refuses_beta_omega_past_the_i_row_range(monkeypatch):
+    space = OrbitSpaceSpec("Circle", L=4)
+    limit = _core_py.I_Z_MAX
+    KernelPlan(space, Representation(), KernelParams(beta=limit), mode="heat")
+    with pytest.raises(OverflowError):
+        _core_py.i_row(0, math.nextafter(limit, math.inf))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an I row was computed past the limit")
+
+    monkeypatch.setattr(orbitwalk.orbit, "i_row", refuse)
+    for p in (KernelParams(beta=705.0), KernelParams(omega=2.0, beta=0.5 * limit + 0.25)):
+        with pytest.raises(DomainError, match="exceeds"):
+            KernelPlan(space, Representation(), p, mode="heat")
+
+
 @pytest.mark.parametrize("kind", ["Circle", "Interval"])
 def test_more_fermions_than_sites_are_refused_before_any_sum(monkeypatch, kind):
     # No antisymmetric state exists, so Z = 0 and rho = K / Z is undefined.
@@ -764,7 +795,7 @@ def test_probability_matches_kernel_modulus_for_point_source():
 
 def test_probability_requires_detection_point():
     space = OrbitSpaceSpec("Circle", L=5)
-    with pytest.raises(DomainError):
+    with pytest.raises(TypeError):
         probability(space, Representation(), {(1,): 1.0}, KernelParams(tau=1.0))
 
 
@@ -782,7 +813,7 @@ def test_finite_group_sum_is_exact():
 
 def test_shell_caps_are_ignored_and_long_times_stay_exact():
     # about 2R / L + 1 = 84 windings per residue, against the dense kernel at the gate-5
-    # tolerance; a policy capped at 2 shells changes nothing
+    # tolerance: no shell cap stops the sum
     L, tau = 3, 50.0
     space = OrbitSpaceSpec("Circle", L=L)
     D = Representation(theta=0.8)
@@ -790,11 +821,9 @@ def test_shell_caps_are_ignored_and_long_times_stay_exact():
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, oracle.CircleTwisted(0.8)))
     )
-    capped = TruncationPolicy(max_shell=2)
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            value = orbit_kernel(space, D, x, y, p, capped)
-            assert value == orbit_kernel(space, D, x, y, p)
+            value = orbit_kernel(space, D, x, y, p)
             assert abs(value - oracle.spectral_kernel(dec, tau, x, y)) <= 1e-10
 
 
@@ -1053,15 +1082,6 @@ def test_value_is_the_kernel_reports_value_bit_for_bit(kind, statistics, mode):
             else:
                 want = _lift([[single.value((a,), (b,)) for b in y] for a in x], statistics == "Fermion")
             assert repr(plan.value(x, y)) == repr(want), (n, x, y)
-
-
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"tol": 0.0}, {"tol": -1e-3}, {"max_shell": 0}, {"consecutive_quiet_shells": 0}],
-)
-def test_truncation_policy_validation(kwargs):
-    with pytest.raises(DomainError):
-        TruncationPolicy(**kwargs)
 
 
 def test_domain_restriction_is_enforced_by_default():

@@ -11,7 +11,7 @@ from orbitwalk import oracle
 from orbitwalk.errors import DomainError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams, window_radius
-from orbitwalk.orbit import KernelPlan, TruncationPolicy, _gluing_weight
+from orbitwalk.orbit import KernelPlan, _gluing_weight
 from orbitwalk.verify import (
     CheckResult,
     _Kernels,
@@ -109,9 +109,8 @@ def test_zero_tau_is_rejected():
 def test_equivariance_fails_for_a_kernel_at_the_wrong_weight(kind, D, wrong, N):
     space = OrbitSpaceSpec(kind, L=4, N=N)
     p = KernelParams(tau=1.0)
-    trunc = TruncationPolicy()
-    assert check_equivariance(space, D, p, trunc, kernel=_Kernels(space, D)).passed
-    result = check_equivariance(space, D, p, trunc, kernel=_Kernels(space, wrong))
+    assert check_equivariance(space, D, p, kernel=_Kernels(space, D)).passed
+    result = check_equivariance(space, D, p, kernel=_Kernels(space, wrong))
     assert result.passed is False
     assert result.deviation > result.tolerance
 
@@ -135,7 +134,6 @@ def test_composition_computes_each_probe_middle_entry_once(statistics):
     space = OrbitSpaceSpec("Circle", L=4, N=2)
     D = Representation(theta=0.7, statistics=statistics)
     p = KernelParams(tau=1.0)
-    trunc = TruncationPolicy()
     real = _Kernels(space, D)
     calls = []
 
@@ -143,7 +141,7 @@ def test_composition_computes_each_probe_middle_entry_once(statistics):
         calls.append((x, y, params.tau))
         return real(x, y, params)
 
-    result = check_composition(space, D, p, trunc, kernel=kernel)
+    result = check_composition(space, D, p, kernel=kernel)
     assert result.passed
     middles = fundamental_domain(space)
     # three probes into each middle and three out of it
@@ -225,14 +223,13 @@ def test_oracle_references_equal_the_many_body_kernel(statistics):
     space = OrbitSpaceSpec("Interval", L=4, N=2)
     D = Representation(theta=math.pi, statistics=statistics)
     p = KernelParams(tau=1.3)
-    trunc = TruncationPolicy()
     got = {}
 
     def kernel(x, y, params):
         got[(x, y)] = 0j
         return 0j
 
-    result = check_against_oracle(space, D, p, trunc, kernel=kernel)
+    result = check_against_oracle(space, D, p, kernel=kernel)
     dec = _oracle_decomposition(space, D, p, None)
     want = max(
         abs(oracle.many_body_kernel(dec, 2, statistics, x, y, p.tau)) for x, y in got
@@ -245,15 +242,14 @@ def test_kept_entries_stay_bounded_by_the_probes():
     space = OrbitSpaceSpec("Circle", L=6, N=2)  # 21 domain points, 8 probes
     D = Representation(theta=0.7)
     p = KernelParams(tau=1.0)
-    trunc = TruncationPolicy()
     kernel = _Kernels(space, D)
-    assert check_composition(space, D, p, trunc, kernel=kernel).passed
+    assert check_composition(space, D, p, kernel=kernel).passed
     probes = fundamental_domain(space)[:8]
     # only the 3 x 3 glued pairs, at tau: no entry through a middle point
     assert list(kernel.kept) == [p]
     assert set(kernel.kept[p]) == {(x, y) for x in probes[:3] for y in probes[:3]}
     for check in (check_initial_condition, check_against_oracle):
-        args = (space, D, trunc) if check is check_initial_condition else (space, D, p, trunc)
+        args = (space, D) if check is check_initial_condition else (space, D, p)
         assert check(*args, kernel=kernel).passed
     assert KernelParams(tau=0.5) not in kernel.kept
     assert sum(len(entries) for entries in kernel.kept.values()) <= 4 * 8**2 + 36
