@@ -18,8 +18,9 @@ default `orbitwalk dos` (201 energies on a 4-site circle, one sector key) and
 the same sweep on an 8-site interval (one reflected sector key per site), and
 the coined-table rows a coined walk on a 16-site circle with 20 steps (1,041
 table rows) in CSV and in JSON.  The command builds all 31 circle blocks in
-one `orbit_coined_blocks` call, which the coined-blocks row times alone.  The
-N = 2 rows time the two-walker `verify` on a 3-site circle (bosons) and
+one `orbit_coined_blocks` call, which the coined-blocks row times alone; the
+line-blocks row times the 20-step line walk under it (`coined_line_blocks`),
+so the winding sum costs the difference of the two.  The N = 2 rows time the two-walker `verify` on a 3-site circle (bosons) and
 fermion `thermal` on a 5-site circle.  The dos, coined-table and N = 2 rows
 run in-process through `cli.main`, output discarded.  The cold-start
 row runs the default `orbitwalk evolve` in fresh interpreters against this
@@ -44,7 +45,7 @@ from pathlib import Path
 from orbitwalk import _core_py
 from orbitwalk.cli import build_parser, main as cli_main
 from orbitwalk.group import OrbitSpaceSpec, Representation
-from orbitwalk.kernels import KernelParams, hadamard_coin
+from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin
 from orbitwalk.orbit import KernelPlan, orbit_coined_blocks, orbit_kernel
 
 WORKLOADS = [
@@ -105,6 +106,12 @@ def bench_coined_blocks() -> float:
     D = Representation(theta=0.7)
     coin = hadamard_coin()
     return per_call_us(lambda: orbit_coined_blocks(space, D, 20, coin, -15, 15), 200)
+
+
+def bench_coined_line_blocks() -> float:
+    """One `coined_line_blocks` call: the 41-displacement stack of a 20-step Hadamard walk."""
+    coin = hadamard_coin()
+    return per_call_us(lambda: coined_line_blocks(20, coin), 200)
 
 
 PARSER_ARGV = ["thermal", "--set", "space.L=16", "--format", "csv"]
@@ -191,6 +198,8 @@ def main() -> None:
           f"{bench_cli(INTERVAL_DOS_ARGV, 10) / 1000.0:.2f} ms")
     print(f"coined blocks: L=16, steps=20, all 31 displacements in one call: "
           f"{bench_coined_blocks():.0f} us")
+    print(f"coined line blocks: steps=20, the line stack alone: "
+          f"{bench_coined_line_blocks():.0f} us")
     print(f"coined table: L=16, steps=20 through cli.main: "
           f"{bench_cli(COINED_ARGV, 20) / 1000.0:.2f} ms")
     print(f"coined table: L=16, steps=20, --format json through cli.main: "

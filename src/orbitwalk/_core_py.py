@@ -1,23 +1,24 @@
 """The Bessel core: the one implementation behind `orbitwalk.special`.
 
 Two entry points, the rows J_0..J_nmax and I_0..I_nmax, in pure Python;
-`special` validates the arguments before calling them.
-A row is one backward (Miller) recurrence, normalized by the summation
-identities
+`special` validates the arguments before calling them.  J and I share one
+backward (Miller) recurrence and one ascending series, which differ only in
+a sign: c_{k-1} = (2k/z) c_k - c_{k+1} for J and + c_{k+1} for I.  A
+recurrence row is normalized by the summation identities
 
     J_0(z) + 2 J_2(z) + 2 J_4(z) + ... = 1
     I_0(z) + 2 I_1(z) + 2 I_2(z) + ... = e^z
 
 with periodic rescaling so intermediate values never overflow.  It serves
-every z above `_ROW_SERIES_CUT`, where 2k/z stays finite; a row below the
-cut takes the ascending series per order.
+every z above `_ROW_SERIES_CUT`, where 2k/z stays finite; a row at or below
+the cut, z = 0 included, takes the ascending series per order.
 """
 
 from __future__ import annotations
 
 import math
 
-# Rescaling bounds for the backward recurrences (same trick as the classic
+# Rescaling bounds for the backward recurrence (same trick as the classic
 # Numerical Recipes bessj: keep the unnormalized values inside the double
 # range, the normalization removes the accumulated factor at the end).
 _BIG = 1e10
@@ -34,8 +35,12 @@ I_Z_MAX = 700.0
 _ROW_SERIES_CUT = 0.01
 
 
-def _series_j(n: int, z: float) -> float:
-    """Ascending series for J_n(z); caller guarantees the regime is safe."""
+def _series(n: int, z: float, sign: float) -> float:
+    """Ascending series sum_k (sign z^2/4)^k (z/2)^n / (k! (n + k)!): J_n for sign -1, I_n for +1.
+
+    The caller keeps z at or below `_ROW_SERIES_CUT`, where every term is
+    stable.  The sum stops once a term falls below 1e-17 of the largest.
+    """
     half = 0.5 * z
     if half == 0.0:  # zero or subnormal z: series degenerates to its limit
         return 1.0 if n == 0 else 0.0
@@ -45,9 +50,9 @@ def _series_j(n: int, z: float) -> float:
     term = math.exp(log_t0)
     total = term
     peak = abs(term)
-    zz = half * half
+    zz = sign * half * half
     for k in range(1, _SERIES_KMAX):
-        term *= -zz / (k * (n + k))
+        term *= zz / (k * (n + k))
         total += term
         mag = abs(term)
         if mag > peak:
@@ -57,90 +62,49 @@ def _series_j(n: int, z: float) -> float:
     return total
 
 
-def _series_i(n: int, z: float) -> float:
-    """Ascending series for I_n(z); all terms positive, always stable."""
-    half = 0.5 * z
-    if half == 0.0:  # zero or subnormal z: series degenerates to its limit
-        return 1.0 if n == 0 else 0.0
-    log_t0 = n * math.log(half) - math.lgamma(n + 1.0)
-    if log_t0 < -745.0:
-        return 0.0
-    term = math.exp(log_t0)
-    total = term
-    zz = half * half
-    for k in range(1, _SERIES_KMAX):
-        term *= zz / (k * (n + k))
-        total += term
-        if total > 1e307:
-            raise OverflowError(f"I_{n}({z}) exceeds double-precision range")
-        if term < 1e-17 * total:
-            break
-    return total
+def _miller(nmax: int, z: float, sign: float, stride: int) -> tuple:
+    """The unnormalized row c_0..c_nmax of c_{k-1} = (2k/z) c_k + sign c_{k+1}, and its norm.
 
-
-def _miller_j_row(nmax: int, z: float) -> list:
-    """Rows J_0(z)..J_nmax(z) by backward recurrence, J-sum normalized."""
+    The norm is c_0 + 2 (c_stride + c_2stride + ...): stride 2 for J, 1 for I.
+    """
     m0 = max(nmax, int(z) + 1)
     m = m0 + int(12.0 * m0 ** (1.0 / 3.0)) + 42
     row = [0.0] * (nmax + 1)
-    jp = 0.0  # J_{k+1}, unnormalized
-    j = 1e-30  # J_k seeded at k = m
-    norm = 0.0
-    for k in range(m, -1, -1):
-        if k <= nmax:
-            row[k] = j
-        if k == 0:
-            norm += j
-        elif k % 2 == 0:
-            norm += 2.0 * j
-        jm = (2.0 * k / z) * j - jp
-        jp = j
-        j = jm
-        if abs(j) > _BIG:
-            j *= _BIG_INV
-            jp *= _BIG_INV
-            norm *= _BIG_INV
-            for i in range(k, nmax + 1):  # only indices >= k are stored so far
-                row[i] *= _BIG_INV
-    inv = 1.0 / norm
-    return [v * inv for v in row]
-
-
-def j_row(nmax: int, z: float) -> list:
-    """[J_0(z), ..., J_nmax(z)] in one pass."""
-    if z == 0.0:
-        return [1.0] + [0.0] * nmax
-    if z <= _ROW_SERIES_CUT:
-        return [_series_j(n, z) for n in range(nmax + 1)]
-    return _miller_j_row(nmax, z)
-
-
-def i_row(nmax: int, z: float) -> list:
-    """[I_0(z), ..., I_nmax(z)] by backward recurrence, e^z normalized."""
-    if z == 0.0:
-        return [1.0] + [0.0] * nmax
-    if z > I_Z_MAX:
-        raise OverflowError(f"I_n({z}) normalization e^z exceeds double range")
-    if z <= _ROW_SERIES_CUT:
-        return [_series_i(n, z) for n in range(nmax + 1)]
-    m0 = max(nmax, int(z) + 1)
-    m = m0 + int(12.0 * m0 ** (1.0 / 3.0)) + 42
-    row = [0.0] * (nmax + 1)
-    ip = 0.0
-    cur = 1e-30
+    ahead = 0.0  # c_{k+1}
+    cur = 1e-30  # c_k seeded at k = m
     norm = 0.0
     for k in range(m, -1, -1):
         if k <= nmax:
             row[k] = cur
-        norm += cur if k == 0 else 2.0 * cur
-        im = ip + (2.0 * k / z) * cur  # I_{k-1} = I_{k+1} + (2k/z) I_k
-        ip = cur
-        cur = im
+        if k == 0:
+            norm += cur
+        elif k % stride == 0:
+            norm += 2.0 * cur
+        ahead, cur = cur, (2.0 * k / z) * cur + sign * ahead
         if abs(cur) > _BIG:
             cur *= _BIG_INV
-            ip *= _BIG_INV
+            ahead *= _BIG_INV
             norm *= _BIG_INV
-            for i in range(k, nmax + 1):
+            for i in range(k, nmax + 1):  # only indices >= k are stored so far
                 row[i] *= _BIG_INV
+    return row, norm
+
+
+def j_row(nmax: int, z: float) -> list:
+    """[J_0(z), ..., J_nmax(z)] in one pass."""
+    if z <= _ROW_SERIES_CUT:
+        return [_series(n, z, -1.0) for n in range(nmax + 1)]
+    row, norm = _miller(nmax, z, -1.0, 2)
+    inv = 1.0 / norm
+    return [v * inv for v in row]
+
+
+def i_row(nmax: int, z: float) -> list:
+    """[I_0(z), ..., I_nmax(z)] by backward recurrence, e^z normalized."""
+    if z > I_Z_MAX:
+        raise OverflowError(f"I_n({z}) normalization e^z exceeds double range")
+    if z <= _ROW_SERIES_CUT:
+        return [_series(n, z, 1.0) for n in range(nmax + 1)]
+    row, norm = _miller(nmax, z, 1.0, 1)
     scale = math.exp(z) / norm
     return [v * scale for v in row]

@@ -5,17 +5,16 @@ one the orbit-space routes run once per run: the time and heat rows are
 Bessel rows (`orbit._free_row` over `special.j_row`/`i_row`), the resolvent
 e^{iq|x-y|} / (i omega sin q) is summed in closed form by the resolvent plan
 from the complex momentum `_momentum`, and the discrete-time coined walk is
-the exact light-cone blocks of `coined_line_blocks`.  A kernel on the line
-itself is the orbit-space kernel on `OrbitSpaceSpec("Line")`.  numpy is
-imported only by the coined-walk code.
+the exact light-cone blocks of `coined_line_blocks`, one array stacked by
+displacement that `orbit.orbit_coined_blocks` sums over windings as it is
+returned.  A kernel on the line itself is the orbit-space kernel on
+`OrbitSpaceSpec("Line")`.  numpy is imported only by the coined-walk code.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -104,17 +103,18 @@ def hadamard_coin() -> CoinSpec:
     return CoinSpec(2, coin, (1, -1))
 
 
-def _coined_blocks(steps: int, c: CoinSpec) -> dict:
-    """All nonzero blocks of W^steps on the line, keyed by x - y (steps >= 0).
+def _coined_blocks(steps: int, c: CoinSpec) -> tuple:
+    """W^steps on the line (steps >= 0) as (first, stack): stack[k] is the block at x - y = first + k.
 
     A step sends row i of C times the block at delta to row i of the block at
     delta + shift_i.  The blocks live in one stack over every displacement
     the walk passes, allocated once; a step is one batched matmul over the
-    range reached so far, which it then clears and refills with one
-    slice-add per shift.  The reached displacements follow from the shifts
-    alone: bit k of `reached` marks displacement k + steps * min(shifts).
-    Displacements the walk cannot reach (odd ones of a +-1 walk after an
-    even step count) stay zero in the stack and are not returned.
+    window reached so far, which it then clears and refills with one
+    slice-add per shift.  The final window, displacements steps * min(shifts)
+    to steps * max(shifts), is returned as a view; displacements in it the
+    walk cannot reach (odd ones of a +-1 walk after an even step count) are
+    exact zeros.  Outside it the allocation may still hold blocks of earlier
+    steps, so only the window leaves this function.
     """
     import numpy as np
 
@@ -131,27 +131,21 @@ def _coined_blocks(steps: int, c: CoinSpec) -> dict:
         for i, s in enumerate(c.shifts):
             stack[start + s - low_shift:start + s - low_shift + size, i, :] += rows[:, i, :]
         size += width
-    reached = 1
-    for _ in range(steps):
-        reached = functools.reduce(
-            operator.or_, (reached << (s - low_shift) for s in set(c.shifts))
-        )
-    first = steps * low_shift
-    return {
-        first + k: stack[first + k - base] for k in range(reached.bit_length()) if reached >> k & 1
-    }
+    return steps * low_shift, stack[start:start + size]
 
 
-def coined_line_blocks(steps: int, c: CoinSpec) -> dict:
-    """Every nonzero block of the n-step coined walk on the line, keyed by x - y.
+def coined_line_blocks(steps: int, c: CoinSpec) -> tuple:
+    """The n-step coined walk on the line as (first, stack), stack[k] the block at x - y = first + k.
 
-    The walk has a strict light cone (|x - y| <= |steps| * max|shift|), so the
-    blocks are exact — no truncation enters.  Negative step counts use the
-    unitarity relation B_{-n}(delta) = B_n(-delta)^H.
+    The walk has a strict light cone: every block outside the stack is zero,
+    so the blocks are exact and no truncation enters.  The stack runs from
+    steps * min(shifts) to steps * max(shifts); negative step counts use the
+    unitarity relation B_{-n}(delta) = B_n(-delta)^H, the reversed,
+    conjugate-transposed stack of n steps.
     """
     if abs(steps) > STEP_MAX:
         raise DomainError(f"|steps| exceeds STEP_MAX = {STEP_MAX}")
     if steps < 0:
-        return {-delta: blk.conj().T for delta, blk in _coined_blocks(-steps, c).items()}
+        first, stack = _coined_blocks(-steps, c)
+        return -(first + len(stack) - 1), stack[::-1].conj().transpose(0, 2, 1)
     return _coined_blocks(steps, c)
-

@@ -2,7 +2,9 @@
 
 Everything in this module goes through explicit matrices — build, eigh,
 solve — and never touches the image-sum machinery, so agreement between the
-two routes is a genuine cross-check rather than a tautology.
+two routes is a genuine cross-check rather than a tautology.  A chain may
+have a single site: its Hamiltonian is then the 1 x 1 sum of its boundary
+terms (-omega cos theta on the twisted ring).
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ class HamiltonianSpec:
     boundary: object
 
     def __post_init__(self):
-        if self.sites < 2:
-            raise DomainError("need at least two sites")
+        if self.sites < 1:
+            raise DomainError("need at least one site")
         if self.sites > SITES_MAX:
             raise DomainError(f"site count {self.sites} exceeds {SITES_MAX}")
         if not self.omega > 0.0:
@@ -266,8 +268,6 @@ def coined_circle_block(power: np.ndarray, d: int, x: int, y: int) -> np.ndarray
 def gauge_check(L: int, theta: float, tau: float, omega: float = 1.0) -> float:
     """Max deviation between the uniformly-phased ring kernel and the
     phase-dressed twisted-ring kernel; zero when the two are gauge images."""
-    if L < 2:
-        raise DomainError("need L >= 2")
     twisted = diagonalize(build_hamiltonian(HamiltonianSpec(L, omega, CircleTwisted(theta))))
     k_twisted = spectral_kernel_matrix(twisted, tau)
 

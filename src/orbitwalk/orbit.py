@@ -71,6 +71,28 @@ def _free_row(p: KernelParams, heat: bool) -> list:
     return [quarter_phase(sign * d) * v for d, v in enumerate(row)]
 
 
+def _initial_state(space: OrbitSpaceSpec, psi0: dict) -> dict:
+    """A finitely supported state as {point: complex amplitude}, checked.
+
+    Every point must lie in the fundamental domain, the state must have an
+    amplitude and a finite norm; a norm away from 1 warns.
+    """
+    state = {_as_point(space, pt): complex(a) for pt, a in psi0.items()}
+    if not state:
+        raise DomainError("initial state must have at least one amplitude")
+    for pt in state:
+        check_in_domain(space, pt, "initial-state point")
+    try:
+        norm = sum(abs(a) ** 2 for a in state.values())
+    except OverflowError:  # an |a|^2 past the double range
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise DomainError(f"initial state norm {norm} is not finite")
+    if abs(norm - 1.0) > 1e-12:
+        warnings.warn(f"initial state norm {norm:.6f} differs from 1", stacklevel=3)
+    return state
+
+
 def _points(space: OrbitSpaceSpec, x, y, restrict_domain: bool) -> tuple:
     x, y = _as_point(space, x), _as_point(space, y)
     if restrict_domain:
@@ -438,36 +460,14 @@ class KernelPlan:
         if self._mode != "time":
             raise DomainError("state evolution needs a time-kernel plan")
         space = self._space
-        state = {_as_point(space, pt): complex(a) for pt, a in psi0.items()}
-        if not state:
-            raise DomainError("initial state must have at least one amplitude")
-        for pt in state:
-            check_in_domain(space, pt, "initial-state point")
-        try:
-            norm = sum(abs(a) ** 2 for a in state.values())
-        except OverflowError:  # an |a|^2 past the double range
-            norm = math.inf
-        if not math.isfinite(norm):
-            raise DomainError(f"initial state norm {norm} is not finite")
-        if abs(norm - 1.0) > 1e-12:
-            warnings.warn(f"initial state norm {norm:.6f} differs from 1", stacklevel=2)
+        state = _initial_state(space, psi0)
         if space.kind in ("Circle", "Interval"):
             points = fundamental_domain(space)
         else:
             points = fundamental_domain(space, window or _infinite_window(space, state, self._params))
         sources = [(source, a) for source, a in state.items() if a != 0j]
-        out = {}
-        if space.N == 1:  # the single-walker sums themselves, by site
-            single = self._sum
-            sources = [(source[0], a) for source, a in sources]
-            for target in points:
-                site = target[0]
-                amp = 0j
-                for source, a in sources:
-                    amp += single(site, source) * a
-                out[target] = amp
-            return out
         value = self.value
+        out = {}
         for target in points:
             amp = 0j
             for source, a in sources:
@@ -585,8 +585,9 @@ def orbit_coined_blocks(
     """Circle blocks at displacements lo..hi: out[k] = sum_n e^{i n theta} B_steps(lo + k - nL).
 
     The line blocks have a strict light cone, so the sum is finite and exact.
-    They are stacked by displacement once; each winding n, in ascending order,
-    then adds to every displacement it reaches in one array sum.
+    Each winding n, in ascending order, adds the part of the
+    `coined_line_blocks` stack it reaches to every displacement in one array
+    sum.
     """
     import numpy as np
 
@@ -594,14 +595,12 @@ def orbit_coined_blocks(
         raise DomainError("discrete-time orbit kernels are wired for the single-walker circle")
     validate_representation(space, D)
     L = space.L
-    reach = abs(steps) * max((abs(s) for s in c.shifts), default=0)
-    line = np.zeros((2 * reach + 1, c.d, c.d), dtype=complex)  # line[reach + delta]
-    for delta, blk in coined_line_blocks(steps, c).items():
-        line[reach + delta] = blk
+    first, line = coined_line_blocks(steps, c)  # line[k] is the block at first + k
+    last = first + len(line) - 1
     out = np.zeros((hi - lo + 1, c.d, c.d), dtype=complex)
-    for n in range(math.ceil((lo - reach) / L), math.floor((hi + reach) / L) + 1):
-        a, b = max(lo, n * L - reach), min(hi, n * L + reach) + 1
-        out[a - lo:b - lo] += weight_from_sums(D, n, 0) * line[reach + a - n * L:reach + b - n * L]
+    for n in range(math.ceil((lo - last) / L), math.floor((hi - first) / L) + 1):
+        a, b = max(lo, n * L + first), min(hi, n * L + last) + 1
+        out[a - lo:b - lo] += weight_from_sums(D, n, 0) * line[a - n * L - first:b - n * L - first]
     return out
 
 
@@ -653,14 +652,16 @@ def probability(
     p: KernelParams,
     x,
 ) -> float:
-    """Detection probability |(U_tau psi0)(x)|^2 at a single point."""
+    """Detection probability |(U_tau psi0)(x)|^2 at a single point.
+
+    psi0 is checked as `evolve_state` checks it.
+    """
     target = _as_point(space, x)
     check_in_domain(space, target, "x")
+    state = _initial_state(space, psi0)
     plan = KernelPlan(space, D, p)
     amp = 0j
-    for source, a in psi0.items():
-        src = _as_point(space, source)
-        check_in_domain(space, src, "initial-state point")
-        if complex(a) != 0j:
-            amp += plan.value(target, src) * complex(a)
+    for source, a in state.items():
+        if a != 0j:
+            amp += plan.value(target, source) * a
     return abs(amp) ** 2

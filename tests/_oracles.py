@@ -108,14 +108,7 @@ def chain_hamiltonian(kind: str, L: int, omega: float, theta: float, phi: float,
         boundary = oracle.Dirichlet()
     else:
         boundary = oracle.IntervalPhase(theta, phi)
-    if L >= 2:
-        return oracle.build_hamiltonian(oracle.HamiltonianSpec(L, omega, boundary))
-    # One site: the chain's boundary terms are all that is left of it.
-    if kind == "Circle":
-        return np.array([[-omega * math.cos(theta)]], dtype=complex)
-    if isinstance(boundary, oracle.Dirichlet):
-        return np.zeros((1, 1), dtype=complex)
-    return np.array([[-0.5 * omega * (math.cos(phi) + math.cos(theta + phi))]], dtype=complex)
+    return oracle.build_hamiltonian(oracle.HamiltonianSpec(L, omega, boundary))
 
 
 def lead_self_energy(omega: float, energy: complex) -> complex:
@@ -251,15 +244,13 @@ def coined_table_reference(L: int, theta: float, steps: int, coin, source: int,
     power = oracle.coined_circle_power(L, theta, coin, abs(steps))
     if steps < 0:
         power = power.conj().T
-    blocks = coined_line_blocks(steps, coin)
-    reach = abs(steps) * max(abs(s) for s in coin.shifts)
+    first, blocks = coined_line_blocks(steps, coin)  # blocks[k] is the block at first + k
 
     def kernel(x: int, y: int) -> np.ndarray:
         out = np.zeros((coin.d, coin.d), dtype=complex)
-        for n in range(math.ceil((x - y - reach) / L), math.floor((x - y + reach) / L) + 1):
-            blk = blocks.get(x - y - n * L)
-            if blk is not None:
-                out += weight_from_sums(D, n, 0) * blk
+        last = first + len(blocks) - 1
+        for n in range(math.ceil((x - y - last) / L), math.floor((x - y - first) / L) + 1):
+            out += weight_from_sums(D, n, 0) * blocks[x - y - n * L - first]
         return out
 
     def fmt(value: float) -> str:

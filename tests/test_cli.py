@@ -512,6 +512,30 @@ def test_verify_interval_all_phase_pairs(capsys):
             assert code == 0, (theta, phi, out)
 
 
+@pytest.mark.parametrize(
+    "sets",
+    [
+        ("representation.theta=0",),
+        ("representation.theta=0.7",),
+        ("representation.theta=2", "params.tau=40"),
+        ("space.kind=Interval", f"representation.theta={math.pi}", f"representation.phi={math.pi}"),
+        ("space.kind=Interval", "space.boundary_convention=Dirichlet", f"representation.phi={math.pi}"),
+        ("space.N=2",),
+    ],
+    ids=["circle", "circle-twisted", "circle-long-tau", "interval-pi-pi", "interval-dirichlet",
+         "circle-two-walkers"],
+)
+def test_verify_passes_on_one_site_spaces(capsys, sets):
+    # One site: the oracle's chain is its 1 x 1 boundary term.
+    argv = ["verify", "--set", "space.L=1"]
+    for s in sets:
+        argv += ["--set", s]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert rows and all(r[1] == "pass" for r in rows)
+
+
 def test_verify_shares_single_walker_sums_across_checks(capsys, image_sums):
     code, _, _ = run_cli(
         capsys, "verify", "--set", "space.L=5", "--set", "space.N=2",

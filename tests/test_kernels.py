@@ -49,7 +49,9 @@ def line_resolvent(x: int, y: int, p: KernelParams) -> complex:
 
 def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:
     """The (x, y) block of the coined walk on the line; zero outside the light cone."""
-    return coined_line_blocks(steps, c).get(x - y, np.zeros((c.d, c.d), dtype=complex))
+    first, stack = coined_line_blocks(steps, c)
+    k = x - y - first
+    return stack[k] if 0 <= k < len(stack) else np.zeros((c.d, c.d), dtype=complex)
 
 
 def test_line_kernel_initial_condition():
@@ -254,15 +256,23 @@ def test_coined_blocks_equal_the_block_by_block_walk_bit_for_bit():
         _random_coin(rng, 1, (1,)),
     ]
     for c in coins:
+        low, high = min(c.shifts), max(c.shifts)
         for steps in range(0, 13):
-            got, want = coined_line_blocks(steps, c), _blocks_one_at_a_time(steps, c)
-            assert sorted(got) == sorted(want)  # reached displacements only
-            for delta, blk in want.items():
-                assert got[delta].tobytes() == blk.tobytes(), (steps, delta)
-        back, forward = coined_line_blocks(-5, c), _blocks_one_at_a_time(5, c)
-        assert sorted(back) == sorted(-delta for delta in forward)
-        for delta, blk in forward.items():
-            assert back[-delta].tobytes() == blk.conj().T.tobytes()
+            (first, got), want = coined_line_blocks(steps, c), _blocks_one_at_a_time(steps, c)
+            # the window runs from steps * min(shifts) to steps * max(shifts)
+            assert (first, len(got)) == (steps * low, steps * (high - low) + 1)
+            for k, blk in enumerate(got):
+                if first + k in want:
+                    assert blk.tobytes() == want[first + k].tobytes(), (steps, first + k)
+                else:  # unreached displacements are exact zeros
+                    assert not blk.any(), (steps, first + k)
+        (first, back), forward = coined_line_blocks(-5, c), _blocks_one_at_a_time(5, c)
+        assert (first, len(back)) == (-5 * high, 5 * (high - low) + 1)
+        for k, blk in enumerate(back):
+            if -(first + k) in forward:
+                assert blk.tobytes() == forward[-(first + k)].conj().T.tobytes()
+            else:
+                assert not blk.any()
 
 
 def test_step_cap():

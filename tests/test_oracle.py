@@ -97,7 +97,7 @@ def test_interval_phases_must_be_multiples_of_pi():
 
 def test_hamiltonian_spec_validation():
     with pytest.raises(DomainError):
-        oracle.HamiltonianSpec(1, 1.0, oracle.Dirichlet())
+        oracle.HamiltonianSpec(0, 1.0, oracle.Dirichlet())
     with pytest.raises(DomainError):
         oracle.HamiltonianSpec(4, 0.0, oracle.Dirichlet())
     with pytest.raises(DomainError):

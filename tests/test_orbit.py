@@ -799,6 +799,18 @@ def test_probability_requires_detection_point():
         probability(space, Representation(), {(1,): 1.0}, KernelParams(tau=1.0))
 
 
+@pytest.mark.parametrize(
+    "psi0", [{}, {(1,): math.inf}, {(1,): math.nan}], ids=["empty", "inf", "nan"]
+)
+def test_probability_refuses_the_states_evolve_refuses(psi0):
+    space = OrbitSpaceSpec("Circle", L=5)
+    D, p = Representation(), KernelParams(tau=1.0)
+    with pytest.raises(DomainError):
+        evolve_state(space, D, psi0, p)
+    with pytest.raises(DomainError):
+        probability(space, D, psi0, p, x=1)
+
+
 # -- exact folds ----------------------------------------------------------
 
 
