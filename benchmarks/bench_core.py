@@ -14,18 +14,22 @@ long-time fold row times a one-site circle at tau = 500, whose one residue
 takes every winding of a 627-term Bessel row.  The parser row times
 building the CLI parser and parsing one command line; `main()` builds the
 parser once per process and then only parses.  The dos-sweep rows time the
-default `orbitwalk dos` (201 energies on a 4-site circle, one sector key) and
-the same sweep on an 8-site interval (one reflected sector key per site), and
-the coined-table rows a coined walk on a 16-site circle with 20 steps (1,041
-table rows) in CSV and in JSON.  The command builds all 31 circle blocks in
-one `orbit_coined_blocks` call, which the coined-blocks row times alone; the
-line-blocks row times the 20-step line walk under it (`coined_line_blocks`),
-so the winding sum costs the difference of the two.  The N = 2 rows time the two-walker `verify` on a 3-site circle (bosons) and
-fermion `thermal` on a 5-site circle.  The dos, coined-table and N = 2 rows
-run in-process through `cli.main`, output discarded.  The cold-start
-row runs the default `orbitwalk evolve` in fresh interpreters against this
-checkout's `src/` and reports the median wall time and the modules the run
-loaded.
+default `orbitwalk dos` (201 energies on a 4-site circle, one residue) and
+the same sweep on an 8-site interval (residue 0 and one reflected residue per
+site, L + 1 in all).  The resolvent-table rows time one-energy `resolvent`
+tables: an 8-site interval (64 entries from 16 residues) and a half line
+windowed to sites 1..60 (3,600 entries, one free term per distance |d| up
+to 119), a path with no period.  The coined-table rows time a coined walk
+on a 16-site circle with 20 steps (1,041 table rows) in CSV and in JSON.
+The command builds all 31 circle blocks in one `orbit_coined_blocks` call,
+which the coined-blocks row times alone; the line-blocks row times the
+20-step line walk under it (`coined_line_blocks`), so the winding sum costs
+the difference of the two.  The N = 2 rows time the two-walker `verify` on
+a 3-site circle (bosons) and fermion `thermal` on a 5-site circle.  The
+dos, resolvent, coined-table and N = 2 rows run in-process through
+`cli.main`, output discarded.  The cold-start row runs the default
+`orbitwalk evolve` in fresh interpreters against this checkout's `src/` and
+reports the median wall time and the modules the run loaded.
 """
 
 from __future__ import annotations
@@ -132,6 +136,8 @@ def bench_cli(argv: list[str], repeats: int) -> float:
 
 COINED_ARGV = ["coined", "--set", "space.L=16", "--set", "coined.steps=20"]
 INTERVAL_DOS_ARGV = ["dos", "--set", "space.kind=Interval", "--set", "space.L=8"]
+INTERVAL_RESOLVENT_ARGV = ["resolvent", "--set", "space.kind=Interval", "--set", "space.L=8"]
+HALF_LINE_RESOLVENT_ARGV = ["resolvent", "--set", "space.kind=HalfLine", "--window=1:60"]
 VERIFY_PAIR_ARGV = [
     "verify", "--set", "space.L=3", "--set", "space.N=2", "--set", "representation.theta=0.7",
 ]
@@ -196,6 +202,10 @@ def main() -> None:
     print(f"dos sweep: default dos through cli.main: {bench_cli(['dos'], 10) / 1000.0:.2f} ms")
     print(f"dos sweep: Interval L=8 dos through cli.main: "
           f"{bench_cli(INTERVAL_DOS_ARGV, 10) / 1000.0:.2f} ms")
+    print(f"resolvent table: Interval L=8 through cli.main: "
+          f"{bench_cli(INTERVAL_RESOLVENT_ARGV, 20) / 1000.0:.2f} ms")
+    print(f"resolvent table: HalfLine --window=1:60 through cli.main: "
+          f"{bench_cli(HALF_LINE_RESOLVENT_ARGV, 10) / 1000.0:.2f} ms")
     print(f"coined blocks: L=16, steps=20, all 31 displacements in one call: "
           f"{bench_coined_blocks():.0f} us")
     print(f"coined line blocks: steps=20, the line stack alone: "

@@ -230,7 +230,7 @@ class ResolvedRun:
             return 0
         if self.command == "coined":
             return (self.space.L * self.coin.d) ** 2
-        points = domain_size(self.space, self._domain_window())
+        points = domain_size(self.space, self.window)
         if self.command == "evolve":
             return points
         if self.command == "dos":
@@ -254,7 +254,7 @@ class ResolvedRun:
         n = self.space.N
         if n == 1 or self.command not in ("evolve", "thermal", "verify"):
             return 0
-        points = domain_size(self.space, self._domain_window())
+        points = domain_size(self.space, self.window)
         if self.command == "evolve":
             entries = points * len(self.initial_state)
         elif self.command == "thermal":
@@ -285,12 +285,8 @@ class ResolvedRun:
             middles = domain_size(self.space, (lo - reach, hi + reach))
         return 4 * probes * probes + 36 + 9 * (2 * middles + 1)
 
-    def _domain_window(self):
-        """The site window of Line/HalfLine runs; finite spaces ignore it."""
-        return None if self.space.kind in ("Circle", "Interval") else self.window
-
     def domain_points(self) -> list:
-        return fundamental_domain(self.space, self._domain_window())
+        return fundamental_domain(self.space, self.window)
 
     @functools.cached_property
     def coin(self) -> CoinSpec:

@@ -17,9 +17,5 @@ class ConfigError(OrbitwalkError, ValueError):
     """A run configuration is malformed or inconsistent."""
 
 
-class TruncationError(OrbitwalkError, RuntimeError):
-    """A shell-by-shell image sum did not converge within its cap (test references only)."""
-
-
 class PrecisionError(OrbitwalkError, ArithmeticError):
     """A computed value lost its digits to cancellation or overflow."""

@@ -190,21 +190,25 @@ def check_in_domain(space: OrbitSpaceSpec, x: Point, name: str = "point") -> Non
 
 
 def _site_range(space: OrbitSpaceSpec, window) -> tuple:
+    """The closed site range (lo, hi) of the fundamental domain.
+
+    Finite spaces give 1..L and ignore the window.  The Line takes the
+    window as it is, the HalfLine clips it to sites >= 1.
+    """
     lo, hi = coordinate_range(space)
-    if window is not None:
-        wlo, whi = window
-        lo = wlo if lo is None else max(lo, wlo)
-        hi = whi if hi is None else min(hi, whi)
-    if lo is None or hi is None:
+    if hi is not None:
+        return lo, hi
+    if window is None:
         raise DomainError(f"{space.kind} is infinite: an explicit window is required")
-    return lo, hi
+    wlo, whi = window
+    return (wlo if lo is None else max(lo, wlo)), whi
 
 
 def fundamental_domain(space: OrbitSpaceSpec, window=None) -> list:
     """All fundamental-domain points, as sorted N-tuples.
 
-    Finite spaces (Circle/Interval) need no window; Line and HalfLine require
-    an explicit (lo, hi) site window.
+    Finite spaces (Circle/Interval) ignore the window; Line and HalfLine
+    require an explicit (lo, hi) site window.
     """
     lo, hi = _site_range(space, window)
     sites = range(lo, hi + 1)

@@ -5,19 +5,20 @@ of the initial point, each weighted by the representation.  For one walker
 the images of y are the integers (c - y if m else y) + n P (winding n,
 reflection bit m), and the weight is e^{i n theta} e^{i m phi}.  One plan
 type, `KernelPlan`, serves every command (`evolve`, `thermal`, `resolvent`,
-`dos` and `verify`) and computes each single-walker sum once per run:
+`dos` and `verify`) and computes each single-walker sum once per run.
+Every kernel is the same fold, K(x, y) = A(x - y) + e^{i phi} A(x + y - c)
+with A(d) = sum_n e^{i n theta} free(|d - n P|).  A(d + P) = e^{i theta} A(d),
+so P residues cover a space, each computed on first use; the three modes
+differ only in the free term and so in how a residue is summed:
 
-- Time and heat kernels are exact folds, K(x, y) = A(x - y)
-  + e^{i phi} A(x + y - c) with A(d) = sum_n e^{i n theta} free[|d - n P|].
-  The free row (one Bessel recurrence, `special.j_row`/`i_row`) ends at
-  `window_radius`, so A takes every winding the row reaches: there is no
-  tolerance and no shell cap.  A(d + P) = e^{i theta} A(d), so P residues
-  cover a space, each computed on first use.  A heat plan refuses
-  beta omega above `special.I_Z_MAX`, where e^(beta omega) overflows, and
-  a partition function that cancels to Z <= 0 or overflows raises
-  `PrecisionError`: the true Z is positive.
-- The resolvent's images form geometric series, which the plan sums in
-  closed form, once per reflection sector and displacement across a whole
+- Time and heat: the free term is a Bessel row (one recurrence,
+  `special.j_row`/`i_row`) that ends at `window_radius`, so a residue takes
+  every winding the row reaches: there is no tolerance and no shell cap.  A
+  heat plan refuses beta omega above `special.I_Z_MAX`, where e^(beta omega)
+  overflows, and a partition function that cancels to Z <= 0 or overflows
+  raises `PrecisionError`: the true Z is positive.
+- Resolvent: the free term is e^{iq|d|} / (i omega sin q), so a residue is
+  two geometric series in closed form, kept as a column over the whole
   energy grid (a DOS sweep is one plan).
 
 Time and heat kernels of N identical walkers are permanents or determinants
@@ -74,10 +75,16 @@ def _free_row(p: KernelParams, heat: bool) -> list:
 def _initial_state(space: OrbitSpaceSpec, psi0: dict) -> dict:
     """A finitely supported state as {point: complex amplitude}, checked.
 
-    Every point must lie in the fundamental domain, the state must have an
-    amplitude and a finite norm; a norm away from 1 warns.
+    Every point must lie in the fundamental domain and appear once (1 and
+    (1,) are one point), the state must have an amplitude and a finite norm;
+    a norm away from 1 warns.
     """
-    state = {_as_point(space, pt): complex(a) for pt, a in psi0.items()}
+    state = {}
+    for pt, a in psi0.items():
+        pt = _as_point(space, pt)
+        if pt in state:
+            raise DomainError(f"initial state lists point {pt} twice")
+        state[pt] = complex(a)
     if not state:
         raise DomainError("initial state must have at least one amplitude")
     for pt in state:
@@ -203,21 +210,21 @@ class KernelPlan:
       product of single-walker resolvents, so no permanent/determinant lift
       gives it.
 
-    Each single-walker sum is computed on first use and kept as a plain
-    complex, so a windowed run computes only the sums it touches.  On the
-    Line and Circle a sum depends on x - y alone and is kept by that
-    displacement; with reflections it is kept by (x, y).  A time or heat sum
-    is the fold A(x - y) + e^{i phi} A(x + y - c) (`_fold`).  On a period P,
+    Each single-walker sum is computed on first use and kept, so a windowed
+    run computes only the sums it touches: a plain complex for time and
+    heat, a column over the energy grid for the resolvent.  On the Line and
+    Circle a sum depends on x - y alone and is kept by that displacement;
+    with reflections it is kept by (x, y).  Every sum is the fold
+    A(x - y) + e^{i phi} A(x + y - c) (`_fold`).  On a period P,
     A(n0 P + r) = e^{i n0 theta} A(r), and each residue A(r), 0 <= r < P, is
-    summed over its windings on first use (`_residue`): L residues cover a
-    circle, 2L or 2(L + 1) an interval.  The resolvent is summed in closed
-    form one reflection sector at a time (`_resolvent_sector`), energy
-    major: the plan computes every grid energy's constants in one pass at
-    construction, then evaluates each sector key across the whole grid once,
-    the direct sector by x - y and the reflected one by x + y - c.  So 2L - 1
-    sector keys cover a circle and 2(2L - 1) an interval, and a DOS sweep
-    (`dos`) takes one key on a circle and L + 1 on an interval.  The weight
-    D(t^n r^m) of each (n, m) is computed once by `weight_from_sums`.
+    computed on first use (`_residue`): L residues cover a circle, 2L or
+    2(L + 1) an interval.  With no period the residue of d is the free term
+    at |d|.  A time or heat residue sums its windings over the Bessel row;
+    a resolvent residue is two geometric series in closed form at every
+    grid energy, whose constants the plan computes in one pass at
+    construction.  So a DOS sweep (`dos`) takes one residue on a circle and
+    L + 1 on an interval.  The weight D(t^n r^m) of each (n, m) is computed
+    once by `weight_from_sums`.
     An N-walker entry is the determinant (fermions) or permanent (bosons) of
     the N x N matrix of single-walker sums; a fermion entry whose x or y
     repeats a coordinate is exactly 0.  Nothing is shared between plans: a
@@ -250,12 +257,16 @@ class KernelPlan:
         self._by_displacement = not space.has_reflections
         self._weights: dict = {}
         self._sums: dict = {}
+        self._residues: dict = {}  # r -> A(r)
+        if self._center is not None:
+            self._bounce = self._weight(0, 1)  # e^{i phi}
+        self._grid = self._denominators = None  # a resolvent plan's energy grid
         if mode == "resolvent":
             self._init_resolvent([p.energy] if energies is None else energies)
         else:
-            self._init_fold(_free_row(p, mode == "heat"))
+            self._init_row(_free_row(p, mode == "heat"))
 
-    def _init_fold(self, free: list) -> None:
+    def _init_row(self, free: list) -> None:
         """The free row, and on a period P the weight of every winding a residue reaches."""
         self._free = free
         period = self._period
@@ -265,21 +276,17 @@ class KernelPlan:
             self._turns = [
                 self._weight(n, 0) for n in range(self._first, (period - 1 + reach) // period + 1)
             ]
-            self._residues = [None] * period
-        if self._center is not None:
-            self._bounce = self._weight(0, 1)  # e^{i phi}
 
     def _init_resolvent(self, energies) -> None:
-        """Each grid energy's constants, in one pass (see `_resolvent_sector`).
+        """Each grid energy's constants, in one pass (see `_residue`).
 
         Per energy: i q (q checked for branch and residual, so Im E <= 0
-        anywhere in the grid is refused before any sector), i omega sin q
+        anywhere in the grid is refused before any residue), i omega sin q
         and, on a period P, the series factors 1 / (1 - r-) and
         e^{i theta} / (1 - r+).  omega was validated with p.
         """
         omega = self._params.omega
         period = self._period
-        self._sectors: dict = {}
         self._grid = []  # (i q, ahead, behind) per energy
         self._denominators = []  # i omega sin q per energy
         ahead = behind = None
@@ -301,13 +308,24 @@ class KernelPlan:
             w = self._weights[(n, m)] = weight_from_sums(self._D, n, m)
         return w
 
-    def _sum(self, xi: int, yj: int) -> complex:
-        """The single-walker kernel between sites xi and yj, computed once per key."""
+    def _sum(self, xi: int, yj: int):
+        """The single-walker kernel between sites xi and yj, computed once per key.
+
+        A time or heat sum is a complex.  A resolvent sum is its column over
+        the energy grid: the folds summed from 0j, over i omega sin q.
+        """
         key = xi - yj if self._by_displacement else (xi, yj)
         value = self._sums.get(key)
         if value is None:
-            if self._mode == "resolvent":
-                value = self._resolvent(xi, yj)
+            if self._grid is not None:
+                direct, dens = self._fold(xi - yj), self._denominators
+                if self._center is None:
+                    value = [(0j + g) / den for g, den in zip(direct, dens)]
+                else:
+                    bounce, reflected = self._bounce, self._fold(xi + yj - self._center)
+                    value = [
+                        (0j + g + bounce * h) / den for g, h, den in zip(direct, reflected, dens)
+                    ]
             elif self._center is None:
                 value = self._fold(xi - yj)
             else:
@@ -315,101 +333,68 @@ class KernelPlan:
             self._sums[key] = value
         return value
 
-    def _fold(self, d: int) -> complex:
-        """A(d) = sum_n e^{i n theta} free[|d - n P|] over every winding the row reaches.
+    def _fold(self, d: int):
+        """A(d) = sum_n e^{i n theta} free(|d - n P|), turned from its residue.
 
-        With no period it is free[|d|], 0j past the row's end.
+        With no period the residue of d is |d|, and A(d) is the free term there.
         """
         period = self._period
-        if not period:
-            d = abs(d)
-            return self._free[d] if d < len(self._free) else 0j
-        n0, r = divmod(d, period)
-        value = self._residues[r]
+        n0, r = divmod(d, period) if period else (0, abs(d))
+        value = self._residues.get(r)
         if value is None:
             value = self._residues[r] = self._residue(r)
-        return self._weight(n0, 0) * value if n0 else value
+        if not n0:
+            return value
+        turn = self._weight(n0, 0)
+        return turn * value if self._grid is None else [turn * v for v in value]
 
-    def _residue(self, r: int) -> complex:
-        """A(r) for 0 <= r < P: the windings n with |r - n P| <= R, ascending."""
-        free, period, turns, first = self._free, self._period, self._turns, self._first
+    def _residue(self, r: int):
+        """A(r), 0 <= r < P, or the free term at r >= 0 when there is no period.
+
+        Time and heat: the windings n with |r - n P| <= R of the free row,
+        ascending; the row is 0j past its end R.  Resolvent: at every grid
+        energy, with r± = e^{i(±theta + qP)},
+
+            A(r) = e^{iq r} / (1 - r-) + e^{i theta} e^{iq (P - r)} / (1 - r+),
+
+        the two geometric series of the windings, which converge because
+        |r±| = e^{-P Im q} < 1; with no period, e^{iq r}.  `_sum` divides by
+        i omega sin q.
+        """
+        period, grid = self._period, self._grid
+        if grid is not None:
+            if not period:
+                return [cmath.exp(iq * r) for iq, _, _ in grid]
+            rest = period - r
+            return [
+                cmath.exp(iq * r) * ahead + cmath.exp(iq * rest) * behind
+                for iq, ahead, behind in grid
+            ]
+        free = self._free
+        if not period:
+            return free[r] if r < len(free) else 0j
+        turns, first = self._turns, self._first
         reach = len(free) - 1
         total = 0j
         for n in range(-((reach - r) // period), (r + reach) // period + 1):
             total += turns[n - first] * free[abs(r - n * period)]
         return total
 
-    def _resolvent(self, xi: int, yj: int) -> complex:
-        """G_E(xi, yj) at the plan's one energy."""
-        if len(self._grid) != 1:
-            raise DomainError(
-                f"a resolvent plan over {len(self._grid)} energies has no single kernel; "
-                "use dos()"
-            )
-        return self._column(self._keys(xi, yj))[0]
-
-    def _keys(self, xi: int, yj: int) -> tuple:
-        """The (m, displacement) sector keys of G(xi, yj): direct, then reflected."""
-        if self._center is None:
-            return ((0, xi - yj),)
-        return ((0, xi - yj), (1, xi + yj - self._center))
-
-    def _column(self, keys: tuple) -> list:
-        """G_E at every grid energy: the sectors of `keys` summed from 0j, over i omega sin q."""
-        sectors = []
-        for key in keys:
-            values = self._sectors.get(key)
-            if values is None:
-                values = self._sectors[key] = self._resolvent_sector(*key)
-            sectors.append(values)
-        if len(sectors) == 1:
-            return [(0j + g) / den for g, den in zip(sectors[0], self._denominators)]
-        direct, reflected = sectors
-        return [(0j + g + h) / den for g, h, den in zip(direct, reflected, self._denominators)]
-
-    def _resolvent_sector(self, m: int, d: int) -> list:
-        """Reflection sector m at displacement d, times i omega sin q, at every grid energy.
-
-        The sector is the image sum of the line resolvent
-        g(d) = e^{iq|d|} / (i omega sin q) over d - nP, weighted by
-        e^{i n theta} e^{i m phi}.  On the Line and HalfLine it is one term.
-        On the Circle and Interval it is two geometric series: with
-        d = n0 P + d0, 0 <= d0 < P and r± = e^{i(±theta + qP)},
-
-            sum_n e^{i n theta} g(d - nP) = e^{i n0 theta} [e^{iq d0} / (1 - r-)
-                + e^{i theta} e^{iq (P - d0)} / (1 - r+)] / (i omega sin q),
-
-        which converges because |r±| = e^{-P Im q} < 1.  `_column` divides
-        the sum of the sectors by i omega sin q.
-        """
-        period = self._space.period
-        if period:
-            n0, d0 = divmod(d, period)
-            weight = self._weight(n0, m)
-            rest = period - d0
-            return [
-                weight * (cmath.exp(iq * d0) * ahead + cmath.exp(iq * rest) * behind)
-                for iq, ahead, behind in self._grid
-            ]
-        weight = self._weight(0, m)
-        d = abs(d)
-        return [weight * cmath.exp(iq * d) for iq, _, _ in self._grid]
-
     def dos(self, sites) -> list:
         """The local DOS -(1/pi) Im G_E(x, x) at every grid energy, one column per site.
 
-        Sites with the same sector keys (every site of a circle) share one
+        Sites with the same sum key (every site of a circle) share one
         column, the same list.  No domain check.
         """
         if self._mode != "resolvent":
             raise DomainError("the density of states needs a resolvent plan")
-        columns: dict = {}
+        shared: dict = {}
         out = []
-        for site in sites:
-            keys = self._keys(site[0], site[0])
-            column = columns.get(keys)
+        for (x,) in sites:
+            key = 0 if self._by_displacement else x
+            column = shared.get(key)
             if column is None:
-                column = columns[keys] = [-g.imag / math.pi for g in self._column(keys)]
+                column = shared[key] = [-g.imag / math.pi for g in self._sum(x, x)]
             out.append(column)
         return out
 
@@ -421,8 +406,15 @@ class KernelPlan:
         """The kernel between N-walker lattice points x and y (no domain check).
 
         A fermion entry whose x or y repeats a coordinate is 0j before any
-        sum is gathered.
+        sum is gathered.  A resolvent plan has an entry at one energy only.
         """
+        if self._grid is not None:
+            if len(self._grid) != 1:
+                raise DomainError(
+                    f"a resolvent plan over {len(self._grid)} energies has no single kernel; "
+                    "use dos()"
+                )
+            return self._sum(x[0], y[0])[0]
         if len(x) == 1:
             return self._sum(x[0], y[0])
         if self._repeats(x, y):
@@ -461,10 +453,11 @@ class KernelPlan:
             raise DomainError("state evolution needs a time-kernel plan")
         space = self._space
         state = _initial_state(space, psi0)
-        if space.kind in ("Circle", "Interval"):
-            points = fundamental_domain(space)
-        else:
-            points = fundamental_domain(space, window or _infinite_window(space, state, self._params))
+        if not window:  # the light cone around the initial support; finite spaces ignore it
+            coords = [c for pt in state for c in pt]
+            radius = window_radius(self._params.omega, self._params.tau)
+            window = min(coords) - radius, max(coords) + radius
+        points = fundamental_domain(space, window)
         sources = [(source, a) for source, a in state.items() if a != 0j]
         value = self.value
         out = {}
@@ -619,13 +612,6 @@ def orbit_coined_kernel(
         check_in_domain(space, (x,), "x")
         check_in_domain(space, (y,), "y")
     return orbit_coined_blocks(space, D, steps, c, x - y, x - y)[0]
-
-
-def _infinite_window(space: OrbitSpaceSpec, support, p: KernelParams):
-    radius = window_radius(p.omega, p.tau)
-    coords = [c for pt in support for c in pt]
-    lo, hi = min(coords) - radius, max(coords) + radius
-    return lo, hi
 
 
 def evolve_state(

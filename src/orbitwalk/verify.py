@@ -45,13 +45,11 @@ class CheckResult:
 
 
 def _probe_points(space: OrbitSpaceSpec, window) -> list:
-    if space.kind in ("Circle", "Interval"):
-        points = fundamental_domain(space)
-    else:
-        if window is None:
-            raise DomainError(f"{space.kind} verification needs an explicit window")
+    try:
         points = fundamental_domain(space, window)
-    return points[:8] if len(points) > 8 else points
+    except DomainError:  # a Line or HalfLine with no window
+        raise DomainError(f"{space.kind} verification needs an explicit window") from None
+    return points[:8]
 
 
 class _Kernels:
@@ -111,13 +109,9 @@ def check_composition(space, D, p, window=None, kernel=None) -> CheckResult:
     kernel = kernel or _Kernels(space, D)
     half = KernelParams(omega=p.omega, tau=0.5 * p.tau)
     probes = _probe_points(space, window)
-    if space.kind in ("Circle", "Interval"):
-        middles = fundamental_domain(space)
-    else:
-        coords = [c for pt in probes for c in pt]
-        reach = window_radius(p.omega, p.tau) + 8
-        lo = min(coords) - reach if space.kind == "Line" else max(1, min(coords) - reach)
-        middles = fundamental_domain(space, (lo, max(coords) + reach))
+    coords = [c for pt in probes for c in pt]
+    reach = window_radius(p.omega, p.tau) + 8
+    middles = fundamental_domain(space, (min(coords) - reach, max(coords) + reach))
     ends = probes[:3]
     # Each middle's entries to and from the probes are computed once, not
     # kept, and added into every glued sum that uses them, in the order of

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from orbitwalk.errors import DomainError, TruncationError
+from orbitwalk.errors import DomainError, OrbitwalkError
 from orbitwalk.group import (
     OrbitSpaceSpec,
     Point,
@@ -31,6 +31,10 @@ from orbitwalk.group import (
 )
 from orbitwalk.kernels import KernelParams, window_radius
 from orbitwalk.special import i_row, j_row, quarter_phase
+
+
+class TruncationError(OrbitwalkError, RuntimeError):
+    """A shell-by-shell image sum did not converge within its cap."""
 
 
 @dataclass(frozen=True)

@@ -243,8 +243,8 @@ def test_thermal_computes_each_single_walker_sum_once(capsys, image_sums, N):
 def test_production_commands_never_run_the_generic_group_sum(capsys, image_sums, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 0, err
-    # a HalfLine has no period: its sums are two row lookups, with no winding sum
-    assert image_sums.residues or "space.kind=HalfLine" in argv
+    # a HalfLine has no period: its residues are free-row entries, with no winding sum
+    assert image_sums.residues
     assert image_sums.direct == []
 
 
@@ -274,38 +274,26 @@ def test_resolvent_refusals_keep_their_exit_code_and_message(capsys, argv, messa
     assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
-@pytest.fixture
-def closed_forms(monkeypatch):
-    """(m, d, energies) of every resolvent sector a plan evaluates in closed form.
-
-    A sector is evaluated across the plan's whole energy grid in one call, so
-    `energies` is how many closed forms that call computed.
-    """
-    calls = []
-    real = orbitwalk.orbit.KernelPlan._resolvent_sector
-
-    def counted(self, m, d):
-        values = real(self, m, d)
-        calls.append((m, d, len(values)))
-        return values
-
-    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "_resolvent_sector", counted)
-    return calls
-
-
-@pytest.mark.parametrize(
-    "kind, sectors",
-    [("Circle", lambda L: 2 * L - 1), ("Interval", lambda L: 2 * (2 * L - 1))],
-)
-def test_resolvent_evaluates_each_sector_once_per_displacement(capsys, closed_forms, kind, sectors):
+@pytest.mark.parametrize("kind, period", [("Circle", 8), ("Interval", 16)])
+def test_resolvent_evaluates_each_residue_once(capsys, image_sums, kind, period):
     L = 8
     code, out, err = run_cli(
         capsys, "resolvent", "--set", f"space.kind={kind}", "--set", f"space.L={L}"
     )
     assert code == 0, err
     assert len(parse_csv(out)[1]) == L * L
-    assert len(closed_forms) == len(set(closed_forms)) == sectors(L)
-    assert {energies for _, _, energies in closed_forms} == {1}
+    # the L^2 entries take one closed form per residue of the period, at the one energy
+    assert sorted(image_sums.residues) == [(period, r) for r in range(period)]
+    assert image_sums.grids == [1] * period
+
+
+def test_half_line_resolvent_evaluates_each_free_term_once(capsys, image_sums):
+    code, out, err = run_cli(capsys, "resolvent", "--set", "space.kind=HalfLine", "--window=1:6")
+    assert code == 0, err
+    assert len(parse_csv(out)[1]) == 6 * 6
+    # |x - y| takes 0..5 and |x + y - 1| takes 1..11: each distance's free term once
+    assert sorted(image_sums.residues) == [(0, r) for r in range(12)]
+    assert image_sums.grids == [1] * 12
 
 
 def test_dos_builds_one_resolvent_plan_and_validates_once_per_sweep(capsys, monkeypatch):
@@ -330,15 +318,16 @@ def test_dos_builds_one_resolvent_plan_and_validates_once_per_sweep(capsys, monk
     assert len(validations) == 1
 
 
-def test_circle_dos_evaluates_one_closed_form_per_energy(capsys, closed_forms):
+def test_circle_dos_evaluates_one_closed_form_per_energy(capsys, image_sums):
     code, out, err = run_cli(capsys, "dos")
     assert code == 0, err
     energies = DEFAULT_CONFIG["dos"]["points"]
     assert len(parse_csv(out)[1]) == energies + 1  # plus the totals row
-    assert closed_forms == [(0, 0, energies)]
+    assert image_sums.residues == [(DEFAULT_CONFIG["space"]["L"], 0)]
+    assert image_sums.grids == [energies]
 
 
-def test_interval_dos_evaluates_each_sector_key_once_per_energy(capsys, closed_forms):
+def test_interval_dos_evaluates_each_residue_once_over_the_grid(capsys, image_sums):
     L, energies = 8, 9
     code, out, err = run_cli(
         capsys, "dos", "--set", "space.kind=Interval", "--set", f"space.L={L}",
@@ -346,11 +335,9 @@ def test_interval_dos_evaluates_each_sector_key_once_per_energy(capsys, closed_f
     )
     assert code == 0, err
     assert len(parse_csv(out)[1]) == energies + 1
-    # the direct sector of the diagonal, then one reflected sector per site
-    keys = [(m, d) for m, d, _ in closed_forms]
-    assert len(keys) == len(set(keys)) == L + 1
-    assert keys[0] == (0, 0) and all(m == 1 for m, _ in keys[1:])
-    assert {n for _, _, n in closed_forms} == {energies}
+    # the diagonal's direct residue 0, then the reflected residue 2x - 1 of each site x
+    assert image_sums.residues == [(2 * L, 0)] + [(2 * L, 2 * x - 1) for x in range(1, L + 1)]
+    assert image_sums.grids == [energies] * (L + 1)
 
 
 def test_resolvent_emits_full_matrix(capsys):

@@ -12,6 +12,7 @@ from orbitwalk.errors import DomainError, RepresentationError
 from orbitwalk.group import (
     OrbitSpaceSpec,
     Representation,
+    domain_size,
     fundamental_domain,
     in_fundamental_domain,
     perm_parity,
@@ -244,3 +245,14 @@ def test_fundamental_domain():
     with pytest.raises(DomainError):
         fundamental_domain(half)
     assert not in_fundamental_domain(half, (0,))
+
+
+def test_finite_spaces_ignore_the_window_and_the_half_line_clips_it():
+    for space in (OrbitSpaceSpec("Circle", L=3), OrbitSpaceSpec("Interval", L=2, N=2)):
+        for window in ((2, 9), (-5, 0), (7, 8)):
+            assert fundamental_domain(space, window) == fundamental_domain(space)
+            assert domain_size(space, window) == domain_size(space)
+    half = OrbitSpaceSpec("HalfLine", N=2)
+    assert fundamental_domain(half, (-3, 2)) == [(1, 1), (1, 2), (2, 2)]
+    assert domain_size(half, (-3, 2)) == 3
+    assert fundamental_domain(OrbitSpaceSpec("Line"), (-1, 1)) == [(-1,), (0,), (1,)]

@@ -19,11 +19,11 @@ def circle_spec(L, theta=0.0, omega=1.0):
     return oracle.HamiltonianSpec(L, omega, oracle.CircleTwisted(theta))
 
 
-# The production route's single-walker folds, closed-form resolvent, lift and
-# coined winding sum.
+# The production route's single-walker fold (whose residues are the time and
+# heat winding sums and the closed-form resolvent), lift and coined winding sum.
 PRODUCTION_ROUTE = {
     "_fold", "_residue", "_free_row", "KernelPlan", "_lift", "glynn_permanent",
-    "lu_determinant", "orbit_coined_blocks", "_momentum", "_resolvent_sector",
+    "lu_determinant", "orbit_coined_blocks", "_momentum",
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import orbitwalk.orbit
 from orbitwalk import _core_py, oracle
-from orbitwalk.errors import DomainError, PrecisionError, TruncationError
+from orbitwalk.errors import DomainError, PrecisionError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin
 from orbitwalk.orbit import (
@@ -38,6 +38,7 @@ from _oracles import many_walker_gibbs, shell_sum_resolvent
 from _reference_group import (
     GroupElement,
     ShellPolicy,
+    TruncationError,
     _heat_term,
     _orbit_sum,
     _time_term,
@@ -811,6 +812,17 @@ def test_probability_refuses_the_states_evolve_refuses(psi0):
         probability(space, D, psi0, p, x=1)
 
 
+@pytest.mark.parametrize("psi0", [{1: 0.6, (1,): 0.8}, {(2,): 0.6, 2: 0.8}])
+def test_a_point_given_twice_in_two_forms_is_refused(psi0):
+    # 1 and (1,) are one point: keeping either amplitude would drop the other unseen
+    space = OrbitSpaceSpec("Circle", L=3)
+    D, p = Representation(), KernelParams(tau=0.0)
+    with pytest.raises(DomainError, match="twice"):
+        evolve_state(space, D, psi0, p)
+    with pytest.raises(DomainError, match="twice"):
+        probability(space, D, psi0, p, x=1)
+
+
 # -- exact folds ----------------------------------------------------------
 
 
@@ -911,9 +923,9 @@ def test_plan_keeps_circle_sums_by_displacement_and_interval_sums_by_pair():
 def _per_pair_resolvent(space, D, x: int, y: int, p) -> complex:
     """G_E(x, y) in closed form, every constant rebuilt for the one pair.
 
-    The plan keeps each sector by displacement; it must still give these
-    values to the last bit, because it evaluates the same expressions in the
-    same order.
+    The plan keeps each residue once and turns it by its winding and
+    reflection weights, which are exact +-1 wherever reflections exist; it
+    must still give these values to the last bit.
     """
     q = _momentum(p.energy, p.omega)
     period = space.period
@@ -1001,22 +1013,14 @@ def test_resolvent_sweep_equals_a_plan_built_at_each_energy(space, D):
             assert repr(local_dos(space, D, x, energy.real, energy.imag, omega=1.5)) == repr(want)
 
 
-def test_resolvent_sweep_refuses_the_lower_half_plane_before_any_sector(monkeypatch):
-    sectors = []
-    real = KernelPlan._resolvent_sector
-
-    def counted(self, m, d):
-        sectors.append((m, d))
-        return real(self, m, d)
-
-    monkeypatch.setattr(KernelPlan, "_resolvent_sector", counted)
+def test_resolvent_sweep_refuses_the_lower_half_plane_before_any_residue(image_sums):
     space = OrbitSpaceSpec("Interval", L=4)
     p = KernelParams(energy=0.4 + 0.3j)
     for bad in (0.4 - 0.3j, 0.4, -1.2 + 0.0j):
         grid = [0.4 + 0.3j, -0.2 + 0.1j, bad, 0.1 + 0.2j]
         with pytest.raises(DomainError, match="Im\\(energy\\) > 0"):
             KernelPlan(space, Representation(), p, mode="resolvent", energies=grid).dos([(1,)])
-    assert sectors == []
+    assert image_sums.residues == []
 
 
 def test_resolvent_sweep_refuses_single_kernels_and_other_modes():

@@ -59,8 +59,9 @@ def test_interval_suite_passes_for_all_phase_pairs(theta, phi):
 
 def test_half_line_needs_window():
     space = OrbitSpaceSpec("HalfLine")
-    with pytest.raises(DomainError):
-        run_checks(space, Representation(), KernelParams(tau=1.0))
+    for kind in ("Line", "HalfLine"):
+        with pytest.raises(DomainError, match=f"^{kind} verification needs an explicit window$"):
+            run_checks(OrbitSpaceSpec(kind), Representation(), KernelParams(tau=1.0))
     results = run_checks(space, Representation(phi=math.pi), KernelParams(tau=1.0), window=(1, 10))
     assert all_passed(results)
 
