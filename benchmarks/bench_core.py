@@ -26,7 +26,10 @@ which the coined-blocks row times alone; the line-blocks row times the
 20-step line walk under it (`coined_line_blocks`), so the winding sum costs
 the difference of the two.  The N = 2 rows time the two-walker `verify` on
 a 3-site circle (bosons) and fermion `thermal` on a 5-site circle.  The
-dos, resolvent, coined-table and N = 2 rows run in-process through
+N >= 4 rows time boson `thermal` tables on an 8-site circle with N = 4
+(108,900 entries over 14,400 kept 3-row minors) and a 6-site circle with
+N = 5 (63,504 entries over 19,012 kept 3- and 4-row minors).  The dos,
+resolvent, coined-table, N = 2 and N >= 4 rows run in-process through
 `cli.main`, output discarded.  The cold-start row runs the default
 `orbitwalk evolve` in fresh interpreters against this checkout's `src/` and
 reports the median wall time and the modules the run loaded.
@@ -146,6 +149,11 @@ FERMION_THERMAL_ARGV = [
     "--set", "representation.statistics=Fermion", "--set", "representation.theta=0.7",
 ]
 
+BOSON_THERMAL_ARGVS = [
+    ["thermal", "--set", "space.L=8", "--set", "space.N=4"],
+    ["thermal", "--set", "space.L=6", "--set", "space.N=5"],
+]
+
 
 COLD_START_RUNS = 9
 
@@ -218,6 +226,10 @@ def main() -> None:
           f"{bench_cli(VERIFY_PAIR_ARGV, 20) / 1000.0:.2f} ms")
     print(f"N = 2 thermal: Circle L=5, fermions through cli.main: "
           f"{bench_cli(FERMION_THERMAL_ARGV, 20) / 1000.0:.2f} ms")
+    for argv in BOSON_THERMAL_ARGVS:
+        size = " ".join(assignment.split(".")[1] for assignment in argv[2::2])
+        print(f"N >= 4 thermal: Circle {size}, bosons through cli.main: "
+              f"{bench_cli(argv, 1) / 1e6:.2f} s")
 
     median_s, loaded = cold_start()
     print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "

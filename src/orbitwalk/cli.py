@@ -23,6 +23,7 @@ config echo copies only what it changes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -39,9 +40,11 @@ COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 # Largest table a run may emit; larger requests are refused before any compute.
 MAX_TABLE_ROWS = 10**6
 
-# Largest N-walker lift a run may do, in Glynn row updates (about 0.3 us each
-# in pure Python, so 10^8 is about half a minute); see `ResolvedRun._lift_work`.
+# Largest N-walker lift a run may do, in lift steps (about 0.3 us each in pure
+# Python, so 10^8 is about half a minute), and the most memory its kept minors
+# may take, in bytes; see `ResolvedRun._lift_work`.
 MAX_LIFT_WORK = 10**8
+MAX_LIFT_BYTES = 2**28
 
 DEFAULT_CONFIG = {
     "space": {"kind": "Circle", "L": 4, "N": 1, "boundary_convention": "Standard"},
@@ -217,11 +220,15 @@ class ResolvedRun:
             raise ConfigError(
                 f"{self.command} would emit {rows} table rows, more than {MAX_TABLE_ROWS}"
             )
-        work = self._lift_work()
+        work, memory = self._lift_work()
+        lift = f"{self.representation.statistics.lower()} {self.command} at N={self.space.N}"
         if work > MAX_LIFT_WORK:
             raise ConfigError(
-                f"{self.representation.statistics.lower()} {self.command} at N={self.space.N} "
-                f"would do the work of {work:.3g} permanent row updates, more than {MAX_LIFT_WORK}"
+                f"{lift} would do the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}"
+            )
+        if memory > MAX_LIFT_BYTES:
+            raise ConfigError(
+                f"{lift} would keep {memory:.3g} bytes of minors, more than {MAX_LIFT_BYTES}"
             )
 
     def _table_rows(self) -> int:
@@ -237,53 +244,87 @@ class ResolvedRun:
             return _config_number(self.config, "dos.points", int) * points
         return points * points
 
-    def _lift_work(self):
-        """Work of an N >= 2 run's lifted entries, in Glynn row updates.
+    def _lift_work(self) -> tuple:
+        """(lift steps, bytes of kept minors) of an N >= 2 run's lifted entries.
 
-        Each entry costs 32 N for gathering its N x N single-walker sums and
-        using it (a table row, a composition product), plus its lift:
-        N 2^(N-1) row updates for a boson permanent, N^3 / 3 for a fermion
-        determinant (the LU's complex multiply-adds,
-        each timed at about one row update).  Timed on a shared 2-core VM,
-        boson thermal and verify runs with N = 2..6 took 0.7 to 1.35 times
-        work x 0.3 us; fermion thermal, verify and evolve runs with
-        N = 2..10 took 0.07 to 0.4 times it, and one fermion entry with
-        distinct coordinates, gathered and lifted, at most 0.6 times its
-        share at N = 2..11.
+        A lift step is one complex multiply-add of a pure-Python loop, about
+        0.3 us.  Each entry costs 32 N steps for gathering its single-walker
+        sums and using it (a table row, a composition product), plus its
+        lift: N^3 / 3 below 4 walkers (the written-out expansion) and for
+        fermions from 4 on (an LU determinant).  A boson entry from 4
+        walkers on is a `first_row_expansion` over kept minors.  For each
+        k = 3..N-1, a family of entries (`_lifted_pairs`) keeps at most its
+        distinct k-row suffixes times its distinct k-column sub-multisets,
+        each at most the k-multisets of the sites, and at most its entries
+        x C(N, k) minors.  Expanding k rows costs k (6 + k / 8) steps, a
+        term per column that slices and hashes k-long tuples, once per kept
+        minor and once per entry; a kept minor holds about 200 + 16 k bytes
+        until the run ends.  Past 64 walkers a boson run is refused
+        outright: the expansion recurses one level per walker.
+
+        Timed on a shared 2-core VM, boson thermal, evolve and verify runs
+        with N = 4..64 took 0.03 to 0.44 times work x 0.3 us, one boson
+        entry with nothing shared 0.2 to 0.6 times its share at N = 4..10,
+        and fermion runs with N = 2..10 0.07 to 0.4 times it.  Kept minors
+        measured 250 to 300 bytes each at k = 3..7, about 850 near k = 47.
         """
         n = self.space.N
         if n == 1 or self.command not in ("evolve", "thermal", "verify"):
-            return 0
-        points = domain_size(self.space, self.window)
-        if self.command == "evolve":
-            entries = points * len(self.initial_state)
-        elif self.command == "thermal":
-            entries = points * points + points  # the table plus Z's diagonal
-        else:
-            entries = self._verify_entries(points)
+            return 0, 0
+        families = self._lifted_pairs(domain_size(self.space, self.window))
+        entries = sum(pairs for _, _, pairs in families)
         if entries == 0:
-            return 0
-        if self.representation.statistics == "Fermion":
-            return entries * (32 * n + n**3 // 3)
+            return 0, 0
+        if n <= 3 or self.representation.statistics == "Fermion":
+            return entries * (32 * n + n**3 // 3), 0
         if n > 64:
-            return math.inf  # past any bound; skips building a 2^(N-1) integer
-        return entries * (32 * n + n * 2 ** (n - 1))
+            return math.inf, math.inf
+        sites = domain_size(dataclasses.replace(self.space, N=1), self._reach_window())
+        work = entries * (32 * n + n * (6 + n // 8))
+        memory = 0
+        for k in range(3, n):
+            multisets, subsets = math.comb(sites + k - 1, k), math.comb(n, k)
+            for rows, columns, pairs in families:
+                minors = pairs * subsets
+                if rows:
+                    minors = min(minors, min(rows, multisets) * min(columns * subsets, multisets))
+                work += minors * k * (6 + k // 8)
+                memory += minors * (200 + 16 * k)
+        return work, memory
 
-    def _verify_entries(self, points: int) -> int:
-        """Kernel entries `verify.run_checks` evaluates, from above.
+    def _lifted_pairs(self, points: int) -> list:
+        """The run's lifted entries as (row points, column points, entries) families.
 
-        It probes at most 8 points: 4 x 8^2 entries for the initial-condition,
-        unitarity and oracle checks, 36 for equivariance, and 3 x 3 probe
-        pairs glued through every middle point (two entries each) for
-        composition.  On Line/HalfLine the middles reach past the window.
+        `evolve` pairs every domain point with its initial state, `thermal`
+        every domain point with every other (the table plus Z's diagonal).
+        `verify` probes at most 8 points: 4 x 8^2 entries for the
+        initial-condition, unitarity and oracle checks, 36 for equivariance
+        and 9 composed probe pairs, spread over three plans, so no point
+        count bounds their minors (None).  Composition glues 3 x 3 probe
+        pairs through every middle point, into it and out of it, in a plan
+        of its own.  These are upper counts.
         """
+        if self.command == "evolve":
+            return [(points, len(self.initial_state), points * len(self.initial_state))]
+        if self.command == "thermal":
+            return [(points, points, points * points + points)]
         probes = min(points, 8)
-        middles = points
-        if self.space.kind in ("Line", "HalfLine"):
-            reach = window_radius(self.params.omega, self.params.tau) + 8
-            lo, hi = self.window
-            middles = domain_size(self.space, (lo - reach, hi + reach))
-        return 4 * probes * probes + 36 + 9 * (2 * middles + 1)
+        middles = domain_size(self.space, self._reach_window())
+        return [(None, None, 4 * probes * probes + 45), (3, middles, 9 * middles),
+                (middles, 3, 9 * middles)]
+
+    def _reach_window(self):
+        """The site window of the points a run lifts entries between.
+
+        `verify`'s composition glues through middles that reach past a
+        Line/HalfLine window by the light cone and 8 sites; every other run
+        stays in its window (which finite spaces ignore).
+        """
+        if self.command != "verify" or self.space.kind not in ("Line", "HalfLine"):
+            return self.window
+        reach = window_radius(self.params.omega, self.params.tau) + 8
+        lo, hi = self.window
+        return lo - reach, hi + reach
 
     def domain_points(self) -> list:
         return fundamental_domain(self.space, self.window)

@@ -22,10 +22,13 @@ differ only in the free term and so in how a residue is summed:
   energy grid (a DOS sweep is one plan).
 
 Time and heat kernels of N identical walkers are permanents or determinants
-of single-walker sums, in pure Python: written out by definition for N = 2
-and 3, by Glynn's formula or a partial-pivot LU beyond (`_lift`).
-`KernelPlan.value` returns an entry as a plain complex.  numpy is imported
-only where arrays are built (coined blocks).
+of single-walker sums, in pure Python: every boson entry, and every fermion
+entry below 4 walkers, is the expansion along the first row
+(`first_row_expansion`), whose minors of 3 or more rows a plan keeps for the
+entries that share them; a fermion entry from 4 walkers on is a
+partial-pivot LU (`lu_determinant`), because the expansion loses digits to
+cancellation there.  `KernelPlan.value` returns an entry as a plain complex.
+numpy is imported only where arrays are built (coined blocks).
 """
 
 from __future__ import annotations
@@ -118,32 +121,6 @@ def _gluing_weight(z: tuple) -> float:
     return weight
 
 
-def glynn_permanent(m) -> complex:
-    """Permanent of a square matrix by Glynn's formula, O(2^n n).
-
-    perm(A) = 2^(1-n) sum_d (prod_k d_k) prod_j sum_i d_i A[i][j] over sign
-    vectors d with d_0 = +1 (Glynn, Eur. J. Combin. 31, 2010).  The sign
-    vectors are visited in Gray-code order, so each step flips one row's sign
-    and updates the column sums in O(n).
-    """
-    rows = [[complex(v) for v in row] for row in m]
-    n = len(rows)
-    if n == 0:
-        return 1 + 0j
-    sums = [sum(col) for col in zip(*rows)]
-    total = math.prod(sums)
-    signs = [1] * n
-    parity = 1
-    for k in range(1, 1 << (n - 1)):
-        i = (k & -k).bit_length()  # row whose sign flips: 1 + index of k's lowest set bit
-        signs[i] = -signs[i]
-        step = 2 * signs[i]
-        sums = [s + step * a for s, a in zip(sums, rows[i])]
-        parity = -parity
-        total += parity * math.prod(sums)
-    return total / (1 << (n - 1))
-
-
 def lu_determinant(m) -> complex:
     """Determinant of a square matrix by LU with partial pivoting, O(n^3).
 
@@ -174,23 +151,47 @@ def lu_determinant(m) -> complex:
     return det
 
 
-def _lift(values: list, fermion: bool) -> complex:
-    """Permanent (bosons) or determinant (fermions) of N x N single-walker sums, N >= 2.
+def first_row_expansion(entry, rows: tuple, cols: tuple, fermion: bool, minors: dict) -> complex:
+    """Permanent (bosons) or determinant (fermions) of [[entry(a, b) for b in cols] for a in rows].
 
-    N = 2 and 3 are written out by definition, ad +- bc and the cofactor
-    expansion along the first row; larger N go to `glynn_permanent` or
-    `lu_determinant`.
+    The expansion along the first row over the column positions: term j is
+    entry(rows[0], cols[j]) times the minor of rows[1:] without position j.
+    The terms are summed in order starting from the first (not from 0j), a
+    fermion's odd terms subtracted, so 2 and 3 rows give the written-out
+    definition to the bit, signed zeros included.  A 2-row minor is written
+    out, ad +- bc.  Every minor of 3 or more rows below the top is kept in
+    `minors` by (rows, columns), so a caller that passes one dict to many
+    entries computes each minor they share once; the value asked for is not
+    kept.  With nothing shared an n-row value takes n 2^(n-1) terms.  The
+    recursion, one level per row, calls the function by its module name.
     """
-    n = len(values)
-    if n == 2:
-        (a, b), (c, d) = values
-        return a * d - b * c if fermion else a * d + b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = values
-        if fermion:
-            return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
-    return lu_determinant(values) if fermion else glynn_permanent(values)
+    head = rows[0]
+    if len(rows) == 1:
+        return entry(head, cols[0])
+    rest = rows[1:]
+    if len(rest) == 1:
+        (row,) = rest
+        a, b = cols
+        first, second = entry(head, a) * entry(row, b), entry(head, b) * entry(row, a)
+        return first - second if fermion else first + second
+    keep = len(rest) > 2
+    for j, col in enumerate(cols):
+        others = cols[:j] + cols[j + 1:]
+        if keep:
+            key = rest, others
+            minor = minors.get(key)
+            if minor is None:
+                minor = minors[key] = first_row_expansion(entry, rest, others, fermion, minors)
+        else:
+            minor = first_row_expansion(entry, rest, others, fermion, minors)
+        term = entry(head, col) * minor
+        if not j:
+            total = term
+        elif fermion and j & 1:
+            total -= term
+        else:
+            total += term
+    return total
 
 
 MODES = ("time", "heat", "resolvent")
@@ -227,8 +228,13 @@ class KernelPlan:
     once by `weight_from_sums`.
     An N-walker entry is the determinant (fermions) or permanent (bosons) of
     the N x N matrix of single-walker sums; a fermion entry whose x or y
-    repeats a coordinate is exactly 0.  Nothing is shared between plans: a
-    caller builds one per run (one per sweep) and drops it with the run.
+    repeats a coordinate is exactly 0.  A boson entry, and a fermion entry
+    below 4 walkers, is `first_row_expansion` over `_sum`: the plan keeps
+    each minor of 3 to N - 1 rows by (row suffix of x, columns of y), so a
+    table's entries share them; 2-row minors and entries are not kept.  A
+    fermion entry from 4 walkers on is `lu_determinant` of the gathered
+    sums.  Nothing is shared between plans: a caller builds one per run
+    (one per sweep) and drops it with the run.
     """
 
     def __init__(
@@ -258,6 +264,7 @@ class KernelPlan:
         self._weights: dict = {}
         self._sums: dict = {}
         self._residues: dict = {}  # r -> A(r)
+        self._minors: dict = {}  # (row suffix, columns) -> N-walker minor
         if self._center is not None:
             self._bounce = self._weight(0, 1)  # e^{i phi}
         self._grid = self._denominators = None  # a resolvent plan's energy grid
@@ -419,8 +426,10 @@ class KernelPlan:
             return self._sum(x[0], y[0])
         if self._repeats(x, y):
             return 0j
-        s = self._sum
-        return _lift([[s(xi, yj) for yj in y] for xi in x], self._fermion)
+        if self._fermion and len(x) > 3:
+            s = self._sum
+            return lu_determinant([[s(xi, yj) for yj in y] for xi in x])
+        return first_row_expansion(self._sum, x, y, self._fermion, self._minors)
 
     def partition_function(self) -> float:
         """Z(beta): the weighted trace of the Gibbs kernel over the finite domain.

@@ -22,6 +22,7 @@ import orbitwalk.orbit
 from orbitwalk.cli import (
     COMMANDS,
     DEFAULT_CONFIG,
+    MAX_LIFT_BYTES,
     MAX_LIFT_WORK,
     MAX_TABLE_ROWS,
     ResolvedRun,
@@ -803,38 +804,102 @@ def test_oversized_tables_are_refused_before_the_domain_is_built(capsys, monkeyp
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, bound",
     [
-        ("thermal", "--set", "space.L=2", "--set", "space.N=20"),
-        ("evolve", "--set", "space.L=2", "--set", "space.N=20",
-         "--set", f"initial_state=[[{[1] * 20}, 1, 0]]"),
-        ("verify", "--set", "space.L=10", "--set", "space.N=8"),
+        # past 64 walkers a boson run is refused outright
+        (("thermal", "--set", "space.L=2", "--set", "space.N=65"), "lift steps"),
+        # the minors of 12-site 8-walker targets against one source: 2.8e8 bytes
+        (("evolve", "--set", "space.L=12", "--set", "space.N=8",
+          "--set", "initial_state=[[[1,2,3,4,5,6,7,8], 1, 0]]"), "bytes of minors"),
+        (("verify", "--set", "space.L=10", "--set", "space.N=8"), "lift steps"),
+        (("thermal", "--set", "space.L=4", "--set", "space.N=12"), "lift steps"),
     ],
+    ids=["argv0", "argv1", "argv2", "argv3"],
 )
-def test_large_boson_lifts_are_refused_before_any_permanent(capsys, monkeypatch, argv):
+def test_large_boson_lifts_are_refused_before_any_permanent(capsys, monkeypatch, argv, bound):
     def refuse(*args, **kwargs):
         raise AssertionError("a permanent ran before the lift bound was checked")
 
-    monkeypatch.setattr(orbitwalk.orbit, "glynn_permanent", refuse)
+    monkeypatch.setattr(orbitwalk.orbit, "first_row_expansion", refuse)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "permanent row updates" in err
+    assert bound in err
 
 
-def test_lift_work_counts_thermal_entries_times_glynn_steps():
+def _thermal_run(L: int, N: int, statistics: str = "Boson") -> ResolvedRun:
     config = load_config(None)
-    apply_set(config, "space.L=2")
-    apply_set(config, "space.N=10")
-    run = ResolvedRun("thermal", config)
+    apply_set(config, f"space.L={L}")
+    apply_set(config, f"space.N={N}")
+    apply_set(config, f"representation.statistics={statistics}")
+    return ResolvedRun("thermal", config)
+
+
+def test_lift_work_prices_thermal_entries_and_kept_minors():
     points = 11  # sorted 10-walker points on two sites
     entries = points * points + points  # the table plus Z's diagonal
-    # per entry: 32 N for gathering and using it, plus 2^(N-1) x N Glynn updates
-    assert run._lift_work() == entries * (32 * 10 + 2**9 * 10)
-    assert run._lift_work() < MAX_LIFT_WORK
-    config["representation"]["statistics"] = "Fermion"
-    # fermions: the same per-entry term plus N^3 / 3 for the LU's multiply-adds
-    assert ResolvedRun("thermal", config)._lift_work() == entries * (32 * 10 + 10**3 // 3)
+    # per entry: 32 N for gathering and using it, plus its 10-row expansion;
+    # each k-row minor, k = 3..9, is a k-multiset of the two sites (k + 1 of
+    # them) on either side, (k + 1)^2 in all, priced k (6 + k // 8) steps
+    # and 200 + 16 k bytes
+    minors = {k: (k + 1) ** 2 for k in range(3, 10)}
+    work = entries * (32 * 10 + 10 * 7) + sum(m * k * (6 + k // 8) for k, m in minors.items())
+    memory = sum(m * (200 + 16 * k) for k, m in minors.items())
+    assert _thermal_run(2, 10)._lift_work() == (work, memory)
+    # fermions: the same per-entry term plus N^3 / 3 for the LU's multiply-adds; no minors
+    assert _thermal_run(2, 10, "Fermion")._lift_work() == (entries * (32 * 10 + 10**3 // 3), 0)
+    # below 4 walkers both statistics are the written-out N^3 / 3 and keep nothing
+    for statistics in ("Boson", "Fermion"):
+        assert _thermal_run(2, 3, statistics)._lift_work() == (20 * (32 * 3 + 9), 0)
+
+
+def test_lift_prices_the_minors_a_thermal_table_keeps(capsys, monkeypatch):
+    plans = []
+    init = orbitwalk.orbit.KernelPlan.__init__
+
+    def kept(plan, *args, **kwargs):
+        init(plan, *args, **kwargs)
+        plans.append(plan)
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "__init__", kept)
+    # every 3-multiset of 4 sites is a row suffix and a column sub-multiset: 20^2 minors
+    assert _thermal_run(4, 4)._lift_work()[1] == 20**2 * (200 + 16 * 3)
+    code, _, _ = run_cli(capsys, "thermal", "--set", "space.L=4", "--set", "space.N=4")
+    assert code == 0
+    (plan,) = plans
+    assert len(plan._minors) == 20**2
+    assert {(len(rows), len(cols)) for rows, cols in plan._minors} == {(3, 3)}
+
+
+@pytest.mark.parametrize(
+    "L, N, minors",
+    [(8, 4, {3: 120**2}), (6, 6, {3: 56**2, 4: 126**2, 5: 252**2})],
+    ids=["L8-N4-14400-minors", "L6-N6-82516-minors"],
+)
+def test_boson_thermal_tables_with_shared_minors_run(L, N, minors):
+    # every k-multiset of the L sites is a row suffix and a column sub-multiset
+    work, memory = _thermal_run(L, N)._lift_work()  # no refusal
+    assert work < MAX_LIFT_WORK
+    assert memory == sum(m * (200 + 16 * k) for k, m in minors.items()) < MAX_LIFT_BYTES
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 64 walkers are priced (0.63 x MAX_LIFT_WORK); 65 are refused outright
+        ("thermal", "--set", "space.L=2", "--set", "space.N=64"),
+        # 0.93 x MAX_LIFT_BYTES; the L=12, N=8 evolve refused above keeps 1.05 x
+        ("evolve", "--set", "space.L=9", "--set", "space.N=9",
+         "--set", "initial_state=[[[1,2,3,4,5,6,7,8,9], 1, 0]]"),
+    ],
+)
+def test_boson_runs_just_inside_the_lift_bounds_are_admitted(argv):
+    config = load_config(None)
+    for assignment in argv[2::2]:
+        apply_set(config, assignment)
+    work, memory = ResolvedRun(argv[0], config)._lift_work()
+    assert work <= MAX_LIFT_WORK
+    assert memory <= MAX_LIFT_BYTES
 
 
 def test_fermion_run_just_past_the_lift_bound_exits_2_before_any_kernel(capsys, monkeypatch):
@@ -854,7 +919,7 @@ def test_fermion_run_just_past_the_lift_bound_exits_2_before_any_kernel(capsys, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"fermion evolve at N=5 would do the work of {work:.3g} permanent row updates" in err
+    assert f"fermion evolve at N=5 would do the work of {work:.3g} lift steps" in err
 
 
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
@@ -872,7 +937,7 @@ def test_large_line_verify_is_refused_before_any_kernel(capsys, monkeypatch, sta
     assert code == 2
     assert out == ""
     assert f"{statistics.lower()} verify at N=3" in err
-    assert "permanent row updates" in err
+    assert "lift steps" in err
 
 
 def test_thermal_with_more_fermions_than_sites_exits_2(capsys, monkeypatch):

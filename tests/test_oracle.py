@@ -22,7 +22,7 @@ def circle_spec(L, theta=0.0, omega=1.0):
 # The production route's single-walker fold (whose residues are the time and
 # heat winding sums and the closed-form resolvent), lift and coined winding sum.
 PRODUCTION_ROUTE = {
-    "_fold", "_residue", "_free_row", "KernelPlan", "_lift", "glynn_permanent",
+    "_fold", "_residue", "_free_row", "KernelPlan", "first_row_expansion", "_minors",
     "lu_determinant", "orbit_coined_blocks", "_momentum",
 }
 

@@ -19,9 +19,8 @@ from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin
 from orbitwalk.orbit import (
     KernelPlan,
     _free_row,
-    _lift,
     evolve_state,
-    glynn_permanent,
+    first_row_expansion,
     local_dos,
     lu_determinant,
     orbit_coined_blocks,
@@ -399,13 +398,23 @@ def _permanent_by_definition(m) -> complex:
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_glynn_permanent_matches_ryser(n):
+    # The name is kept from Glynn's formula, which `first_row_expansion` replaced.
     rng = np.random.default_rng(n)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    rows = m.tolist()
+    index = tuple(range(n))
     # Ryser's oracle stops at MANY_BODY_MAX; beyond it, sum over all n! permutations.
     want = oracle.ryser_permanent(m) if n <= oracle.MANY_BODY_MAX else _permanent_by_definition(m)
-    assert abs(glynn_permanent(m) - want) <= 1e-12 * abs(want)
-    if n >= 2:  # the lift: by definition for n = 2 and 3, Glynn beyond
-        assert abs(_lift(m.tolist(), False) - want) <= 1e-12 * abs(want)
+    minors: dict = {}
+    got = first_row_expansion(lambda i, j: rows[i][j], index, index, False, minors)
+    assert type(got) is complex
+    assert abs(got - want) <= 1e-12 * abs(want)
+    # the minors of 3 to n - 1 rows are kept, one per (row suffix, column subset)
+    assert len(minors) == sum(math.comb(n, k) for k in range(3, n))
+    assert first_row_expansion(lambda i, j: rows[i][j], index, index, False, minors) == got
+    det = complex(np.linalg.det(m))
+    got = first_row_expansion(lambda i, j: rows[i][j], index, index, True, {})
+    assert abs(got - det) <= 1e-12 * abs(det)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -416,10 +425,6 @@ def test_lu_determinant_matches_numpy(n):
     got = lu_determinant(m.tolist())
     assert type(got) is complex
     assert abs(got - want) <= 1e-12 * abs(want)
-    if n >= 2:  # the lift: by definition for n = 2 and 3, LU beyond
-        lifted = _lift(m.tolist(), True)
-        assert type(lifted) is complex
-        assert abs(lifted - want) <= 1e-12 * abs(want)
 
 
 def test_lu_determinant_row_swap_flips_the_sign():
@@ -650,6 +655,40 @@ def test_many_walker_thermal_matches_projected_kron_oracle(kind, N, statistics):
         for y in points[::2]:
             rho = orbit_density_matrix(space, D, x, y, p)
             assert abs(rho - heat_want(x, y) / z_want) <= 1e-10
+
+
+def _symmetric_polynomial(xs, n: int, fermion: bool) -> float:
+    """e_n (fermions) or h_n (bosons) of positive xs, by e_k += x e_(k-1).
+
+    Every term is positive, so nothing cancels; the elementary recursion
+    takes each x once (k descending), the complete one any number of times
+    (k ascending).
+    """
+    e = [1.0] + [0.0] * n
+    for x in xs:
+        for k in range(n, 0, -1) if fermion else range(1, n + 1):
+            e[k] += x * e[k - 1]
+    return e[n]
+
+
+@pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["Circle", "Interval"])
+def test_partition_function_is_the_symmetric_polynomial_of_the_spectrum(kind, N, statistics):
+    # Z_N of identical free walkers is h_N (bosons) or e_N (fermions) of
+    # x_j = e^{-beta eps_j} over the dense single-walker spectrum, at every
+    # N the lift reaches; the gate-7 tolerance.
+    L, beta = 6, 0.5 * N
+    if kind == "Circle":
+        D = Representation(theta=0.7, statistics=statistics)
+        boundary = oracle.CircleTwisted(0.7)
+    else:
+        D = Representation(theta=math.pi, phi=0.0, statistics=statistics)
+        boundary = oracle.IntervalPhase(math.pi, 0.0)
+    eps = np.linalg.eigvalsh(oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, boundary)))
+    want = _symmetric_polynomial(np.exp(-beta * eps).tolist(), N, statistics == "Fermion")
+    z = partition_function(OrbitSpaceSpec(kind, L=L, N=N), D, KernelParams(beta=beta))
+    assert abs(z / want - 1.0) <= 1e-11
 
 
 def test_local_dos_matches_direct_resolvent():
@@ -1053,11 +1092,18 @@ def test_fermion_entries_with_a_repeated_coordinate_are_exact_zeros(monkeypatch)
     p = KernelParams(beta=1.0)
     bosons = KernelPlan(space, Representation(theta=0.4), p, mode="heat")
     fermions = KernelPlan(space, Representation(theta=0.4, statistics="Fermion"), p, mode="heat")
+    expansion = first_row_expansion
 
     def refuse(*args, **kwargs):
         raise AssertionError("a determinant was taken where a coordinate repeats")
 
+    def permanents_only(entry, rows, cols, fermion, minors):
+        if fermion:
+            refuse()
+        return expansion(entry, rows, cols, fermion, minors)
+
     monkeypatch.setattr(orbitwalk.orbit, "lu_determinant", refuse)
+    monkeypatch.setattr(orbitwalk.orbit, "first_row_expansion", permanents_only)
     for x, y in [((1, 1, 2), (1, 2, 3)), ((1, 2, 3), (2, 4, 4)), ((3, 3, 3), (3, 3, 3))]:
         assert repr(fermions.value(x, y)) == repr(0j)
         assert bosons.value(x, y) != 0j
@@ -1071,13 +1117,31 @@ def test_fermion_value_with_a_repeated_coordinate_gathers_no_sum(image_sums):
     assert image_sums.residues == []
 
 
+def _written_out(m: list, fermion: bool) -> complex:
+    """The 2 x 2 or 3 x 3 permanent/determinant by definition: ad +- bc, or the
+    cofactor expansion along the first row."""
+    if len(m) == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c if fermion else a * d + b * c
+    (a, b, c), (d, e, f), (g, h, i) = m
+    if fermion:
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
+
+
 @pytest.mark.parametrize("kind", ["Circle", "Interval", "HalfLine"])
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
 @pytest.mark.parametrize("mode", ["time", "heat"])
 def test_value_is_the_kernel_reports_value_bit_for_bit(kind, statistics, mode):
-    # An N-walker entry is the lift of a one-walker plan's entries, bit for
-    # bit, and 0j for fermions whose x or y repeats a coordinate.
+    # An N-walker entry is the lift of a one-walker plan's entries: for N <= 3
+    # the written-out definition bit for bit, for N = 4 and 5 the sum over
+    # all N! permutations or numpy's determinant to 1e-13 of the permanent of
+    # |entries|, which bounds both and is the scale of their rounding errors
+    # where the value cancels; 0j for fermions whose x or y repeats a
+    # coordinate.  (Ryser's formula cancels where rows repeat, (1, 1, 1, 1)
+    # against (1, 2, 3, 4), and loses three digits there.)
     theta = math.pi if kind == "Interval" else 0.3
+    fermion = statistics == "Fermion"
     D = Representation(theta=theta, phi=0.0, statistics=statistics)
     p = KernelParams(tau=1.3, beta=0.7)
     single = KernelPlan(OrbitSpaceSpec(kind, L=5), D, p, mode=mode)
@@ -1091,13 +1155,17 @@ def test_value_is_the_kernel_reports_value_bit_for_bit(kind, statistics, mode):
             pairs.append(((1,) * n, tuple(range(1, n + 1))))
             pairs.append((tuple(range(1, n + 1)), (2,) * (n - 1) + (3,)))
         for x, y in pairs:
-            if n == 1:
-                want = single.value(x, y)
-            elif statistics == "Fermion" and (len(set(x)) < n or len(set(y)) < n):
-                want = 0j
+            got = plan.value(x, y)
+            m = [[single.value((a,), (b,)) for b in y] for a in x]
+            if fermion and (len(set(x)) < n or len(set(y)) < n):
+                assert repr(got) == repr(0j), (n, x, y)
+            elif n <= 3:
+                want = m[0][0] if n == 1 else _written_out(m, fermion)
+                assert repr(got) == repr(want), (n, x, y)
             else:
-                want = _lift([[single.value((a,), (b,)) for b in y] for a in x], statistics == "Fermion")
-            assert repr(plan.value(x, y)) == repr(want), (n, x, y)
+                want = complex(np.linalg.det(m)) if fermion else _permanent_by_definition(m)
+                scale = _permanent_by_definition(np.abs(m))
+                assert abs(got - want) <= 1e-13 * scale, (n, x, y)
 
 
 def test_domain_restriction_is_enforced_by_default():
