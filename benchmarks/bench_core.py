@@ -24,12 +24,15 @@ on a 16-site circle with 20 steps (1,041 table rows) in CSV and in JSON.
 The command builds all 31 circle blocks in one `orbit_coined_blocks` call,
 which the coined-blocks row times alone; the line-blocks row times the
 20-step line walk under it (`coined_line_blocks`), so the winding sum costs
-the difference of the two.  The N = 2 rows time the two-walker `verify` on
-a 3-site circle (bosons) and fermion `thermal` on a 5-site circle.  The
-N >= 4 rows time boson `thermal` tables on an 8-site circle with N = 4
+the difference of the two.  The verify rows time `verify` on a 3-site
+circle with N = 2 bosons (a config of perfbench's many_walker workload), a
+5-site circle with N = 4 bosons and a half line windowed to sites 1..4 with
+N = 3 bosons, whose composition check glues through every 3-walker point
+of the window and its light cone.  The N = 2 thermal row times fermions on
+a 5-site circle.  The N >= 4 rows time boson `thermal` tables on an 8-site circle with N = 4
 (108,900 entries over 14,400 kept 3-row minors) and a 6-site circle with
 N = 5 (63,504 entries over 19,012 kept 3- and 4-row minors).  The dos,
-resolvent, coined-table, N = 2 and N >= 4 rows run in-process through
+resolvent, coined-table, verify, N = 2 and N >= 4 rows run in-process through
 `cli.main`, output discarded.  The cold-start row runs the default
 `orbitwalk evolve` in fresh interpreters against this checkout's `src/` and
 reports the median wall time and the modules the run loaded.
@@ -141,8 +144,13 @@ COINED_ARGV = ["coined", "--set", "space.L=16", "--set", "coined.steps=20"]
 INTERVAL_DOS_ARGV = ["dos", "--set", "space.kind=Interval", "--set", "space.L=8"]
 INTERVAL_RESOLVENT_ARGV = ["resolvent", "--set", "space.kind=Interval", "--set", "space.L=8"]
 HALF_LINE_RESOLVENT_ARGV = ["resolvent", "--set", "space.kind=HalfLine", "--window=1:60"]
-VERIFY_PAIR_ARGV = [
-    "verify", "--set", "space.L=3", "--set", "space.N=2", "--set", "representation.theta=0.7",
+# (label, argv, repeats per timing)
+VERIFY_ROWS = [
+    ("Circle L=3 N=2", ["verify", "--set", "space.L=3", "--set", "space.N=2",
+                        "--set", "representation.theta=0.7"], 20),
+    ("Circle L=5 N=4", ["verify", "--set", "space.L=5", "--set", "space.N=4"], 3),
+    ("HalfLine N=3 --window=1:4", ["verify", "--set", "space.kind=HalfLine", "--set", "space.N=3",
+                                   "--window=1:4"], 1),
 ]
 FERMION_THERMAL_ARGV = [
     "thermal", "--set", "space.L=5", "--set", "space.N=2",
@@ -222,8 +230,9 @@ def main() -> None:
           f"{bench_cli(COINED_ARGV, 20) / 1000.0:.2f} ms")
     print(f"coined table: L=16, steps=20, --format json through cli.main: "
           f"{bench_cli(COINED_ARGV + ['--format', 'json'], 20) / 1000.0:.2f} ms")
-    print(f"N = 2 verify: Circle L=3, bosons through cli.main: "
-          f"{bench_cli(VERIFY_PAIR_ARGV, 20) / 1000.0:.2f} ms")
+    for label, argv, repeats in VERIFY_ROWS:
+        print(f"verify: {label}, bosons through cli.main: "
+              f"{bench_cli(argv, repeats) / 1000.0:.2f} ms")
     print(f"N = 2 thermal: Circle L=5, fermions through cli.main: "
           f"{bench_cli(FERMION_THERMAL_ARGV, 20) / 1000.0:.2f} ms")
     for argv in BOSON_THERMAL_ARGVS:

@@ -271,7 +271,7 @@ class ResolvedRun:
         n = self.space.N
         if n == 1 or self.command not in ("evolve", "thermal", "verify"):
             return 0, 0
-        families = self._lifted_pairs(domain_size(self.space, self.window))
+        families = self._lifted_pairs()
         entries = sum(pairs for _, _, pairs in families)
         if entries == 0:
             return 0, 0
@@ -292,26 +292,34 @@ class ResolvedRun:
                 memory += minors * (200 + 16 * k)
         return work, memory
 
-    def _lifted_pairs(self, points: int) -> list:
+    def _lifted_pairs(self) -> list:
         """The run's lifted entries as (row points, column points, entries) families.
 
         `evolve` pairs every domain point with its initial state, `thermal`
         every domain point with every other (the table plus Z's diagonal).
-        `verify` probes at most 8 points: 4 x 8^2 entries for the
-        initial-condition, unitarity and oracle checks, 36 for equivariance
-        and 9 composed probe pairs, spread over three plans, so no point
-        count bounds their minors (None).  Composition glues 3 x 3 probe
-        pairs through every middle point, into it and out of it, in a plan
-        of its own.  These are upper counts.
+        `verify` asks for 4 x 8^2 + 45 entries at its probes (at most 8),
+        spread over three plans, so no point count bounds their minors (None).
+        Composition glues 3 x 3 probe pairs through every middle point, into
+        it and out of it, in a plan of its own.  A fermion entry whose x or y
+        repeats a coordinate is 0j before any lift and is not counted.
         """
+        fermion = self.representation.statistics == "Fermion"
+        points = self._lifted_points(self.window)
         if self.command == "evolve":
-            return [(points, len(self.initial_state), points * len(self.initial_state))]
+            sources = [pt for pt in self.initial_state if not fermion or len(set(pt)) == len(pt)]
+            return [(points, len(sources), points * len(sources))]
         if self.command == "thermal":
             return [(points, points, points * points + points)]
         probes = min(points, 8)
-        middles = domain_size(self.space, self._reach_window())
+        middles = self._lifted_points(self._reach_window())
         return [(None, None, 4 * probes * probes + 45), (3, middles, 9 * middles),
                 (middles, 3, 9 * middles)]
+
+    def _lifted_points(self, window) -> int:
+        """Domain points in the window; for fermions, the C(sites, N) with distinct coordinates."""
+        if self.representation.statistics != "Fermion":
+            return domain_size(self.space, window)
+        return math.comb(domain_size(dataclasses.replace(self.space, N=1), window), self.space.N)
 
     def _reach_window(self):
         """The site window of the points a run lifts entries between.

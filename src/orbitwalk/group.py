@@ -89,16 +89,6 @@ class Representation:
             raise RepresentationError("angles must be finite")
 
 
-def perm_parity(perm: tuple) -> int:
-    """0 for even, 1 for odd, by counting inversions."""
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return inv & 1
-
-
 def _angle_is(value: float, target: float) -> bool:
     d = (value - target) % _TWO_PI
     return min(d, _TWO_PI - d) <= _ANGLE_TOL

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -46,10 +47,9 @@ class CircleTwisted:
 
 @dataclass(frozen=True)
 class HalfLinePhase:
-    """Semi-infinite chain truncated to a window, boundary phase phi at site 1."""
+    """Semi-infinite chain truncated to its sites, boundary phase phi at site 1."""
 
     phi: float = 0.0
-    window: int | None = None
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,6 @@ def build_hamiltonian(spec: HamiltonianSpec) -> np.ndarray:
     """Dense Hermitian matrix with -(omega/2) nearest-neighbor bonds."""
     n = spec.sites
     b = spec.boundary
-    if isinstance(b, HalfLinePhase) and b.window is not None and b.window != n:
-        raise DomainError(f"boundary window {b.window} disagrees with sites {n}")
     h = np.zeros((n, n), dtype=complex)
     for i in range(n - 1):
         h[i, i + 1] += -spec.omega / 2.0
@@ -189,24 +187,21 @@ def partition_direct(dec: SpectralDecomposition, beta: float) -> float:
     return float(np.sum(np.exp(-beta * dec.eigenvalues)))
 
 
-def ryser_permanent(m) -> complex:
-    """Permanent by Ryser's inclusion-exclusion formula (small matrices only).
+def permanent(m) -> complex:
+    """Permanent by its definition, the sum over all n! column orders (small matrices only).
 
-    `m` is a square matrix of nested lists or an array.  Each row sum over a
-    column subset and the product of those sums run left to right, the order
-    numpy's `sum(axis=1)` and `prod` take on such small rows, so the value
-    is the same to the last bit whichever container holds the entries.
+    `m` is a square matrix of nested lists or an array, the same to the last
+    bit in either.  No term is subtracted, so a matrix of positive entries
+    keeps every digit (Ryser's formula cancels there).  At most 720 terms.
     """
     rows = [[complex(v) for v in row] for row in m]
     n = len(rows)
     if n > MANY_BODY_MAX:
         raise DomainError(f"permanent limited to {MANY_BODY_MAX}x{MANY_BODY_MAX}")
     total = 0j
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        sums = [functools.reduce(operator.add, [row[j] for j in cols]) for row in rows]
-        total += (-1) ** len(cols) * functools.reduce(operator.mul, sums)
-    return (-1) ** n * total
+    for perm in itertools.permutations(range(n)):
+        total += functools.reduce(operator.mul, map(operator.getitem, rows, perm))
+    return total
 
 
 def many_body_value(m: list, statistics: str) -> complex:
@@ -214,7 +209,7 @@ def many_body_value(m: list, statistics: str) -> complex:
     matrix m[a][b] = <x_a| e^{-iH tau} |y_b>, given as nested lists."""
     if statistics == "Fermion":
         return complex(np.linalg.det(np.array(m)))
-    return complex(ryser_permanent(m))
+    return permanent(m)
 
 
 def many_body_kernel(

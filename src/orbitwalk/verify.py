@@ -2,28 +2,22 @@
 
 Each check returns a CheckResult with the worst deviation it measured; the
 suite passes iff every deviation is within its tolerance.  Infinite spaces
-are probed through an explicit site window.  `run_checks` shares one kernel
-plan per parameter set (tau, tau/2, -tau, 0) among its checks, and keeps
-each entry between probe points, so an entry several checks use is lifted
-once.  The oracle check computes each single-particle element once and lifts
-its N-walker references from those elements.
+are probed through an explicit site window.  `run_checks` builds one kernel
+plan per parameter set (tau, tau/2, -tau, 0), which its checks share; no
+entry is kept, so an entry two checks use is lifted twice.  Every reference
+comes from the oracle's permanent or determinant (`oracle.many_body_value`):
+at tau = 0 of the 0/1 matrix [x_a == y_b], which is exact, and at tau of
+dense-chain elements, each computed once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from . import oracle
 from .errors import DomainError
-from .group import (
-    OrbitSpaceSpec,
-    Representation,
-    fundamental_domain,
-    perm_parity,
-    weight_from_sums,
-)
+from .group import OrbitSpaceSpec, Representation, fundamental_domain, weight_from_sums
 from .kernels import KernelParams, window_radius
 from .orbit import KernelPlan, _gluing_weight
 
@@ -52,76 +46,51 @@ def _probe_points(space: OrbitSpaceSpec, window) -> list:
     return points[:8]
 
 
-class _Kernels:
-    """Time kernels of one verification run: one `KernelPlan` per parameter set.
+def plan_kernel(space: OrbitSpaceSpec, D: Representation):
+    """The time kernel (x, y, p) -> entry, from one `KernelPlan` per parameter set.
 
-    Calling it returns the (x, y) entry at p and keeps it in `kept[p]`, so an
-    entry the checks share is lifted once per run.  `unkept` computes an entry
-    without keeping it: composition uses each entry through a middle point
-    once, so the kept entries stay bounded by the probes (at most
-    4 x 8^2 + 36), not by the middles.
+    No entry is kept: a check that uses an entry twice asks the plan twice.
     """
+    plans: dict = {}
 
-    def __init__(self, space: OrbitSpaceSpec, D: Representation):
-        self._space = space
-        self._D = D
-        self._plans: dict = {}
-        self.kept: dict = {}  # p -> {(x, y): entry}
-
-    def __call__(self, x: tuple, y: tuple, p: KernelParams) -> complex:
-        kept = self.kept.get(p)
-        if kept is None:
-            kept = self.kept[p] = {}
-        value = kept.get((x, y))
-        if value is None:
-            value = kept[(x, y)] = self.unkept(x, y, p)
-        return value
-
-    def unkept(self, x: tuple, y: tuple, p: KernelParams) -> complex:
-        plan = self._plans.get(p)
+    def kernel(x: tuple, y: tuple, p: KernelParams) -> complex:
+        plan = plans.get(p)
         if plan is None:
-            plan = self._plans[p] = KernelPlan(self._space, self._D, p)
+            plan = plans[p] = KernelPlan(space, D, p)
         return plan.value(x, y)
 
-
-def _symmetrized_delta(x: tuple, y: tuple, statistics: str) -> float:
-    """tau=0 kernel for identical walkers: signed sum of coordinate matchings."""
-    total = 0.0
-    for perm in itertools.permutations(range(len(x))):
-        if all(x[i] == y[j] for i, j in enumerate(perm)):
-            total += -1.0 if (statistics == "Fermion" and perm_parity(perm)) else 1.0
-    return total
+    return kernel
 
 
 def check_initial_condition(space, D, window=None, kernel=None) -> CheckResult:
-    kernel = kernel or _Kernels(space, D)
+    """K_0(x, y) against the permanent or determinant of [[x_a == y_b]], which is exact."""
+    kernel = kernel or plan_kernel(space, D)
     p = KernelParams(omega=1.0, tau=0.0)
     probes = _probe_points(space, window)
     worst = 0.0
     for x in probes:
         for y in probes:
-            want = _symmetrized_delta(x, y, D.statistics)
+            delta = [[float(a == b) for b in y] for a in x]
+            want = oracle.many_body_value(delta, D.statistics)
             worst = max(worst, abs(kernel(x, y, p) - want))
     return CheckResult("initial_condition", worst <= INITIAL_TOL, worst, INITIAL_TOL)
 
 
 def check_composition(space, D, p, window=None, kernel=None) -> CheckResult:
-    kernel = kernel or _Kernels(space, D)
+    kernel = kernel or plan_kernel(space, D)
     half = KernelParams(omega=p.omega, tau=0.5 * p.tau)
     probes = _probe_points(space, window)
     coords = [c for pt in probes for c in pt]
     reach = window_radius(p.omega, p.tau) + 8
     middles = fundamental_domain(space, (min(coords) - reach, max(coords) + reach))
     ends = probes[:3]
-    # Each middle's entries to and from the probes are computed once, not
-    # kept, and added into every glued sum that uses them, in the order of
-    # `middles`.
-    through = kernel.unkept if isinstance(kernel, _Kernels) else kernel
+    # Each middle's entries to and from the probes are computed once and
+    # added into every glued sum that uses them, in the order of `middles`.
     glued = [[0j] * len(ends) for _ in ends]
     for z in middles:
         weight = _gluing_weight(z)
-        into = [through(x, z, half) for x in ends]
-        out_of = [through(z, y, half) for y in ends]
+        into = [kernel(x, z, half) for x in ends]
+        out_of = [kernel(z, y, half) for y in ends]
         for row, to_z in zip(glued, into):
             for j, from_z in enumerate(out_of):
                 row[j] += weight * to_z * from_z
@@ -133,7 +102,7 @@ def check_composition(space, D, p, window=None, kernel=None) -> CheckResult:
 
 
 def check_unitarity(space, D, p, window=None, kernel=None) -> CheckResult:
-    kernel = kernel or _Kernels(space, D)
+    kernel = kernel or plan_kernel(space, D)
     back = KernelParams(omega=p.omega, tau=-p.tau)
     worst = 0.0
     probes = _probe_points(space, window)
@@ -151,7 +120,7 @@ def check_equivariance(space, D, p, window=None, kernel=None) -> CheckResult:
     The translation maps x_0 to x_0 + P with weight D(t) = e^{i theta}, the
     reflection maps it to c - x_0 with weight D(r) = e^{i phi}.
     """
-    kernel = kernel or _Kernels(space, D)
+    kernel = kernel or plan_kernel(space, D)
     generators = []  # (image of walker 0's coordinate, weight)
     if space.has_translations:
         generators.append((lambda x0: x0 + space.period, weight_from_sums(D, 1, 0)))
@@ -205,7 +174,7 @@ def check_against_oracle(space, D, p, window=None, kernel=None) -> CheckResult:
     permanent or determinant of those elements (`oracle.many_body_value`),
     the same values `oracle.many_body_kernel` gives.
     """
-    kernel = kernel or _Kernels(space, D)
+    kernel = kernel or plan_kernel(space, D)
     dec = _oracle_decomposition(space, D, p, window)
     if dec is None:
         return CheckResult("orbit_vs_oracle", True, 0.0, ORACLE_TOL, "free line: orbit sum is the reference")
@@ -245,9 +214,8 @@ def run_checks(
     """Full property suite for one (space, representation, parameters) triple.
 
     Runs the oracle cannot check are refused before any kernel is computed:
-    more than `oracle.MANY_BODY_MAX` walkers (the tau = 0 check also loops
-    over all N! matchings), a dense chain of more than `oracle.SITES_MAX`
-    sites, or a window that holds no point to probe.
+    more than `oracle.MANY_BODY_MAX` walkers, a dense chain of more than
+    `oracle.SITES_MAX` sites, or a window that holds no point to probe.
     """
     if not math.isfinite(p.tau) or p.tau == 0.0:
         raise DomainError("verification needs a nonzero finite tau")
@@ -262,7 +230,7 @@ def run_checks(
         )
     if not _probe_points(space, window):
         raise DomainError(f"verification window {window} holds no point of the {space.kind} domain")
-    kernel = _Kernels(space, D)
+    kernel = plan_kernel(space, D)
     results = [
         check_initial_condition(space, D, window, kernel),
         check_composition(space, D, p, window, kernel),

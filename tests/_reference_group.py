@@ -25,7 +25,6 @@ from orbitwalk.group import (
     OrbitSpaceSpec,
     Point,
     Representation,
-    perm_parity,
     validate_representation,
     weight_from_sums,
 )
@@ -151,6 +150,16 @@ def inverse(g: GroupElement) -> GroupElement:
         winding.append(g.winding[j] if m else -g.winding[j])
         reflect.append(m)
     return GroupElement(tuple(winding), tuple(reflect), tuple(pinv))
+
+
+def perm_parity(perm: tuple) -> int:
+    """0 for even, 1 for odd, by counting inversions."""
+    inv = 0
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                inv += 1
+    return inv & 1
 
 
 def rep_weight(D: Representation, g: GroupElement) -> complex:

@@ -846,11 +846,33 @@ def test_lift_work_prices_thermal_entries_and_kept_minors():
     work = entries * (32 * 10 + 10 * 7) + sum(m * k * (6 + k // 8) for k, m in minors.items())
     memory = sum(m * (200 + 16 * k) for k, m in minors.items())
     assert _thermal_run(2, 10)._lift_work() == (work, memory)
-    # fermions: the same per-entry term plus N^3 / 3 for the LU's multiply-adds; no minors
-    assert _thermal_run(2, 10, "Fermion")._lift_work() == (entries * (32 * 10 + 10**3 // 3), 0)
-    # below 4 walkers both statistics are the written-out N^3 / 3 and keep nothing
-    for statistics in ("Boson", "Fermion"):
-        assert _thermal_run(2, 3, statistics)._lift_work() == (20 * (32 * 3 + 9), 0)
+    # fermions: the same per-entry term plus N^3 / 3 for the LU's multiply-adds; no minors.
+    # Only the C(6, 4) = 15 points with distinct coordinates are lifted.
+    entries = 15 * 15 + 15
+    assert _thermal_run(6, 4, "Fermion")._lift_work() == (entries * (32 * 4 + 4**3 // 3), 0)
+    assert _thermal_run(2, 10, "Fermion")._lift_work() == (0, 0)  # no antisymmetric state
+    # below 4 walkers both statistics are the written-out N^3 / 3 and keep nothing:
+    # 4 points each, the boson 3-multisets of 2 sites and the fermion 3-sets of 4
+    for L, statistics in ((2, "Boson"), (4, "Fermion")):
+        assert _thermal_run(L, 3, statistics)._lift_work() == (20 * (32 * 3 + 9), 0)
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        # 7 antisymmetric states, though the table prints all C(12, 6) = 924 sorted points
+        (("thermal", "--set", "space.L=7", "--set", "space.N=6"), 7 * 7 + 7),
+        (("evolve", "--set", "space.L=34", "--set", "space.N=5",
+          "--set", "initial_state=[[[1,2,3,4,5],1,0],[[1,1,2,3,4],0,0]]"), math.comb(34, 5)),
+    ],
+    ids=["thermal-L7-N6", "evolve-L34-N5"],
+)
+def test_fermion_lifts_are_priced_at_distinct_coordinates_only(argv, entries):
+    config = load_config(None)
+    for assignment in (*argv[2::2], "representation.statistics=Fermion"):
+        apply_set(config, assignment)
+    n = config["space"]["N"]
+    assert ResolvedRun(argv[0], config)._lift_work() == (entries * (32 * n + n**3 // 3), 0)
 
 
 def test_lift_prices_the_minors_a_thermal_table_keeps(capsys, monkeypatch):
@@ -909,13 +931,14 @@ def test_fermion_run_just_past_the_lift_bound_exits_2_before_any_kernel(capsys, 
     monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "value", refuse)
     monkeypatch.setattr(orbitwalk.orbit, "lu_determinant", refuse)
     argv = (
-        "evolve", "--set", "space.L=34", "--set", "space.N=5",
+        "evolve", "--set", "space.L=38", "--set", "space.N=5",
         "--set", "representation.statistics=Fermion", "--set", "initial_state=[[[1,2,3,4,5],1,0]]",
     )
-    points = math.comb(34 + 5 - 1, 5)  # sorted 5-walker points on 34 sites
+    points = math.comb(38, 5)  # 5-walker points with distinct coordinates on 38 sites
     work = points * (32 * 5 + 5**3 // 3)
     assert MAX_LIFT_WORK < work < 1.01 * MAX_LIFT_WORK
-    assert points < MAX_TABLE_ROWS  # the lift bound refuses it, not the row bound
+    # the lift bound refuses it, not the row bound on all sorted points
+    assert math.comb(38 + 5 - 1, 5) < MAX_TABLE_ROWS
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -15,7 +15,6 @@ from orbitwalk.group import (
     domain_size,
     fundamental_domain,
     in_fundamental_domain,
-    perm_parity,
     validate_representation,
 )
 
@@ -26,6 +25,7 @@ from _reference_group import (
     enumerate_shell,
     identity,
     inverse,
+    perm_parity,
     reflection,
     rep_value,
     translation,

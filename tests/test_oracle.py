@@ -7,12 +7,15 @@ import itertools
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from orbitwalk import oracle
 from orbitwalk.errors import DomainError
-from orbitwalk.kernels import CoinSpec, hadamard_coin
+from orbitwalk.group import OrbitSpaceSpec, Representation
+from orbitwalk.kernels import CoinSpec, KernelParams, hadamard_coin
+from orbitwalk.orbit import KernelPlan
 
 
 def circle_spec(L, theta=0.0, omega=1.0):
@@ -195,37 +198,44 @@ def brute_permanent(m):
     )
 
 
+# The three tests keep the names they had while the oracle used Ryser's formula.
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ryser_permanent_matches_brute_force(n):
     rng = np.random.default_rng(7 + n)
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    assert oracle.ryser_permanent(m) == pytest.approx(brute_permanent(m), rel=1e-12)
-
-
-def _ryser_on_arrays(m):
-    """Ryser's formula with numpy row sums and products, as the oracle had it on arrays."""
-    n = m.shape[0]
-    total = 0j
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        total += (-1) ** len(cols) * np.prod(m[:, cols].sum(axis=1))
-    return complex((-1) ** n * total)
+    assert oracle.permanent(m) == pytest.approx(brute_permanent(m), rel=1e-12)
 
 
 @pytest.mark.parametrize("n", range(1, oracle.MANY_BODY_MAX + 1))
 def test_ryser_permanent_on_lists_equals_numpy_row_sums_to_the_last_bit(n):
+    # lists and arrays give the same bits, signed zeros included
     rng = np.random.default_rng(40 + n)
     for scale in (1e-3, 1.0, 1e3):
         m = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        m[rng.random(size=(n, n)) < 0.2] = -0.0  # signed zeros take part in the sums
-        want = _ryser_on_arrays(m)
-        assert repr(oracle.ryser_permanent(m.tolist())) == repr(want)
-        assert repr(oracle.ryser_permanent(m)) == repr(want)
+        m[rng.random(size=(n, n)) < 0.2] = -0.0
+        assert repr(oracle.permanent(m.tolist())) == repr(oracle.permanent(m))
 
 
 def test_ryser_permanent_size_cap():
     with pytest.raises(DomainError):
-        oracle.ryser_permanent(np.eye(oracle.MANY_BODY_MAX + 1))
+        oracle.permanent(np.eye(oracle.MANY_BODY_MAX + 1))
+
+
+def test_boson_value_of_a_repeated_row_heat_matrix_keeps_every_digit():
+    # HalfLine heat entries between x = (1, 1, 1, 1) and y = (1, 2, 3, 4) are
+    # positive, and four equal rows: Ryser's inclusion-exclusion cancelled
+    # to 1.2e-12 relative here, the definition adds only positive terms.
+    space = OrbitSpaceSpec("HalfLine", N=4)
+    plan = KernelPlan(space, Representation(), KernelParams(beta=0.7), mode="heat")
+    m = [[plan._sum(a, b) for b in (1, 2, 3, 4)] for a in (1, 1, 1, 1)]
+    with mpmath.workdps(50):
+        want = mpmath.fsum(
+            mpmath.fprod(mpmath.mpf(m[i][j].real) for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(4))
+        )
+        got = oracle.many_body_value(m, "Boson")
+        assert all(v.imag == 0.0 for row in m for v in row) and got.imag == 0.0
+        assert abs((mpmath.mpf(got.real) - want) / want) <= 1e-15
 
 
 def test_many_body_kernel_statistics():

@@ -403,8 +403,8 @@ def test_glynn_permanent_matches_ryser(n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rows = m.tolist()
     index = tuple(range(n))
-    # Ryser's oracle stops at MANY_BODY_MAX; beyond it, sum over all n! permutations.
-    want = oracle.ryser_permanent(m) if n <= oracle.MANY_BODY_MAX else _permanent_by_definition(m)
+    # The oracle's permanent stops at MANY_BODY_MAX; beyond it, the same definition here.
+    want = oracle.permanent(m) if n <= oracle.MANY_BODY_MAX else _permanent_by_definition(m)
     minors: dict = {}
     got = first_row_expansion(lambda i, j: rows[i][j], index, index, False, minors)
     assert type(got) is complex

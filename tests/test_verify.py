@@ -8,20 +8,19 @@ import math
 import pytest
 
 from orbitwalk import oracle
+from orbitwalk.cli import ResolvedRun, apply_set, load_config
 from orbitwalk.errors import DomainError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
 from orbitwalk.kernels import KernelParams, window_radius
 from orbitwalk.orbit import KernelPlan, _gluing_weight
 from orbitwalk.verify import (
     CheckResult,
-    _Kernels,
     _oracle_decomposition,
-    _symmetrized_delta,
     all_passed,
     check_against_oracle,
     check_composition,
     check_equivariance,
-    check_initial_condition,
+    plan_kernel,
     run_checks,
 )
 
@@ -110,8 +109,8 @@ def test_zero_tau_is_rejected():
 def test_equivariance_fails_for_a_kernel_at_the_wrong_weight(kind, D, wrong, N):
     space = OrbitSpaceSpec(kind, L=4, N=N)
     p = KernelParams(tau=1.0)
-    assert check_equivariance(space, D, p, kernel=_Kernels(space, D)).passed
-    result = check_equivariance(space, D, p, kernel=_Kernels(space, wrong))
+    assert check_equivariance(space, D, p, kernel=plan_kernel(space, D)).passed
+    result = check_equivariance(space, D, p, kernel=plan_kernel(space, wrong))
     assert result.passed is False
     assert result.deviation > result.tolerance
 
@@ -123,11 +122,16 @@ def test_check_result_is_plain_data():
 
 
 def test_symmetrized_delta_counts_matchings():
-    assert _symmetrized_delta((1, 2), (1, 2), "Boson") == 1.0
-    assert _symmetrized_delta((1, 2), (1, 3), "Boson") == 0.0
-    assert _symmetrized_delta((2, 2), (2, 2), "Boson") == 2.0
-    assert _symmetrized_delta((2, 2), (2, 2), "Fermion") == 0.0
-    assert _symmetrized_delta((1, 2), (1, 2), "Fermion") == 1.0
+    # The tau = 0 reference: the signed count of coordinate matchings, as the
+    # oracle's permanent or determinant of the 0/1 matrix [x_a == y_b].
+    def delta(x, y, statistics):
+        return oracle.many_body_value([[float(a == b) for b in y] for a in x], statistics)
+
+    assert delta((1, 2), (1, 2), "Boson") == 1.0
+    assert delta((1, 2), (1, 3), "Boson") == 0.0
+    assert delta((2, 2), (2, 2), "Boson") == 2.0
+    assert delta((2, 2), (2, 2), "Fermion") == 0.0
+    assert delta((1, 2), (1, 2), "Fermion") == 1.0
 
 
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
@@ -135,7 +139,7 @@ def test_composition_computes_each_probe_middle_entry_once(statistics):
     space = OrbitSpaceSpec("Circle", L=4, N=2)
     D = Representation(theta=0.7, statistics=statistics)
     p = KernelParams(tau=1.0)
-    real = _Kernels(space, D)
+    real = plan_kernel(space, D)
     calls = []
 
     def kernel(x, y, params):
@@ -176,11 +180,16 @@ def test_a_window_with_no_domain_point_is_refused():
 )
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
 def test_each_probe_entry_is_lifted_once_per_run(monkeypatch, space, theta, window, statistics):
-    lifts = collections.Counter()
+    # The name is kept from the entry cache verify no longer has: every entry
+    # a check asks for is lifted, so the probe entries are the count
+    # `ResolvedRun._lifted_pairs` prices, 4 x 8^2 + 45 at most.
+    calls, lifts = collections.Counter(), collections.Counter()
     value = KernelPlan.value
 
     def counted(plan, x, y):
-        lifts[(plan._params.tau, x, y)] += 1
+        calls[plan._params.tau] += 1
+        if not plan._repeats(x, y):  # a fermion entry at a repeated coordinate is 0j unlifted
+            lifts[plan._params.tau] += 1
         return value(plan, x, y)
 
     monkeypatch.setattr(KernelPlan, "value", counted)
@@ -188,10 +197,16 @@ def test_each_probe_entry_is_lifted_once_per_run(monkeypatch, space, theta, wind
         space, Representation(theta=theta, statistics=statistics), KernelParams(tau=1.0), window=window
     )
     assert all_passed(results)
-    probe_entries = {key: n for key, n in lifts.items() if key[0] != 0.5}
-    assert probe_entries and set(probe_entries.values()) == {1}
+    config = load_config(None)
+    for setting in (f"space.kind={space.kind}", f"space.L={space.L}", f"space.N={space.N}",
+                    f"representation.theta={theta}", f"representation.statistics={statistics}"):
+        apply_set(config, setting)
+    config["window"] = window
+    (_, _, priced), *_ = ResolvedRun("verify", config)._lifted_pairs()
+    assert 0 < lifts[1.0] + lifts[-1.0] + lifts[0.0] <= priced
+    assert set(calls) == {1.0, 0.5, -1.0, 0.0}
     # composition: three probes into every middle and three out of it
-    assert sum(n for key, n in lifts.items() if key[0] == 0.5) == 6 * len(_middles(space, window))
+    assert calls[0.5] == 6 * len(_middles(space, window))
 
 
 def _middles(space, window):
@@ -237,20 +252,3 @@ def test_oracle_references_equal_the_many_body_kernel(statistics):
     )
     # against a zero kernel the deviation is the largest reference, to the last bit
     assert repr(result.deviation) == repr(want)
-
-
-def test_kept_entries_stay_bounded_by_the_probes():
-    space = OrbitSpaceSpec("Circle", L=6, N=2)  # 21 domain points, 8 probes
-    D = Representation(theta=0.7)
-    p = KernelParams(tau=1.0)
-    kernel = _Kernels(space, D)
-    assert check_composition(space, D, p, kernel=kernel).passed
-    probes = fundamental_domain(space)[:8]
-    # only the 3 x 3 glued pairs, at tau: no entry through a middle point
-    assert list(kernel.kept) == [p]
-    assert set(kernel.kept[p]) == {(x, y) for x in probes[:3] for y in probes[:3]}
-    for check in (check_initial_condition, check_against_oracle):
-        args = (space, D) if check is check_initial_condition else (space, D, p)
-        assert check(*args, kernel=kernel).passed
-    assert KernelParams(tau=0.5) not in kernel.kept
-    assert sum(len(entries) for entries in kernel.kept.values()) <= 4 * 8**2 + 36
