@@ -15,9 +15,10 @@ for `coined` and `verify`, and the `verify` suite for `verify`; N-walker
 lifts of both statistics are pure Python.  Lazy imports bind the module and
 look its functions up at call time, so patched or traced functions are seen.
 
-Emission is cheap per run: a table formats each distinct value once
-(`_formatter`), the argument parser is built once per process, and the
-config echo copies only what it changes.
+Emission is cheap per run: a table asks the plan for every entry (the plan
+computes each single-walker sum once) and formats each distinct value once
+(`_formatter`, every table's one text memo); the argument parser is built
+once per process, and the config echo copies only what it changes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import warnings
 
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
-from .kernels import CoinSpec, KernelParams, hadamard_coin, window_radius
+from .kernels import CoinSpec, KernelParams, hadamard_coin
 from .orbit import KernelPlan, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
@@ -253,20 +254,22 @@ class ResolvedRun:
         lift: N^3 / 3 below 4 walkers (the written-out expansion) and for
         fermions from 4 on (an LU determinant).  A boson entry from 4
         walkers on is a `first_row_expansion` over kept minors.  For each
-        k = 3..N-1, a family of entries (`_lifted_pairs`) keeps at most its
-        distinct k-row suffixes times its distinct k-column sub-multisets,
-        each at most the k-multisets of the sites, and at most its entries
-        x C(N, k) minors.  Expanding k rows costs k (6 + k / 8) steps, a
-        term per column that slices and hashes k-long tuples, once per kept
-        minor and once per entry; a kept minor holds about 200 + 16 k bytes
-        until the run ends.  Past 64 walkers a boson run is refused
-        outright: the expansion recurses one level per walker.
+        k = 3..N-1, a family of entries (`_lifted_pairs`: for `verify`, the
+        entries its checks ask for) keeps at most its distinct k-row
+        suffixes times its distinct k-column sub-multisets, each at most the
+        k-multisets of the sites, and at most its entries x C(N, k) minors.
+        Expanding k rows costs k (6 + k / 8) steps, a term per column that
+        slices and hashes k-long tuples, once per kept minor and once per
+        entry; a kept minor holds about 200 + 16 k bytes until the run ends.
+        Past 64 walkers a boson run is refused outright: the expansion
+        recurses one level per walker.
 
         Timed on a shared 2-core VM, boson thermal, evolve and verify runs
         with N = 4..64 took 0.03 to 0.44 times work x 0.3 us, one boson
         entry with nothing shared 0.2 to 0.6 times its share at N = 4..10,
-        and fermion runs with N = 2..10 0.07 to 0.4 times it.  Kept minors
-        measured 250 to 300 bytes each at k = 3..7, about 850 near k = 47.
+        and fermion runs with N = 2..10 0.07 to 0.6 times it (the most:
+        verify at N = 5 and 6).  Kept minors measured 250 to 300 bytes each
+        at k = 3..7, about 850 near k = 47.
         """
         n = self.space.N
         if n == 1 or self.command not in ("evolve", "thermal", "verify"):
@@ -297,11 +300,11 @@ class ResolvedRun:
 
         `evolve` pairs every domain point with its initial state, `thermal`
         every domain point with every other (the table plus Z's diagonal).
-        `verify` asks for 4 x 8^2 + 45 entries at its probes (at most 8),
-        spread over three plans, so no point count bounds their minors (None).
-        Composition glues 3 x 3 probe pairs through every middle point, into
-        it and out of it, in a plan of its own.  A fermion entry whose x or y
-        repeats a coordinate is 0j before any lift and is not counted.
+        `verify` (in `verify`'s names) asks for at most 4 PROBES^2 + 5 ENDS^2
+        entries at its probes, over three plans, so no point count bounds
+        their minors (None); composition takes ENDS entries into each middle
+        point and ENDS out of it, in a plan of its own.  A fermion entry whose
+        x or y repeats a coordinate is 0j before any lift and is not counted.
         """
         fermion = self.representation.statistics == "Fermion"
         points = self._lifted_points(self.window)
@@ -310,10 +313,12 @@ class ResolvedRun:
             return [(points, len(sources), points * len(sources))]
         if self.command == "thermal":
             return [(points, points, points * points + points)]
-        probes = min(points, 8)
+        from . import verify  # loaded by every verify run anyway
+        probes = min(points, verify.PROBES)
+        ends = min(probes, verify.ENDS)
         middles = self._lifted_points(self._reach_window())
-        return [(None, None, 4 * probes * probes + 45), (3, middles, 9 * middles),
-                (middles, 3, 9 * middles)]
+        return [(None, None, 4 * probes * probes + 5 * ends * ends), (ends, middles, ends * middles),
+                (middles, ends, middles * ends)]
 
     def _lifted_points(self, window) -> int:
         """Domain points in the window; for fermions, the C(sites, N) with distinct coordinates."""
@@ -322,17 +327,12 @@ class ResolvedRun:
         return math.comb(domain_size(dataclasses.replace(self.space, N=1), window), self.space.N)
 
     def _reach_window(self):
-        """The site window of the points a run lifts entries between.
-
-        `verify`'s composition glues through middles that reach past a
-        Line/HalfLine window by the light cone and 8 sites; every other run
-        stays in its window (which finite spaces ignore).
-        """
-        if self.command != "verify" or self.space.kind not in ("Line", "HalfLine"):
-            return self.window
-        reach = window_radius(self.params.omega, self.params.tau) + 8
-        lo, hi = self.window
-        return lo - reach, hi + reach
+        """The site window of the points a run lifts entries between: its own (which
+        finite spaces ignore), or on a Line/HalfLine `verify.glue_window` of it."""
+        if self.command == "verify" and self.space.kind in ("Line", "HalfLine"):
+            from . import verify  # loaded by every verify run anyway
+            return verify.glue_window(*self.window, self.params)
+        return self.window
 
     def domain_points(self) -> list:
         return fundamental_domain(self.space, self.window)
@@ -466,23 +466,17 @@ def emit(run: ResolvedRun, table: Table, meta: dict) -> str:
     if run.output_format == "csv":
         lines = [f"# orbitwalk {run.command}", f"# config {_canonical(run.config)}"]
         for key in sorted(meta):
-            if key == "config":
-                continue
             lines.append(f"# {key} {json.dumps(meta[key], sort_keys=True)}")
         lines.append(",".join(table.columns))
         lines.extend(map(",".join, table.rows))
         return "\n".join(lines) + "\n"
-    values = {"": None}  # json.loads per distinct cell text; a non-JSON text stays a string
 
+    @functools.cache  # json.loads per distinct cell text; a non-JSON text stays a string
     def value(cell: str):
-        if cell in values:
-            return values[cell]
         try:
-            parsed = json.loads(cell)
+            return json.loads(cell) if cell else None
         except json.JSONDecodeError:
-            parsed = cell
-        values[cell] = parsed
-        return parsed
+            return cell
 
     columns = {name: [] for name in table.columns}
     for row in table.rows:
@@ -515,24 +509,10 @@ def run_evolve(run: ResolvedRun) -> tuple[Table, dict, int]:
 
 
 def _pair_rows(run: ResolvedRun, table: Table, entry, fmt) -> None:
-    """One row per pair (x, y) of domain points: their sites, then Re and Im of entry(x, y).
-
-    One walker on a space without reflections has entries that depend on
-    x - y alone, so each displacement's two cells are computed once.
-    """
+    """One row per pair (x, y) of domain points: their sites, then Re and Im of entry(x, y)."""
     points = run.domain_points()
     labels = [tuple(map(str, pt)) for pt in points]
     rows = table.rows
-    if run.space.N == 1 and not run.space.has_reflections:
-        cells: dict = {}
-        for (x,), x_sites in zip(points, labels):
-            for (y,), y_sites in zip(points, labels):
-                pair = cells.get(x - y)
-                if pair is None:
-                    value = entry((x,), (y,))
-                    pair = cells[x - y] = (fmt(value.real), fmt(value.imag))
-                rows.append(x_sites + y_sites + pair)
-        return
     for x, x_sites in zip(points, labels):
         for y, y_sites in zip(points, labels):
             value = entry(x, y)
@@ -634,11 +614,7 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     # np.hypot is abs() of each Python complex to the bit (both are the C
     # library's hypot); np.abs of a complex array is not
     dev = np.hypot(diff.real, diff.imag)
-    deviations = dev.ravel().tolist()
-    # each distinct deviation formatted once; hypot never gives -0.0, so the
-    # set cannot merge two zeros that print differently
-    texts = {value: _fmt(value, run.precision) for value in set(deviations)}
-    devs = map(texts.__getitem__, deviations)
+    devs = map(fmt, dev.ravel().tolist())
     table = Table(["x", "y", "i", "j", "re", "im", "deviation", "probability"])
     table.rows.extend(
         (label[x], label[y], li, lj, re, im, next(devs), "")

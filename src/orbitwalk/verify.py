@@ -2,22 +2,26 @@
 
 Each check returns a CheckResult with the worst deviation it measured; the
 suite passes iff every deviation is within its tolerance.  Infinite spaces
-are probed through an explicit site window.  `run_checks` builds one kernel
-plan per parameter set (tau, tau/2, -tau, 0), which its checks share; no
-entry is kept, so an entry two checks use is lifted twice.  Every reference
-comes from the oracle's permanent or determinant (`oracle.many_body_value`):
-at tau = 0 of the 0/1 matrix [x_a == y_b], which is exact, and at tau of
-dense-chain elements, each computed once.
+are probed through an explicit site window.  The probing scheme, which
+`cli.ResolvedRun` prices from these names: each check probes `PROBES`
+points, composition and equivariance pair `ENDS` of them, and composition
+glues those through every middle point of `glue_window`.  `run_checks`
+builds one kernel plan per parameter set (tau, tau/2, -tau, 0), which its
+checks share; no entry is kept, so an entry two checks use is lifted twice.
+Every reference comes from the oracle's permanent or determinant
+(`oracle.many_body_value`): at tau = 0 of the 0/1 matrix [x_a == y_b],
+which is exact, and at tau of dense-chain elements, each computed once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import oracle
 from .errors import DomainError
-from .group import OrbitSpaceSpec, Representation, fundamental_domain, weight_from_sums
+from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain, weight_from_sums
 from .kernels import KernelParams, window_radius
 from .orbit import KernelPlan, _gluing_weight
 
@@ -27,6 +31,9 @@ INITIAL_TOL = 1e-12
 EQUIVARIANCE_TOL = 1e-12
 ORACLE_TOL = 1e-10
 GAUGE_TOL = 1e-10
+PROBES = 8  # domain points each check probes
+ENDS = 3  # probes that composition and equivariance pair
+COMPOSITION_MARGIN = 8  # sites past the light cone that composition glues through
 
 
 @dataclass(frozen=True)
@@ -38,12 +45,27 @@ class CheckResult:
     detail: str = ""
 
 
-def _probe_points(space: OrbitSpaceSpec, window) -> list:
+def _probe_points(space: OrbitSpaceSpec, D: Representation, window) -> list:
+    """The first `PROBES` domain points; for fermions, the first with distinct
+    coordinates (any other entry is 0j by construction).  Refuses a domain with none."""
     try:
         points = fundamental_domain(space, window)
     except DomainError:  # a Line or HalfLine with no window
         raise DomainError(f"{space.kind} verification needs an explicit window") from None
-    return points[:8]
+    if not points:
+        raise DomainError(f"verification window {window} holds no point of the {space.kind} domain")
+    if D.statistics == "Fermion":
+        points = list(itertools.islice((pt for pt in points if len(set(pt)) == len(pt)), PROBES))
+        if not points:
+            sites = domain_size(replace(space, N=1), window)
+            raise DomainError(f"{space.N} fermions on {sites} sites have no antisymmetric state")
+    return points[:PROBES]
+
+
+def glue_window(lo: int, hi: int, p: KernelParams) -> tuple:
+    """The sites composition glues through for probes on sites lo..hi: the light cone and a margin."""
+    reach = window_radius(p.omega, p.tau) + COMPOSITION_MARGIN
+    return lo - reach, hi + reach
 
 
 def plan_kernel(space: OrbitSpaceSpec, D: Representation):
@@ -66,7 +88,7 @@ def check_initial_condition(space, D, window=None, kernel=None) -> CheckResult:
     """K_0(x, y) against the permanent or determinant of [[x_a == y_b]], which is exact."""
     kernel = kernel or plan_kernel(space, D)
     p = KernelParams(omega=1.0, tau=0.0)
-    probes = _probe_points(space, window)
+    probes = _probe_points(space, D, window)
     worst = 0.0
     for x in probes:
         for y in probes:
@@ -79,11 +101,10 @@ def check_initial_condition(space, D, window=None, kernel=None) -> CheckResult:
 def check_composition(space, D, p, window=None, kernel=None) -> CheckResult:
     kernel = kernel or plan_kernel(space, D)
     half = KernelParams(omega=p.omega, tau=0.5 * p.tau)
-    probes = _probe_points(space, window)
+    probes = _probe_points(space, D, window)
     coords = [c for pt in probes for c in pt]
-    reach = window_radius(p.omega, p.tau) + 8
-    middles = fundamental_domain(space, (min(coords) - reach, max(coords) + reach))
-    ends = probes[:3]
+    middles = fundamental_domain(space, glue_window(min(coords), max(coords), p))
+    ends = probes[:ENDS]
     # Each middle's entries to and from the probes are computed once and
     # added into every glued sum that uses them, in the order of `middles`.
     glued = [[0j] * len(ends) for _ in ends]
@@ -105,7 +126,7 @@ def check_unitarity(space, D, p, window=None, kernel=None) -> CheckResult:
     kernel = kernel or plan_kernel(space, D)
     back = KernelParams(omega=p.omega, tau=-p.tau)
     worst = 0.0
-    probes = _probe_points(space, window)
+    probes = _probe_points(space, D, window)
     for x in probes:
         for y in probes:
             forward = kernel(x, y, p)
@@ -128,7 +149,7 @@ def check_equivariance(space, D, p, window=None, kernel=None) -> CheckResult:
         generators.append((lambda x0: space.reflection_center - x0, weight_from_sums(D, 0, 1)))
     if not generators:
         return CheckResult("equivariance", True, 0.0, EQUIVARIANCE_TOL, "no generators")
-    probes = _probe_points(space, window)[:3]
+    probes = _probe_points(space, D, window)[:ENDS]
     worst = 0.0
     for image, weight in generators:
         for x in probes:
@@ -186,7 +207,7 @@ def check_against_oracle(space, D, p, window=None, kernel=None) -> CheckResult:
             value = elements[(a, b)] = oracle.spectral_kernel(dec, p.tau, a, b)
         return value
 
-    probes = _probe_points(space, window)
+    probes = _probe_points(space, D, window)
     worst = 0.0
     for x in probes:
         for y in probes:
@@ -215,7 +236,7 @@ def run_checks(
 
     Runs the oracle cannot check are refused before any kernel is computed:
     more than `oracle.MANY_BODY_MAX` walkers, a dense chain of more than
-    `oracle.SITES_MAX` sites, or a window that holds no point to probe.
+    `oracle.SITES_MAX` sites, or no point to probe (`_probe_points`).
     """
     if not math.isfinite(p.tau) or p.tau == 0.0:
         raise DomainError("verification needs a nonzero finite tau")
@@ -228,8 +249,6 @@ def run_checks(
         raise DomainError(
             f"verification needs a dense oracle of {sites} sites, more than {oracle.SITES_MAX}"
         )
-    if not _probe_points(space, window):
-        raise DomainError(f"verification window {window} holds no point of the {space.kind} domain")
     kernel = plan_kernel(space, D)
     results = [
         check_initial_condition(space, D, window, kernel),

@@ -570,6 +570,24 @@ def test_verify_on_a_window_without_domain_points_is_refused_before_any_kernel(
     assert err.startswith("config error: verification window (-3, 0) holds no point")
 
 
+@pytest.mark.parametrize(
+    "space", [("--set", "space.L=2"), ("--set", "space.kind=HalfLine", "--window=-4:2")],
+    ids=["circle", "half-line"],
+)
+def test_fermion_verify_with_more_walkers_than_sites_is_refused_before_any_kernel(
+    capsys, monkeypatch, space
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran with no antisymmetric state to probe")
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "value", refuse)
+    code, out, err = run_cli(
+        capsys, "verify", *space, "--set", "space.N=3", "--set", "representation.statistics=Fermion"
+    )
+    assert (code, out) == (2, "")
+    assert err == "config error: 3 fermions on 2 sites have no antisymmetric state\n"
+
+
 def test_verify_inaccurate_sum_exits_4(capsys, monkeypatch):
     free_row = orbitwalk.orbit._free_row
     # a free row cut to 3 terms: the sums at tau = 5 miss most of their weight
@@ -811,7 +829,8 @@ def test_oversized_tables_are_refused_before_the_domain_is_built(capsys, monkeyp
         # the minors of 12-site 8-walker targets against one source: 2.8e8 bytes
         (("evolve", "--set", "space.L=12", "--set", "space.N=8",
           "--set", "initial_state=[[[1,2,3,4,5,6,7,8], 1, 0]]"), "bytes of minors"),
-        (("verify", "--set", "space.L=10", "--set", "space.N=8"), "lift steps"),
+        # composition through C(45, 6) = 8,145,060 six-walker middles: 1.2e10 steps
+        (("verify", "--set", "space.L=40", "--set", "space.N=6"), "lift steps"),
         (("thermal", "--set", "space.L=4", "--set", "space.N=12"), "lift steps"),
     ],
     ids=["argv0", "argv1", "argv2", "argv3"],

@@ -14,6 +14,7 @@ import orbitwalk.orbit
 from orbitwalk.cli import main
 
 EXPANSION = orbitwalk.orbit.first_row_expansion
+LU = orbitwalk.orbit.lu_determinant
 PLAN = orbitwalk.orbit.KernelPlan
 INIT, WEIGHT, RESIDUE = PLAN.__init__, PLAN._weight, PLAN._residue
 FREE_ROW = orbitwalk.orbit._free_row
@@ -21,6 +22,11 @@ FREE_ROW = orbitwalk.orbit._free_row
 
 def conjugated_winding_weight(plan, n, m):
     return WEIGHT(plan, n, m).conjugate()
+
+
+def dropped_winding_sign(plan, n, m):
+    """Winding n weighed as winding |n|: e^{i |n| theta} where e^{i n theta} belongs."""
+    return WEIGHT(plan, abs(n), m)
 
 
 def dropped_reflection_phase(plan, *args, **kwargs):
@@ -63,6 +69,11 @@ def dropped_column_term(entry, rows, cols, fermion, minors):
     return value - entry(rows[0], cols[-1]) * EXPANSION(entry, rows[1:], cols[:-1], fermion, {})
 
 
+def doubled_determinant(m):
+    """Twice the LU determinant of a fermion entry from 4 walkers on."""
+    return 2 * LU(m)
+
+
 def _exits_4_with(capsys, monkeypatch, owner, attribute, fault, sets):
     assert main(["verify", *sets]) == 0  # the config passes without the fault
     monkeypatch.setattr(owner, attribute, fault)
@@ -70,23 +81,34 @@ def _exits_4_with(capsys, monkeypatch, owner, attribute, fault, sets):
     capsys.readouterr()
 
 
+FERMIONS_ON_8 = ["--set", "space.L=8", "--set", "representation.theta=0.7",
+                 "--set", "representation.statistics=Fermion"]
+
+# name -> (owner, attribute, fault, verify config).  On 8 sites every one of
+# the first 8 sorted 4- and 5-walker points repeats a coordinate, so only
+# fermion probes with distinct coordinates see a doubled determinant.
 LIFT_FAULTS = {
     "swapped-statistics": (
-        swapped_statistics,
+        orbitwalk.orbit, "first_row_expansion", swapped_statistics,
         ["--set", "space.L=4", "--set", "space.N=2", "--set", "representation.theta=0.4",
          "--set", "representation.statistics=Fermion"],
     ),
     "dropped-column-term": (
-        dropped_column_term,
+        orbitwalk.orbit, "first_row_expansion", dropped_column_term,
         ["--set", "space.L=5", "--set", "space.N=4"],
+    ),
+    "doubled-fermion-determinant-N4": (
+        orbitwalk.orbit, "lu_determinant", doubled_determinant, FERMIONS_ON_8 + ["--set", "space.N=4"],
+    ),
+    "doubled-fermion-determinant-N5": (
+        orbitwalk.orbit, "lu_determinant", doubled_determinant, FERMIONS_ON_8 + ["--set", "space.N=5"],
     ),
 }
 
 
 @pytest.mark.parametrize("fault", LIFT_FAULTS)
 def test_verify_catches_a_fault_in_the_lift(capsys, monkeypatch, fault):
-    patch, sets = LIFT_FAULTS[fault]
-    _exits_4_with(capsys, monkeypatch, orbitwalk.orbit, "first_row_expansion", patch, sets)
+    _exits_4_with(capsys, monkeypatch, *LIFT_FAULTS[fault])
 
 
 CIRCLE = ["--set", "space.L=5", "--set", "representation.theta=0.7"]
@@ -96,6 +118,7 @@ INTERVAL = ["--set", "space.kind=Interval", "--set", "space.L=4",
 # name -> (owner, attribute, fault, verify config); one walker each
 FOLD_FAULTS = {
     "conjugated-winding-weight": (PLAN, "_weight", conjugated_winding_weight, CIRCLE),
+    "dropped-winding-sign": (PLAN, "_weight", dropped_winding_sign, CIRCLE),
     "dropped-reflection-phase": (PLAN, "__init__", dropped_reflection_phase, INTERVAL),
     "reflection-center-off-by-one": (PLAN, "__init__", reflection_center_off_by_one, INTERVAL),
     "residue-read-one-off": (PLAN, "_residue", residue_read_one_off, CIRCLE),

@@ -16,6 +16,7 @@ from orbitwalk.orbit import KernelPlan, _gluing_weight
 from orbitwalk.verify import (
     CheckResult,
     _oracle_decomposition,
+    _probe_points,
     all_passed,
     check_against_oracle,
     check_composition,
@@ -155,13 +156,25 @@ def test_composition_computes_each_probe_middle_entry_once(statistics):
 
     # the same sums, one glued pair at a time, to the last bit
     half = KernelParams(tau=0.5)
-    probes = middles[:3]
+    # the probes: for fermions, the first points with distinct coordinates
+    probes = [z for z in middles if statistics == "Boson" or len(set(z)) == len(z)][:3]
     worst = 0.0
     for x in probes:
         for y in probes:
             glued = sum(_gluing_weight(z) * real(x, z, half) * real(z, y, half) for z in middles)
             worst = max(worst, abs(glued - real(x, y, p)))
     assert repr(result.deviation) == repr(worst)
+
+
+def test_fermions_are_probed_at_distinct_coordinates():
+    # the first 8 sorted 4-walker points of 8 sites all repeat a coordinate
+    space = OrbitSpaceSpec("Circle", L=8, N=4)
+    assert all(len(set(pt)) < 4 for pt in fundamental_domain(space)[:8])
+    assert _probe_points(space, Representation(statistics="Fermion"), None) == [
+        (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 3, 7),
+        (1, 2, 3, 8), (1, 2, 4, 5), (1, 2, 4, 6), (1, 2, 4, 7),
+    ]
+    assert _probe_points(space, Representation(), None) == fundamental_domain(space)[:8]
 
 
 def test_a_window_with_no_domain_point_is_refused():
@@ -181,8 +194,9 @@ def test_a_window_with_no_domain_point_is_refused():
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
 def test_each_probe_entry_is_lifted_once_per_run(monkeypatch, space, theta, window, statistics):
     # The name is kept from the entry cache verify no longer has: every entry
-    # a check asks for is lifted, so the probe entries are the count
-    # `ResolvedRun._lifted_pairs` prices, 4 x 8^2 + 45 at most.
+    # a check asks for is lifted, so the probe entries are at most the count
+    # `ResolvedRun._lifted_pairs` prices, 4 x 8^2 + 5 x 3^2, and its two
+    # composition families are exactly the middle entries composition lifts.
     calls, lifts = collections.Counter(), collections.Counter()
     value = KernelPlan.value
 
@@ -202,11 +216,15 @@ def test_each_probe_entry_is_lifted_once_per_run(monkeypatch, space, theta, wind
                     f"representation.theta={theta}", f"representation.statistics={statistics}"):
         apply_set(config, setting)
     config["window"] = window
-    (_, _, priced), *_ = ResolvedRun("verify", config)._lifted_pairs()
+    (_, _, priced), (_, _, into), (_, _, out_of) = ResolvedRun("verify", config)._lifted_pairs()
     assert 0 < lifts[1.0] + lifts[-1.0] + lifts[0.0] <= priced
     assert set(calls) == {1.0, 0.5, -1.0, 0.0}
-    # composition: three probes into every middle and three out of it
-    assert calls[0.5] == 6 * len(_middles(space, window))
+    # composition: three probes into every middle and three out of it, and
+    # the price counts the middles whose entries are lifted
+    middles = _middles(space, window)
+    assert calls[0.5] == 6 * len(middles)
+    lifted = [z for z in middles if statistics == "Boson" or len(set(z)) == len(z)]
+    assert lifts[0.5] == into + out_of == 6 * len(lifted)
 
 
 def _middles(space, window):
