@@ -2,12 +2,16 @@
 
 Run as `python benchmarks/output_digest.py OUT.json` to run each job of
 perfbench's four workloads (`single_walker`, `many_walker`,
-`resolvent_sweep`, `known_defects`) for seeds 1-5, 165 jobs in all, through
-`orbitwalk.cli.main` in-process, and to write one JSON object that maps
-each job to the sha256 of its stdout, the sha256 of its stderr and its exit
-code.  `--src DIR` runs the orbitwalk sources under DIR (another checkout's
-`src/`) instead of this checkout's; `--argv-file FILE` adds one job per
-line of FILE, each a JSON list of command-line arguments.
+`resolvent_sweep`, `known_defects`) for seeds 1-5, 165 jobs in all, then
+every job of `benchmarks/digest_jobs.jsonl` (what perfbench does not run:
+JSON output, other precisions, Line and HalfLine windows, custom and
+backward coined walks, boson `thermal` at N = 4 and 5, fermion and
+wide-window `verify`), through `orbitwalk.cli.main` in-process, and to
+write one JSON object that maps each job to the sha256 of its stdout, the
+sha256 of its stderr and its exit code.  `--src DIR` runs the orbitwalk
+sources under DIR (another checkout's `src/`) instead of this checkout's;
+`--argv-file FILE` adds one job per line of FILE.  A job file holds one
+JSON list of command-line arguments per line.
 `python benchmarks/output_digest.py --compare A B` lists the jobs whose
 digests differ between two such files (or that only one of them has) and
 exits 1 if any does.  Job lists come from
@@ -26,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("single_walker", "many_walker", "resolvent_sweep", "known_defects")
+DIGEST_JOBS = ROOT / "benchmarks" / "digest_jobs.jsonl"
 
 
 def _sha(text: str) -> str:
@@ -33,7 +38,8 @@ def _sha(text: str) -> str:
 
 
 def jobs(argv_file: str | None) -> dict:
-    """Job name -> argv: every perfbench job of seeds 1-5, then each line of `argv_file`."""
+    """Job name -> argv: every perfbench job of seeds 1-5, then each line of
+    `DIGEST_JOBS` and of `argv_file`."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
@@ -42,8 +48,8 @@ def jobs(argv_file: str | None) -> dict:
         for seed in range(1, 6):
             for i, job in enumerate(workloads.generate(workload, seed)):
                 out[f"{workload}:{seed}:{i} {job.label()}"] = job.argv()
-    if argv_file:
-        with open(argv_file, encoding="utf-8") as fh:
+    for path in filter(None, (DIGEST_JOBS, argv_file)):
+        with open(path, encoding="utf-8") as fh:
             for line in filter(str.strip, fh):
                 argv = json.loads(line)
                 out[" ".join(argv)] = argv

@@ -254,15 +254,15 @@ class ResolvedRun:
         lift: N^3 / 3 below 4 walkers (the written-out expansion) and for
         fermions from 4 on (an LU determinant).  A boson entry from 4
         walkers on is a `first_row_expansion` over kept minors.  For each
-        k = 3..N-1, a family of entries (`_lifted_pairs`: for `verify`, the
-        entries its checks ask for) keeps at most its distinct k-row
-        suffixes times its distinct k-column sub-multisets, each at most the
-        k-multisets of the sites, and at most its entries x C(N, k) minors.
-        Expanding k rows costs k (6 + k / 8) steps, a term per column that
-        slices and hashes k-long tuples, once per kept minor and once per
-        entry; a kept minor holds about 200 + 16 k bytes until the run ends.
-        Past 64 walkers a boson run is refused outright: the expansion
-        recurses one level per walker.
+        k = 3..N-1, a family of entries (`_lifted_pairs`, or for `verify`
+        `verify.lifted_entries`, with the window it lifts through) keeps at
+        most its distinct k-row suffixes times its distinct k-column
+        sub-multisets, each at most the k-multisets of the sites, and at
+        most its entries x C(N, k) minors.  Expanding k rows costs
+        k (6 + k / 8) steps, a term per column that slices and hashes k-long
+        tuples, once per kept minor and once per entry; a kept minor holds
+        about 200 + 16 k bytes until the run ends.  Past 64 walkers a boson
+        run is refused outright: the expansion recurses one level per walker.
 
         Timed on a shared 2-core VM, boson thermal, evolve and verify runs
         with N = 4..64 took 0.03 to 0.44 times work x 0.3 us, one boson
@@ -274,7 +274,11 @@ class ResolvedRun:
         n = self.space.N
         if n == 1 or self.command not in ("evolve", "thermal", "verify"):
             return 0, 0
-        families = self._lifted_pairs()
+        if self.command == "verify":
+            from . import verify  # loaded by every verify run anyway
+            families, window = verify.lifted_entries(self.space, self.representation, self.params, self.window)
+        else:
+            families, window = self._lifted_pairs(), self.window
         entries = sum(pairs for _, _, pairs in families)
         if entries == 0:
             return 0, 0
@@ -282,7 +286,7 @@ class ResolvedRun:
             return entries * (32 * n + n**3 // 3), 0
         if n > 64:
             return math.inf, math.inf
-        sites = domain_size(dataclasses.replace(self.space, N=1), self._reach_window())
+        sites = domain_size(dataclasses.replace(self.space, N=1), window)
         work = entries * (32 * n + n * (6 + n // 8))
         memory = 0
         for k in range(3, n):
@@ -296,43 +300,18 @@ class ResolvedRun:
         return work, memory
 
     def _lifted_pairs(self) -> list:
-        """The run's lifted entries as (row points, column points, entries) families.
-
-        `evolve` pairs every domain point with its initial state, `thermal`
-        every domain point with every other (the table plus Z's diagonal).
-        `verify` (in `verify`'s names) asks for at most 4 PROBES^2 + 5 ENDS^2
-        entries at its probes, over three plans, so no point count bounds
-        their minors (None); composition takes ENDS entries into each middle
-        point and ENDS out of it, in a plan of its own.  A fermion entry whose
-        x or y repeats a coordinate is 0j before any lift and is not counted.
-        """
+        """An `evolve` or `thermal` run's lifted entries as (row points, column points,
+        entries) families: `evolve` pairs every domain point with its initial
+        state, `thermal` every domain point with every other (the table plus
+        Z's diagonal).  A fermion entry whose x or y repeats a coordinate is
+        0j before any lift: only the C(sites, N) points with distinct
+        coordinates count."""
         fermion = self.representation.statistics == "Fermion"
-        points = self._lifted_points(self.window)
+        points = domain_size(self.space, self.window, fermion)
         if self.command == "evolve":
             sources = [pt for pt in self.initial_state if not fermion or len(set(pt)) == len(pt)]
             return [(points, len(sources), points * len(sources))]
-        if self.command == "thermal":
-            return [(points, points, points * points + points)]
-        from . import verify  # loaded by every verify run anyway
-        probes = min(points, verify.PROBES)
-        ends = min(probes, verify.ENDS)
-        middles = self._lifted_points(self._reach_window())
-        return [(None, None, 4 * probes * probes + 5 * ends * ends), (ends, middles, ends * middles),
-                (middles, ends, middles * ends)]
-
-    def _lifted_points(self, window) -> int:
-        """Domain points in the window; for fermions, the C(sites, N) with distinct coordinates."""
-        if self.representation.statistics != "Fermion":
-            return domain_size(self.space, window)
-        return math.comb(domain_size(dataclasses.replace(self.space, N=1), window), self.space.N)
-
-    def _reach_window(self):
-        """The site window of the points a run lifts entries between: its own (which
-        finite spaces ignore), or on a Line/HalfLine `verify.glue_window` of it."""
-        if self.command == "verify" and self.space.kind in ("Line", "HalfLine"):
-            from . import verify  # loaded by every verify run anyway
-            return verify.glue_window(*self.window, self.params)
-        return self.window
+        return [(points, points, points * points + points)]
 
     def domain_points(self) -> list:
         return fundamental_domain(self.space, self.window)
@@ -419,26 +398,29 @@ def _config_number(config: dict, key: str, kind):
 
 
 def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}e}"
+    return f"%.{precision}e" % value
 
 
 def _formatter(precision: int):
     """`_fmt` at `precision` for one table, formatting each distinct value once.
 
+    The pattern is built once per table; `%` and a format spec share one
+    float-to-string routine, so the texts are those of f"{value:.{precision}e}".
     A kernel on a translation-invariant space repeats a few values across
     its table.  Zeros stay out of the dict, where 0.0 and -0.0 would share a
     key though they print differently: each sign's text is made up front.
     NaN never equals itself, so it misses the dict, which is harmless.
     """
+    pattern = f"%.{precision}e"
     texts: dict = {}
-    zero, negative_zero = _fmt(0.0, precision), _fmt(-0.0, precision)
+    zero, negative_zero = pattern % 0.0, pattern % -0.0
 
     def fmt(value: float) -> str:
         if not value:
             return negative_zero if math.copysign(1.0, value) < 0.0 else zero
         text = texts.get(value)
         if text is None:
-            text = texts[value] = _fmt(value, precision)
+            text = texts[value] = pattern % value
         return text
 
     return fmt

@@ -7,7 +7,7 @@ r x = c - x on the HalfLine and Interval, with walker exchanges on top.  A
 alone (`weight_from_sums`), so no group element is ever built; the fermion
 sign of a walker exchange enters through the determinant lift.  The
 fundamental-domain helpers list and count the sorted points the commands
-tabulate.
+tabulate, and those with distinct coordinates, the fermion states that exist.
 """
 
 from __future__ import annotations
@@ -179,12 +179,10 @@ def check_in_domain(space: OrbitSpaceSpec, x: Point, name: str = "point") -> Non
         raise DomainError(f"{name} {x} is outside the fundamental domain of {space.kind}")
 
 
-def _site_range(space: OrbitSpaceSpec, window) -> tuple:
-    """The closed site range (lo, hi) of the fundamental domain.
-
-    Finite spaces give 1..L and ignore the window.  The Line takes the
-    window as it is, the HalfLine clips it to sites >= 1.
-    """
+def site_range(space: OrbitSpaceSpec, window) -> tuple:
+    """The closed site range (lo, hi) of the fundamental domain: 1..L on finite spaces,
+    which ignore the window; the Line takes the window as it is, the HalfLine clips it
+    to sites >= 1."""
     lo, hi = coordinate_range(space)
     if hi is not None:
         return lo, hi
@@ -194,18 +192,21 @@ def _site_range(space: OrbitSpaceSpec, window) -> tuple:
     return (wlo if lo is None else max(lo, wlo)), whi
 
 
+def sorted_points(lo: int, hi: int, n: int, distinct: bool = False):
+    """The sorted n-tuples of the sites lo..hi, lazily and in the domain's order; with
+    `distinct`, only those with distinct coordinates, the fermion states that exist."""
+    pick = itertools.combinations if distinct else itertools.combinations_with_replacement
+    return pick(range(lo, hi + 1), n)
+
+
 def fundamental_domain(space: OrbitSpaceSpec, window=None) -> list:
-    """All fundamental-domain points, as sorted N-tuples.
-
-    Finite spaces (Circle/Interval) ignore the window; Line and HalfLine
-    require an explicit (lo, hi) site window.
-    """
-    lo, hi = _site_range(space, window)
-    sites = range(lo, hi + 1)
-    return [tuple(c) for c in itertools.combinations_with_replacement(sites, space.N)]
+    """All fundamental-domain points, as sorted N-tuples (see `site_range` for the window)."""
+    return list(sorted_points(*site_range(space, window), space.N))
 
 
-def domain_size(space: OrbitSpaceSpec, window=None) -> int:
-    """len(fundamental_domain(space, window)), counted without building the points."""
-    lo, hi = _site_range(space, window)
-    return math.comb(max(hi - lo + 1, 0) + space.N - 1, space.N)
+def domain_size(space: OrbitSpaceSpec, window=None, distinct: bool = False) -> int:
+    """How many points `sorted_points` yields on the domain's sites, counted without
+    building them: C(sites + N - 1, N), or C(sites, N) with distinct coordinates."""
+    lo, hi = site_range(space, window)
+    sites = max(hi - lo + 1, 0)
+    return math.comb(sites, space.N) if distinct else math.comb(sites + space.N - 1, space.N)

@@ -405,10 +405,6 @@ class KernelPlan:
             out.append(column)
         return out
 
-    def _repeats(self, x: tuple, y: tuple) -> bool:
-        """A fermion entry whose x or y repeats a coordinate: its det is exactly 0."""
-        return self._fermion and (len(set(x)) < len(x) or len(set(y)) < len(y))
-
     def value(self, x: tuple, y: tuple) -> complex:
         """The kernel between N-walker lattice points x and y (no domain check).
 
@@ -424,7 +420,7 @@ class KernelPlan:
             return self._sum(x[0], y[0])[0]
         if len(x) == 1:
             return self._sum(x[0], y[0])
-        if self._repeats(x, y):
+        if self._fermion and (len(set(x)) < len(x) or len(set(y)) < len(y)):
             return 0j
         if self._fermion and len(x) > 3:
             s = self._sum

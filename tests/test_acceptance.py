@@ -30,6 +30,8 @@ from orbitwalk.verify import (
     check_equivariance,
     check_initial_condition,
     check_unitarity,
+    plan_kernel,
+    probe_points,
 )
 
 from _oracles import bessel_j_series, laplace_transform_j0
@@ -178,11 +180,12 @@ def test_04_algebraic_properties_on_all_configured_spaces():
     deviations = {}
     failed = []
     for space, D, window in configs:
+        probes, kernel = probe_points(space, D, window), plan_kernel(space, D)
         results = [
-            check_initial_condition(space, D, window),
-            check_composition(space, D, p, window),
-            check_unitarity(space, D, p, window),
-            check_equivariance(space, D, p, window),
+            check_initial_condition(D, probes, kernel),
+            check_composition(space, D, p, probes, kernel),
+            check_unitarity(p, probes, kernel),
+            check_equivariance(space, D, p, probes, kernel),
         ]
         for r in results:
             deviations[r.name] = max(deviations.get(r.name, 0.0), r.deviation)

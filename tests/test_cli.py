@@ -982,6 +982,22 @@ def test_large_line_verify_is_refused_before_any_kernel(capsys, monkeypatch, sta
     assert "lift steps" in err
 
 
+@pytest.mark.parametrize(
+    "space, window",
+    [(("--set", "space.kind=HalfLine", "--set", "space.N=3"), "--window=1:60"),
+     (("--set", "space.kind=Line", "--set", "space.N=2"), "--window=-1000000000:1000000000")],
+    ids=["half-line-N3-1:60", "line-N2-2e9-sites"],
+)
+def test_wide_window_verify_is_priced_at_what_it_asks(capsys, space, window):
+    # The probes sit on the window's first sites, so HalfLine 1:60 glues through
+    # the same 35,990 middles as 1:30, though the window +- the light cone holds
+    # 234,136, and no run enumerates more of the window than its probes use.
+    code, out, err = run_cli(capsys, "verify", *space, window)
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    assert [r[1] for r in rows] == ["pass"] * 5
+
+
 def test_thermal_with_more_fermions_than_sites_exits_2(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel ran before the Z = 0 case was refused")
@@ -1096,7 +1112,7 @@ def test_formatter_prints_every_value_as_fmt_does(precision):
     ]
     fmt = _formatter(precision)
     for value in values:
-        assert fmt(value) == _fmt(value, precision), value
+        assert fmt(value) == _fmt(value, precision) == format(value, f".{precision}e"), value
 
 
 def test_consecutive_runs_share_no_parser_state(capsys):

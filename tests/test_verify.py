@@ -7,21 +7,22 @@ import math
 
 import pytest
 
-from orbitwalk import oracle
-from orbitwalk.cli import ResolvedRun, apply_set, load_config
+import orbitwalk.orbit
+from orbitwalk import oracle, verify
 from orbitwalk.errors import DomainError
-from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
+from orbitwalk.group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain, sorted_points
 from orbitwalk.kernels import KernelParams, window_radius
-from orbitwalk.orbit import KernelPlan, _gluing_weight
+from orbitwalk.orbit import KernelPlan
 from orbitwalk.verify import (
     CheckResult,
     _oracle_decomposition,
-    _probe_points,
     all_passed,
     check_against_oracle,
     check_composition,
     check_equivariance,
+    lifted_entries,
     plan_kernel,
+    probe_points,
     run_checks,
 )
 
@@ -110,8 +111,9 @@ def test_zero_tau_is_rejected():
 def test_equivariance_fails_for_a_kernel_at_the_wrong_weight(kind, D, wrong, N):
     space = OrbitSpaceSpec(kind, L=4, N=N)
     p = KernelParams(tau=1.0)
-    assert check_equivariance(space, D, p, kernel=plan_kernel(space, D)).passed
-    result = check_equivariance(space, D, p, kernel=plan_kernel(space, wrong))
+    probes = probe_points(space, D, None)
+    assert check_equivariance(space, D, p, probes, plan_kernel(space, D)).passed
+    result = check_equivariance(space, D, p, probes, plan_kernel(space, wrong))
     assert result.passed is False
     assert result.deviation > result.tolerance
 
@@ -147,21 +149,25 @@ def test_composition_computes_each_probe_middle_entry_once(statistics):
         calls.append((x, y, params.tau))
         return real(x, y, params)
 
-    result = check_composition(space, D, p, kernel=kernel)
+    probes = probe_points(space, D, None)
+    result = check_composition(space, D, p, probes, kernel)
     assert result.passed
-    middles = fundamental_domain(space)
+    # the middles are the states: for fermions, the points with distinct coordinates
+    middles = [z for z in fundamental_domain(space) if statistics == "Boson" or len(set(z)) == len(z)]
     # three probes into each middle and three out of it
     assert len([c for c in calls if c[2] == 0.5]) == 6 * len(middles)
     assert len([c for c in calls if c[2] == 1.0]) == 9
 
-    # the same sums, one glued pair at a time, to the last bit
+    # the same sums, one glued pair at a time, to the last bit; the weight
+    # 1 / prod(m!) of two walkers is 1 or 1/2, exact however it is computed
+    def weight(z):
+        return 1 / math.prod(map(math.factorial, collections.Counter(z).values()))
+
     half = KernelParams(tau=0.5)
-    # the probes: for fermions, the first points with distinct coordinates
-    probes = [z for z in middles if statistics == "Boson" or len(set(z)) == len(z)][:3]
     worst = 0.0
-    for x in probes:
-        for y in probes:
-            glued = sum(_gluing_weight(z) * real(x, z, half) * real(z, y, half) for z in middles)
+    for x in probes[:3]:
+        for y in probes[:3]:
+            glued = sum(weight(z) * real(x, z, half) * real(z, y, half) for z in middles)
             worst = max(worst, abs(glued - real(x, y, p)))
     assert repr(result.deviation) == repr(worst)
 
@@ -170,16 +176,72 @@ def test_fermions_are_probed_at_distinct_coordinates():
     # the first 8 sorted 4-walker points of 8 sites all repeat a coordinate
     space = OrbitSpaceSpec("Circle", L=8, N=4)
     assert all(len(set(pt)) < 4 for pt in fundamental_domain(space)[:8])
-    assert _probe_points(space, Representation(statistics="Fermion"), None) == [
+    assert probe_points(space, Representation(statistics="Fermion"), None) == [
         (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 3, 7),
         (1, 2, 3, 8), (1, 2, 4, 5), (1, 2, 4, 6), (1, 2, 4, 7),
     ]
-    assert _probe_points(space, Representation(), None) == fundamental_domain(space)[:8]
+    assert probe_points(space, Representation(), None) == fundamental_domain(space)[:8]
+    # the probes are the domain's first 8 states, though only the first 8 + N - 1
+    # sites are enumerated, for windows wider and narrower than that
+    cases = [(OrbitSpaceSpec("Line", N=3), (-4, 30)), (OrbitSpaceSpec("HalfLine", N=2), (-3, 6)),
+             (OrbitSpaceSpec("Interval", L=5, N=3), None), (OrbitSpaceSpec("Circle", L=12, N=5), None)]
+    for space, window in cases:
+        for statistics in ("Boson", "Fermion"):
+            states = [pt for pt in fundamental_domain(space, window)
+                      if statistics == "Boson" or len(set(pt)) == len(pt)]
+            assert probe_points(space, Representation(statistics=statistics), window) == states[:8]
+
+
+def test_fermion_checks_never_ask_for_a_repeated_coordinate(monkeypatch):
+    asked = []
+    value = KernelPlan.value
+
+    def spied(plan, x, y):
+        asked.append((x, y))
+        return value(plan, x, y)
+
+    monkeypatch.setattr(KernelPlan, "value", spied)
+    results = run_checks(
+        OrbitSpaceSpec("Circle", L=8, N=4), Representation(theta=0.7, statistics="Fermion"),
+        KernelParams(tau=1.0),
+    )
+    assert all_passed(results)
+    assert asked and all(len(set(x)) == 4 and len(set(y)) == 4 for x, y in asked)
+
+
+def test_run_checks_draws_its_probes_once_and_builds_no_domain(monkeypatch):
+    # one lazy draw of PROBES points, shared by every check, and one pass over
+    # composition's middles: the domain is enumerated, never listed, and only once
+    drawn = []
+
+    def counted(lo, hi, n, distinct=False):
+        drawn.append(0)
+        for point in sorted_points(lo, hi, n, distinct):
+            drawn[-1] += 1
+            yield point
+
+    monkeypatch.setattr(verify, "sorted_points", counted)
+    space = OrbitSpaceSpec("Interval", L=6, N=3)
+    assert all_passed(run_checks(space, Representation(phi=math.pi), KernelParams(tau=1.0)))
+    assert drawn == [verify.PROBES, domain_size(space)]
 
 
 def test_a_window_with_no_domain_point_is_refused():
     with pytest.raises(DomainError, match="holds no point"):
         run_checks(OrbitSpaceSpec("HalfLine"), Representation(), KernelParams(tau=1.0), window=(-3, 0))
+
+
+def _asked(monkeypatch, space, D, p, window, compute=True):
+    """The entries `run_checks` asks its plans for, counted by tau."""
+    calls = collections.Counter()
+    value = KernelPlan.value
+
+    def counted(plan, x, y):
+        calls[plan._params.tau] += 1
+        return value(plan, x, y) if compute else 0j
+
+    monkeypatch.setattr(KernelPlan, "value", counted)
+    return calls, run_checks(space, D, p, window=window)
 
 
 @pytest.mark.parametrize(
@@ -188,52 +250,68 @@ def test_a_window_with_no_domain_point_is_refused():
         (OrbitSpaceSpec("Circle", L=4, N=2), 0.7, None),
         (OrbitSpaceSpec("Interval", L=4, N=3), math.pi, None),
         (OrbitSpaceSpec("HalfLine", N=2), 0.0, (1, 4)),
+        (OrbitSpaceSpec("Line", N=2), 0.0, (0, 3)),
     ],
-    ids=["circle", "interval", "half-line"],
+    ids=["circle", "interval", "half-line", "line"],
 )
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
 def test_each_probe_entry_is_lifted_once_per_run(monkeypatch, space, theta, window, statistics):
     # The name is kept from the entry cache verify no longer has: every entry
-    # a check asks for is lifted, so the probe entries are at most the count
-    # `ResolvedRun._lifted_pairs` prices, 4 x 8^2 + 5 x 3^2, and its two
-    # composition families are exactly the middle entries composition lifts.
-    calls, lifts = collections.Counter(), collections.Counter()
-    value = KernelPlan.value
-
-    def counted(plan, x, y):
-        calls[plan._params.tau] += 1
-        if not plan._repeats(x, y):  # a fermion entry at a repeated coordinate is 0j unlifted
-            lifts[plan._params.tau] += 1
-        return value(plan, x, y)
-
-    monkeypatch.setattr(KernelPlan, "value", counted)
-    results = run_checks(
-        space, Representation(theta=theta, statistics=statistics), KernelParams(tau=1.0), window=window
-    )
+    # a check asks for is lifted, and `lifted_entries`, which the CLI prices
+    # a verify run from, counts each family of them: the probe entries at
+    # tau, -tau and 0, and composition's three probes into every middle and
+    # three out of it at tau / 2, the middles being the states of the window
+    # +- the light cone
+    D, p = Representation(theta=theta, statistics=statistics), KernelParams(tau=1.0)
+    calls, results = _asked(monkeypatch, space, D, p, window)
     assert all_passed(results)
-    config = load_config(None)
-    for setting in (f"space.kind={space.kind}", f"space.L={space.L}", f"space.N={space.N}",
-                    f"representation.theta={theta}", f"representation.statistics={statistics}"):
-        apply_set(config, setting)
-    config["window"] = window
-    (_, _, priced), (_, _, into), (_, _, out_of) = ResolvedRun("verify", config)._lifted_pairs()
-    assert 0 < lifts[1.0] + lifts[-1.0] + lifts[0.0] <= priced
     assert set(calls) == {1.0, 0.5, -1.0, 0.0}
-    # composition: three probes into every middle and three out of it, and
-    # the price counts the middles whose entries are lifted
-    middles = _middles(space, window)
-    assert calls[0.5] == 6 * len(middles)
-    lifted = [z for z in middles if statistics == "Boson" or len(set(z)) == len(z)]
-    assert lifts[0.5] == into + out_of == 6 * len(lifted)
+    (_, _, at_probes), (_, _, into), (_, _, out_of) = lifted_entries(space, D, p, window)[0]
+    assert calls[1.0] + calls[-1.0] + calls[0.0] == at_probes
+    middles = _middles(space, window, statistics == "Fermion")
+    assert calls[0.5] == into + out_of == 6 * middles
 
 
-def _middles(space, window):
-    """The points `check_composition` glues through at tau = 1 (on the HalfLine,
-    for a window whose probes reach both its ends): the window plus the light cone."""
-    if window is None:
-        return fundamental_domain(space)
-    reach = window_radius(1.0, 1.0) + 8
-    return fundamental_domain(space, (max(1, window[0] - reach), window[1] + reach))
+@pytest.mark.parametrize(
+    "space, window, middles",
+    [(OrbitSpaceSpec("HalfLine", N=3), (1, 30), 35_990), (OrbitSpaceSpec("Line", N=2), (-20, 20), 6_105)],
+    ids=["half-line-N3-1:30", "line-N2--20:20"],
+)
+def test_wide_windows_are_priced_at_the_middles_of_their_probes(monkeypatch, space, window, middles):
+    # the probes take the window's first sites, so composition glues through
+    # the light cone around them, not around the whole window
+    D, p = Representation(), KernelParams(tau=1.0)
+    calls, _ = _asked(monkeypatch, space, D, p, window, compute=False)
+    families, glue = lifted_entries(space, D, p, window)
+    assert [pairs for _, _, pairs in families] == [
+        calls[1.0] + calls[-1.0] + calls[0.0], calls[0.5] // 2, calls[0.5] // 2
+    ]
+    assert families[1][:2] == (3, middles)
+    assert domain_size(space, glue) == middles
+
+
+def _middles(space, window, distinct):
+    """The number of states `check_composition` glues through at tau = 1 (on the
+    HalfLine and Line, for a window whose probes reach both its ends): the
+    window plus the light cone."""
+    if window is not None:
+        reach = window_radius(1.0, 1.0) + 8
+        window = (window[0] - reach, window[1] + reach)
+    return domain_size(space, window, distinct)
+
+
+def test_composition_keeps_its_own_gluing_weight(monkeypatch):
+    # A fault in the route's 1 / prod(m!) moves Z but not the composition
+    # check, which shares no code with it: the tier-1 thermal tests catch it.
+    space, D = OrbitSpaceSpec("Circle", L=4, N=2), Representation()
+    p = KernelParams(tau=1.0, beta=1.0)
+    (before,) = [r.deviation for r in run_checks(space, D, p) if r.name == "composition"]
+    z = KernelPlan(space, D, p, mode="heat").partition_function()
+    # the helper's code itself is replaced, so every reference to it sees the fault
+    monkeypatch.setattr(orbitwalk.orbit._gluing_weight, "__code__", (lambda point: 1.0).__code__)
+    assert KernelPlan(space, D, p, mode="heat").partition_function() != z
+    (after,) = [r.deviation for r in run_checks(space, D, p) if r.name == "composition"]
+    assert repr(after) == repr(before)
 
 
 def test_oracle_elements_are_computed_once_per_site_pair(monkeypatch):
@@ -263,7 +341,7 @@ def test_oracle_references_equal_the_many_body_kernel(statistics):
         got[(x, y)] = 0j
         return 0j
 
-    result = check_against_oracle(space, D, p, kernel=kernel)
+    result = check_against_oracle(space, D, p, None, probe_points(space, D, None), kernel)
     dec = _oracle_decomposition(space, D, p, None)
     want = max(
         abs(oracle.many_body_kernel(dec, 2, statistics, x, y, p.tau)) for x, y in got
