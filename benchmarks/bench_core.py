@@ -35,7 +35,13 @@ N = 5 (63,504 entries over 19,012 kept 3- and 4-row minors).  The dos,
 resolvent, coined-table, verify, N = 2 and N >= 4 rows run in-process through
 `cli.main`, output discarded.  The cold-start row runs the default
 `orbitwalk evolve` in fresh interpreters against this checkout's `src/` and
-reports the median wall time and the modules the run loaded.
+reports the median wall time and the modules the run loaded.  The
+table-memory rows run `orbitwalk thermal` in a fresh interpreter with its
+output written to the null device: the default config, then Circle L=1000,
+whose 10^6 rows are `MAX_TABLE_ROWS`, as CSV and as JSON; each reports the
+wall time and the interpreter's peak RSS (`ru_maxrss`).  CSV rows are
+written as they are made, so its peak should stay near the default's; JSON
+holds its columns until the end.
 """
 
 from __future__ import annotations
@@ -196,6 +202,35 @@ def cold_start(runs: int = COLD_START_RUNS) -> tuple[float, dict]:
     return statistics.median(seconds), json.loads(proc.stdout)
 
 
+_TABLE_MEMORY_SCRIPT = """\
+import contextlib, json, os, resource, sys
+from orbitwalk.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "peak_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}))
+"""
+
+TABLE_MEMORY_ROWS = [
+    ("default thermal", ["thermal"]),
+    ("Circle L=1000 thermal, CSV", ["thermal", "--set", "space.L=1000"]),
+    ("Circle L=1000 thermal, JSON", ["thermal", "--set", "space.L=1000", "--format", "json"]),
+]
+
+
+def table_memory(argv: list[str]) -> tuple[float, dict]:
+    """Wall seconds of a fresh interpreter running `orbitwalk argv` with its
+    output discarded, and the run's exit code and peak RSS in KB (Linux units)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLE_MEMORY_SCRIPT, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return time.perf_counter() - start, json.loads(proc.stdout)
+
+
 def main() -> None:
     rows = [(label, per_call_us(lambda: call(_core_py), repeats))
             for label, call, repeats in WORKLOADS]
@@ -244,6 +279,10 @@ def main() -> None:
     print(f"\ncold start, default evolve (median of {COLD_START_RUNS} fresh interpreters): "
           f"{median_s * 1000.0:.0f} ms, exit {loaded['code']}, "
           f"{loaded['orbitwalk']} orbitwalk and {loaded['numpy']} numpy modules loaded")
+    for label, argv in TABLE_MEMORY_ROWS:
+        seconds, run = table_memory(argv)
+        print(f"table memory, fresh process: {label}: {seconds:.2f} s, "
+              f"peak RSS {run['peak_kb'] / 1024:.1f} MB, exit {run['code']}")
 
 
 if __name__ == "__main__":

@@ -15,10 +15,13 @@ for `coined` and `verify`, and the `verify` suite for `verify`; N-walker
 lifts of both statistics are pure Python.  Lazy imports bind the module and
 look its functions up at call time, so patched or traced functions are seen.
 
-Emission is cheap per run: a table asks the plan for every entry (the plan
-computes each single-walker sum once) and formats each distinct value once
-(`_formatter`, every table's one text memo); the argument parser is built
-once per process, and the config echo copies only what it changes.
+Rows go to the output as they are made.  Every refusal comes before the
+first row: a handler does all that can refuse the run (the plan, Z, the
+`evolve` amplitudes, the `dos` and `coined` arrays, the `verify` checks) and
+returns rows that only ask the plan for entries and format each distinct
+value once (`_formatter`).  So a run that exits 2 or 3 writes nothing.  The
+argument parser is built once per process, and the config echo copies only
+what it changes.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -33,7 +37,7 @@ import warnings
 
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
-from .kernels import CoinSpec, KernelParams, hadamard_coin
+from .kernels import CoinSpec, KernelParams, coined_stack_bytes, hadamard_coin
 from .orbit import KernelPlan, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
@@ -42,10 +46,14 @@ COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 MAX_TABLE_ROWS = 10**6
 
 # Largest N-walker lift a run may do, in lift steps (about 0.3 us each in pure
-# Python, so 10^8 is about half a minute), and the most memory its kept minors
-# may take, in bytes; see `ResolvedRun._lift_work`.
+# Python, so 10^8 is about half a minute), and the most memory its kept minors,
+# or a coined walk's stack of line blocks, may take, in bytes; see
+# `ResolvedRun._lift_work` and `kernels.coined_stack_bytes`.
 MAX_LIFT_WORK = 10**8
 MAX_LIFT_BYTES = 2**28
+
+# CSV rows per `write` call; a call per row writes 10^6 rows about a third slower.
+_BATCH_ROWS = 4096
 
 DEFAULT_CONFIG = {
     "space": {"kind": "Circle", "L": 4, "N": 1, "boundary_convention": "Standard"},
@@ -231,6 +239,14 @@ class ResolvedRun:
             raise ConfigError(
                 f"{lift} would keep {memory:.3g} bytes of minors, more than {MAX_LIFT_BYTES}"
             )
+        if self.command == "coined":
+            steps = _config_number(self.config, "coined.steps", int)
+            stack = coined_stack_bytes(steps, self.coin)
+            if stack > MAX_LIFT_BYTES:
+                raise ConfigError(
+                    f"a coined walk of {steps} steps would stack {stack} bytes of line blocks, "
+                    f"more than {MAX_LIFT_BYTES}"
+                )
 
     def _table_rows(self) -> int:
         """Rows of the command's main table, counted without building the domain."""
@@ -313,9 +329,6 @@ class ResolvedRun:
             return [(points, len(sources), points * len(sources))]
         return [(points, points, points * points + points)]
 
-    def domain_points(self) -> list:
-        return fundamental_domain(self.space, self.window)
-
     @functools.cached_property
     def coin(self) -> CoinSpec:
         """The configured coin, built and checked for unitarity once per run."""
@@ -334,22 +347,6 @@ class ResolvedRun:
             except (KeyError, TypeError, ValueError, DomainError) as exc:
                 raise ConfigError(f"bad custom coin: {exc}") from exc
         raise ConfigError(f"unknown coin {raw!r}")
-
-
-# -- table assembly -------------------------------------------------------
-
-
-class Table:
-    """Column-ordered rows of already-stringified cells."""
-
-    def __init__(self, columns: list[str]):
-        self.columns = columns
-        self.rows: list[tuple[str, ...]] = []
-
-    def add(self, *cells: str):
-        if len(cells) != len(self.columns):
-            raise ValueError("row width mismatch")
-        self.rows.append(cells)
 
 
 def _integer(value, name: str) -> int:
@@ -440,18 +437,19 @@ def _echoed_config(config: dict) -> dict:
     return {**config, "output": {**config["output"], "path": None}}
 
 
-def _canonical(config: dict) -> str:
-    return json.dumps(_echoed_config(config), sort_keys=True, separators=(",", ":"))
-
-
-def emit(run: ResolvedRun, table: Table, meta: dict) -> str:
+def emit(run: ResolvedRun, columns: list, rows, meta: dict, out) -> None:
+    """Write a table to `out`: CSV in batches as `rows` yields its tuples of cell
+    texts, JSON (column-major) as one text once every column is filled."""
     if run.output_format == "csv":
-        lines = [f"# orbitwalk {run.command}", f"# config {_canonical(run.config)}"]
-        for key in sorted(meta):
-            lines.append(f"# {key} {json.dumps(meta[key], sort_keys=True)}")
-        lines.append(",".join(table.columns))
-        lines.extend(map(",".join, table.rows))
-        return "\n".join(lines) + "\n"
+        config = json.dumps(_echoed_config(run.config), sort_keys=True, separators=(",", ":"))
+        head = [f"# orbitwalk {run.command}", f"# config {config}"]
+        head += [f"# {key} {json.dumps(meta[key], sort_keys=True)}" for key in sorted(meta)]
+        head.append(",".join(columns))
+        out.write("\n".join(head) + "\n")
+        lines = map(",".join, rows)
+        while batch := list(itertools.islice(lines, _BATCH_ROWS)):
+            out.write("\n".join(batch) + "\n")
+        return
 
     @functools.cache  # json.loads per distinct cell text; a non-JSON text stays a string
     def value(cell: str):
@@ -460,67 +458,59 @@ def emit(run: ResolvedRun, table: Table, meta: dict) -> str:
         except json.JSONDecodeError:
             return cell
 
-    columns = {name: [] for name in table.columns}
-    for row in table.rows:
-        for name, cell in zip(table.columns, row):
-            columns[name].append(value(cell))
-    payload = {
-        "command": run.command,
-        "meta": {"config": _echoed_config(run.config), **meta},
-        "columns": columns,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    values = {name: [] for name in columns}
+    appends = [values[name].append for name in columns]
+    for row in rows:
+        for append, cell in zip(appends, row):
+            append(value(cell))
+    payload = {"command": run.command, "meta": {"config": _echoed_config(run.config), **meta},
+               "columns": values}
+    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-# -- command handlers ------------------------------------------------------
+# -- command handlers: each returns (columns, rows, meta, exit code) --------
 
 
-def run_evolve(run: ResolvedRun) -> tuple[Table, dict, int]:
-    table = Table(_site_columns("site", run.space.N) + ["re_amplitude", "im_amplitude", "probability"])
+def run_evolve(run: ResolvedRun) -> tuple:
+    columns = _site_columns("site", run.space.N) + ["re_amplitude", "im_amplitude", "probability"]
     plan = KernelPlan(run.space, run.representation, run.params)
     amplitudes = plan.evolve(run.initial_state, run.window)
     fmt = _formatter(run.precision)
-    total = 0.0
-    rows = table.rows
-    for target, amp in amplitudes.items():
-        prob = abs(amp) ** 2
-        total += prob
-        rows.append(tuple(map(str, target)) + (fmt(amp.real), fmt(amp.imag), fmt(prob)))
-    table.add(*["total"] + [""] * (run.space.N - 1), "", "", fmt(total))
-    return table, {"total_probability": total}, 0
+    total = functools.reduce(float.__add__, (abs(amp) ** 2 for amp in amplitudes.values()), 0.0)
+    rows = itertools.chain(
+        ((*map(str, target), fmt(amp.real), fmt(amp.imag), fmt(abs(amp) ** 2))
+         for target, amp in amplitudes.items()),
+        [("total", *[""] * (run.space.N + 1), fmt(total))],
+    )
+    return columns, rows, {"total_probability": total}, 0
 
 
-def _pair_rows(run: ResolvedRun, table: Table, entry, fmt) -> None:
-    """One row per pair (x, y) of domain points: their sites, then Re and Im of entry(x, y)."""
-    points = run.domain_points()
+def _pair_rows(points: list, entry, fmt):
+    """One row per pair (x, y) of `points`: their sites, then Re and Im of entry(x, y)."""
     labels = [tuple(map(str, pt)) for pt in points]
-    rows = table.rows
     for x, x_sites in zip(points, labels):
         for y, y_sites in zip(points, labels):
             value = entry(x, y)
-            rows.append(x_sites + y_sites + (fmt(value.real), fmt(value.imag)))
+            yield x_sites + y_sites + (fmt(value.real), fmt(value.imag))
 
 
-def run_resolvent(run: ResolvedRun) -> tuple[Table, dict, int]:
-    table = Table(
-        _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re", "im"]
-    )
+def run_resolvent(run: ResolvedRun) -> tuple:
+    columns = _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re", "im"]
     plan = KernelPlan(run.space, run.representation, run.params, mode="resolvent")
-    _pair_rows(run, table, plan.value, _formatter(run.precision))
-    return table, {}, 0
+    points = fundamental_domain(run.space, run.window)
+    return columns, _pair_rows(points, plan.value, _formatter(run.precision)), {}, 0
 
 
-def run_thermal(run: ResolvedRun) -> tuple[Table, dict, int]:
+def run_thermal(run: ResolvedRun) -> tuple:
     plan = KernelPlan(run.space, run.representation, run.params, mode="heat")
     z = plan.partition_function()
-    table = Table(
-        _site_columns("x", run.space.N) + _site_columns("y", run.space.N) + ["re_density", "im_density"]
+    n, fmt = run.space.N, _formatter(run.precision)
+    rows = itertools.chain(
+        _pair_rows(fundamental_domain(run.space, run.window), lambda x, y: plan.value(x, y) / z, fmt),
+        [("Z", *[""] * (2 * n - 1), fmt(z), "")],
     )
-    fmt = _formatter(run.precision)
-    _pair_rows(run, table, lambda x, y: plan.value(x, y) / z, fmt)
-    width = 2 * run.space.N
-    table.add(*["Z"] + [""] * (width - 1), fmt(z), "")
-    return table, {"partition_function": z}, 0
+    columns = _site_columns("x", n) + _site_columns("y", n) + ["re_density", "im_density"]
+    return columns, rows, {"partition_function": z}, 0
 
 
 def _trapezoid(xs: list, ys) -> float:
@@ -535,7 +525,7 @@ def _trapezoid(xs: list, ys) -> float:
     return 0.5 * area
 
 
-def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
+def run_dos(run: ResolvedRun) -> tuple:
     section = run.config["dos"]
     eta = _config_number(run.config, "dos.eta", float)
     if not 1e-6 <= eta <= 1.0:
@@ -548,29 +538,29 @@ def run_dos(run: ResolvedRun) -> tuple[Table, dict, int]:
     points = _config_number(run.config, "dos.points", int)
     if points < 2 or e_max <= e_min:
         raise ConfigError("dos sweep needs points >= 2 and e_max > e_min")
-    sites = run.domain_points()
-    labels = ["_".join(str(c) for c in pt) for pt in sites]
-    table = Table(["energy"] + [f"dos_{lab}" for lab in labels])
+    sites = fundamental_domain(run.space, run.window)
     energies = [e_min + (e_max - e_min) * k / (points - 1) for k in range(points)]
     plan = KernelPlan(
         run.space, run.representation, run.params,
         mode="resolvent", energies=[complex(e_real, eta) for e_real in energies],
     )
-    columns = plan.dos(sites)
+    dos = plan.dos(sites)
     fmt = _formatter(run.precision)
     # Sites that share a column (every site of a circle) share its texts and integral.
-    shared = {id(column): column for column in columns}
+    shared = {id(column): column for column in dos}
     texts = {key: list(map(fmt, column)) for key, column in shared.items()}
     areas = {key: _trapezoid(energies, column) for key, column in shared.items()}
-    rows = zip(*(texts[id(column)] for column in columns)) if columns else [()] * points
-    for e_real, row in zip(energies, rows):
-        table.add(fmt(e_real), *row)
-    integrals = [areas[id(column)] for column in columns]
-    table.add("total", *map(fmt, integrals))
-    return table, {"integrals": [float(_fmt(v, 10)) for v in integrals]}, 0
+    cells = zip(*(texts[id(column)] for column in dos)) if dos else [()] * points
+    integrals = [areas[id(column)] for column in dos]
+    rows = itertools.chain(
+        ((fmt(e_real), *row) for e_real, row in zip(energies, cells)),
+        [("total", *map(fmt, integrals))],
+    )
+    columns = ["energy"] + ["dos_" + "_".join(map(str, pt)) for pt in sites]
+    return columns, rows, {"integrals": [float(_fmt(v, 10)) for v in integrals]}, 0
 
 
-def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
+def run_coined(run: ResolvedRun) -> tuple:
     import numpy as np
 
     from . import oracle
@@ -597,39 +587,30 @@ def run_coined(run: ResolvedRun) -> tuple[Table, dict, int]:
     # library's hypot); np.abs of a complex array is not
     dev = np.hypot(diff.real, diff.imag)
     devs = map(fmt, dev.ravel().tolist())
-    table = Table(["x", "y", "i", "j", "re", "im", "deviation", "probability"])
-    table.rows.extend(
-        (label[x], label[y], li, lj, re, im, next(devs), "")
-        for x in range(1, L + 1) for y in range(1, L + 1)
-        for li, lj, re, im in cells[x - y + L - 1]
-    )
     # the distribution's last bits are those of numpy's complex abs
     dist = np.sum(np.abs(circ[L - source:2 * L - source, :, 0]) ** 2, axis=1).tolist()
-    total = 0.0
-    for x, prob in enumerate(dist, 1):
-        total += prob
-        table.add(label[x], "", "", "", "", "", "", fmt(prob))
-    table.add("total", "", "", "", "", "", "", fmt(total))
-    return table, {"deviations": {"max_vs_matrix_power": float(_fmt(dev.max(), 10))}}, 0
+    total = functools.reduce(float.__add__, dist, 0.0)
+    rows = itertools.chain(
+        ((label[x], label[y], li, lj, re, im, next(devs), "")
+         for x in range(1, L + 1) for y in range(1, L + 1)
+         for li, lj, re, im in cells[x - y + L - 1]),
+        ((label[x], "", "", "", "", "", "", fmt(prob)) for x, prob in enumerate(dist, 1)),
+        [("total", "", "", "", "", "", "", fmt(total))],
+    )
+    columns = ["x", "y", "i", "j", "re", "im", "deviation", "probability"]
+    return columns, rows, {"deviations": {"max_vs_matrix_power": float(_fmt(dev.max(), 10))}}, 0
 
 
-def run_verify(run: ResolvedRun) -> tuple[Table, dict, int]:
+def run_verify(run: ResolvedRun) -> tuple:
     from . import verify
 
     results = verify.run_checks(run.space, run.representation, run.params, window=run.window)
-    table = Table(["check", "passed", "deviation", "tolerance", "detail"])
-    deviations = {}
-    for r in results:
-        table.add(
-            r.name,
-            "pass" if r.passed else "fail",
-            _fmt(r.deviation, run.precision),
-            _fmt(r.tolerance, 2),
-            r.detail,
-        )
-        deviations[r.name] = float(_fmt(r.deviation, 10))
+    rows = [(r.name, "pass" if r.passed else "fail", _fmt(r.deviation, run.precision),
+             _fmt(r.tolerance, 2), r.detail) for r in results]
+    deviations = {r.name: float(_fmt(r.deviation, 10)) for r in results}
     ok = verify.all_passed(results)
-    return table, {"deviations": deviations, "all_passed": ok}, 0 if ok else 4
+    columns = ["check", "passed", "deviation", "tolerance", "detail"]
+    return columns, rows, {"deviations": deviations, "all_passed": ok}, 0 if ok else 4
 
 
 HANDLERS = {
@@ -678,7 +659,7 @@ def main(argv: list[str] | None = None) -> int:
         run = ResolvedRun(args.command, config)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            table, meta, code = HANDLERS[args.command](run)
+            columns, rows, meta, code = HANDLERS[args.command](run)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
     except (ConfigError, RepresentationError, DomainError) as exc:
@@ -687,12 +668,11 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionError as exc:
         print(f"precision loss: {exc}", file=sys.stderr)
         return 3
-    text = emit(run, table, meta)
     if run.path is None:
-        sys.stdout.write(text)
+        emit(run, columns, rows, meta, sys.stdout)
     else:
         with open(run.path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            emit(run, columns, rows, meta, fh)
     return code
 
 

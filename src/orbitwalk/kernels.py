@@ -46,6 +46,8 @@ class KernelParams:
 def window_radius(omega: float, tau: float) -> int:
     """Half-width beyond which J_{|x-y|}(omega tau) terms drop below ~1e-16."""
     z = abs(omega * tau)
+    if not math.isfinite(z):
+        raise DomainError(f"omega * tau = {omega:g} * {tau:g} overflows: the light cone has no width")
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 30.0)
 
 
@@ -103,6 +105,18 @@ def hadamard_coin() -> CoinSpec:
     return CoinSpec(2, coin, (1, -1))
 
 
+def _stack_span(steps: int, shifts: tuple) -> tuple:
+    """(displacement of stack[0], blocks) of the stack a walk of `steps` >= 0 fills."""
+    base = min(0, steps * min(shifts))
+    return base, max(0, steps * max(shifts)) - base + 1
+
+
+def coined_stack_bytes(steps: int, c: CoinSpec) -> int:
+    """Peak bytes of `coined_line_blocks(steps, c)`: its stack of complex d x d
+    blocks, and one step's matmul output, at most as large again."""
+    return 2 * 16 * c.d**2 * _stack_span(abs(steps), c.shifts)[1]
+
+
 def _coined_blocks(steps: int, c: CoinSpec) -> tuple:
     """W^steps on the line (steps >= 0) as (first, stack): stack[k] is the block at x - y = first + k.
 
@@ -120,8 +134,8 @@ def _coined_blocks(steps: int, c: CoinSpec) -> tuple:
 
     low_shift, high_shift = min(c.shifts), max(c.shifts)
     width = high_shift - low_shift
-    base = min(0, steps * low_shift)  # the displacement of stack[0]
-    stack = np.zeros((max(0, steps * high_shift) - base + 1, c.d, c.d), dtype=complex)
+    base, blocks = _stack_span(steps, c.shifts)  # base: the displacement of stack[0]
+    stack = np.zeros((blocks, c.d, c.d), dtype=complex)
     start, size = -base, 1  # stack[start:start + size] holds the blocks reached so far
     stack[start] = np.eye(c.d, dtype=complex)
     for _ in range(steps):

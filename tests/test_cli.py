@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -26,7 +28,6 @@ from orbitwalk.cli import (
     MAX_LIFT_WORK,
     MAX_TABLE_ROWS,
     ResolvedRun,
-    Table,
     _fmt,
     _formatter,
     apply_set,
@@ -1140,9 +1141,9 @@ def test_output_path_is_echoed_as_null_and_stays_in_the_run_config(
     runs = []
     emit = orbitwalk.cli.emit
 
-    def recorded(run, table, meta):
+    def recorded(run, columns, rows, meta, out):
         runs.append(run)
-        return emit(run, table, meta)
+        emit(run, columns, rows, meta, out)
 
     monkeypatch.setattr(orbitwalk.cli, "emit", recorded)
     code, out, _ = run_cli(capsys, "thermal", "--format", output_format, "--output", str(path))
@@ -1198,13 +1199,49 @@ def test_json_cells_parse_once_per_distinct_text(monkeypatch):
 
     run = ResolvedRun("evolve", load_config(None))
     run.output_format = "json"
-    table = Table(["a", "b"])
-    for cells in [("1.5e+00", ""), ("nan", "total"), ("1.5e+00", "-inf"), ("nan", "")]:
-        table.add(*cells)
+    rows = iter([("1.5e+00", ""), ("nan", "total"), ("1.5e+00", "-inf"), ("nan", "")])
+    out = io.StringIO()
     monkeypatch.setattr(json, "loads", counted)
-    columns = loads(emit(run, table, {}))["columns"]
+    emit(run, ["a", "b"], rows, {}, out)
+    columns = loads(out.getvalue())["columns"]
     assert sorted(calls) == sorted(["1.5e+00", "nan", "total", "-inf"])
     assert columns == {"a": [1.5, "nan", 1.5, "nan"], "b": [None, "total", "-inf", None]}
+
+
+def test_csv_rows_reach_the_output_before_the_last_entry_is_computed(monkeypatch):
+    # 4,900 rows: the first batch is written while the rest are still computed.
+    positions = []
+    value = orbitwalk.orbit.KernelPlan.value
+
+    def spied(plan, x, y):
+        positions.append(out.tell())
+        return value(plan, x, y)
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "value", spied)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["thermal", "--set", "space.L=70"])
+    assert code == 0
+    assert positions[0] == 0  # Z, before the header
+    header = 4  # command, config, partition_function, columns
+    assert out.getvalue()[:positions[-1]].count("\n") == header + orbitwalk.cli._BATCH_ROWS
+    assert out.getvalue().count("\n") == header + 70 * 70 + 1
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["thermal", "--set", "space.kind=Line"], 2),
+        (["thermal", "--set", "space.L=1", "--set", f"representation.theta={PI}",
+          "--set", "params.beta=40"], 3),
+    ],
+    ids=["config", "precision"],
+)
+def test_a_refused_run_creates_no_output_file(tmp_path, capsys, argv, expected):
+    path = tmp_path / "out.csv"
+    code, out, _ = run_cli(capsys, *argv, "--output", str(path))
+    assert (code, out) == (expected, "")
+    assert not path.exists()
 
 
 def test_flag_overrides_config_file(tmp_path, capsys):

@@ -93,6 +93,12 @@ FIXED = [
     (["evolve", "--set", "initial_state=[[1,NaN,0]]"], 2),
     (["evolve", "--set", "initial_state=[[1,Infinity,0]]"], 2),
     (["evolve", "--set", "initial_state=[[1,1e300,0]]"], 2),
+    # A light cone whose width overflows, and a coined walk whose line blocks
+    # would not fit in memory, are refused before any compute.
+    (["evolve", "--set", "params.omega=1e300", "--set", "params.tau=1e10"], 2),
+    (["verify", "--set", "params.omega=1e300", "--set", "params.tau=1e10"], 2),
+    (["coined", "--set", 'coined.coin={"matrix": [[[1,0]]], "shifts": [100000]}',
+      "--set", "coined.steps=10000"], 2),
 ]
 
 
