@@ -5,7 +5,8 @@ perfbench's four workloads (`single_walker`, `many_walker`,
 `resolvent_sweep`, `known_defects`) for seeds 1-5, 165 jobs in all, then
 every job of `benchmarks/digest_jobs.jsonl` (what perfbench does not run:
 JSON output, other precisions, Line and HalfLine windows, custom and
-backward coined walks, boson `thermal` at N = 4 and 5, fermion and
+backward coined walks, coined walks whose shifts share one sign, boson
+`thermal` at N = 4 and 5, fermion and
 wide-window `verify`, tables longer than one CSV write batch), through `orbitwalk.cli.main` in-process, and to
 write one JSON object that maps each job to the sha256 of its stdout, the
 sha256 of its stderr and its exit code.  `--src DIR` runs the orbitwalk

@@ -16,12 +16,12 @@ lifts of both statistics are pure Python.  Lazy imports bind the module and
 look its functions up at call time, so patched or traced functions are seen.
 
 Rows go to the output as they are made.  Every refusal comes before the
-first row: a handler does all that can refuse the run (the plan, Z, the
-`evolve` amplitudes, the `dos` and `coined` arrays, the `verify` checks) and
-returns rows that only ask the plan for entries and format each distinct
-value once (`_formatter`).  So a run that exits 2 or 3 writes nothing.  The
-argument parser is built once per process, and the config echo copies only
-what it changes.
+first row: `ResolvedRun` refuses what the config decides, a handler the
+rest (the plan, Z, the `evolve` amplitudes, the `dos` and `coined` arrays,
+the `verify` checks), and rows only ask the plan for entries and format each
+distinct value once (`_formatter`).  So a run that exits 2 or 3 writes
+nothing.  The argument parser is built once per process, and the config
+echo copies only what it changes.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import warnings
 
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
-from .kernels import CoinSpec, KernelParams, coined_stack_bytes, hadamard_coin
+from .kernels import STEP_MAX, CoinSpec, KernelParams, coined_block_products, coined_stack_bytes, hadamard_coin
 from .orbit import KernelPlan, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
@@ -45,10 +45,9 @@ COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 # Largest table a run may emit; larger requests are refused before any compute.
 MAX_TABLE_ROWS = 10**6
 
-# Largest N-walker lift a run may do, in lift steps (about 0.3 us each in pure
-# Python, so 10^8 is about half a minute), and the most memory its kept minors,
-# or a coined walk's stack of line blocks, may take, in bytes; see
-# `ResolvedRun._lift_work` and `kernels.coined_stack_bytes`.
+# Largest N-walker lift or coined walk a run may do, in lift steps (about 0.3 us
+# each in pure Python, so 10^8 is about half a minute), and the most memory its
+# kept minors or a coined walk's line blocks may take, in bytes; see `ResolvedRun`.
 MAX_LIFT_WORK = 10**8
 MAX_LIFT_BYTES = 2**28
 
@@ -146,7 +145,7 @@ def apply_flags(config: dict, args: argparse.Namespace) -> None:
 
 
 class ResolvedRun:
-    """Typed view of a fully merged config."""
+    """Typed view of a fully merged config; `coined` adds `steps` and `source`, `dos` `dos_points`."""
 
     def __init__(self, command: str, config: dict):
         self.command = command
@@ -224,6 +223,8 @@ class ResolvedRun:
             for point in self.initial_state:
                 if len(point) != self.space.N:
                     raise ConfigError(f"initial-state point {point} has wrong walker count")
+        if self.command == "dos":
+            self.dos_points = _integer(self.config["dos"]["points"], "dos.points")
         rows = self._table_rows()
         if rows > MAX_TABLE_ROWS:
             raise ConfigError(
@@ -240,13 +241,7 @@ class ResolvedRun:
                 f"{lift} would keep {memory:.3g} bytes of minors, more than {MAX_LIFT_BYTES}"
             )
         if self.command == "coined":
-            steps = _config_number(self.config, "coined.steps", int)
-            stack = coined_stack_bytes(steps, self.coin)
-            if stack > MAX_LIFT_BYTES:
-                raise ConfigError(
-                    f"a coined walk of {steps} steps would stack {stack} bytes of line blocks, "
-                    f"more than {MAX_LIFT_BYTES}"
-                )
+            self.steps, self.source = self._coined_walk()
 
     def _table_rows(self) -> int:
         """Rows of the command's main table, counted without building the domain."""
@@ -258,8 +253,33 @@ class ResolvedRun:
         if self.command == "evolve":
             return points
         if self.command == "dos":
-            return _config_number(self.config, "dos.points", int) * points
+            return self.dos_points * points
         return points * points
+
+    def _coined_walk(self) -> tuple:
+        """(steps, source) of a `coined` run.  A block product is priced at d + 1 lift steps,
+        above each price timed at d = 2, 4 and 8 (0.33-0.70, 0.52-0.89, 0.83-1.97 us); a
+        step's fixed 3-8 us is not, as STEP_MAX steps keep it under 0.3% of the bound."""
+        steps = _integer(self.config["coined"]["steps"], "coined.steps")
+        stack = coined_stack_bytes(steps, self.coin)
+        if stack > MAX_LIFT_BYTES:
+            raise ConfigError(
+                f"a coined walk of {steps} steps would stack {stack} bytes of line blocks, "
+                f"more than {MAX_LIFT_BYTES}"
+            )
+        source = _integer(self.config["coined"]["source"], "coined.source")
+        if not 1 <= source <= self.space.L:
+            raise ConfigError(f"coined.source must lie in 1..{self.space.L}")
+        if abs(steps) > STEP_MAX:
+            raise ConfigError(f"|steps| exceeds STEP_MAX = {STEP_MAX}")
+        products = coined_block_products(steps, self.coin)
+        work = products * (self.coin.d + 1)
+        if work > MAX_LIFT_WORK:
+            raise ConfigError(
+                f"a coined walk of {steps} steps would do {products} block products, "
+                f"the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}"
+            )
+        return steps, source
 
     def _lift_work(self) -> tuple:
         """(lift steps, bytes of kept minors) of an N >= 2 run's lifted entries.
@@ -385,13 +405,6 @@ def _with_numbers(section, name: str, integers: tuple = (), reals: tuple = ()) -
             value = _real(value, f"{name}.{key}")
         out[key] = value
     return out
-
-
-def _config_number(config: dict, key: str, kind):
-    """The config value at dotted `key` as `kind` (int or float)."""
-    section, leaf = key.split(".")
-    value = config[section][leaf]
-    return _integer(value, key) if kind is int else _real(value, key)
 
 
 def _fmt(value: float, precision: int) -> str:
@@ -527,15 +540,15 @@ def _trapezoid(xs: list, ys) -> float:
 
 def run_dos(run: ResolvedRun) -> tuple:
     section = run.config["dos"]
-    eta = _config_number(run.config, "dos.eta", float)
+    eta = _real(section["eta"], "dos.eta")
     if not 1e-6 <= eta <= 1.0:
         raise ConfigError(f"dos.eta must lie in [1e-6, 1], got {eta}")
     # Default sweep: band [-omega, omega] plus 60*eta of margin so the
     # Lorentzian tails carry < 1% of the weight per edge state.
     reach = run.params.omega + 60.0 * eta
-    e_min = -reach if section["e_min"] is None else _config_number(run.config, "dos.e_min", float)
-    e_max = reach if section["e_max"] is None else _config_number(run.config, "dos.e_max", float)
-    points = _config_number(run.config, "dos.points", int)
+    e_min = -reach if section["e_min"] is None else _real(section["e_min"], "dos.e_min")
+    e_max = reach if section["e_max"] is None else _real(section["e_max"], "dos.e_max")
+    points = run.dos_points
     if points < 2 or e_max <= e_min:
         raise ConfigError("dos sweep needs points >= 2 and e_max > e_min")
     sites = fundamental_domain(run.space, run.window)
@@ -565,12 +578,7 @@ def run_coined(run: ResolvedRun) -> tuple:
 
     from . import oracle
 
-    steps = _config_number(run.config, "coined.steps", int)
-    source = _config_number(run.config, "coined.source", int)
-    coin = run.coin
-    L = run.space.L
-    if not 1 <= source <= L:
-        raise ConfigError(f"coined.source must lie in 1..{L}")
+    steps, source, coin, L = run.steps, run.source, run.coin, run.space.L
     power = oracle.coined_circle_power(L, run.representation.theta, coin, abs(steps))
     if steps < 0:
         power = power.conj().T

@@ -5,9 +5,9 @@ one the orbit-space routes run once per run: the time and heat rows are
 Bessel rows (`orbit._free_row` over `special.j_row`/`i_row`), the resolvent
 e^{iq|x-y|} / (i omega sin q) is summed in closed form by the resolvent plan
 from the complex momentum `_momentum`, and the discrete-time coined walk is
-the exact light-cone blocks of `coined_line_blocks`, one array stacked by
-displacement that `orbit.orbit_coined_blocks` sums over windings as it is
-returned.  A kernel on the line itself is the orbit-space kernel on
+the exact light-cone blocks of `coined_line_blocks`, one array over the
+walk's final window that `orbit.orbit_coined_blocks` sums over windings as
+it is returned.  A kernel on the line itself is the orbit-space kernel on
 `OrbitSpaceSpec("Line")`.  numpy is imported only by the coined-walk code.
 """
 
@@ -105,47 +105,38 @@ def hadamard_coin() -> CoinSpec:
     return CoinSpec(2, coin, (1, -1))
 
 
-def _stack_span(steps: int, shifts: tuple) -> tuple:
-    """(displacement of stack[0], blocks) of the stack a walk of `steps` >= 0 fills."""
-    base = min(0, steps * min(shifts))
-    return base, max(0, steps * max(shifts)) - base + 1
-
-
 def coined_stack_bytes(steps: int, c: CoinSpec) -> int:
-    """Peak bytes of `coined_line_blocks(steps, c)`: its stack of complex d x d
-    blocks, and one step's matmul output, at most as large again."""
-    return 2 * 16 * c.d**2 * _stack_span(abs(steps), c.shifts)[1]
+    """Peak bytes of `coined_line_blocks(steps, c)`: its stack and one step's product, 16 d^2 each per displacement."""
+    return 2 * 16 * c.d**2 * (abs(steps) * (max(c.shifts) - min(c.shifts)) + 1)
+
+
+def coined_block_products(steps: int, c: CoinSpec) -> int:
+    """Block products of `coined_line_blocks(steps, c)`: step n multiplies n * (max - min) + 1."""
+    n, width = abs(steps), max(c.shifts) - min(c.shifts)
+    return n + width * n * (n - 1) // 2
 
 
 def _coined_blocks(steps: int, c: CoinSpec) -> tuple:
     """W^steps on the line (steps >= 0) as (first, stack): stack[k] is the block at x - y = first + k.
 
     A step sends row i of C times the block at delta to row i of the block at
-    delta + shift_i.  The blocks live in one stack over every displacement
-    the walk passes, allocated once; a step is one batched matmul over the
-    window reached so far, which it then clears and refills with one
-    slice-add per shift.  The final window, displacements steps * min(shifts)
-    to steps * max(shifts), is returned as a view; displacements in it the
-    walk cannot reach (odd ones of a +-1 walk after an even step count) are
-    exact zeros.  Outside it the allocation may still hold blocks of earlier
-    steps, so only the window leaves this function.
+    delta + shift_i.  The stack, allocated once at the final window, moves
+    with the walk: after n steps stack[delta - n * min(shifts)] is the block
+    at delta.  A step is one batched matmul over the blocks reached so far,
+    then one slice-add per shift; blocks the walk cannot reach are exact zeros.
     """
     import numpy as np
 
-    low_shift, high_shift = min(c.shifts), max(c.shifts)
-    width = high_shift - low_shift
-    base, blocks = _stack_span(steps, c.shifts)  # base: the displacement of stack[0]
-    stack = np.zeros((blocks, c.d, c.d), dtype=complex)
-    start, size = -base, 1  # stack[start:start + size] holds the blocks reached so far
-    stack[start] = np.eye(c.d, dtype=complex)
-    for _ in range(steps):
-        rows = np.matmul(c.coin, stack[start:start + size])  # rows[k, i, j] = sum_l C_il stack[k, l, j]
-        start += low_shift
-        stack[start:start + size + width] = 0
+    low_shift, width = min(c.shifts), max(c.shifts) - min(c.shifts)
+    stack = np.zeros((steps * width + 1, c.d, c.d), dtype=complex)
+    stack[0] = np.eye(c.d, dtype=complex)
+    for n in range(steps):
+        size = n * width + 1  # stack[:size] holds the blocks reached so far
+        rows = np.matmul(c.coin, stack[:size])  # rows[k, i, j] = sum_l C_il stack[k, l, j]
+        stack[:size + width] = 0
         for i, s in enumerate(c.shifts):
-            stack[start + s - low_shift:start + s - low_shift + size, i, :] += rows[:, i, :]
-        size += width
-    return steps * low_shift, stack[start:start + size]
+            stack[s - low_shift:s - low_shift + size, i, :] += rows[:, i, :]
+    return steps * low_shift, stack
 
 
 def coined_line_blocks(steps: int, c: CoinSpec) -> tuple:

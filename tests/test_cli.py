@@ -404,6 +404,40 @@ def test_coined_builds_line_blocks_once(capsys, monkeypatch):
     assert steps == [6]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--set", "space.L=500", "--set", "coined.steps=1000000"), "|steps| exceeds STEP_MAX = 10000"),
+        (("--set", "space.L=400", "--set", "coined.steps=-20000"), "|steps| exceeds STEP_MAX = 10000"),
+        (("--set", "space.L=500", "--set", "coined.source=501"), "coined.source must lie in 1..500"),
+        (("--set", "space.L=1", "--set", "coined.steps=10000"),
+         "a coined walk of 10000 steps would do 100000000 block products, "
+         f"the work of 3e+08 lift steps, more than {MAX_LIFT_WORK}"),
+    ],
+)
+def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv, message):
+    def oracle_ran(*args):
+        raise AssertionError("the dense oracle ran for a refused walk")
+
+    monkeypatch.setattr(orbitwalk.oracle, "coined_circle_power", oracle_ran)
+    code, out, err = run_cli(capsys, "coined", *argv)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, settings",
+    [
+        ("evolve", ("dos.eta=5", "dos.points=abc", "dos.e_min=2", "dos.e_max=1")),
+        ("evolve", ("coined.steps=2.5", "coined.source=0", "coined.coin=butterfly")),
+        ("dos", ("coined.steps=1000000", "coined.source=abc")),
+    ],
+)
+def test_each_command_reads_only_its_own_section(capsys, command, settings):
+    argv = [arg for setting in settings for arg in ("--set", setting)]
+    code, _, err = run_cli(capsys, command, *argv)
+    assert code == 0, err
+
+
 def test_coined_computes_one_circle_kernel_per_displacement(capsys, monkeypatch):
     L, steps, source = 7, 9, 3
     argv = ("coined", "--set", f"space.L={L}", "--set", f"coined.steps={steps}",
@@ -641,6 +675,7 @@ def test_command_help_lists_commands_and_options(capsys, command):
         ("coined", "--set", "coined.coin=butterfly"),
         ("dos", "--set", "dos.eta=5.0"),
         ("dos", "--set", "dos.points=1"),
+        ("dos", "--set", "dos.e_min=1", "--set", "dos.e_max=0"),
         ("verify", "--set", "params.tau=0"),
         ("verify", "--set", "representation.phi=0", "--set", "space.kind=HalfLine",
          "--set", "space.boundary_convention=Dirichlet", "--window", "1:10"),

@@ -94,11 +94,21 @@ FIXED = [
     (["evolve", "--set", "initial_state=[[1,Infinity,0]]"], 2),
     (["evolve", "--set", "initial_state=[[1,1e300,0]]"], 2),
     # A light cone whose width overflows, and a coined walk whose line blocks
-    # would not fit in memory, are refused before any compute.
+    # would not fit in memory, are refused before any compute: the identity
+    # coin's two shifts span 2e9 + 1 blocks of 64 bytes after 10^4 steps.
     (["evolve", "--set", "params.omega=1e300", "--set", "params.tau=1e10"], 2),
     (["verify", "--set", "params.omega=1e300", "--set", "params.tau=1e10"], 2),
-    (["coined", "--set", 'coined.coin={"matrix": [[[1,0]]], "shifts": [100000]}',
+    (["coined", "--set",
+      'coined.coin={"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"shifts":[100000,-100000]}',
       "--set", "coined.steps=10000"], 2),
+    # A one-state walk spans a single block at every step, however far it moves.
+    (["coined", "--set", 'coined.coin={"matrix": [[[1,0]]], "shifts": [100000]}',
+      "--set", "coined.steps=10000"], 0),
+    (["coined", "--set", 'coined.coin={"matrix": [[[1,0]]], "shifts": [10000000]}',
+      "--set", "coined.steps=1"], 0),
+    # The Hadamard walk at STEP_MAX does 10^8 block products: refused, not run
+    # for most of a minute.
+    (["coined", "--set", "space.L=1", "--set", "coined.steps=10000"], 2),
 ]
 
 

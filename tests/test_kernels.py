@@ -19,7 +19,9 @@ from orbitwalk.kernels import (
     CoinSpec,
     KernelParams,
     _momentum,
+    coined_block_products,
     coined_line_blocks,
+    coined_stack_bytes,
     hadamard_coin,
     window_radius,
 )
@@ -254,6 +256,10 @@ def test_coined_blocks_equal_the_block_by_block_walk_bit_for_bit():
         _random_coin(rng, 3, (2, -1, 0)),
         _random_coin(rng, 4, (-2, 1, 1, -1)),
         _random_coin(rng, 1, (1,)),
+        # shifts of one sign: the window never holds displacement 0 after a step
+        _random_coin(rng, 2, (2, 5)),
+        _random_coin(rng, 1, (3,)),
+        _random_coin(rng, 3, (-4, -1, -2)),
     ]
     for c in coins:
         low, high = min(c.shifts), max(c.shifts)
@@ -273,6 +279,41 @@ def test_coined_blocks_equal_the_block_by_block_walk_bit_for_bit():
                 assert blk.tobytes() == forward[-(first + k)].conj().T.tobytes()
             else:
                 assert not blk.any()
+
+
+@pytest.mark.parametrize("shifts", [(1, -1), (2, 5), (3,), (-4, -1, -2)])
+def test_coined_stack_is_the_final_window_and_its_bytes_are_priced(shifts):
+    rng = np.random.default_rng(11)
+    c = _random_coin(rng, len(shifts), shifts)
+    width = max(shifts) - min(shifts)
+    for steps in (0, 1, 7, -6):
+        first, stack = coined_line_blocks(steps, c)
+        blocks = abs(steps) * width + 1
+        assert len(stack) == blocks
+        # the allocation is the window: nothing of it lies outside
+        memory = stack if stack.base is None else stack.base
+        assert memory.nbytes == stack.nbytes == 16 * c.d**2 * blocks
+        assert steps < 0 or stack.flags.owndata
+        # the stack and one step's product, at most as large again
+        assert coined_stack_bytes(steps, c) == 2 * 16 * c.d**2 * blocks
+
+
+@pytest.mark.parametrize("shifts", [(1, -1), (2, 5), (3,), (-4, -1, -2)])
+def test_coined_block_products_count_the_blocks_each_step_multiplies(monkeypatch, shifts):
+    rng = np.random.default_rng(12)
+    c = _random_coin(rng, len(shifts), shifts)
+    real, multiplied = np.matmul, []
+
+    def counted(a, b, *args, **kwargs):
+        multiplied.append(len(b))
+        return real(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    for steps in (0, 1, 9, -5):
+        multiplied.clear()
+        coined_line_blocks(steps, c)
+        assert len(multiplied) == abs(steps)
+        assert sum(multiplied) == coined_block_products(steps, c)
 
 
 def test_step_cap():
