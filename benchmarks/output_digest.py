@@ -6,11 +6,13 @@ perfbench's four workloads (`single_walker`, `many_walker`,
 every job of `benchmarks/digest_jobs.jsonl` (what perfbench does not run:
 JSON output, other precisions, Line and HalfLine windows, custom and
 backward coined walks, coined walks whose shifts share one sign, boson
-`thermal` at N = 4 and 5, fermion and
-wide-window `verify`, tables longer than one CSV write batch), through `orbitwalk.cli.main` in-process, and to
-write one JSON object that maps each job to the sha256 of its stdout, the
-sha256 of its stderr and its exit code.  `--src DIR` runs the orbitwalk
-sources under DIR (another checkout's `src/`) instead of this checkout's;
+`thermal` at N = 4 and 5, fermion and wide-window `verify`, tables longer
+than one CSV write batch, config values that once ended in a traceback),
+through `orbitwalk.cli.main` in-process, and to write one JSON object that
+maps each job to the sha256 of its stdout, the sha256 of its stderr and its
+exit code.  A job that an exception ends records `"exception: <type>"` as
+its exit, and the run goes on.  `--src DIR` runs the orbitwalk sources
+under DIR (another checkout's `src/`) instead of this checkout's;
 `--argv-file FILE` adds one job per line of FILE.  A job file holds one
 JSON list of command-line arguments per line.
 `python benchmarks/output_digest.py --compare A B` lists the jobs whose
@@ -58,7 +60,8 @@ def jobs(argv_file: str | None) -> dict:
 
 
 def digest(src: Path, named: dict) -> dict:
-    """Job name -> {stdout, stderr, exit} of each argv run through `cli.main`."""
+    """Job name -> {stdout, stderr, exit} of each argv run through `cli.main`;
+    the exit of a job that raises is the exception's type."""
     sys.path.insert(0, str(src))
     from orbitwalk import cli
 
@@ -72,6 +75,8 @@ def digest(src: Path, named: dict) -> dict:
                 code = cli.main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:  # a traceback at the command line
+                code = f"exception: {type(exc).__name__}"
         out[name] = {"stdout": _sha(stdout.getvalue()), "stderr": _sha(stderr.getvalue()),
                      "exit": code}
     return out

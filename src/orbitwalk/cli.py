@@ -1,14 +1,15 @@
 """Command-line surface: JSON-configured runs emitting CSV or JSON tables.
 
-Every run starts from the same default config, merges the user's JSON file
-over it, then applies `--set key=value` and the dedicated flags.  The fully
-resolved config is echoed in the output header so any emitted table can be
-reproduced from its own file.  Exit codes: 0 success, 2 config error,
-3 precision loss (a `thermal` Z that is not positive and finite), 4
-verification failure.  Time and heat sums are exact and the resolvent is
-closed-form, so no setting truncates a sum: `--max-shell` is accepted and
-read by no command, and a config file's `truncation` section, echoed by
-older versions, is dropped on load.
+Every run starts from the same default config and merges over it, by one
+rule (`_merge`), the user's JSON file, each `--set key=value` as a one-key
+file, then `--window` and the output flags.  The fully resolved config is
+echoed in the output header so any emitted table can be reproduced from its
+own file.  Exit codes: 0 success, 2 config error (an output file that cannot
+be opened too), 3 precision loss (a `thermal` Z that is not positive and
+finite), 4 verification failure.  Time and heat sums are exact and the
+resolvent is closed-form, so no setting truncates a sum: `--max-shell` is
+accepted and read by no command, and a config file's `truncation` section,
+echoed by older versions, is dropped on load.
 
 A run imports only what its command uses: numpy and the dense `oracle`
 for `coined` and `verify`, and the `verify` suite for `verify`; N-walker
@@ -65,21 +66,22 @@ DEFAULT_CONFIG = {
     "output": {"format": "csv", "path": None, "precision": 12},
 }
 
-_REPLACED_WHOLESALE = ("initial_state", "window", "energy", "coin")
 
-
-def _merge(config: dict, user: dict, prefix: str = "") -> dict:
-    """`config` with the parsed JSON `user` written over it in place."""
+def _merge(config: dict, user: dict) -> dict:
+    """`config` with the parsed JSON `user` written over it in place.  A key where
+    `DEFAULT_CONFIG` holds an object is a section, taking an object of keys it
+    has; any other value, a list or an object too, replaces the old one whole."""
     for key, value in user.items():
-        path = f"{prefix}{key}"
         if key not in config:
-            raise ConfigError(f"unknown config key {path!r}")
-        if isinstance(config[key], dict) and key not in _REPLACED_WHOLESALE:
+            raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(DEFAULT_CONFIG[key], dict):
             if not isinstance(value, dict):
-                raise ConfigError(f"config key {path!r} must be an object")
-            _merge(config[key], value, prefix=f"{path}.")
-        else:
-            config[key] = value
+                raise ConfigError(f"config key {key!r} must be an object")
+            for name in value:
+                if name not in config[key]:
+                    raise ConfigError(f"unknown config key '{key}.{name}'")
+            value = {**config[key], **value}
+        config[key] = value
     return config
 
 
@@ -106,6 +108,8 @@ def load_config(path: str | None) -> dict:
 
 
 def apply_set(config: dict, assignment: str) -> None:
+    """Merge `--set key=value` as the one-key config file {"a": {"b": value}} of
+    key `a.b`.  The value is parsed as JSON, or else kept as its raw text."""
     key, sep, raw = assignment.partition("=")
     if not sep or not key:
         raise ConfigError(f"--set needs key=value, got {assignment!r}")
@@ -113,35 +117,25 @@ def apply_set(config: dict, assignment: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    node = config
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config key {key!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"unknown config key {key!r}")
-    node[leaf] = value
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    _merge(config, value)
 
 
 def apply_flags(config: dict, args: argparse.Namespace) -> None:
     for assignment in args.set or []:
         apply_set(config, assignment)
+    flags = {"path": args.output, "format": args.format, "precision": args.precision}
+    user = {"output": {key: value for key, value in flags.items() if value is not None}}
     if args.window is not None:
         lo, sep, hi = args.window.partition(":")
         if not sep:
             raise ConfigError("--window needs the form lo:hi")
         try:
-            config["window"] = [int(lo), int(hi)]
+            user["window"] = [int(lo), int(hi)]
         except ValueError as exc:
             raise ConfigError(f"--window bounds must be integers: {args.window!r}") from exc
-    if args.output is not None:
-        config["output"]["path"] = args.output
-    if args.format is not None:
-        config["output"]["format"] = args.format
-    if args.precision is not None:
-        config["output"]["precision"] = args.precision
+    _merge(config, user)
 
 
 class ResolvedRun:
@@ -176,6 +170,8 @@ class ResolvedRun:
         if type(self.precision) is not int or not 1 <= self.precision <= 17:
             raise ConfigError("output precision must be an integer in 1..17")
         self.path = config["output"]["path"]
+        if self.path is not None and not (isinstance(self.path, str) and self.path):
+            raise ConfigError(f"output path must be null or a non-empty string, got {self.path!r}")
         self.initial_state = self._resolve_state(config["initial_state"])
         self._validate_for_command()
 
@@ -395,8 +391,6 @@ def _real(value, name: str) -> float:
 def _with_numbers(section, name: str, integers: tuple = (), reals: tuple = ()) -> dict:
     """A copy of the config object `section` whose `integers` hold ints (see
     `_integer`) and whose `reals` hold floats (see `_real`)."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"config key {name!r} must be an object")
     out = {}
     for key, value in section.items():
         if key in integers:
@@ -678,9 +672,14 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     if run.path is None:
         emit(run, columns, rows, meta, sys.stdout)
-    else:
-        with open(run.path, "w", encoding="utf-8") as fh:
-            emit(run, columns, rows, meta, fh)
+        return code
+    try:  # opened only now, so a refused run creates no file
+        fh = open(run.path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    with fh:
+        emit(run, columns, rows, meta, fh)
     return code
 
 

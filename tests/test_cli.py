@@ -1291,6 +1291,78 @@ def test_flag_overrides_config_file(tmp_path, capsys):
     assert rows[0][3] == "1.000e+00"  # three digits, not six
 
 
+def test_flags_override_set_whatever_their_order(capsys):
+    code, out, _ = run_cli(
+        capsys, "evolve", "--precision", "3", "--set", "output.precision=6",
+        "--set", "params.tau=0",
+    )
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0][3] == "1.000e+00"
+
+
+@pytest.mark.parametrize(
+    "assignment, user, message",
+    [
+        ("dos=5", {"dos": 5}, "config key 'dos' must be an object"),
+        ("coined=5", {"coined": 5}, "config key 'coined' must be an object"),
+        ("output=5", {"output": 5}, "config key 'output' must be an object"),
+        ("params=[1]", {"params": [1]}, "config key 'params' must be an object"),
+        ("space.size=3", {"space": {"size": 3}}, "unknown config key 'space.size'"),
+        ("no.such.key=1", {"no": {"such": {"key": 1}}}, "unknown config key 'no'"),
+    ],
+)
+def test_set_and_a_config_file_refuse_alike(tmp_path, capsys, assignment, user, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(user))
+    for argv in (("--set", assignment), ("--config", str(path))):
+        code, out, err = run_cli(capsys, "evolve", *argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+def test_set_replaces_every_value_below_a_section_whole():
+    cfg = load_config(None)
+    apply_set(cfg, 'coined.coin={"matrix":[[[1,0]]],"shifts":[1]}')
+    apply_set(cfg, "coined.coin.shifts=[2]")
+    apply_set(cfg, "params.energy=[0.1,0.7]")
+    apply_set(cfg, "space.L.x=1")
+    assert cfg["coined"] == {"steps": 4, "coin": {"shifts": [2]}, "source": 1}
+    assert cfg["params"]["energy"] == [0.1, 0.7]
+    assert cfg["space"]["L"] == {"x": 1}
+    with pytest.raises(ConfigError, match="space.L must be an integer"):
+        ResolvedRun("evolve", cfg)
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_an_output_that_cannot_be_opened_exits_2_and_creates_nothing(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "out.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, "evolve", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: cannot write output: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("path", ["", "[1]", "{}", "2.5"])
+def test_output_path_must_be_null_or_a_non_empty_string(tmp_path, capsys, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "evolve", "--set", f"output.path={path}")
+    assert (code, out) == (2, "")
+    assert "output path must be null or a non-empty string" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_integer_output_path_leaves_open_descriptors_alone(tmp_path, capsys):
+    with open(tmp_path / "held.txt", "w", encoding="utf-8") as held:
+        fd = held.fileno()
+        assert fd > 2  # never the process's own stdin, stdout or stderr
+        code, out, err = run_cli(capsys, "evolve", "--set", f"output.path={fd}")
+        assert (code, out) == (2, "")
+        assert "output path must be null or a non-empty string" in err
+        os.fstat(fd)
+        held.write("still open")
+    assert (tmp_path / "held.txt").read_text(encoding="utf-8") == "still open"
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("old_truncation", [False, True], ids=["echo", "echo-with-truncation"])
 def test_config_echo_reproduces_its_table(tmp_path, capsys, command, old_truncation):

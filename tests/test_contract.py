@@ -109,6 +109,14 @@ FIXED = [
     # The Hadamard walk at STEP_MAX does 10^8 block products: refused, not run
     # for most of a minute.
     (["coined", "--set", "space.L=1", "--set", "coined.steps=10000"], 2),
+    # A section set to a non-object, and an output path that is not a
+    # non-empty string, are refused like any bad value.
+    (["dos", "--set", "dos=5"], 2),
+    (["coined", "--set", "coined=5"], 2),
+    (["evolve", "--set", "output=5"], 2),
+    (["evolve", "--set", "params=[1]"], 2),
+    (["evolve", "--set", "output.path=[1]"], 2),
+    (["evolve", "--output="], 2),
 ]
 
 
