@@ -62,7 +62,7 @@ from orbitwalk import _core_py
 from orbitwalk.cli import build_parser, main as cli_main
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin
-from orbitwalk.orbit import KernelPlan, orbit_coined_blocks, orbit_kernel
+from orbitwalk.orbit import KernelPlan, orbit_coined_blocks
 
 WORKLOADS = [
     ("j_row(3, 2.5)", lambda m: m.j_row(3, 2.5), 20000),
@@ -87,7 +87,7 @@ def bench_orbit_sum() -> float:
     def sweep():
         for x in range(1, 7):
             for y in range(1, 7):
-                orbit_kernel(space, D, x, y, p)
+                KernelPlan(space, D, p).value((x,), (y,))
 
     return per_call_us(sweep, 20)
 

@@ -4,8 +4,9 @@ Every run starts from the same default config and merges over it, by one
 rule (`_merge`), the user's JSON file, each `--set key=value` as a one-key
 file, then `--window` and the output flags.  The fully resolved config is
 echoed in the output header so any emitted table can be reproduced from its
-own file.  Exit codes: 0 success, 2 config error (an output file that cannot
-be opened too), 3 precision loss (a `thermal` Z that is not positive and
+own file.  Exit codes: 0 success, 1 standard output closed by its reader
+before the table ended, 2 config error (an output file that cannot be
+opened too), 3 precision loss (a `thermal` Z that is not positive and
 finite), 4 verification failure.  Time and heat sums are exact and the
 resolvent is closed-form, so no setting truncates a sum: `--max-shell` is
 accepted and read by no command, and a config file's `truncation` section,
@@ -33,6 +34,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -671,7 +673,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"precision loss: {exc}", file=sys.stderr)
         return 3
     if run.path is None:
-        emit(run, columns, rows, meta, sys.stdout)
+        try:  # flushed here, so a closed pipe cannot first show at interpreter exit
+            emit(run, columns, rows, meta, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader stopped early, as `| head` does
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # so the exit's own flush writes nowhere
+            os.close(devnull)
+            return 1
         return code
     try:  # opened only now, so a refused run creates no file
         fh = open(run.path, "w", encoding="utf-8")

@@ -5,9 +5,10 @@ of the initial point, each weighted by the representation.  For one walker
 the images of y are the integers (c - y if m else y) + n P (winding n,
 reflection bit m), and the weight is e^{i n theta} e^{i m phi}.  One plan
 type, `KernelPlan`, serves every command (`evolve`, `thermal`, `resolvent`,
-`dos` and `verify`) and computes each single-walker sum once per run.
-Every kernel is the same fold, K(x, y) = A(x - y) + e^{i phi} A(x + y - c)
-with A(d) = sum_n e^{i n theta} free(|d - n P|).  A(d + P) = e^{i theta} A(d),
+`dos` and `verify`) and computes each single-walker sum once per run; with
+`orbit_coined_blocks` it is the library's whole surface.  Every kernel is
+the same fold, K(x, y) = A(x - y) + e^{i phi} A(x + y - c) with
+A(d) = sum_n e^{i n theta} free(|d - n P|).  A(d + P) = e^{i theta} A(d),
 so P residues cover a space, each computed on first use; the three modes
 differ only in the free term and so in how a residue is summed:
 
@@ -50,15 +51,6 @@ from .kernels import CoinSpec, KernelParams, _momentum, coined_line_blocks, wind
 from .special import I_Z_MAX, i_row, j_row, quarter_phase
 
 
-def _as_point(space: OrbitSpaceSpec, v) -> tuple:
-    if isinstance(v, int):
-        v = (v,)
-    pt = tuple(int(c) for c in v)
-    if len(pt) != space.N:
-        raise DomainError(f"point {pt} has {len(pt)} coordinates, space has N={space.N}")
-    return pt
-
-
 def _free_row(p: KernelParams, heat: bool) -> list:
     """The single-walker free term at distances 0..radius; past radius it is 0j.
 
@@ -84,7 +76,9 @@ def _initial_state(space: OrbitSpaceSpec, psi0: dict) -> dict:
     """
     state = {}
     for pt, a in psi0.items():
-        pt = _as_point(space, pt)
+        pt = tuple(int(c) for c in ((pt,) if isinstance(pt, int) else pt))
+        if len(pt) != space.N:
+            raise DomainError(f"point {pt} has {len(pt)} coordinates, space has N={space.N}")
         if pt in state:
             raise DomainError(f"initial state lists point {pt} twice")
         state[pt] = complex(a)
@@ -101,14 +95,6 @@ def _initial_state(space: OrbitSpaceSpec, psi0: dict) -> dict:
     if abs(norm - 1.0) > 1e-12:
         warnings.warn(f"initial state norm {norm:.6f} differs from 1", stacklevel=3)
     return state
-
-
-def _points(space: OrbitSpaceSpec, x, y, restrict_domain: bool) -> tuple:
-    x, y = _as_point(space, x), _as_point(space, y)
-    if restrict_domain:
-        check_in_domain(space, x, "x")
-        check_in_domain(space, y, "y")
-    return x, y
 
 
 def _gluing_weight(z: tuple) -> float:
@@ -453,7 +439,13 @@ class KernelPlan:
         return total
 
     def evolve(self, psi0: dict, window=None) -> dict:
-        """U_tau applied to a finitely supported state, by point (see `evolve_state`)."""
+        """U_tau applied to a finitely supported state; returns amplitudes by point.
+
+        psi0 is checked by `_initial_state`.  Finite spaces evolve onto the
+        whole fundamental domain; the Line and HalfLine onto the given
+        (lo, hi) site window or, by default, the light cone around the
+        initial support.
+        """
         if self._mode != "time":
             raise DomainError("state evolution needs a time-kernel plan")
         space = self._space
@@ -472,104 +464,6 @@ class KernelPlan:
                 amp += value(target, source) * a
             out[target] = amp
         return out
-
-
-def orbit_kernel(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    x,
-    y,
-    p: KernelParams,
-    *,
-    restrict_domain: bool = True,
-) -> complex:
-    """Time-evolution kernel U_tau(x, y) on the orbit space.
-
-    N >= 2 walkers are lifted from single-walker sums as a
-    permanent/determinant (`KernelPlan`).  Set restrict_domain=False to
-    evaluate at points outside the fundamental domain (the sum is
-    equivariant there).
-    """
-    x, y = _points(space, x, y, restrict_domain)
-    return KernelPlan(space, D, p).value(x, y)
-
-
-def orbit_resolvent(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    x,
-    y,
-    p: KernelParams,
-    *,
-    restrict_domain: bool = True,
-) -> complex:
-    """Resolvent kernel G_E(x, y) on the single-walker orbit space (Im E > 0).
-
-    One entry of a resolvent-mode `KernelPlan`, which sums the images of the
-    line resolvent in closed form and refuses N >= 2 walkers.
-    """
-    plan = KernelPlan(space, D, p, mode="resolvent")
-    x, y = _points(space, x, y, restrict_domain)
-    return plan.value(x, y)
-
-
-def local_dos(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    x,
-    e_real: float,
-    eta: float,
-    *,
-    omega: float = 1.0,
-) -> float:
-    """Lorentzian-broadened local density of states -(1/pi) Im G(x, x), one walker.
-
-    One site of a one-energy `KernelPlan.dos` sweep.
-    """
-    if not 1e-6 <= eta <= 1.0:
-        raise DomainError(f"broadening eta must lie in [1e-6, 1], got {eta}")
-    p = KernelParams(omega=omega, energy=complex(e_real, eta))
-    plan = KernelPlan(space, D, p, mode="resolvent")
-    x = _as_point(space, x)
-    check_in_domain(space, x, "x")
-    return plan.dos([x])[0][0]
-
-
-def orbit_heat_kernel(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    x,
-    y,
-    p: KernelParams,
-    *,
-    restrict_domain: bool = True,
-) -> complex:
-    """Unnormalized Gibbs kernel <x| e^{-beta H} |y> on the orbit space."""
-    x, y = _points(space, x, y, restrict_domain)
-    return KernelPlan(space, D, p, mode="heat").value(x, y)
-
-
-def partition_function(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    p: KernelParams,
-) -> float:
-    """Z(beta): weighted trace of the Gibbs kernel over the finite fundamental domain."""
-    return KernelPlan(space, D, p, mode="heat").partition_function()
-
-
-def orbit_density_matrix(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    x,
-    y,
-    p: KernelParams,
-) -> complex:
-    """Canonical density matrix entry rho_beta(x, y) = heat(x, y) / Z(beta)."""
-    x, y = _points(space, x, y, True)
-    plan = KernelPlan(space, D, p, mode="heat")
-    z = plan.partition_function()
-    return plan.value(x, y) / z
 
 
 def orbit_coined_blocks(
@@ -601,58 +495,3 @@ def orbit_coined_blocks(
         out[a - lo:b - lo] += weight_from_sums(D, n, 0) * line[a - n * L - first:b - n * L - first]
     return out
 
-
-def orbit_coined_kernel(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    steps: int,
-    x: int,
-    y: int,
-    c: CoinSpec,
-    *,
-    restrict_domain: bool = True,
-) -> np.ndarray:
-    """Discrete-time kernel on the circle: `orbit_coined_blocks` at x - y alone."""
-    if restrict_domain:
-        check_in_domain(space, (x,), "x")
-        check_in_domain(space, (y,), "y")
-    return orbit_coined_blocks(space, D, steps, c, x - y, x - y)[0]
-
-
-def evolve_state(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    psi0: dict,
-    p: KernelParams,
-    *,
-    window=None,
-) -> dict:
-    """Apply U_tau to a finitely supported state; returns amplitudes by point.
-
-    Finite spaces evolve onto the whole fundamental domain; Line/HalfLine use
-    the given (lo, hi) site window or, by default, the light cone around the
-    initial support.
-    """
-    return KernelPlan(space, D, p).evolve(psi0, window)
-
-
-def probability(
-    space: OrbitSpaceSpec,
-    D: Representation,
-    psi0: dict,
-    p: KernelParams,
-    x,
-) -> float:
-    """Detection probability |(U_tau psi0)(x)|^2 at a single point.
-
-    psi0 is checked as `evolve_state` checks it.
-    """
-    target = _as_point(space, x)
-    check_in_domain(space, target, "x")
-    state = _initial_state(space, psi0)
-    plan = KernelPlan(space, D, p)
-    amp = 0j
-    for source, a in state.items():
-        if a != 0j:
-            amp += plan.value(target, source) * a
-    return abs(amp) ** 2

@@ -17,14 +17,7 @@ import numpy as np
 from orbitwalk import oracle
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import KernelParams, hadamard_coin, window_radius
-from orbitwalk.orbit import (
-    local_dos,
-    orbit_coined_kernel,
-    orbit_density_matrix,
-    orbit_kernel,
-    orbit_resolvent,
-    partition_function,
-)
+from orbitwalk.orbit import KernelPlan, orbit_coined_blocks
 from orbitwalk.verify import (
     check_composition,
     check_equivariance,
@@ -45,8 +38,8 @@ def _gate(num: int, label: str, ok: bool, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
-def _kernel(space, D, x, y, p, **kw) -> complex:
-    return orbit_kernel(space, D, x, y, p, **kw)
+def _kernel(space, D, x, y, p) -> complex:
+    return KernelPlan(space, D, p).value((x,), (y,))
 
 
 def _circle_dec(L: int, theta: float):
@@ -106,7 +99,7 @@ def test_02_half_line_kernel_and_dirichlet_zero():
     for tau in (0.5, 2.0, 5.0):
         p = KernelParams(omega=OMEGA, tau=tau)
         for y in range(1, probe + 1):
-            val = _kernel(space, D, 0, y, p, restrict_domain=False)
+            val = _kernel(space, D, 0, y, p)
             zero_worst = max(zero_worst, abs(val))
     _gate(2, "half-line bounce sum vs windowed chain", worst <= 1e-9 and zero_worst <= 1e-12,
           f"interior deviation {worst:.2e} (tol 1e-9), wall value {zero_worst:.2e} (tol 1e-12)")
@@ -135,7 +128,7 @@ def test_03_interval_kernel_identities_and_dirichlet_zero():
             D = Representation(theta=theta, phi=phi)
 
             def k(x, y):
-                return _kernel(space, D, x, y, p, restrict_domain=False)
+                return _kernel(space, D, x, y, p)
 
             for y in range(1, L + 1):
                 ident_worst = max(
@@ -152,7 +145,7 @@ def test_03_interval_kernel_identities_and_dirichlet_zero():
         D = Representation(phi=math.pi)
         for y in range(1, L + 1):
             for x in (0, L + 1):
-                val = _kernel(space, D, x, y, p, restrict_domain=False)
+                val = _kernel(space, D, x, y, p)
                 zero_worst = max(zero_worst, abs(val))
     ok = worst <= 1e-10 and ident_worst <= 1e-12 and zero_worst <= 1e-12
     _gate(3, "interval four-kernel sum vs dense diagonalization", ok,
@@ -233,7 +226,7 @@ def test_05_identical_walkers_three_route_agreement():
                 for x in probes[n]:
                     for y in probes[n]:
                         direct = direct_kernel(space, D, x, y, p).value
-                        fact = orbit_kernel(space, D, x, y, p)
+                        fact = KernelPlan(space, D, p).value(x, y)
                         want = oracle.many_body_kernel(
                             dec, n, statistics,
                             tuple(c + shift for c in x), tuple(c + shift for c in y), tau)
@@ -265,14 +258,16 @@ def test_06_resolvent_vs_direct_inverse_and_laplace_quadrature():
         for energy in energies:
             p = KernelParams(omega=OMEGA, energy=energy)
             exact = oracle.resolvent_direct(h, energy)
+            plan = KernelPlan(space, D, p, mode="resolvent")
             for x in range(1, L + 1):
                 for y in range(1, L + 1):
-                    got = orbit_resolvent(space, D, x, y, p)
+                    got = plan.value((x,), (y,))
                     worst = max(worst, abs(got - exact[x - 1, y - 1]))
 
     energy = 0.3 + 0.5j
     p = KernelParams(omega=OMEGA, energy=energy)
-    got = orbit_resolvent(OrbitSpaceSpec("Line"), Representation(), 0, 0, p)
+    line = KernelPlan(OrbitSpaceSpec("Line"), Representation(), p, mode="resolvent")
+    got = line.value((0,), (0,))
     want = -1j * laplace_transform_j0(OMEGA, energy, 40.0)
     laplace_dev = abs(got - want)
     ok = worst <= 1e-9 and laplace_dev <= 1e-6
@@ -296,13 +291,14 @@ def test_07_partition_function_and_density_matrix():
     for space, D, boundary, L in setups:
         dec = oracle.diagonalize(oracle.build_hamiltonian(oracle.HamiltonianSpec(L, OMEGA, boundary)))
         for beta in (0.5, 1.0, 2.0):
-            p = KernelParams(omega=OMEGA, beta=beta)
-            z = partition_function(space, D, p)
+            plan = KernelPlan(space, D, KernelParams(omega=OMEGA, beta=beta), mode="heat")
+            z = plan.partition_function()
             want = oracle.partition_direct(dec, beta)
             z_rel_worst = max(z_rel_worst, abs(z - want) / abs(want))
-            trace = sum(orbit_density_matrix(space, D, x, x, p).real for x in range(1, L + 1))
+            trace = sum((plan.value((x,), (x,)) / z).real for x in range(1, L + 1))
             trace_worst = max(trace_worst, abs(trace - 1.0))
-        if partition_function(space, D, KernelParams(omega=OMEGA, beta=0.0)) != float(L):
+        at_zero = KernelPlan(space, D, KernelParams(omega=OMEGA, beta=0.0), mode="heat")
+        if at_zero.partition_function() != float(L):
             exact_at_zero = False
     ok = z_rel_worst <= 1e-11 and trace_worst <= 1e-12 and exact_at_zero
     _gate(7, "partition function and canonical density matrix", ok,
@@ -320,7 +316,8 @@ def test_08_local_dos_vs_broadened_spectrum():
     values = np.empty((len(energies), L))
     for row, e in enumerate(energies):
         for col, x in enumerate(range(1, L + 1)):
-            values[row, col] = local_dos(space, D, x, float(e), eta, omega=OMEGA)
+            p = KernelParams(omega=OMEGA, energy=complex(float(e), eta))
+            values[row, col] = KernelPlan(space, D, p, mode="resolvent").dos([(x,)])[0][0]
     broadened = ((eta / math.pi) /
                  ((energies[:, None] - dec.eigenvalues[None, :]) ** 2 + eta ** 2)).sum(axis=1)
     sup_dev = float(np.max(np.abs(values.sum(axis=1) - broadened)))
@@ -342,22 +339,20 @@ def test_09_coined_walk_vs_step_matrix_power():
         space = OrbitSpaceSpec("Circle", L)
         for theta in (0.0, math.pi / 2):
             D = Representation(theta=theta)
+
+            def block(steps, x, y):
+                return orbit_coined_blocks(space, D, steps, coin, x - y, x - y)[0]
+
             for steps in (1, 5, 12):
                 w = oracle.coined_circle_power(L, theta, coin, steps)
                 for x in range(1, L + 1):
                     for y in range(1, L + 1):
-                        got = orbit_coined_kernel(space, D, steps, x, y, coin)
+                        got = block(steps, x, y)
                         want = oracle.coined_circle_block(w, coin.d, x, y)
                         power_worst = max(power_worst, float(np.max(np.abs(got - want))))
-                        shifted = orbit_coined_kernel(space, D, steps, x + L, y, coin,
-                                                      restrict_domain=False)
+                        shifted = block(steps, x + L, y)
                         shift_worst = max(shift_worst, float(np.max(np.abs(
                             shifted - cmath.exp(1j * theta) * got))))
-
-            def block(steps, x, y):
-                return orbit_coined_kernel(space, D, steps, x, y, coin,
-                                           restrict_domain=False)
-
             for x in range(1, L + 1):
                 for y in range(1, L + 1):
                     composed = sum(block(3, x, z) @ block(4, z, y) for z in range(1, L + 1))

@@ -372,6 +372,20 @@ def test_dos_totals_row_integrates_to_site_count(capsys):
         assert all(float(v) >= 0.0 for v in row[1:])
 
 
+@pytest.mark.parametrize("eta", [0.0, 1e-7, 1.5, -0.1])
+def test_dos_refuses_a_broadening_outside_its_range(capsys, eta):
+    code, out, err = run_cli(capsys, "dos", "--set", f"dos.eta={eta}")
+    assert (code, out) == (2, "")
+    assert "dos.eta must lie in [1e-6, 1]" in err
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1.0])
+def test_dos_accepts_the_ends_of_the_broadening_range(capsys, eta):
+    code, out, err = run_cli(capsys, "dos", "--set", f"dos.eta={eta}")
+    assert code == 0, err
+    assert out
+
+
 # -- coined -----------------------------------------------------------------
 
 
@@ -444,7 +458,6 @@ def test_coined_computes_one_circle_kernel_per_displacement(capsys, monkeypatch)
             "--set", f"coined.source={source}", "--set", "representation.theta=0.6")
     ranges = []
     route = orbitwalk.cli.orbit_coined_blocks
-    real = orbitwalk.orbit.orbit_coined_kernel
 
     def counted(space, D, n, coin, lo, hi):
         ranges.append((lo, hi))
@@ -462,12 +475,16 @@ def test_coined_computes_one_circle_kernel_per_displacement(capsys, monkeypatch)
     _, rows = parse_csv(out)
     blocks = [r for r in rows if r[6] != ""]
     assert len(blocks) == L * L * 4
+
+    def real(x, y):
+        return route(space, D, steps, coin, x - y, x - y)[0]
+
     for x, y, i, j, re_cell, im_cell, _, _ in blocks:
-        want = real(space, D, steps, int(x), int(y), coin)[int(i), int(j)]
+        want = real(int(x), int(y))[int(i), int(j)]
         assert (re_cell, im_cell) == (f"{want.real:.12e}", f"{want.imag:.12e}")
     dist = [r for r in rows if r[7] != "" and r[0] != "total"]
     for x, *_, prob in dist:
-        block = real(space, D, steps, int(x), source, coin)
+        block = real(int(x), source)
         assert prob == f"{float(np.sum(np.abs(block @ np.array([1, 0])) ** 2)):.12e}"
 
 
@@ -1411,3 +1428,20 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "Z" in proc.stdout
+
+
+def test_a_reader_that_closes_stdout_early_stops_the_run_quietly():
+    # The L = 70 table is about 220 KB, more than a pipe buffer holds, so the
+    # run is still writing when the reader closes its end after one line.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitwalk.cli", "thermal", "--set", "space.L=70"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"# orbitwalk thermal\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err

@@ -25,7 +25,7 @@ from orbitwalk.kernels import (
     hadamard_coin,
     window_radius,
 )
-from orbitwalk.orbit import orbit_heat_kernel, orbit_kernel, orbit_resolvent
+from orbitwalk.orbit import KernelPlan
 
 from _oracles import laplace_transform_j0
 
@@ -38,15 +38,15 @@ FREE = Representation()
 
 
 def line_kernel(x: int, y: int, p: KernelParams) -> complex:
-    return orbit_kernel(LINE, FREE, x, y, p)
+    return KernelPlan(LINE, FREE, p).value((x,), (y,))
 
 
 def line_heat_kernel(x: int, y: int, p: KernelParams) -> complex:
-    return orbit_heat_kernel(LINE, FREE, x, y, p)
+    return KernelPlan(LINE, FREE, p, mode="heat").value((x,), (y,))
 
 
 def line_resolvent(x: int, y: int, p: KernelParams) -> complex:
-    return orbit_resolvent(LINE, FREE, x, y, p)
+    return KernelPlan(LINE, FREE, p, mode="resolvent").value((x,), (y,))
 
 
 def coined_line_kernel(steps: int, x: int, y: int, c: CoinSpec) -> np.ndarray:

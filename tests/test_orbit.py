@@ -19,18 +19,9 @@ from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin
 from orbitwalk.orbit import (
     KernelPlan,
     _free_row,
-    evolve_state,
     first_row_expansion,
-    local_dos,
     lu_determinant,
     orbit_coined_blocks,
-    orbit_coined_kernel,
-    orbit_density_matrix,
-    orbit_heat_kernel,
-    orbit_kernel,
-    orbit_resolvent,
-    partition_function,
-    probability,
 )
 
 from _oracles import many_walker_gibbs, shell_sum_resolvent
@@ -50,8 +41,8 @@ from _reference_group import (
 )
 
 
-def time_value(space, D, x, y, tau, omega=1.0, **kw):
-    return orbit_kernel(space, D, x, y, KernelParams(omega=omega, tau=tau), **kw)
+def time_value(space, D, x, y, tau, omega=1.0):
+    return KernelPlan(space, D, KernelParams(omega=omega, tau=tau)).value(x, y)
 
 
 # -- frozen spot values (independently computed spectral sums) ---------
@@ -59,33 +50,35 @@ def time_value(space, D, x, y, tau, omega=1.0, **kw):
 
 def test_circle_untwisted_return_amplitude():
     space = OrbitSpaceSpec("Circle", L=4)
-    value = orbit_kernel(space, Representation(), 1, 1, KernelParams(tau=1.0))
+    value = KernelPlan(space, Representation(), KernelParams(tau=1.0)).value((1,), (1,))
     assert value == pytest.approx(0.7701511529340699 + 0j, abs=1e-12)
 
 
 def test_half_line_dirichlet_value():
     space = OrbitSpaceSpec("HalfLine", boundary_convention="Dirichlet")
-    value = orbit_kernel(space, Representation(phi=math.pi), 1, 2, KernelParams(tau=2.0))
+    value = KernelPlan(space, Representation(phi=math.pi), KernelParams(tau=2.0)).value((1,), (2,))
     assert value == pytest.approx(0.7056680572312752j, abs=1e-12)
 
 
 def test_interval_value():
     space = OrbitSpaceSpec("Interval", L=3)
-    value = orbit_kernel(
-        space, Representation(theta=math.pi, phi=0.0), 2, 3, KernelParams(tau=1.5)
+    value = KernelPlan(space, Representation(theta=math.pi, phi=0.0), KernelParams(tau=1.5)).value(
+        (2,), (3,)
     )
     assert value == pytest.approx(0.2438581513733221 + 0.5561617649326516j, abs=1e-12)
 
 
 def test_resolvent_value():
     space = OrbitSpaceSpec("Circle", L=6)
-    value = orbit_resolvent(space, Representation(theta=0.7), 1, 3, KernelParams(energy=0.4 + 0.3j))
+    p = KernelParams(energy=0.4 + 0.3j)
+    value = KernelPlan(space, Representation(theta=0.7), p, mode="resolvent").value((1,), (3,))
     assert value == pytest.approx(-0.27881446688369005 + 0.20772976280130492j, abs=1e-11)
 
 
 def test_partition_value():
     space = OrbitSpaceSpec("Circle", L=5)
-    z = partition_function(space, Representation(theta=0.9), KernelParams(beta=1.0))
+    plan = KernelPlan(space, Representation(theta=0.9), KernelParams(beta=1.0), mode="heat")
+    z = plan.partition_function()
     assert z == pytest.approx(6.332016830172176, rel=1e-12)
 
 
@@ -102,7 +95,7 @@ def test_circle_matches_oracle(L, theta):
     )
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            got = time_value(space, D, x, y, 3.0)
+            got = time_value(space, D, (x,), (y,), 3.0)
             want = oracle.spectral_kernel(dec, 3.0, x, y)
             assert got == pytest.approx(want, abs=1e-11)
 
@@ -118,7 +111,7 @@ def test_half_line_matches_oracle(phi, convention):
     )
     for x in (1, 2, 7, 20):
         for y in (1, 4, 11):
-            got = time_value(space, D, x, y, 4.0)
+            got = time_value(space, D, (x,), (y,), 4.0)
             assert got == pytest.approx(oracle.spectral_kernel(dec, 4.0, x, y), abs=1e-9)
 
 
@@ -133,7 +126,7 @@ def test_interval_matches_oracle(theta, phi):
     )
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            got = time_value(space, D, x, y, 2.5)
+            got = time_value(space, D, (x,), (y,), 2.5)
             assert got == pytest.approx(oracle.spectral_kernel(dec, 2.5, x, y), abs=1e-10)
 
 
@@ -146,18 +139,18 @@ def test_dirichlet_interval_matches_open_chain():
     )
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            got = time_value(space, D, x, y, 2.0)
+            got = time_value(space, D, (x,), (y,), 2.0)
             assert got == pytest.approx(oracle.spectral_kernel(dec, 2.0, x, y), abs=1e-12)
 
 
 def test_dirichlet_kernels_vanish_on_fixed_points():
     half = OrbitSpaceSpec("HalfLine", boundary_convention="Dirichlet")
     D = Representation(phi=math.pi)
-    assert time_value(half, D, 0, 3, 2.0, restrict_domain=False) == 0j
+    assert time_value(half, D, (0,), (3,), 2.0) == 0j
     box = OrbitSpaceSpec("Interval", L=5, boundary_convention="Dirichlet")
     D = Representation(theta=0.0, phi=math.pi)
-    assert abs(time_value(box, D, 0, 2, 2.0, restrict_domain=False)) < 1e-12
-    assert abs(time_value(box, D, 6, 2, 2.0, restrict_domain=False)) < 1e-12
+    assert abs(time_value(box, D, (0,), (2,), 2.0)) < 1e-12
+    assert abs(time_value(box, D, (6,), (2,), 2.0)) < 1e-12
 
 
 # -- algebraic invariants ----------------------------------------------
@@ -186,10 +179,10 @@ def test_composition_half_line_windowed():
     space = OrbitSpaceSpec("HalfLine")
     D = Representation(phi=math.pi)
     lhs = sum(
-        time_value(space, D, 2, (z,), 0.5) * time_value(space, D, (z,), 4, 1.0)
+        time_value(space, D, (2,), (z,), 0.5) * time_value(space, D, (z,), (4,), 1.0)
         for z in range(1, 120)
     )
-    assert lhs == pytest.approx(time_value(space, D, 2, 4, 1.5), abs=1e-10)
+    assert lhs == pytest.approx(time_value(space, D, (2,), (4,), 1.5), abs=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -204,8 +197,8 @@ def test_composition_half_line_windowed():
 def test_unitarity_relation(space, D):
     for x in (1, 2, 3):
         for y in (1, 2, 4):
-            forward = time_value(space, D, x, y, 2.0)
-            backward = time_value(space, D, y, x, -2.0)
+            forward = time_value(space, D, (x,), (y,), 2.0)
+            backward = time_value(space, D, (y,), (x,), -2.0)
             assert forward.conjugate() == pytest.approx(backward, abs=1e-12)
 
 
@@ -223,7 +216,7 @@ def test_initial_condition(space, D):
     p = KernelParams(tau=0.0)
     for x in (1, 2, 3):
         for y in (1, 2, 3):
-            value = orbit_kernel(space, D, x, y, p)
+            value = KernelPlan(space, D, p).value((x,), (y,))
             assert value == (1 + 0j if x == y else 0j)
 
 
@@ -244,7 +237,7 @@ def test_equivariance_per_generator(space, D, generators):
     for g in generators:
         for x in ((1,), (2,)):
             for y in ((1,), (3,)):
-                moved = time_value(space, D, act(g, x, space), y, 1.5, restrict_domain=False)
+                moved = time_value(space, D, act(g, x, space), y, 1.5)
                 weighted = rep_value(D, g, space) * time_value(space, D, x, y, 1.5)
                 assert moved == pytest.approx(weighted, abs=1e-12)
 
@@ -253,8 +246,8 @@ def test_twisted_translation_identity():
     space = OrbitSpaceSpec("Circle", L=6)
     D = Representation(theta=1.1)
     for y in (1, 4):
-        lhs = time_value(space, D, 7, y, 2.0, restrict_domain=False)
-        rhs = cmath.exp(1.1j) * time_value(space, D, 1, y, 2.0)
+        lhs = time_value(space, D, (7,), (y,), 2.0)
+        rhs = cmath.exp(1.1j) * time_value(space, D, (1,), (y,), 2.0)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -262,13 +255,13 @@ def test_bounce_identity_half_line_and_interval():
     half = OrbitSpaceSpec("HalfLine")
     D = Representation(phi=math.pi)
     for y in (1, 4):
-        lhs = time_value(half, D, 0, y, 2.0, restrict_domain=False)
-        assert lhs == pytest.approx(-time_value(half, D, 1, y, 2.0), abs=1e-12)
+        lhs = time_value(half, D, (0,), (y,), 2.0)
+        assert lhs == pytest.approx(-time_value(half, D, (1,), (y,), 2.0), abs=1e-12)
     box = OrbitSpaceSpec("Interval", L=5)
     D = Representation(theta=math.pi, phi=math.pi)
     for y in (1, 4):
-        lhs = time_value(box, D, 0, y, 2.0, restrict_domain=False)
-        assert lhs == pytest.approx(-time_value(box, D, 1, y, 2.0), abs=1e-12)
+        lhs = time_value(box, D, (0,), (y,), 2.0)
+        assert lhs == pytest.approx(-time_value(box, D, (1,), (y,), 2.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.7, math.pi])
@@ -277,10 +270,8 @@ def test_reflection_conjugates_the_twist(theta):
     z = 7
     for x in (1, 2, 3):
         for y in (1, 4):
-            mirrored = time_value(
-                space, Representation(theta=theta), z - x, z - y, 2.0, restrict_domain=False
-            )
-            flipped = time_value(space, Representation(theta=-theta), x, y, 2.0)
+            mirrored = time_value(space, Representation(theta=theta), (z - x,), (z - y,), 2.0)
+            flipped = time_value(space, Representation(theta=-theta), (x,), (y,), 2.0)
             assert mirrored == pytest.approx(flipped, abs=1e-12)
 
 
@@ -295,10 +286,10 @@ def test_interval_from_doubled_circle(theta, phi):
     D_ring = Representation(theta=theta)
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            direct = time_value(ring, D_ring, x, y, 2.0)
-            mirrored = time_value(ring, D_ring, x, 1 - y, 2.0, restrict_domain=False)
+            direct = time_value(ring, D_ring, (x,), (y,), 2.0)
+            mirrored = time_value(ring, D_ring, (x,), (1 - y,), 2.0)
             combined = direct + cmath.exp(1j * phi) * mirrored
-            assert combined == pytest.approx(time_value(box, D_box, x, y, 2.0), abs=1e-12)
+            assert combined == pytest.approx(time_value(box, D_box, (x,), (y,), 2.0), abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -311,8 +302,8 @@ def test_interval_from_doubled_circle(theta, phi):
 def test_unitarity_property(theta, tau, x, y):
     space = OrbitSpaceSpec("Circle", L=5)
     D = Representation(theta=theta)
-    forward = time_value(space, D, x, y, tau)
-    backward = time_value(space, D, y, x, -tau)
+    forward = time_value(space, D, (x,), (y,), tau)
+    backward = time_value(space, D, (y,), (x,), -tau)
     assert forward.conjugate() == pytest.approx(backward, abs=1e-12)
 
 
@@ -328,7 +319,7 @@ def test_many_walker_routes_agree_on_circle(statistics, N, x, y):
     D = Representation(theta=0.9, statistics=statistics)
     p = KernelParams(tau=1.0)
     direct = direct_kernel(space, D, x, y, p).value
-    factorized = orbit_kernel(space, D, x, y, p)
+    factorized = KernelPlan(space, D, p).value(x, y)
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.9)))
     )
@@ -343,7 +334,7 @@ def test_two_walker_routes_agree_on_interval(statistics):
     D = Representation(theta=math.pi, phi=0.0, statistics=statistics)
     p = KernelParams(tau=1.0)
     direct = direct_kernel(space, D, (1, 3), (2, 4), p).value
-    factorized = orbit_kernel(space, D, (1, 3), (2, 4), p)
+    factorized = KernelPlan(space, D, p).value((1, 3), (2, 4))
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(5, 1.0, oracle.IntervalPhase(math.pi, 0.0)))
     )
@@ -356,17 +347,17 @@ def test_fermion_kernel_vanishes_at_coincident_points():
     space = OrbitSpaceSpec("Circle", L=6, N=2)
     D = Representation(statistics="Fermion")
     p = KernelParams(tau=1.0)
-    assert abs(orbit_kernel(space, D, (2, 2), (1, 3), p)) < 1e-13
+    assert abs(KernelPlan(space, D, p).value((2, 2), (1, 3))) < 1e-13
     assert abs(direct_kernel(space, D, (2, 2), (1, 3), p).value) < 1e-13
 
 
 def test_default_method_lifts_from_single_walker_sums(image_sums):
     p = KernelParams(tau=0.5)
-    orbit_kernel(OrbitSpaceSpec("Circle", L=4, N=2), Representation(), (1, 3), (2, 4), p)
+    KernelPlan(OrbitSpaceSpec("Circle", L=4, N=2), Representation(), p).value((1, 3), (2, 4))
     # the four pairs (x_i, y_j) have the displacements -3, -1 and 1: residues 1 and 3 mod 4
     assert sorted(image_sums.residues) == [(4, 1), (4, 3)]
     space = OrbitSpaceSpec("Circle", L=4, N=4)
-    lifted = orbit_kernel(space, Representation(), (1, 2, 3, 4), (1, 2, 3, 4), p)
+    lifted = KernelPlan(space, Representation(), p).value((1, 2, 3, 4), (1, 2, 3, 4))
     # a new plan: the sixteen pairs have the seven displacements -3..3, every residue
     assert sorted(image_sums.residues[2:]) == [(4, r) for r in range(4)]
     assert image_sums.direct == []
@@ -381,7 +372,7 @@ def test_lifted_five_fermion_kernel_matches_oracle():
     space = OrbitSpaceSpec("Circle", L=7, N=5)
     D = Representation(theta=0.4, statistics="Fermion")
     x, y = (1, 2, 4, 5, 7), (1, 3, 4, 6, 7)
-    got = orbit_kernel(space, D, x, y, KernelParams(tau=1.5))
+    got = KernelPlan(space, D, KernelParams(tau=1.5)).value(x, y)
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(7, 1.0, oracle.CircleTwisted(0.4)))
     )
@@ -460,16 +451,17 @@ def test_resolvent_matches_direct_solve(energy):
     D = Representation(theta=0.7)
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.7)))
     green = oracle.resolvent_direct(h, energy)
+    plan = KernelPlan(space, D, KernelParams(energy=energy), mode="resolvent")
     for x in range(1, 7):
         for y in range(1, 7):
-            value = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
+            value = plan.value((x,), (y,))
             assert value == pytest.approx(green[x - 1, y - 1], abs=1e-9)
 
 
 def test_resolvent_needs_upper_half_plane():
     space = OrbitSpaceSpec("Circle", L=4)
     with pytest.raises(DomainError):
-        orbit_resolvent(space, Representation(), 1, 1, KernelParams(energy=0.5 - 0.1j))
+        KernelPlan(space, Representation(), KernelParams(energy=0.5 - 0.1j), mode="resolvent")
 
 
 def test_resolvent_shell_sum_trips_default_cap_closed_form_matches_direct_solve():
@@ -480,7 +472,7 @@ def test_resolvent_shell_sum_trips_default_cap_closed_form_matches_direct_solve(
         shell_sum_resolvent(space, D, 1, 1, p, ShellPolicy())
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(6, 1.0, oracle.CircleTwisted(0.0)))
     green = oracle.resolvent_direct(h, p.energy)
-    value = orbit_resolvent(space, D, 1, 1, p)
+    value = KernelPlan(space, D, p, mode="resolvent").value((1,), (1,))
     assert abs(value - green[0, 0]) <= 1e-9
 
 
@@ -503,12 +495,13 @@ def test_resolvent_shell_sum_trips_default_cap_closed_form_matches_direct_solve(
 )
 @pytest.mark.parametrize("energy", [0.4 + 0.3j, 0.2 + 0.05j, -0.9 + 0.02j])
 def test_closed_form_resolvent_matches_shell_sum(space, D, energy):
-    # Points run outside the fundamental domain (restrict_domain=False), on
-    # both sides of it; the error is relative to the largest value compared.
+    # Points run outside the fundamental domain, on both sides of it; the
+    # error is relative to the largest value compared.
     p = KernelParams(energy=energy)
     trunc = ShellPolicy(max_shell=3000)
     pairs = list(itertools.product(range(-3, 9), repeat=2))
-    got = [orbit_resolvent(space, D, x, y, p, restrict_domain=False) for x, y in pairs]
+    plan = KernelPlan(space, D, p, mode="resolvent")
+    got = [plan.value((x,), (y,)) for x, y in pairs]
     want = [shell_sum_resolvent(space, D, x, y, p, trunc).value for x, y in pairs]
     scale = max(abs(w) for w in want)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12 * scale
@@ -520,9 +513,10 @@ def test_closed_form_resolvent_near_band_edge_matches_direct_solve():
     energy = 0.999 + 1e-4j
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(5, 1.0, oracle.CircleTwisted(0.7)))
     green = oracle.resolvent_direct(h, energy)
+    plan = KernelPlan(space, D, KernelParams(energy=energy), mode="resolvent")
     for x in range(1, 6):
         for y in range(1, 6):
-            value = orbit_resolvent(space, D, x, y, KernelParams(energy=energy))
+            value = plan.value((x,), (y,))
             assert abs(value - green[x - 1, y - 1]) <= 1e-9
 
 
@@ -531,7 +525,7 @@ def test_closed_form_resolvent_near_band_edge_matches_direct_solve():
 def test_partition_function_matches_trace(L, beta):
     space = OrbitSpaceSpec("Circle", L=L)
     D = Representation(theta=0.9)
-    z = partition_function(space, D, KernelParams(beta=beta))
+    z = KernelPlan(space, D, KernelParams(beta=beta), mode="heat").partition_function()
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, oracle.CircleTwisted(0.9)))
     )
@@ -539,16 +533,19 @@ def test_partition_function_matches_trace(L, beta):
 
 
 def test_partition_function_at_zero_beta_counts_sites():
-    space = OrbitSpaceSpec("Circle", L=7)
-    assert partition_function(space, Representation(), KernelParams(beta=0.0)) == 7.0
+    p = KernelParams(beta=0.0)
+    circle = KernelPlan(OrbitSpaceSpec("Circle", L=7), Representation(), p, mode="heat")
+    assert circle.partition_function() == 7.0
     box = OrbitSpaceSpec("Interval", L=4)
     D = Representation(theta=0.0, phi=math.pi)
-    assert partition_function(box, D, KernelParams(beta=0.0)) == 4.0
+    assert KernelPlan(box, D, p, mode="heat").partition_function() == 4.0
 
 
 def test_partition_function_rejects_infinite_domains():
+    p = KernelParams(beta=1.0)
+    plan = KernelPlan(OrbitSpaceSpec("Line"), Representation(), p, mode="heat")
     with pytest.raises(DomainError):
-        partition_function(OrbitSpaceSpec("Line"), Representation(), KernelParams(beta=1.0))
+        plan.partition_function()
 
 
 def test_a_partition_function_that_cancels_below_zero_is_refused(monkeypatch):
@@ -558,13 +555,12 @@ def test_a_partition_function_that_cancels_below_zero_is_refused(monkeypatch):
     D = Representation(theta=math.pi)
     p = KernelParams(beta=40.0)
     with pytest.raises(PrecisionError, match="not a positive finite number"):
-        partition_function(space, D, p)
-    with pytest.raises(PrecisionError):
-        orbit_density_matrix(space, D, 1, 1, p)
+        KernelPlan(space, D, p, mode="heat").partition_function()
+    three = KernelPlan(OrbitSpaceSpec("Circle", L=3), Representation(), p, mode="heat")
     for diagonal in (0j, complex(math.nan, 0.0)):  # Z exactly 0, or not a number
         monkeypatch.setattr(KernelPlan, "value", lambda plan, x, y, d=diagonal: d)
         with pytest.raises(PrecisionError):
-            partition_function(OrbitSpaceSpec("Circle", L=3), Representation(), p)
+            three.partition_function()
 
 
 def test_heat_plan_refuses_beta_omega_past_the_i_row_range(monkeypatch):
@@ -592,31 +588,29 @@ def test_more_fermions_than_sites_are_refused_before_any_sum(monkeypatch, kind):
     monkeypatch.setattr(KernelPlan, "value", refuse)
     space = OrbitSpaceSpec(kind, L=2, N=3)
     D = Representation(statistics="Fermion")
-    p = KernelParams(beta=1.0)
     with pytest.raises(DomainError, match="no antisymmetric state"):
-        partition_function(space, D, p)
-    with pytest.raises(DomainError, match="no antisymmetric state"):
-        orbit_density_matrix(space, D, (1, 1, 2), (1, 2, 2), p)
+        KernelPlan(space, D, KernelParams(beta=1.0), mode="heat").partition_function()
 
 
 def test_density_matrix_has_unit_trace_and_hermiticity():
     space = OrbitSpaceSpec("Circle", L=5)
     D = Representation(theta=1.3)
-    p = KernelParams(beta=1.5)
-    trace = sum(orbit_density_matrix(space, D, x, x, p).real for x in range(1, 6))
+    plan = KernelPlan(space, D, KernelParams(beta=1.5), mode="heat")
+    z = plan.partition_function()
+    trace = sum((plan.value((x,), (x,)) / z).real for x in range(1, 6))
     assert trace == pytest.approx(1.0, abs=1e-12)
-    upper = orbit_density_matrix(space, D, 2, 4, p)
-    lower = orbit_density_matrix(space, D, 4, 2, p)
+    upper = plan.value((2,), (4,)) / z
+    lower = plan.value((4,), (2,)) / z
     assert upper == pytest.approx(lower.conjugate(), abs=1e-14)
 
 
 def test_heat_kernel_report_contract():
-    # the wrapper returns the plan's entry as a plain complex, and it is the
+    # an entry is a plain complex, the same bits from a fresh plan, and the
     # dense oracle's e^{-beta H}[1, 3] at the gate-7 entry tolerance
     space = OrbitSpaceSpec("Interval", L=4)
     D = Representation(theta=0.0, phi=0.0)
     p = KernelParams(beta=1.0)
-    value = orbit_heat_kernel(space, D, 1, 3, p)
+    value = KernelPlan(space, D, p, mode="heat").value((1,), (3,))
     assert type(value) is complex
     assert repr(value) == repr(KernelPlan(space, D, p, mode="heat").value((1,), (3,)))
     dec = oracle.diagonalize(
@@ -627,10 +621,12 @@ def test_heat_kernel_report_contract():
 
 def test_resolvent_and_dos_refuse_several_walkers():
     space = OrbitSpaceSpec("Circle", L=4, N=2)
+    D = Representation()
     with pytest.raises(DomainError):
-        orbit_resolvent(space, Representation(), (1, 2), (1, 3), KernelParams(energy=0.4 + 0.9j))
+        plan = KernelPlan(space, D, KernelParams(energy=0.4 + 0.9j), mode="resolvent")
+        plan.value((1, 2), (1, 3))
     with pytest.raises(DomainError):
-        local_dos(space, Representation(), (1, 2), 0.3, 0.5)
+        KernelPlan(space, D, KernelParams(energy=0.3 + 0.5j), mode="resolvent").dos([(1, 2)])
 
 
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])
@@ -647,13 +643,13 @@ def test_many_walker_thermal_matches_projected_kron_oracle(kind, N, statistics):
     space = OrbitSpaceSpec(kind, L=L, N=N)
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, boundary))
     z_want, heat_want = many_walker_gibbs(h, N, statistics, beta)
-    p = KernelParams(beta=beta)
-    z = partition_function(space, D, p)
+    plan = KernelPlan(space, D, KernelParams(beta=beta), mode="heat")
+    z = plan.partition_function()
     assert abs(z / z_want - 1.0) <= 1e-11
     points = fundamental_domain(space)
     for x in points:
         for y in points[::2]:
-            rho = orbit_density_matrix(space, D, x, y, p)
+            rho = plan.value(x, y) / z
             assert abs(rho - heat_want(x, y) / z_want) <= 1e-10
 
 
@@ -687,23 +683,17 @@ def test_partition_function_is_the_symmetric_polynomial_of_the_spectrum(kind, N,
         boundary = oracle.IntervalPhase(math.pi, 0.0)
     eps = np.linalg.eigvalsh(oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, boundary)))
     want = _symmetric_polynomial(np.exp(-beta * eps).tolist(), N, statistics == "Fermion")
-    z = partition_function(OrbitSpaceSpec(kind, L=L, N=N), D, KernelParams(beta=beta))
-    assert abs(z / want - 1.0) <= 1e-11
+    plan = KernelPlan(OrbitSpaceSpec(kind, L=L, N=N), D, KernelParams(beta=beta), mode="heat")
+    assert abs(plan.partition_function() / want - 1.0) <= 1e-11
 
 
 def test_local_dos_matches_direct_resolvent():
     space = OrbitSpaceSpec("Circle", L=5)
-    value = local_dos(space, Representation(), 1, 0.3, 0.05)
+    plan = KernelPlan(space, Representation(), KernelParams(energy=0.3 + 0.05j), mode="resolvent")
+    value = plan.dos([(1,)])[0][0]
     h = oracle.build_hamiltonian(oracle.HamiltonianSpec(5, 1.0, oracle.CircleTwisted(0.0)))
     green = oracle.resolvent_direct(h, 0.3 + 0.05j)
     assert value == pytest.approx(-green[0, 0].imag / math.pi, abs=1e-12)
-
-
-@pytest.mark.parametrize("eta", [0.0, 1e-7, 1.5, -0.1])
-def test_local_dos_rejects_bad_broadening(eta):
-    space = OrbitSpaceSpec("Circle", L=5)
-    with pytest.raises(DomainError):
-        local_dos(space, Representation(), 1, 0.0, eta)
 
 
 # -- discrete-time kernel ----------------------------------------------
@@ -717,7 +707,7 @@ def test_coined_kernel_matches_matrix_power():
         power = oracle.coined_circle_power(L, theta, coin, 9)
         for x in range(1, L + 1):
             for y in range(1, L + 1):
-                block = orbit_coined_kernel(space, D, 9, x, y, coin)
+                block = orbit_coined_blocks(space, D, 9, coin, x - y, x - y)[0]
                 want = oracle.coined_circle_block(power, coin.d, x, y)
                 assert np.max(np.abs(block - want)) < 1e-12
 
@@ -731,7 +721,8 @@ def test_coined_shared_blocks_give_identical_kernels(steps):
     assert shared.shape == (9, 2, 2)
     for x in range(1, 6):
         for y in range(1, 6):
-            assert np.array_equal(shared[x - y + 4], orbit_coined_kernel(space, D, steps, x, y, coin))
+            one = orbit_coined_blocks(space, D, steps, coin, x - y, x - y)[0]
+            assert np.array_equal(shared[x - y + 4], one)
 
 
 def test_coined_zero_steps_is_identity_block():
@@ -739,7 +730,7 @@ def test_coined_zero_steps_is_identity_block():
     coin = hadamard_coin()
     for x in range(1, 6):
         for y in range(1, 6):
-            block = orbit_coined_kernel(space, Representation(theta=0.4), 0, x, y, coin)
+            block = orbit_coined_blocks(space, Representation(theta=0.4), 0, coin, x - y, x - y)[0]
             want = np.eye(2) if x == y else np.zeros((2, 2))
             assert np.array_equal(block, want)
 
@@ -750,8 +741,8 @@ def test_coined_translation_identity():
     D = Representation(theta=theta)
     coin = hadamard_coin()
     for y in (1, 3):
-        shifted = orbit_coined_kernel(space, D, 7, 1 + 6, y, coin, restrict_domain=False)
-        want = 1j * orbit_coined_kernel(space, D, 7, 1, y, coin)
+        shifted = orbit_coined_blocks(space, D, 7, coin, 1 + 6 - y, 1 + 6 - y)[0]
+        want = 1j * orbit_coined_blocks(space, D, 7, coin, 1 - y, 1 - y)[0]
         assert np.max(np.abs(shifted - want)) < 1e-12
 
 
@@ -761,12 +752,14 @@ def test_coined_column_unitarity_and_inverse():
     coin = hadamard_coin()
     total = np.zeros((2, 2), dtype=complex)
     identity = np.zeros((2, 2), dtype=complex)
+
+    def block(steps, x, y):
+        return orbit_coined_blocks(space, D, steps, coin, x - y, x - y)[0]
+
     for x in range(1, 7):
-        block = orbit_coined_kernel(space, D, 8, x, 2, coin)
-        total += block.conj().T @ block
-        identity += orbit_coined_kernel(space, D, 8, 1, x, coin) @ orbit_coined_kernel(
-            space, D, -8, x, 1, coin
-        )
+        column = block(8, x, 2)
+        total += column.conj().T @ column
+        identity += block(8, 1, x) @ block(-8, x, 1)
     assert np.max(np.abs(total - np.eye(2))) < 1e-12
     assert np.max(np.abs(identity - np.eye(2))) < 1e-12
 
@@ -774,9 +767,9 @@ def test_coined_column_unitarity_and_inverse():
 def test_coined_kernel_requires_single_walker_circle():
     coin = hadamard_coin()
     with pytest.raises(DomainError):
-        orbit_coined_kernel(OrbitSpaceSpec("Line"), Representation(), 3, 1, 1, coin)
+        orbit_coined_blocks(OrbitSpaceSpec("Line"), Representation(), 3, coin, 0, 0)
     with pytest.raises(DomainError):
-        orbit_coined_kernel(OrbitSpaceSpec("Circle", L=4, N=2), Representation(), 3, 1, 1, coin)
+        orbit_coined_blocks(OrbitSpaceSpec("Circle", L=4, N=2), Representation(), 3, coin, 0, 0)
 
 
 # -- state evolution ----------------------------------------------------
@@ -784,17 +777,17 @@ def test_coined_kernel_requires_single_walker_circle():
 
 def test_evolve_conserves_probability_on_circle():
     space = OrbitSpaceSpec("Circle", L=8)
-    state = evolve_state(space, Representation(), {(1,): 1.0}, KernelParams(tau=2.0))
+    state = KernelPlan(space, Representation(), KernelParams(tau=2.0)).evolve({(1,): 1.0})
     assert sum(abs(a) ** 2 for a in state.values()) == pytest.approx(1.0, abs=1e-10)
     assert list(state) == fundamental_domain(space)
 
 
 def test_evolve_on_infinite_spaces_uses_light_cone_window():
-    line_state = evolve_state(OrbitSpaceSpec("Line"), Representation(), {(0,): 1.0}, KernelParams(tau=2.0))
+    p = KernelParams(tau=2.0)
+    line_state = KernelPlan(OrbitSpaceSpec("Line"), Representation(), p).evolve({(0,): 1.0})
     assert sum(abs(a) ** 2 for a in line_state.values()) == pytest.approx(1.0, abs=1e-10)
-    half_state = evolve_state(
-        OrbitSpaceSpec("HalfLine"), Representation(phi=math.pi), {(2,): 1.0}, KernelParams(tau=2.0)
-    )
+    half = KernelPlan(OrbitSpaceSpec("HalfLine"), Representation(phi=math.pi), p)
+    half_state = half.evolve({(2,): 1.0})
     assert sum(abs(a) ** 2 for a in half_state.values()) == pytest.approx(1.0, abs=1e-10)
     assert next(iter(half_state)) == (1,)
 
@@ -802,7 +795,8 @@ def test_evolve_on_infinite_spaces_uses_light_cone_window():
 def test_evolve_zero_time_returns_input_probabilities():
     space = OrbitSpaceSpec("Circle", L=4)
     amp = 1.0 / math.sqrt(2.0)
-    state = evolve_state(space, Representation(), {(1,): amp, (3,): amp * 1j}, KernelParams(tau=0.0))
+    plan = KernelPlan(space, Representation(), KernelParams(tau=0.0))
+    state = plan.evolve({(1,): amp, (3,): amp * 1j})
     assert state[(1,)] == pytest.approx(amp)
     assert state[(3,)] == pytest.approx(amp * 1j)
     assert state[(2,)] == 0j
@@ -811,55 +805,45 @@ def test_evolve_zero_time_returns_input_probabilities():
 def test_evolve_warns_on_unnormalized_state():
     space = OrbitSpaceSpec("Circle", L=3)
     with pytest.warns(UserWarning, match="norm"):
-        evolve_state(space, Representation(), {(1,): 2.0}, KernelParams(tau=1.0))
+        KernelPlan(space, Representation(), KernelParams(tau=1.0)).evolve({(1,): 2.0})
 
 
 def test_evolve_rejects_empty_state_and_bad_points():
-    space = OrbitSpaceSpec("Circle", L=3)
+    plan = KernelPlan(OrbitSpaceSpec("Circle", L=3), Representation(), KernelParams(tau=1.0))
     with pytest.raises(DomainError):
-        evolve_state(space, Representation(), {}, KernelParams(tau=1.0))
+        plan.evolve({})
     with pytest.raises(DomainError):
-        evolve_state(space, Representation(), {(9,): 1.0}, KernelParams(tau=1.0))
+        plan.evolve({(9,): 1.0})
+    with pytest.raises(DomainError, match="has 2 coordinates, space has N=1"):
+        plan.evolve({(1, 2): 1.0})
 
 
 def test_probability_matches_kernel_modulus_for_point_source():
     space = OrbitSpaceSpec("Circle", L=5)
     D = Representation()
-    p = KernelParams(tau=2.0)
+    state = KernelPlan(space, D, KernelParams(tau=2.0)).evolve({(1,): 1.0})
     for x in range(1, 6):
-        want = abs(time_value(space, D, x, 1, 2.0)) ** 2
-        assert probability(space, D, {(1,): 1.0}, p, x=x) == pytest.approx(want, abs=1e-14)
-    total = sum(probability(space, D, {(1,): 1.0}, p, x=x) for x in range(1, 6))
+        want = abs(time_value(space, D, (x,), (1,), 2.0)) ** 2
+        assert abs(state[(x,)]) ** 2 == pytest.approx(want, abs=1e-14)
+    total = sum(abs(state[(x,)]) ** 2 for x in range(1, 6))
     assert total == pytest.approx(1.0, abs=1e-10)
-
-
-def test_probability_requires_detection_point():
-    space = OrbitSpaceSpec("Circle", L=5)
-    with pytest.raises(TypeError):
-        probability(space, Representation(), {(1,): 1.0}, KernelParams(tau=1.0))
 
 
 @pytest.mark.parametrize(
     "psi0", [{}, {(1,): math.inf}, {(1,): math.nan}], ids=["empty", "inf", "nan"]
 )
 def test_probability_refuses_the_states_evolve_refuses(psi0):
-    space = OrbitSpaceSpec("Circle", L=5)
-    D, p = Representation(), KernelParams(tau=1.0)
+    plan = KernelPlan(OrbitSpaceSpec("Circle", L=5), Representation(), KernelParams(tau=1.0))
     with pytest.raises(DomainError):
-        evolve_state(space, D, psi0, p)
-    with pytest.raises(DomainError):
-        probability(space, D, psi0, p, x=1)
+        plan.evolve(psi0)
 
 
 @pytest.mark.parametrize("psi0", [{1: 0.6, (1,): 0.8}, {(2,): 0.6, 2: 0.8}])
 def test_a_point_given_twice_in_two_forms_is_refused(psi0):
     # 1 and (1,) are one point: keeping either amplitude would drop the other unseen
-    space = OrbitSpaceSpec("Circle", L=3)
-    D, p = Representation(), KernelParams(tau=0.0)
+    plan = KernelPlan(OrbitSpaceSpec("Circle", L=3), Representation(), KernelParams(tau=0.0))
     with pytest.raises(DomainError, match="twice"):
-        evolve_state(space, D, psi0, p)
-    with pytest.raises(DomainError, match="twice"):
-        probability(space, D, psi0, p, x=1)
+        plan.evolve(psi0)
 
 
 # -- exact folds ----------------------------------------------------------
@@ -869,7 +853,7 @@ def test_finite_group_sum_is_exact():
     # the HalfLine's two images: K(2, 3) = free[1] + e^{i phi} free[|2 + 3 - 1|]
     space = OrbitSpaceSpec("HalfLine")
     p = KernelParams(tau=5.0)
-    value = orbit_kernel(space, Representation(phi=math.pi), 2, 3, p)
+    value = KernelPlan(space, Representation(phi=math.pi), p).value((2,), (3,))
     free = _free_row(p, heat=False)
     assert value == free[1] - free[4]
 
@@ -880,13 +864,13 @@ def test_shell_caps_are_ignored_and_long_times_stay_exact():
     L, tau = 3, 50.0
     space = OrbitSpaceSpec("Circle", L=L)
     D = Representation(theta=0.8)
-    p = KernelParams(tau=tau)
+    plan = KernelPlan(space, D, KernelParams(tau=tau))
     dec = oracle.diagonalize(
         oracle.build_hamiltonian(oracle.HamiltonianSpec(L, 1.0, oracle.CircleTwisted(0.8)))
     )
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            value = orbit_kernel(space, D, x, y, p)
+            value = plan.value((x,), (y,))
             assert abs(value - oracle.spectral_kernel(dec, tau, x, y)) <= 1e-10
 
 
@@ -1015,7 +999,8 @@ def test_resolvent_plan_equals_the_per_pair_closed_form_exactly(space, D, p):
             want = _per_pair_resolvent(space, D, x, y, p)
             assert got == want
             assert repr(got) == repr(want)  # signed zeros too
-            assert repr(orbit_resolvent(space, D, x, y, p, restrict_domain=False)) == repr(got)
+            fresh = KernelPlan(space, D, p, mode="resolvent").value((x,), (y,))
+            assert repr(fresh) == repr(got)
 
 
 def test_resolvent_plan_refuses_several_walkers_and_the_lower_half_plane():
@@ -1049,7 +1034,7 @@ def test_resolvent_sweep_equals_a_plan_built_at_each_energy(space, D):
         for i, x in enumerate(points):
             want = -fresh.value(x, x).imag / math.pi
             assert repr(dos[i][k]) == repr(want)
-            assert repr(local_dos(space, D, x, energy.real, energy.imag, omega=1.5)) == repr(want)
+            assert repr(fresh.dos([x])[0][0]) == repr(want)
 
 
 def test_resolvent_sweep_refuses_the_lower_half_plane_before_any_residue(image_sums):
@@ -1166,18 +1151,3 @@ def test_value_is_the_kernel_reports_value_bit_for_bit(kind, statistics, mode):
                 want = complex(np.linalg.det(m)) if fermion else _permanent_by_definition(m)
                 scale = _permanent_by_definition(np.abs(m))
                 assert abs(got - want) <= 1e-13 * scale, (n, x, y)
-
-
-def test_domain_restriction_is_enforced_by_default():
-    space = OrbitSpaceSpec("Circle", L=4)
-    with pytest.raises(DomainError):
-        orbit_kernel(space, Representation(), 0, 1, KernelParams(tau=1.0))
-    with pytest.raises(DomainError):
-        orbit_kernel(space, Representation(), (2, 1), (1, 2), KernelParams(tau=1.0))
-
-
-def test_points_accept_ints_and_tuples():
-    space = OrbitSpaceSpec("Circle", L=4)
-    a = orbit_kernel(space, Representation(), 2, 3, KernelParams(tau=1.0))
-    b = orbit_kernel(space, Representation(), (2,), (3,), KernelParams(tau=1.0))
-    assert a == b
