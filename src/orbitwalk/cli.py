@@ -17,19 +17,19 @@ for `coined` and `verify`, and the `verify` suite for `verify`; N-walker
 lifts of both statistics are pure Python.  Lazy imports bind the module and
 look its functions up at call time, so patched or traced functions are seen.
 
-Rows go to the output as they are made.  Every refusal comes before the
-first row: `ResolvedRun` refuses what the config decides, a handler the
-rest (the plan, Z, the `evolve` amplitudes, the `dos` and `coined` arrays,
-the `verify` checks), and rows only ask the plan for entries and format each
-distinct value once (`_formatter`).  So a run that exits 2 or 3 writes
-nothing.  The argument parser is built once per process, and the config
-echo copies only what it changes.
+Rows go to the output as they are made, JSON as it is encoded.  Every
+refusal comes before the first row: `ResolvedRun` refuses what the config
+decides (it counts rows and lifted entries, `orbit.lift_price` prices them),
+a handler the rest (the plan, Z, the `evolve` amplitudes, the `dos` and
+`coined` arrays, the `verify` checks), and rows only ask the plan for entries
+and format each distinct value once (`_formatter`).  So a run that exits 2
+or 3 writes nothing.  The argument parser is built once per process, and
+the config echo copies only what it changes.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -41,7 +41,7 @@ import warnings
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
 from .kernels import STEP_MAX, CoinSpec, KernelParams, coined_block_products, coined_stack_bytes, hadamard_coin
-from .orbit import KernelPlan, orbit_coined_blocks
+from .orbit import KernelPlan, lift_price, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 
@@ -54,7 +54,7 @@ MAX_TABLE_ROWS = 10**6
 MAX_LIFT_WORK = 10**8
 MAX_LIFT_BYTES = 2**28
 
-# CSV rows per `write` call; a call per row writes 10^6 rows about a third slower.
+# CSV rows or JSON chunks per `write` call; a call per row writes 10^6 rows about a third slower.
 _BATCH_ROWS = 4096
 
 DEFAULT_CONFIG = {
@@ -174,7 +174,8 @@ class ResolvedRun:
         self.path = config["output"]["path"]
         if self.path is not None and not (isinstance(self.path, str) and self.path):
             raise ConfigError(f"output path must be null or a non-empty string, got {self.path!r}")
-        self.initial_state = self._resolve_state(config["initial_state"])
+        # read by `evolve` alone, so no other command refuses a state it ignores
+        self.initial_state = self._resolve_state(config["initial_state"]) if command == "evolve" else {}
         self._validate_for_command()
 
     def _resolve_window(self, raw):
@@ -217,42 +218,22 @@ class ResolvedRun:
             raise ConfigError("coined runs need a single-walker Circle space")
         if self.command == "resolvent" and self.params.energy.imag <= 0.0:
             raise ConfigError("resolvent energy must have positive imaginary part")
-        if self.command in ("evolve",):
-            for point in self.initial_state:
-                if len(point) != self.space.N:
-                    raise ConfigError(f"initial-state point {point} has wrong walker count")
+        for point in self.initial_state:  # empty but for `evolve`
+            if len(point) != self.space.N:
+                raise ConfigError(f"initial-state point {point} has wrong walker count")
         if self.command == "dos":
             self.dos_points = _integer(self.config["dos"]["points"], "dos.points")
-        rows = self._table_rows()
+        rows, families, window = self._work()
         if rows > MAX_TABLE_ROWS:
-            raise ConfigError(
-                f"{self.command} would emit {rows} table rows, more than {MAX_TABLE_ROWS}"
-            )
-        work, memory = self._lift_work()
+            raise ConfigError(f"{self.command} would emit {rows} table rows, more than {MAX_TABLE_ROWS}")
+        work, memory = lift_price(self.space, self.representation, families, window)
         lift = f"{self.representation.statistics.lower()} {self.command} at N={self.space.N}"
         if work > MAX_LIFT_WORK:
-            raise ConfigError(
-                f"{lift} would do the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}"
-            )
+            raise ConfigError(f"{lift} would do the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}")
         if memory > MAX_LIFT_BYTES:
-            raise ConfigError(
-                f"{lift} would keep {memory:.3g} bytes of minors, more than {MAX_LIFT_BYTES}"
-            )
+            raise ConfigError(f"{lift} would keep {memory:.3g} bytes of minors, more than {MAX_LIFT_BYTES}")
         if self.command == "coined":
             self.steps, self.source = self._coined_walk()
-
-    def _table_rows(self) -> int:
-        """Rows of the command's main table, counted without building the domain."""
-        if self.command == "verify":
-            return 0
-        if self.command == "coined":
-            return (self.space.L * self.coin.d) ** 2
-        points = domain_size(self.space, self.window)
-        if self.command == "evolve":
-            return points
-        if self.command == "dos":
-            return self.dos_points * points
-        return points * points
 
     def _coined_walk(self) -> tuple:
         """(steps, source) of a `coined` run.  A block product is priced at d + 1 lift steps,
@@ -279,73 +260,30 @@ class ResolvedRun:
             )
         return steps, source
 
-    def _lift_work(self) -> tuple:
-        """(lift steps, bytes of kept minors) of an N >= 2 run's lifted entries.
-
-        A lift step is one complex multiply-add of a pure-Python loop, about
-        0.3 us.  Each entry costs 32 N steps for gathering its single-walker
-        sums and using it (a table row, a composition product), plus its
-        lift: N^3 / 3 below 4 walkers (the written-out expansion) and for
-        fermions from 4 on (an LU determinant).  A boson entry from 4
-        walkers on is a `first_row_expansion` over kept minors.  For each
-        k = 3..N-1, a family of entries (`_lifted_pairs`, or for `verify`
-        `verify.lifted_entries`, with the window it lifts through) keeps at
-        most its distinct k-row suffixes times its distinct k-column
-        sub-multisets, each at most the k-multisets of the sites, and at
-        most its entries x C(N, k) minors.  Expanding k rows costs
-        k (6 + k / 8) steps, a term per column that slices and hashes k-long
-        tuples, once per kept minor and once per entry; a kept minor holds
-        about 200 + 16 k bytes until the run ends.  Past 64 walkers a boson
-        run is refused outright: the expansion recurses one level per walker.
-
-        Timed on a shared 2-core VM, boson thermal, evolve and verify runs
-        with N = 4..64 took 0.03 to 0.44 times work x 0.3 us, one boson
-        entry with nothing shared 0.2 to 0.6 times its share at N = 4..10,
-        and fermion runs with N = 2..10 0.07 to 0.6 times it (the most:
-        verify at N = 5 and 6).  Kept minors measured 250 to 300 bytes each
-        at k = 3..7, about 850 near k = 47.
-        """
-        n = self.space.N
-        if n == 1 or self.command not in ("evolve", "thermal", "verify"):
-            return 0, 0
-        if self.command == "verify":
+    def _work(self) -> tuple:
+        """(table rows, lifted-entry families, their window) for `orbit.lift_price`, counted
+        without building the domain.  `evolve` lifts each point against each source of
+        nonzero amplitude (`plan.evolve` skips the rest), `thermal` against each point (the
+        table and Z's diagonal), and for fermions only points with distinct coordinates count:
+        any other entry is 0j before any lift.  `verify` asks `verify.lifted_entries`."""
+        space, window, command = self.space, self.window, self.command
+        if command == "coined":
+            return (space.L * self.coin.d) ** 2, [], window
+        if command == "verify":
+            if space.N == 1:
+                return 0, [], window
             from . import verify  # loaded by every verify run anyway
-            families, window = verify.lifted_entries(self.space, self.representation, self.params, self.window)
-        else:
-            families, window = self._lifted_pairs(), self.window
-        entries = sum(pairs for _, _, pairs in families)
-        if entries == 0:
-            return 0, 0
-        if n <= 3 or self.representation.statistics == "Fermion":
-            return entries * (32 * n + n**3 // 3), 0
-        if n > 64:
-            return math.inf, math.inf
-        sites = domain_size(dataclasses.replace(self.space, N=1), window)
-        work = entries * (32 * n + n * (6 + n // 8))
-        memory = 0
-        for k in range(3, n):
-            multisets, subsets = math.comb(sites + k - 1, k), math.comb(n, k)
-            for rows, columns, pairs in families:
-                minors = pairs * subsets
-                if rows:
-                    minors = min(minors, min(rows, multisets) * min(columns * subsets, multisets))
-                work += minors * k * (6 + k // 8)
-                memory += minors * (200 + 16 * k)
-        return work, memory
-
-    def _lifted_pairs(self) -> list:
-        """An `evolve` or `thermal` run's lifted entries as (row points, column points,
-        entries) families: `evolve` pairs every domain point with its initial
-        state, `thermal` every domain point with every other (the table plus
-        Z's diagonal).  A fermion entry whose x or y repeats a coordinate is
-        0j before any lift: only the C(sites, N) points with distinct
-        coordinates count."""
+            return (0, *verify.lifted_entries(space, self.representation, self.params, window))
+        points = domain_size(space, window)
+        if command in ("resolvent", "dos"):
+            return points * (self.dos_points if command == "dos" else points), [], window
         fermion = self.representation.statistics == "Fermion"
-        points = domain_size(self.space, self.window, fermion)
-        if self.command == "evolve":
-            sources = [pt for pt in self.initial_state if not fermion or len(set(pt)) == len(pt)]
-            return [(points, len(sources), points * len(sources))]
-        return [(points, points, points * points + points)]
+        lifted = domain_size(space, window, fermion)
+        if command == "evolve":
+            sources = [pt for pt, a in self.initial_state.items()
+                       if a and not (fermion and len(set(pt)) < len(pt))]
+            return points, [(lifted, len(sources), lifted * len(sources))], window
+        return points * points, [(lifted, lifted, lifted * lifted + lifted)], window
 
     @functools.cached_property
     def coin(self) -> CoinSpec:
@@ -448,7 +386,7 @@ def _echoed_config(config: dict) -> dict:
 
 def emit(run: ResolvedRun, columns: list, rows, meta: dict, out) -> None:
     """Write a table to `out`: CSV in batches as `rows` yields its tuples of cell
-    texts, JSON (column-major) as one text once every column is filled."""
+    texts, JSON (column-major) in batches as it is encoded once every column is filled."""
     if run.output_format == "csv":
         config = json.dumps(_echoed_config(run.config), sort_keys=True, separators=(",", ":"))
         head = [f"# orbitwalk {run.command}", f"# config {config}"]
@@ -474,7 +412,11 @@ def emit(run: ResolvedRun, columns: list, rows, meta: dict, out) -> None:
             append(value(cell))
     payload = {"command": run.command, "meta": {"config": _echoed_config(run.config), **meta},
                "columns": values}
-    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # with an indent, json.dumps and iterencode are one pure-Python encoder: the same text
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    while batch := list(itertools.islice(chunks, _BATCH_ROWS)):
+        out.write("".join(batch))
+    out.write("\n")
 
 
 # -- command handlers: each returns (columns, rows, meta, exit code) --------

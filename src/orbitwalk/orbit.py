@@ -6,11 +6,12 @@ the images of y are the integers (c - y if m else y) + n P (winding n,
 reflection bit m), and the weight is e^{i n theta} e^{i m phi}.  One plan
 type, `KernelPlan`, serves every command (`evolve`, `thermal`, `resolvent`,
 `dos` and `verify`) and computes each single-walker sum once per run; with
-`orbit_coined_blocks` it is the library's whole surface.  Every kernel is
-the same fold, K(x, y) = A(x - y) + e^{i phi} A(x + y - c) with
-A(d) = sum_n e^{i n theta} free(|d - n P|).  A(d + P) = e^{i theta} A(d),
-so P residues cover a space, each computed on first use; the three modes
-differ only in the free term and so in how a residue is summed:
+`orbit_coined_blocks` and `lift_price` (what an N-walker lift costs) it is
+the library's whole surface.  Every kernel is the same fold, K(x, y) =
+A(x - y) + e^{i phi} A(x + y - c) with A(d) = sum_n e^{i n theta}
+free(|d - n P|).  A(d + P) = e^{i theta} A(d), so P residues cover a space,
+each computed on first use; the three modes differ only in the free term
+and so in how a residue is summed:
 
 - Time and heat: the free term is a Bessel row (one recurrence,
   `special.j_row`/`i_row`) that ends at `window_radius`, so a residue takes
@@ -26,10 +27,10 @@ Time and heat kernels of N identical walkers are permanents or determinants
 of single-walker sums, in pure Python: every boson entry, and every fermion
 entry below 4 walkers, is the expansion along the first row
 (`first_row_expansion`), whose minors of 3 or more rows a plan keeps for the
-entries that share them; a fermion entry from 4 walkers on is a
-partial-pivot LU (`lu_determinant`), because the expansion loses digits to
-cancellation there.  `KernelPlan.value` returns an entry as a plain complex.
-numpy is imported only where arrays are built (coined blocks).
+entries that share them; a fermion entry from `LU_FROM` (4) walkers on is
+a partial-pivot LU (`lu_determinant`), because the expansion loses digits
+to cancellation there.  `KernelPlan.value` returns an entry as a plain
+complex.  numpy is imported only where arrays are built (coined blocks).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .group import (
     Representation,
     check_in_domain,
     fundamental_domain,
+    site_range,
     validate_representation,
     weight_from_sums,
 )
@@ -72,11 +74,14 @@ def _initial_state(space: OrbitSpaceSpec, psi0: dict) -> dict:
 
     Every point must lie in the fundamental domain and appear once (1 and
     (1,) are one point), the state must have an amplitude and a finite norm;
-    a norm away from 1 warns.
+    a norm away from 1 warns.  A bool or non-integral coordinate is refused.
     """
     state = {}
     for pt, a in psi0.items():
-        pt = tuple(int(c) for c in ((pt,) if isinstance(pt, int) else pt))
+        pt = pt if isinstance(pt, tuple) else (pt,)
+        if any(isinstance(c, bool) or int(c) != c for c in pt):
+            raise DomainError(f"point {pt} has a coordinate that is not an integer")
+        pt = tuple(map(int, pt))
         if len(pt) != space.N:
             raise DomainError(f"point {pt} has {len(pt)} coordinates, space has N={space.N}")
         if pt in state:
@@ -135,6 +140,58 @@ def lu_determinant(m) -> complex:
             reduced.append([a - factor * b for a, b in zip(row[1:], tail)])
         rows = reduced
     return det
+
+
+# Walkers from which a fermion entry is an LU determinant, not the first-row expansion.
+LU_FROM = 4
+
+
+def lift_price(space: OrbitSpaceSpec, D: Representation, families: list, window) -> tuple:
+    """(lift steps, bytes of kept minors) of the N-walker entries of `families`.
+
+    A lift step is one complex multiply-add of a pure-Python loop, about
+    0.3 us.  Each entry costs 32 N steps for gathering its single-walker
+    sums and using it (a table row, a composition product), plus its lift:
+    N^3 / 3 below `LU_FROM` walkers (the written-out expansion) and for
+    fermions from there on (an LU determinant).  A boson entry from
+    `LU_FROM` walkers on is a `first_row_expansion` over kept minors.  For
+    each k = 3..N-1, a family of (row points, column points, entries), with
+    the sites of `window`, keeps at most its distinct k-row suffixes times
+    its distinct k-column sub-multisets, each at most the k-multisets of the
+    sites, and at most its entries x C(N, k) minors (None rows: no point
+    count bounds them).  Expanding k rows costs k (6 + k / 8) steps, a term
+    per column that slices and hashes k-long tuples, once per kept minor and
+    once per entry; a kept minor holds about 200 + 16 k bytes until the run
+    ends.  Past 64 walkers a boson lift is priced at infinity: the expansion
+    recurses one level per walker.
+
+    Timed on a shared 2-core VM, boson thermal, evolve and verify runs
+    with N = 4..64 took 0.03 to 0.44 times work x 0.3 us, one boson
+    entry with nothing shared 0.2 to 0.6 times its share at N = 4..10,
+    and fermion runs with N = 2..10 0.07 to 0.6 times it (the most:
+    verify at N = 5 and 6).  Kept minors measured 250 to 300 bytes each
+    at k = 3..7, about 850 near k = 47.
+    """
+    n = space.N
+    entries = sum(pairs for _, _, pairs in families)
+    if n == 1 or entries == 0:
+        return 0, 0
+    if n < LU_FROM or D.statistics == "Fermion":
+        return entries * (32 * n + n**3 // 3), 0
+    if n > 64:
+        return math.inf, math.inf
+    lo, hi = site_range(space, window)  # entries lie there, so hi >= lo
+    work = entries * (32 * n + n * (6 + n // 8))
+    memory = 0
+    for k in range(3, n):
+        multisets, subsets = math.comb(hi - lo + k, k), math.comb(n, k)
+        for rows, columns, pairs in families:
+            minors = pairs * subsets
+            if rows:
+                minors = min(minors, min(rows, multisets) * min(columns * subsets, multisets))
+            work += minors * k * (6 + k // 8)
+            memory += minors * (200 + 16 * k)
+    return work, memory
 
 
 def first_row_expansion(entry, rows: tuple, cols: tuple, fermion: bool, minors: dict) -> complex:
@@ -408,7 +465,7 @@ class KernelPlan:
             return self._sum(x[0], y[0])
         if self._fermion and (len(set(x)) < len(x) or len(set(y)) < len(y)):
             return 0j
-        if self._fermion and len(x) > 3:
+        if self._fermion and len(x) >= LU_FROM:
             s = self._sum
             return lu_determinant([[s(xi, yj) for yj in y] for xi in x])
         return first_row_expansion(self._sum, x, y, self._fermion, self._minors)

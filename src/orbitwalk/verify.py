@@ -7,7 +7,7 @@ are probed through an explicit site window.  This module alone decides how
 and lazily (`probe_points`) and builds one plan kernel for every check,
 composition glues through the states of `glue_window` with its own
 `_gluing_weight`, and `lifted_entries` counts the entries the checks ask
-for, which is what `cli.ResolvedRun` prices.  Every reference comes from
+for, which `orbit.lift_price` prices for the CLI.  Every reference comes from
 the oracle's permanent or determinant (`oracle.many_body_value`): at
 tau = 0 of the 0/1 matrix [x_a == y_b], which is exact, and at tau of
 dense-chain elements, each computed once.  Equivariance weighs by the

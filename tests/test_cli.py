@@ -38,6 +38,7 @@ from orbitwalk.cli import (
 from orbitwalk.errors import ConfigError
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import CoinSpec, hadamard_coin
+from orbitwalk.orbit import lift_price
 
 from _oracles import coined_table_reference, many_walker_gibbs
 
@@ -444,6 +445,7 @@ def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv,
         ("evolve", ("dos.eta=5", "dos.points=abc", "dos.e_min=2", "dos.e_max=1")),
         ("evolve", ("coined.steps=2.5", "coined.source=0", "coined.coin=butterfly")),
         ("dos", ("coined.steps=1000000", "coined.source=abc")),
+        *((command, ("initial_state=[]",)) for command in ("thermal", "dos", "coined", "resolvent", "verify")),
     ],
 )
 def test_each_command_reads_only_its_own_section(capsys, command, settings):
@@ -907,6 +909,12 @@ def _thermal_run(L: int, N: int, statistics: str = "Boson") -> ResolvedRun:
     return ResolvedRun("thermal", config)
 
 
+def _price(run: ResolvedRun) -> tuple:
+    """(lift steps, bytes of kept minors) that `orbit.lift_price` charges for what `run` lifts."""
+    _, families, window = run._work()
+    return lift_price(run.space, run.representation, families, window)
+
+
 def test_lift_work_prices_thermal_entries_and_kept_minors():
     points = 11  # sorted 10-walker points on two sites
     entries = points * points + points  # the table plus Z's diagonal
@@ -917,16 +925,16 @@ def test_lift_work_prices_thermal_entries_and_kept_minors():
     minors = {k: (k + 1) ** 2 for k in range(3, 10)}
     work = entries * (32 * 10 + 10 * 7) + sum(m * k * (6 + k // 8) for k, m in minors.items())
     memory = sum(m * (200 + 16 * k) for k, m in minors.items())
-    assert _thermal_run(2, 10)._lift_work() == (work, memory)
+    assert _price(_thermal_run(2, 10)) == (work, memory)
     # fermions: the same per-entry term plus N^3 / 3 for the LU's multiply-adds; no minors.
     # Only the C(6, 4) = 15 points with distinct coordinates are lifted.
     entries = 15 * 15 + 15
-    assert _thermal_run(6, 4, "Fermion")._lift_work() == (entries * (32 * 4 + 4**3 // 3), 0)
-    assert _thermal_run(2, 10, "Fermion")._lift_work() == (0, 0)  # no antisymmetric state
+    assert _price(_thermal_run(6, 4, "Fermion")) == (entries * (32 * 4 + 4**3 // 3), 0)
+    assert _price(_thermal_run(2, 10, "Fermion")) == (0, 0)  # no antisymmetric state
     # below 4 walkers both statistics are the written-out N^3 / 3 and keep nothing:
     # 4 points each, the boson 3-multisets of 2 sites and the fermion 3-sets of 4
     for L, statistics in ((2, "Boson"), (4, "Fermion")):
-        assert _thermal_run(L, 3, statistics)._lift_work() == (20 * (32 * 3 + 9), 0)
+        assert _price(_thermal_run(L, 3, statistics)) == (20 * (32 * 3 + 9), 0)
 
 
 @pytest.mark.parametrize(
@@ -936,18 +944,42 @@ def test_lift_work_prices_thermal_entries_and_kept_minors():
         (("thermal", "--set", "space.L=7", "--set", "space.N=6"), 7 * 7 + 7),
         (("evolve", "--set", "space.L=34", "--set", "space.N=5",
           "--set", "initial_state=[[[1,2,3,4,5],1,0],[[1,1,2,3,4],0,0]]"), math.comb(34, 5)),
+        # `plan.evolve` skips a zero amplitude, so its source lifts nothing: with the
+        # three zero sources priced, this run would be refused at 1.15e8 lift steps
+        (("evolve", "--set", "space.L=30", "--set", "space.N=5", "--set", "initial_state="
+          "[[[1,2,3,4,5],1,0],[[1,2,3,4,6],0,0],[[1,2,3,4,7],0,0],[[2,3,4,5,6],0,0]]"), math.comb(30, 5)),
     ],
-    ids=["thermal-L7-N6", "evolve-L34-N5"],
+    ids=["thermal-L7-N6", "evolve-L34-N5", "evolve-L30-N5-zero-sources"],
 )
 def test_fermion_lifts_are_priced_at_distinct_coordinates_only(argv, entries):
     config = load_config(None)
     for assignment in (*argv[2::2], "representation.statistics=Fermion"):
         apply_set(config, assignment)
     n = config["space"]["N"]
-    assert ResolvedRun(argv[0], config)._lift_work() == (entries * (32 * n + n**3 // 3), 0)
+    run = ResolvedRun(argv[0], config)
+    assert sum(pairs for _, _, pairs in run._work()[1]) == entries
+    assert _price(run) == (entries * (32 * n + n**3 // 3), 0)
 
 
-def test_lift_prices_the_minors_a_thermal_table_keeps(capsys, monkeypatch):
+def _configured(argv) -> dict:
+    config = load_config(None)
+    for assignment in argv[1:]:
+        apply_set(config, assignment)
+    return config
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thermal", "space.L=4", "space.N=4"),
+        ("thermal", "space.L=3", "space.N=5"),
+        ("evolve", "space.L=5", "space.N=5", "initial_state=[[[1,1,2,3,4],0.6,0],[[2,3,3,4,5],0,0.8]]"),
+        ("verify", "space.L=3", "space.N=4"),
+        ("verify", "space.L=4", "space.N=5", "params.tau=0.5"),
+    ],
+    ids=["thermal-L4-N4", "thermal-L3-N5", "evolve-L5-N5", "verify-L3-N4", "verify-L4-N5"],
+)
+def test_lift_prices_the_minors_every_plan_keeps(capsys, monkeypatch, argv):
     plans = []
     init = orbitwalk.orbit.KernelPlan.__init__
 
@@ -956,13 +988,19 @@ def test_lift_prices_the_minors_a_thermal_table_keeps(capsys, monkeypatch):
         plans.append(plan)
 
     monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "__init__", kept)
-    # every 3-multiset of 4 sites is a row suffix and a column sub-multiset: 20^2 minors
-    assert _thermal_run(4, 4)._lift_work()[1] == 20**2 * (200 + 16 * 3)
-    code, _, _ = run_cli(capsys, "thermal", "--set", "space.L=4", "--set", "space.N=4")
+    priced = _price(ResolvedRun(argv[0], _configured(argv)))[1]
+    code, _, _ = run_cli(capsys, argv[0], *(arg for setting in argv[1:] for arg in ("--set", setting)))
     assert code == 0
-    (plan,) = plans
-    assert len(plan._minors) == 20**2
-    assert {(len(rows), len(cols)) for rows, cols in plan._minors} == {(3, 3)}
+    kept_bytes = sum(200 + 16 * len(rows) for plan in plans for rows, _ in plan._minors)
+    assert 0 < kept_bytes <= priced
+    if argv[0] == "thermal":  # a table keeps every minor its price counts
+        assert kept_bytes == priced
+    if argv == ("thermal", "space.L=4", "space.N=4"):
+        # every 3-multiset of 4 sites is a row suffix and a column sub-multiset: 20^2 minors
+        assert priced == 20**2 * (200 + 16 * 3)
+        (plan,) = plans
+        assert len(plan._minors) == 20**2
+        assert {(len(rows), len(cols)) for rows, cols in plan._minors} == {(3, 3)}
 
 
 @pytest.mark.parametrize(
@@ -972,7 +1010,7 @@ def test_lift_prices_the_minors_a_thermal_table_keeps(capsys, monkeypatch):
 )
 def test_boson_thermal_tables_with_shared_minors_run(L, N, minors):
     # every k-multiset of the L sites is a row suffix and a column sub-multiset
-    work, memory = _thermal_run(L, N)._lift_work()  # no refusal
+    work, memory = _price(_thermal_run(L, N))  # no refusal
     assert work < MAX_LIFT_WORK
     assert memory == sum(m * (200 + 16 * k) for k, m in minors.items()) < MAX_LIFT_BYTES
 
@@ -991,7 +1029,7 @@ def test_boson_runs_just_inside_the_lift_bounds_are_admitted(argv):
     config = load_config(None)
     for assignment in argv[2::2]:
         apply_set(config, assignment)
-    work, memory = ResolvedRun(argv[0], config)._lift_work()
+    work, memory = _price(ResolvedRun(argv[0], config))
     assert work <= MAX_LIFT_WORK
     assert memory <= MAX_LIFT_BYTES
 
@@ -1258,6 +1296,13 @@ def test_json_cells_parse_once_per_distinct_text(monkeypatch):
     columns = loads(out.getvalue())["columns"]
     assert sorted(calls) == sorted(["1.5e+00", "nan", "total", "-inf"])
     assert columns == {"a": [1.5, "nan", 1.5, "nan"], "b": [None, "total", "-inf", None]}
+
+
+def test_a_json_table_longer_than_one_batch_is_the_text_of_json_dumps(capsys):
+    code, out, _ = run_cli(capsys, "thermal", "--set", "space.L=70", "--format", "json")
+    assert code == 0
+    assert out.count("\n") > orbitwalk.cli._BATCH_ROWS  # a line is a chunk or more
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_csv_rows_reach_the_output_before_the_last_entry_is_computed(monkeypatch):

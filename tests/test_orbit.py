@@ -816,6 +816,14 @@ def test_evolve_rejects_empty_state_and_bad_points():
         plan.evolve({(9,): 1.0})
     with pytest.raises(DomainError, match="has 2 coordinates, space has N=1"):
         plan.evolve({(1, 2): 1.0})
+    # a coordinate that int() would truncate or misread is refused, not read as site 1
+    for psi0 in ({(1.5,): 1.0}, {1.5: 1.0}, {True: 1.0}, {(True,): 1.0}, {(np.float32(2.5),): 1.0}, {("2",): 1.0}):
+        with pytest.raises(DomainError, match="not an integer"):
+            plan.evolve(psi0)
+    # ints, integral floats and numpy integers name their site
+    want = plan.evolve({(2,): 1.0})
+    for psi0 in ({2: 1.0}, {(2.0,): 1.0}, {(np.int64(2),): 1.0}, {np.int64(2): 1.0}):
+        assert plan.evolve(psi0) == want
 
 
 def test_probability_matches_kernel_modulus_for_point_source():
