@@ -270,7 +270,7 @@ class ResolvedRun:
         if command == "coined":
             return (space.L * self.coin.d) ** 2, [], window
         if command == "verify":
-            if space.N == 1:
+            if space.N == 1:  # one walker lifts nothing: no probes to count
                 return 0, [], window
             from . import verify  # loaded by every verify run anyway
             return (0, *verify.lifted_entries(space, self.representation, self.params, window))
