@@ -19,12 +19,13 @@ look its functions up at call time, so patched or traced functions are seen.
 
 Rows go to the output as they are made, JSON as it is encoded.  Every
 refusal comes before the first row: `ResolvedRun` refuses what the config
-decides (it counts rows and lifted entries, `orbit.lift_price` prices them),
-a handler the rest (the plan, Z, the `evolve` amplitudes, the `dos` and
-`coined` arrays, the `verify` checks), and rows only ask the plan for entries
-and format each distinct value once (`_formatter`).  So a run that exits 2
-or 3 writes nothing.  The argument parser is built once per process, and
-the config echo copies only what it changes.
+decides (it counts rows and lifted entries; `orbit.lift_price` prices a
+lift, `kernels.coined_price` a coined walk, and one pair of bounds caps
+both), a handler the rest (the plan, Z, the `evolve` amplitudes, the `dos`
+and `coined` arrays, the `verify` checks), and rows only ask the plan for
+entries and format each distinct value once (`_formatter`).  So a run that
+exits 2 or 3 writes nothing.  The argument parser is built once per
+process, and the config echo copies only what it changes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import warnings
 
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
-from .kernels import STEP_MAX, CoinSpec, KernelParams, coined_block_products, coined_stack_bytes, hadamard_coin
+from .kernels import STEP_MAX, CoinSpec, KernelParams, coined_price, hadamard_coin
 from .orbit import KernelPlan, lift_price, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
@@ -48,9 +49,8 @@ COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 # Largest table a run may emit; larger requests are refused before any compute.
 MAX_TABLE_ROWS = 10**6
 
-# Largest N-walker lift or coined walk a run may do, in lift steps (about 0.3 us
-# each in pure Python, so 10^8 is about half a minute), and the most memory its
-# kept minors or a coined walk's line blocks may take, in bytes; see `ResolvedRun`.
+# The most work, in lift steps (about 0.3 us each: 10^8 is half a minute), and memory, in
+# bytes, that `orbit.lift_price` or `kernels.coined_price` may charge a run; see `ResolvedRun`.
 MAX_LIFT_WORK = 10**8
 MAX_LIFT_BYTES = 2**28
 
@@ -226,38 +226,26 @@ class ResolvedRun:
         rows, families, window = self._work()
         if rows > MAX_TABLE_ROWS:
             raise ConfigError(f"{self.command} would emit {rows} table rows, more than {MAX_TABLE_ROWS}")
-        work, memory = lift_price(self.space, self.representation, families, window)
-        lift = f"{self.representation.statistics.lower()} {self.command} at N={self.space.N}"
-        if work > MAX_LIFT_WORK:
-            raise ConfigError(f"{lift} would do the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}")
-        if memory > MAX_LIFT_BYTES:
-            raise ConfigError(f"{lift} would keep {memory:.3g} bytes of minors, more than {MAX_LIFT_BYTES}")
         if self.command == "coined":
             self.steps, self.source = self._coined_walk()
+            work, memory = coined_price(self.steps, self.coin)
+            what, kept = f"a coined walk of {self.steps} steps", "line blocks"
+        else:
+            work, memory = lift_price(self.space, self.representation, families, window)
+            what, kept = f"{self.representation.statistics.lower()} {self.command} at N={self.space.N}", "minors"
+        if work > MAX_LIFT_WORK:
+            raise ConfigError(f"{what} would do the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}")
+        if memory > MAX_LIFT_BYTES:
+            raise ConfigError(f"{what} would keep {memory:.3g} bytes of {kept}, more than {MAX_LIFT_BYTES}")
 
     def _coined_walk(self) -> tuple:
-        """(steps, source) of a `coined` run.  A block product is priced at d + 1 lift steps,
-        above each price timed at d = 2, 4 and 8 (0.33-0.70, 0.52-0.89, 0.83-1.97 us); a
-        step's fixed 3-8 us is not, as STEP_MAX steps keep it under 0.3% of the bound."""
+        """(steps, source) of a `coined` run; `kernels.coined_price` prices the walk."""
         steps = _integer(self.config["coined"]["steps"], "coined.steps")
-        stack = coined_stack_bytes(steps, self.coin)
-        if stack > MAX_LIFT_BYTES:
-            raise ConfigError(
-                f"a coined walk of {steps} steps would stack {stack} bytes of line blocks, "
-                f"more than {MAX_LIFT_BYTES}"
-            )
         source = _integer(self.config["coined"]["source"], "coined.source")
         if not 1 <= source <= self.space.L:
             raise ConfigError(f"coined.source must lie in 1..{self.space.L}")
         if abs(steps) > STEP_MAX:
             raise ConfigError(f"|steps| exceeds STEP_MAX = {STEP_MAX}")
-        products = coined_block_products(steps, self.coin)
-        work = products * (self.coin.d + 1)
-        if work > MAX_LIFT_WORK:
-            raise ConfigError(
-                f"a coined walk of {steps} steps would do {products} block products, "
-                f"the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}"
-            )
         return steps, source
 
     def _work(self) -> tuple:

@@ -4,11 +4,11 @@ The kernels on the full integer lattice have one implementation each, the
 one the orbit-space routes run once per run: the time and heat rows are
 Bessel rows (`orbit._free_row` over `special.j_row`/`i_row`), the resolvent
 e^{iq|x-y|} / (i omega sin q) is summed in closed form by the resolvent plan
-from the complex momentum `_momentum`, and the discrete-time coined walk is
-the exact light-cone blocks of `coined_line_blocks`, one array over the
-walk's final window that `orbit.orbit_coined_blocks` sums over windings as
-it is returned.  A kernel on the line itself is the orbit-space kernel on
-`OrbitSpaceSpec("Line")`.  numpy is imported only by the coined-walk code.
+from the complex momentum `_momentum`, and the coined walk is the exact
+light-cone blocks of `coined_line_blocks`, priced by `coined_price`: one
+array over the final window, which `orbit.orbit_coined_blocks` sums over
+windings as it is returned.  A kernel on the line is the orbit-space kernel
+on `OrbitSpaceSpec("Line")`; numpy is imported only by the coined-walk code.
 """
 
 from __future__ import annotations
@@ -105,15 +105,19 @@ def hadamard_coin() -> CoinSpec:
     return CoinSpec(2, coin, (1, -1))
 
 
-def coined_stack_bytes(steps: int, c: CoinSpec) -> int:
-    """Peak bytes of `coined_line_blocks(steps, c)`: its stack and one step's product, 16 d^2 each per displacement."""
-    return 2 * 16 * c.d**2 * (abs(steps) * (max(c.shifts) - min(c.shifts)) + 1)
+def coined_price(steps: int, c: CoinSpec) -> tuple:
+    """(lift steps, bytes) of `coined_line_blocks(steps, c)`, in the units of `orbit.lift_price`.
 
-
-def coined_block_products(steps: int, c: CoinSpec) -> int:
-    """Block products of `coined_line_blocks(steps, c)`: step n multiplies n * (max - min) + 1."""
+    Step n multiplies the coin into the n (max - min) + 1 blocks reached so
+    far, each product priced at d + 1 lift steps: above every price timed on
+    a shared 2-core VM at d = 2, 4 and 8 (0.33-0.70, 0.52-0.89 and 0.83-1.97
+    us, against 0.9, 1.5 and 2.7 us priced).  A step's fixed 3-8 us is not:
+    STEP_MAX steps of it take under 0.1 s.  The bytes are the final window's
+    stack and one step's product, at most as large again: 16 d^2 per block.
+    """
     n, width = abs(steps), max(c.shifts) - min(c.shifts)
-    return n + width * n * (n - 1) // 2
+    products = n + width * n * (n - 1) // 2
+    return products * (c.d + 1), 2 * 16 * c.d**2 * (n * width + 1)
 
 
 def _coined_blocks(steps: int, c: CoinSpec) -> tuple:

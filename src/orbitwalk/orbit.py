@@ -35,6 +35,7 @@ complex.  numpy is imported only where arrays are built (coined blocks).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import warnings
@@ -50,13 +51,14 @@ from .group import (
     weight_from_sums,
 )
 from .kernels import CoinSpec, KernelParams, _momentum, coined_line_blocks, window_radius
-from .special import I_Z_MAX, i_row, j_row, quarter_phase
+from .special import I_Z_MAX, N_MAX, i_row, j_row, quarter_phase
 
 
 def _free_row(p: KernelParams, heat: bool) -> list:
     """The single-walker free term at distances 0..radius; past radius it is 0j.
 
-    Time: i^d J_d(omega |tau|), i^-d for tau < 0; heat: I_d(beta omega),
+    Time: i^d J_d(omega |tau|), i^-d for tau < 0, refused for omega |tau|
+    > 9713.956, where the row would pass order `N_MAX`; heat: I_d(beta omega),
     refused for beta omega > `I_Z_MAX`, where e^(beta omega) overflows.
     """
     if heat:
@@ -64,7 +66,12 @@ def _free_row(p: KernelParams, heat: bool) -> list:
         if z > I_Z_MAX:
             raise DomainError(f"beta * omega = {z} exceeds {I_Z_MAX}: e^(beta omega) overflows")
         return [complex(v) for v in i_row(window_radius(p.omega, p.beta), z)]
-    row = j_row(window_radius(p.omega, p.tau), p.omega * abs(p.tau))
+    z, radius = p.omega * abs(p.tau), window_radius(p.omega, p.tau)
+    if radius > N_MAX:
+        # the largest omega |tau|, in thousandths, whose row ends by N_MAX
+        limit = bisect.bisect(range(1000 * N_MAX), N_MAX, key=lambda k: window_radius(1.0, k / 1000)) - 1
+        raise DomainError(f"omega * |tau| = {z} exceeds {limit / 1000}: its Bessel row would pass order N_MAX = {N_MAX}")
+    row = j_row(radius, z)
     sign = 1 if p.tau >= 0.0 else -1
     return [quarter_phase(sign * d) * v for d, v in enumerate(row)]
 

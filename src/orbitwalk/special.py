@@ -45,13 +45,13 @@ def _check(n: int, z: float) -> None:
 
 
 def j_row(nmax: int, z: float) -> list:
-    """[J_0(z), ..., J_nmax(z)] in a single backward pass; absolute error < 1e-13 for z <= 100."""
+    """[J_0(z), ..., J_nmax(z)] in a single backward pass; absolute error < 1e-13, tested to z = 1000."""
     _check(nmax, float(z))
     return core.j_row(nmax, float(z))
 
 
 def i_row(nmax: int, z: float) -> list:
-    """[I_0(z), ..., I_nmax(z)] in a single backward pass; OverflowError past the double range."""
+    """[I_0(z), ..., I_nmax(z)] in one backward pass; relative error < 1e-13 to z = I_Z_MAX, then OverflowError."""
     _check(nmax, float(z))
     return core.i_row(nmax, float(z))
 

@@ -426,8 +426,17 @@ def test_coined_builds_line_blocks_once(capsys, monkeypatch):
         (("--set", "space.L=400", "--set", "coined.steps=-20000"), "|steps| exceeds STEP_MAX = 10000"),
         (("--set", "space.L=500", "--set", "coined.source=501"), "coined.source must lie in 1..500"),
         (("--set", "space.L=1", "--set", "coined.steps=10000"),
-         "a coined walk of 10000 steps would do 100000000 block products, "
-         f"the work of 3e+08 lift steps, more than {MAX_LIFT_WORK}"),
+         f"a coined walk of 10000 steps would do the work of 3e+08 lift steps, more than {MAX_LIFT_WORK}"),
+        (("--set", "space.L=1", "--set", "coined.steps=5774"),
+         f"a coined walk of 5774 steps would do the work of 1e+08 lift steps, more than {MAX_LIFT_WORK}"),
+        # past both bounds: the work is checked first
+        (("--set", 'coined.coin={"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"shifts":[100000,-100000]}',
+          "--set", "coined.steps=10000"),
+         f"a coined walk of 10000 steps would do the work of 3e+13 lift steps, more than {MAX_LIFT_WORK}"),
+        # 4 * 10^6 + 1 blocks after one step, one block product
+        (("--set", 'coined.coin={"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"shifts":[2000000,-2000000]}',
+          "--set", "coined.steps=1"),
+         f"a coined walk of 1 steps would keep 5.12e+08 bytes of line blocks, more than {MAX_LIFT_BYTES}"),
     ],
 )
 def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv, message):
@@ -437,6 +446,11 @@ def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv,
     monkeypatch.setattr(orbitwalk.oracle, "coined_circle_power", oracle_ran)
     code, out, err = run_cli(capsys, "coined", *argv)
     assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+def test_coined_bounds_admit_the_hadamard_walk_to_5773_steps():
+    # the run is only resolved: walking it takes about 17 s (5774 steps are refused above)
+    assert ResolvedRun("coined", _configured(("coined", "space.L=1", "coined.steps=5773"))).steps == 5773
 
 
 @pytest.mark.parametrize(
@@ -852,6 +866,17 @@ def test_thermal_past_the_i_row_range_exits_2(capsys, beta, expected):
     if expected == 2:
         assert out == ""
         assert "config error" in err and "exceeds" in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+@pytest.mark.parametrize("tau, expected", [("9713", 0), ("9714", 2)])
+def test_time_past_the_j_row_range_exits_2(capsys, command, tau, expected):
+    code, out, err = run_cli(capsys, command, "--set", f"params.tau={tau}")
+    assert code == expected, err
+    if expected == 2:
+        assert out == ""
+        assert err == ("config error: omega * |tau| = 9714.0 exceeds 9713.956: "
+                       "its Bessel row would pass order N_MAX = 10000\n")
 
 
 @pytest.mark.parametrize(

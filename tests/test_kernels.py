@@ -19,9 +19,8 @@ from orbitwalk.kernels import (
     CoinSpec,
     KernelParams,
     _momentum,
-    coined_block_products,
     coined_line_blocks,
-    coined_stack_bytes,
+    coined_price,
     hadamard_coin,
     window_radius,
 )
@@ -286,7 +285,7 @@ def test_coined_stack_is_the_final_window_and_its_bytes_are_priced(shifts):
     rng = np.random.default_rng(11)
     c = _random_coin(rng, len(shifts), shifts)
     width = max(shifts) - min(shifts)
-    for steps in (0, 1, 7, -6):
+    for steps in (0, 1, 9, -5):
         first, stack = coined_line_blocks(steps, c)
         blocks = abs(steps) * width + 1
         assert len(stack) == blocks
@@ -295,7 +294,7 @@ def test_coined_stack_is_the_final_window_and_its_bytes_are_priced(shifts):
         assert memory.nbytes == stack.nbytes == 16 * c.d**2 * blocks
         assert steps < 0 or stack.flags.owndata
         # the stack and one step's product, at most as large again
-        assert coined_stack_bytes(steps, c) == 2 * 16 * c.d**2 * blocks
+        assert coined_price(steps, c)[1] == 2 * 16 * c.d**2 * blocks
 
 
 @pytest.mark.parametrize("shifts", [(1, -1), (2, 5), (3,), (-4, -1, -2)])
@@ -313,7 +312,8 @@ def test_coined_block_products_count_the_blocks_each_step_multiplies(monkeypatch
         multiplied.clear()
         coined_line_blocks(steps, c)
         assert len(multiplied) == abs(steps)
-        assert sum(multiplied) == coined_block_products(steps, c)
+        # each block product is priced at d + 1 lift steps
+        assert coined_price(steps, c)[0] == (c.d + 1) * sum(multiplied)
 
 
 def test_step_cap():

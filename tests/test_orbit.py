@@ -15,7 +15,7 @@ import orbitwalk.orbit
 from orbitwalk import _core_py, oracle
 from orbitwalk.errors import DomainError, PrecisionError
 from orbitwalk.group import OrbitSpaceSpec, Representation, fundamental_domain
-from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin
+from orbitwalk.kernels import KernelParams, _momentum, hadamard_coin, window_radius
 from orbitwalk.orbit import (
     KernelPlan,
     _free_row,
@@ -23,6 +23,7 @@ from orbitwalk.orbit import (
     lu_determinant,
     orbit_coined_blocks,
 )
+from orbitwalk.special import N_MAX
 
 from _oracles import many_walker_gibbs, shell_sum_resolvent
 from _reference_group import (
@@ -577,6 +578,16 @@ def test_heat_plan_refuses_beta_omega_past_the_i_row_range(monkeypatch):
     for p in (KernelParams(beta=705.0), KernelParams(omega=2.0, beta=0.5 * limit + 0.25)):
         with pytest.raises(DomainError, match="exceeds"):
             KernelPlan(space, Representation(), p, mode="heat")
+
+
+def test_time_plan_refuses_omega_tau_past_the_j_row_range():
+    # the limit is the largest omega |tau|, in thousandths, whose row ends by N_MAX
+    assert window_radius(1.0, 9713.956) <= N_MAX < window_radius(1.0, 9713.957)
+    space = OrbitSpaceSpec("Circle", L=4)
+    KernelPlan(space, Representation(), KernelParams(tau=-9713.956))
+    for p in (KernelParams(tau=9713.957), KernelParams(omega=2.0, tau=-4857.0)):
+        with pytest.raises(DomainError, match=r"omega \* \|tau\| = \S+ exceeds 9713\.956"):
+            KernelPlan(space, Representation(), p)
 
 
 @pytest.mark.parametrize("kind", ["Circle", "Interval"])

@@ -16,7 +16,7 @@ from orbitwalk.errors import DomainError
 from orbitwalk.kernels import window_radius
 from orbitwalk.special import N_MAX, Z_MAX, i_row, j_row, quarter_phase
 
-from _oracles import bessel_j_series, bessel_i_series
+from _oracles import bessel_i_exact, bessel_i_series, bessel_j_exact, bessel_j_series
 
 # Values frozen from the 30-term power-series oracle (tests/_oracles.py).
 J0_AT_2 = 0.22389077914123567
@@ -78,6 +78,30 @@ def test_bessel_j_absolute_error_to_z_100():
             ref = bessel_j_series(n, z, terms=220)
             worst = max(worst, abs(row[n] - ref))
     assert worst <= 1e-13
+
+
+def _orders(nmax: int) -> list:
+    """About 40 orders from 0 to the row's end nmax, both ends included."""
+    return sorted({*range(0, nmax, max(1, nmax // 40)), nmax})
+
+
+@pytest.mark.parametrize("z", [100.0, 1000.0])
+def test_j_rows_the_plans_build_match_mpmath(z):
+    # a time plan's row at omega |tau| = z ends at window_radius
+    nmax = window_radius(1.0, z)
+    row = j_row(nmax, z)
+    for n in _orders(nmax):
+        assert abs(row[n] - bessel_j_exact(n, z)) <= 1e-13, n
+
+
+@pytest.mark.parametrize("z", [100.0, 700.0])
+def test_i_rows_the_plans_build_match_mpmath(z):
+    # a heat plan's row at beta omega = z; I_n(700) spans 1e302 down to 1e103
+    nmax = window_radius(1.0, z)
+    row = i_row(nmax, z)
+    for n in _orders(nmax):
+        want = bessel_i_exact(n, z)
+        assert abs(row[n] - want) <= 1e-13 * want, n
 
 
 def test_bessel_i_against_series_oracle():
