@@ -8,9 +8,12 @@ JSON output, other precisions, Line and HalfLine windows, custom and
 backward coined walks, coined walks whose shifts share one sign, boson
 `thermal` at N = 4 and 5, fermion and wide-window `verify`, tables longer
 than one CSV write batch and a JSON table as long, refusals by the lift
-and coined bounds and of a time past the Bessel row's range, config values
-that once ended in a traceback, and an `initial_state` that only `evolve`
-reads),
+and coined bounds and of a time past the Bessel row's range, the library's
+refusals of a Line with no window, of Z off a finite space, of `coined`
+off the one-walker Circle or past `STEP_MAX`, of Im E <= 0 and of a start
+with the wrong walker count, fermion starts with and without a repeated
+coordinate, config values that once ended in a traceback, and an
+`initial_state` that only `evolve` reads),
 through `orbitwalk.cli.main` in-process, and to write one JSON object that
 maps each job to the sha256 of its stdout, the sha256 of its stderr and its
 exit code.  A job that an exception ends records `"exception: <type>"` as

@@ -18,13 +18,13 @@ lifts of both statistics are pure Python.  Lazy imports bind the module and
 look its functions up at call time, so patched or traced functions are seen.
 
 Rows go to the output as they are made, JSON as it is encoded.  Every
-refusal comes before the first row: `ResolvedRun` refuses what the config
-decides (it counts rows and lifted entries; `orbit.lift_price` prices a
-lift, `kernels.coined_price` a coined walk, and one pair of bounds caps
-both), a handler the rest (the plan, Z, the `evolve` amplitudes, the `dos`
-and `coined` arrays, the `verify` checks), and rows only ask the plan for
-entries and format each distinct value once (`_formatter`).  So a run that
-exits 2 or 3 writes nothing.  The argument parser is built once per
+refusal comes before the first row, made once: `ResolvedRun` parses,
+counts rows and lifted entries and prices them (`orbit.lift_price` a lift,
+`kernels.coined_price` a coined walk) against one pair of bounds, and the
+library refuses what it computes, in that count or as a handler builds its
+plan, Z, amplitudes, arrays or checks, before any entry.  Rows only ask the
+plan for entries and format each distinct value once (`_formatter`).  So a
+run that exits 2 or 3 writes nothing.  The argument parser is built once per
 process, and the config echo copies only what it changes.
 """
 
@@ -41,7 +41,7 @@ import warnings
 
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
-from .kernels import STEP_MAX, CoinSpec, KernelParams, coined_price, hadamard_coin
+from .kernels import CoinSpec, KernelParams, coined_price, hadamard_coin
 from .orbit import KernelPlan, lift_price, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
@@ -209,18 +209,6 @@ class ResolvedRun:
         return state
 
     def _validate_for_command(self):
-        infinite = self.space.kind in ("Line", "HalfLine")
-        if infinite and self.window is None and self.command in ("evolve", "resolvent", "dos", "verify"):
-            raise ConfigError(f"{self.space.kind} runs need an explicit window (lo:hi)")
-        if self.command == "thermal" and infinite:
-            raise ConfigError("thermal runs need a finite space")
-        if self.command == "coined" and (self.space.kind != "Circle" or self.space.N != 1):
-            raise ConfigError("coined runs need a single-walker Circle space")
-        if self.command == "resolvent" and self.params.energy.imag <= 0.0:
-            raise ConfigError("resolvent energy must have positive imaginary part")
-        for point in self.initial_state:  # empty but for `evolve`
-            if len(point) != self.space.N:
-                raise ConfigError(f"initial-state point {point} has wrong walker count")
         if self.command == "dos":
             self.dos_points = _integer(self.config["dos"]["points"], "dos.points")
         rows, families, window = self._work()
@@ -234,9 +222,9 @@ class ResolvedRun:
             work, memory = lift_price(self.space, self.representation, families, window)
             what, kept = f"{self.representation.statistics.lower()} {self.command} at N={self.space.N}", "minors"
         if work > MAX_LIFT_WORK:
-            raise ConfigError(f"{what} would do the work of {work:.3g} lift steps, more than {MAX_LIFT_WORK}")
+            raise ConfigError(f"{what} would do the work of {work} lift steps, more than {MAX_LIFT_WORK}")
         if memory > MAX_LIFT_BYTES:
-            raise ConfigError(f"{what} would keep {memory:.3g} bytes of {kept}, more than {MAX_LIFT_BYTES}")
+            raise ConfigError(f"{what} would keep {memory} bytes of {kept}, more than {MAX_LIFT_BYTES}")
 
     def _coined_walk(self) -> tuple:
         """(steps, source) of a `coined` run; `kernels.coined_price` prices the walk."""
@@ -244,8 +232,6 @@ class ResolvedRun:
         source = _integer(self.config["coined"]["source"], "coined.source")
         if not 1 <= source <= self.space.L:
             raise ConfigError(f"coined.source must lie in 1..{self.space.L}")
-        if abs(steps) > STEP_MAX:
-            raise ConfigError(f"|steps| exceeds STEP_MAX = {STEP_MAX}")
         return steps, source
 
     def _work(self) -> tuple:
@@ -258,8 +244,6 @@ class ResolvedRun:
         if command == "coined":
             return (space.L * self.coin.d) ** 2, [], window
         if command == "verify":
-            if space.N == 1:  # one walker lifts nothing: no probes to count
-                return 0, [], window
             from . import verify  # loaded by every verify run anyway
             return (0, *verify.lifted_entries(space, self.representation, self.params, window))
         points = domain_size(space, window)
@@ -268,8 +252,7 @@ class ResolvedRun:
         fermion = self.representation.statistics == "Fermion"
         lifted = domain_size(space, window, fermion)
         if command == "evolve":
-            sources = [pt for pt, a in self.initial_state.items()
-                       if a and not (fermion and len(set(pt)) < len(pt))]
+            sources = [pt for pt, a in self.initial_state.items() if a]
             return points, [(lifted, len(sources), lifted * len(sources))], window
         return points * points, [(lifted, lifted, lifted * lifted + lifted)], window
 
@@ -505,12 +488,13 @@ def run_coined(run: ResolvedRun) -> tuple:
     from . import oracle
 
     steps, source, coin, L = run.steps, run.source, run.coin, run.space.L
+    # on the circle a block depends on x - y alone: circ[x - y + L - 1]; built first, so
+    # the route refuses a walk before the dense oracle builds its matrix power
+    circ = orbit_coined_blocks(run.space, run.representation, steps, coin, 1 - L, L - 1)
     power = oracle.coined_circle_power(L, run.representation.theta, coin, abs(steps))
     if steps < 0:
         power = power.conj().T
     d = coin.d
-    # on the circle a block depends on x - y alone: circ[x - y + L - 1]
-    circ = orbit_coined_blocks(run.space, run.representation, steps, coin, 1 - L, L - 1)
     fmt = _formatter(run.precision)
     label = [str(k) for k in range(max(L, d) + 1)]
     cells = [[(label[i], label[j], fmt(v.real), fmt(v.imag)) for i, row in enumerate(block)

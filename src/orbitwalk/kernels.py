@@ -59,7 +59,7 @@ def _momentum(energy: complex, omega: float) -> complex:
     """
     e = complex(energy)
     if not e.imag > 0.0:
-        raise DomainError(f"resolvent requires Im(energy) > 0, got {e}")
+        raise DomainError(f"resolvent energy must have positive imaginary part, got {e}")
     q = cmath.acos(-e / omega)
     if q.imag < 0.0:
         q = -q

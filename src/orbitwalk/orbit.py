@@ -76,12 +76,14 @@ def _free_row(p: KernelParams, heat: bool) -> list:
     return [quarter_phase(sign * d) * v for d, v in enumerate(row)]
 
 
-def _initial_state(space: OrbitSpaceSpec, psi0: dict) -> dict:
+def _initial_state(space: OrbitSpaceSpec, psi0: dict, fermion: bool) -> dict:
     """A finitely supported state as {point: complex amplitude}, checked.
 
     Every point must lie in the fundamental domain and appear once (1 and
-    (1,) are one point), the state must have an amplitude and a finite norm;
-    a norm away from 1 warns.  A bool or non-integral coordinate is refused.
+    (1,) are one point), a fermion point with distinct coordinates (only
+    those have an antisymmetric state); the state must have an amplitude and
+    a finite norm; a norm away from 1 warns.  A bool or non-integral
+    coordinate is refused.
     """
     state = {}
     for pt, a in psi0.items():
@@ -91,6 +93,9 @@ def _initial_state(space: OrbitSpaceSpec, psi0: dict) -> dict:
         pt = tuple(map(int, pt))
         if len(pt) != space.N:
             raise DomainError(f"point {pt} has {len(pt)} coordinates, space has N={space.N}")
+        if fermion and len(set(pt)) < len(pt):
+            raise DomainError(f"fermion initial-state point {pt} repeats a coordinate: "
+                              "no antisymmetric state exists there")
         if pt in state:
             raise DomainError(f"initial state lists point {pt} twice")
         state[pt] = complex(a)
@@ -513,7 +518,7 @@ class KernelPlan:
         if self._mode != "time":
             raise DomainError("state evolution needs a time-kernel plan")
         space = self._space
-        state = _initial_state(space, psi0)
+        state = _initial_state(space, psi0, self._fermion)
         if not window:  # the light cone around the initial support; finite spaces ignore it
             coords = [c for pt in state for c in pt]
             radius = window_radius(self._params.omega, self._params.tau)
@@ -548,7 +553,8 @@ def orbit_coined_blocks(
     import numpy as np
 
     if space.kind != "Circle" or space.N != 1:
-        raise DomainError("discrete-time orbit kernels are wired for the single-walker circle")
+        raise DomainError("coined walks run on the single-walker Circle, "
+                          f"not on the {space.kind} with N={space.N}")
     validate_representation(space, D)
     L = space.L
     first, line = coined_line_blocks(steps, c)  # line[k] is the block at first + k

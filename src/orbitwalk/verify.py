@@ -51,10 +51,7 @@ def probe_points(space: OrbitSpaceSpec, D: Representation, window) -> list:
     """The first `PROBES` states in the domain's order; a fermion state has distinct
     coordinates (any other entry is 0j).  They lie on the first PROBES + N - 1 sites,
     so only those are enumerated.  Refuses a run with none."""
-    try:
-        lo, hi = site_range(space, window)
-    except DomainError:  # a Line or HalfLine with no window
-        raise DomainError(f"{space.kind} verification needs an explicit window") from None
+    lo, hi = site_range(space, window)
     if hi < lo:
         raise DomainError(f"verification window {window} holds no point of the {space.kind} domain")
     head = sorted_points(lo, min(hi, lo + PROBES + space.N - 2), space.N, D.statistics == "Fermion")

@@ -267,9 +267,9 @@ def test_many_walker_resolvent_and_dos_are_refused(capsys, command):
         (("dos", "--set", "space.N=3"),
          "the resolvent is implemented for one walker only, not N=3"),
         (("resolvent", "--set", "params.energy=[0.4, 0.0]"),
-         "resolvent energy must have positive imaginary part"),
+         "resolvent energy must have positive imaginary part, got (0.4+0j)"),
         (("resolvent", "--set", "params.energy=[0.4, -0.2]"),
-         "resolvent energy must have positive imaginary part"),
+         "resolvent energy must have positive imaginary part, got (0.4-0.2j)"),
     ],
 )
 def test_resolvent_refusals_keep_their_exit_code_and_message(capsys, argv, message):
@@ -419,24 +419,35 @@ def test_coined_builds_line_blocks_once(capsys, monkeypatch):
     assert steps == [6]
 
 
+# the identity coin on one state: a walk of 32 bytes and 2 lift steps per step
+ONE_STATE_COIN = '{"matrix":[[[1,0]]],"shifts":[0]}'
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--set", "space.L=500", "--set", "coined.steps=1000000"), "|steps| exceeds STEP_MAX = 10000"),
-        (("--set", "space.L=400", "--set", "coined.steps=-20000"), "|steps| exceeds STEP_MAX = 10000"),
+        # a one-state walk passes both bounds at any step count, so `kernels` refuses it
+        (("--set", "space.L=500", "--set", f"coined.coin={ONE_STATE_COIN}", "--set", "coined.steps=1000000"),
+         "|steps| exceeds STEP_MAX = 10000"),
+        (("--set", "space.L=400", "--set", f"coined.coin={ONE_STATE_COIN}", "--set", "coined.steps=-20000"),
+         "|steps| exceeds STEP_MAX = 10000"),
         (("--set", "space.L=500", "--set", "coined.source=501"), "coined.source must lie in 1..500"),
         (("--set", "space.L=1", "--set", "coined.steps=10000"),
-         f"a coined walk of 10000 steps would do the work of 3e+08 lift steps, more than {MAX_LIFT_WORK}"),
+         f"a coined walk of 10000 steps would do the work of 300000000 lift steps, more than {MAX_LIFT_WORK}"),
+        # the count is printed whole: 10^8 + 17228 reads as more than the bound
         (("--set", "space.L=1", "--set", "coined.steps=5774"),
-         f"a coined walk of 5774 steps would do the work of 1e+08 lift steps, more than {MAX_LIFT_WORK}"),
+         f"a coined walk of 5774 steps would do the work of 100017228 lift steps, more than {MAX_LIFT_WORK}"),
         # past both bounds: the work is checked first
         (("--set", 'coined.coin={"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"shifts":[100000,-100000]}',
           "--set", "coined.steps=10000"),
-         f"a coined walk of 10000 steps would do the work of 3e+13 lift steps, more than {MAX_LIFT_WORK}"),
+         f"a coined walk of 10000 steps would do the work of 29997000030000 lift steps, more than {MAX_LIFT_WORK}"),
         # 4 * 10^6 + 1 blocks after one step, one block product
         (("--set", 'coined.coin={"matrix":[[[1,0],[0,0]],[[0,0],[1,0]]],"shifts":[2000000,-2000000]}',
           "--set", "coined.steps=1"),
-         f"a coined walk of 1 steps would keep 5.12e+08 bytes of line blocks, more than {MAX_LIFT_BYTES}"),
+         f"a coined walk of 1 steps would keep 512000128 bytes of line blocks, more than {MAX_LIFT_BYTES}"),
+        # a backward walk is priced by |steps|
+        (("--set", "space.L=400", "--set", "coined.steps=-20000"),
+         f"a coined walk of -20000 steps would do the work of 1200000000 lift steps, more than {MAX_LIFT_WORK}"),
     ],
 )
 def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv, message):
@@ -446,6 +457,41 @@ def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv,
     monkeypatch.setattr(orbitwalk.oracle, "coined_circle_power", oracle_ran)
     code, out, err = run_cli(capsys, "coined", *argv)
     assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(((command, "--set", "space.kind=Line"), "Line is infinite: an explicit window is required")
+          for command in ("evolve", "dos", "resolvent", "verify", "thermal")),
+        (("thermal", "--set", "space.kind=Line", "--window=0:3"), "partition function needs a finite domain, not Line"),
+        (("coined", "--set", "space.kind=Interval"),
+         "coined walks run on the single-walker Circle, not on the Interval with N=1"),
+        (("coined", "--set", "space.N=2"), "coined walks run on the single-walker Circle, not on the Circle with N=2"),
+        (("resolvent", "--set", "params.energy=[0.4,0]"),
+         "resolvent energy must have positive imaginary part, got (0.4+0j)"),
+        (("evolve", "--set", "space.N=2", "--set", "initial_state=[[1,1,0]]"),
+         "point (1,) has 1 coordinates, space has N=2"),
+        (("coined", "--set", f"coined.coin={ONE_STATE_COIN}", "--set", "coined.steps=10001"),
+         "|steps| exceeds STEP_MAX = 10000"),
+        # a dropped amplitude would print a total probability of 0.64, or 0.0, with exit 0
+        *((("evolve", "--set", "space.N=2", "--set", "representation.statistics=Fermion",
+            "--set", f"initial_state={state}"),
+           "fermion initial-state point (1, 1) repeats a coordinate: no antisymmetric state exists there")
+          for state in ("[[[1,1],0.6,0],[[1,2],0.8,0]]", "[[[1,1],1,0]]")),
+    ],
+)
+def test_refusals_the_library_makes_come_before_any_entry(capsys, monkeypatch, tmp_path, argv, message):
+    # each config is refused once, by the library call that would compute it
+    def computed(*args, **kwargs):
+        raise AssertionError("a refused run computed an entry")
+
+    monkeypatch.setattr(orbitwalk.orbit.KernelPlan, "value", computed)
+    monkeypatch.setattr(orbitwalk.oracle, "coined_circle_power", computed)
+    assert run_cli(capsys, *argv) == (2, "", f"config error: {message}\n")
+    path = tmp_path / "table.csv"
+    assert run_cli(capsys, *argv, "--output", str(path)) == (2, "", f"config error: {message}\n")
+    assert not path.exists()
 
 
 def test_coined_bounds_admit_the_hadamard_walk_to_5773_steps():
@@ -905,7 +951,7 @@ def test_oversized_tables_are_refused_before_the_domain_is_built(capsys, monkeyp
     "argv, bound",
     [
         # past 64 walkers a boson run is refused outright
-        (("thermal", "--set", "space.L=2", "--set", "space.N=65"), "lift steps"),
+        (("thermal", "--set", "space.L=2", "--set", "space.N=65"), "boson thermal at N=65 would do the work of inf lift steps"),
         # the minors of 12-site 8-walker targets against one source: 2.8e8 bytes
         (("evolve", "--set", "space.L=12", "--set", "space.N=8",
           "--set", "initial_state=[[[1,2,3,4,5,6,7,8], 1, 0]]"), "bytes of minors"),
@@ -1077,7 +1123,7 @@ def test_fermion_run_just_past_the_lift_bound_exits_2_before_any_kernel(capsys, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert f"fermion evolve at N=5 would do the work of {work:.3g} lift steps" in err
+    assert f"fermion evolve at N=5 would do the work of {work} lift steps, more than {MAX_LIFT_WORK}" in err
 
 
 @pytest.mark.parametrize("statistics", ["Boson", "Fermion"])

@@ -837,6 +837,19 @@ def test_evolve_rejects_empty_state_and_bad_points():
         assert plan.evolve(psi0) == want
 
 
+def test_evolve_refuses_a_fermion_start_that_repeats_a_coordinate():
+    # no antisymmetric state sits at (1, 1): its amplitude would be dropped without a word
+    pair = OrbitSpaceSpec("Circle", L=4, N=2)
+    plan = KernelPlan(pair, Representation(statistics="Fermion"), KernelParams(tau=1.0))
+    for psi0 in ({(1, 1): 0.6, (1, 2): 0.8}, {(1, 1): 1.0}, {(1, 1): 0.0, (1, 2): 1.0}):
+        with pytest.raises(DomainError, match=r"^fermion initial-state point \(1, 1\) repeats a coordinate"):
+            plan.evolve(psi0)
+    total = sum(abs(a) ** 2 for a in plan.evolve({(1, 2): 0.6, (2, 4): 0.8}).values())
+    assert total == pytest.approx(1.0, abs=1e-10)
+    # a boson state may sit there
+    assert KernelPlan(pair, Representation(), KernelParams(tau=1.0)).evolve({(1, 1): 1.0})
+
+
 def test_probability_matches_kernel_modulus_for_point_source():
     space = OrbitSpaceSpec("Circle", L=5)
     D = Representation()
@@ -1028,7 +1041,7 @@ def test_resolvent_plan_refuses_several_walkers_and_the_lower_half_plane():
         KernelPlan(pair, Representation(), KernelParams(energy=0.4 + 0.3j), mode="resolvent")
     circle = OrbitSpaceSpec("Circle", L=4)
     for energy in (0.4, 0.4 - 0.3j):
-        with pytest.raises(DomainError, match="Im\\(energy\\) > 0"):
+        with pytest.raises(DomainError, match="energy must have positive imaginary part"):
             KernelPlan(circle, Representation(), KernelParams(energy=energy), mode="resolvent")
 
 
@@ -1061,7 +1074,7 @@ def test_resolvent_sweep_refuses_the_lower_half_plane_before_any_residue(image_s
     p = KernelParams(energy=0.4 + 0.3j)
     for bad in (0.4 - 0.3j, 0.4, -1.2 + 0.0j):
         grid = [0.4 + 0.3j, -0.2 + 0.1j, bad, 0.1 + 0.2j]
-        with pytest.raises(DomainError, match="Im\\(energy\\) > 0"):
+        with pytest.raises(DomainError, match="energy must have positive imaginary part"):
             KernelPlan(space, Representation(), p, mode="resolvent", energies=grid).dos([(1,)])
     assert image_sums.residues == []
 

@@ -61,7 +61,7 @@ def test_interval_suite_passes_for_all_phase_pairs(theta, phi):
 def test_half_line_needs_window():
     space = OrbitSpaceSpec("HalfLine")
     for kind in ("Line", "HalfLine"):
-        with pytest.raises(DomainError, match=f"^{kind} verification needs an explicit window$"):
+        with pytest.raises(DomainError, match=f"^{kind} is infinite: an explicit window is required$"):
             run_checks(OrbitSpaceSpec(kind), Representation(), KernelParams(tau=1.0))
     results = run_checks(space, Representation(phi=math.pi), KernelParams(tau=1.0), window=(1, 10))
     assert all_passed(results)
