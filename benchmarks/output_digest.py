@@ -1,10 +1,16 @@
-"""Digests of what every perfbench job prints, to show a change moves no output.
+"""Digests of what every job prints, to show a change moves no output.
 
 Run as `python benchmarks/output_digest.py OUT.json` to run each job of
-perfbench's four workloads (`single_walker`, `many_walker`,
-`resolvent_sweep`, `known_defects`) for seeds 1-5, 165 jobs in all, then
-every job of `benchmarks/digest_jobs.jsonl` (what perfbench does not run:
-JSON output, other precisions, Line and HalfLine windows, custom and
+`benchmarks/digest_jobs.jsonl` through `orbitwalk.cli.main` in-process and
+to write one JSON object: the numpy version of the run, and for each job
+the sha256 of its stdout, the sha256 of its stderr and its exit code.  A
+job file holds one JSON list of command-line arguments per line, and a job
+is named by its arguments joined by spaces (" #2" marks a line that repeats
+an earlier one).  The first 165 lines are the perfbench jobs of seeds 1-5
+of its workloads `single_walker`, `many_walker`, `resolvent_sweep` and
+`known_defects`, as they stood when they were written out, so a change to
+perfbench renames no job here.  The other 80 cover what perfbench does not
+run: JSON output, other precisions, Line and HalfLine windows, custom and
 backward coined walks, coined walks whose shifts share one sign, boson
 `thermal` at N = 4 and 5, fermion and wide-window `verify`, tables longer
 than one CSV write batch and a JSON table as long, refusals by the lift
@@ -13,18 +19,21 @@ refusals of a Line with no window, of Z off a finite space, of `coined`
 off the one-walker Circle or past `STEP_MAX`, of Im E <= 0 and of a start
 with the wrong walker count, fermion starts with and without a repeated
 coordinate, config values that once ended in a traceback, and an
-`initial_state` that only `evolve` reads),
-through `orbitwalk.cli.main` in-process, and to write one JSON object that
-maps each job to the sha256 of its stdout, the sha256 of its stderr and its
-exit code.  A job that an exception ends records `"exception: <type>"` as
-its exit, and the run goes on.  `--src DIR` runs the orbitwalk sources
-under DIR (another checkout's `src/`) instead of this checkout's;
-`--argv-file FILE` adds one job per line of FILE.  A job file holds one
-JSON list of command-line arguments per line.
+`initial_state` that only `evolve` reads.  A job that an exception ends
+records `"exception: <type>"` as its exit, and the run goes on.
+`--src DIR` runs the orbitwalk sources under DIR (another checkout's
+`src/`) instead of this checkout's; `--argv-file FILE` adds one job per
+line of FILE.
+
+`benchmarks/output_digest.json` holds the digest of the committed
+program, and `tests/test_output_digest.py` recomputes it and names every
+job that moved.  A change that means to move output rewrites that file
+(`python benchmarks/output_digest.py benchmarks/output_digest.json`), so
+its diff lists the moves.  `coined` tables go through numpy's matmul and
+complex abs, so a digest holds for the numpy version it records.
 `python benchmarks/output_digest.py --compare A B` lists the jobs whose
 digests differ between two such files (or that only one of them has) and
-exits 1 if any does.  Job lists come from
-`perfbench/workloads.py`, which is imported, not changed.
+exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -38,30 +47,26 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("single_walker", "many_walker", "resolvent_sweep", "known_defects")
 DIGEST_JOBS = ROOT / "benchmarks" / "digest_jobs.jsonl"
+DIGEST_FILE = ROOT / "benchmarks" / "output_digest.json"
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def jobs(argv_file: str | None) -> dict:
-    """Job name -> argv: every perfbench job of seeds 1-5, then each line of
-    `DIGEST_JOBS` and of `argv_file`."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-
+def jobs(argv_file: str | None = None) -> dict:
+    """Job name -> argv: each line of `DIGEST_JOBS`, then of `argv_file`."""
     out = {}
-    for workload in WORKLOADS:
-        for seed in range(1, 6):
-            for i, job in enumerate(workloads.generate(workload, seed)):
-                out[f"{workload}:{seed}:{i} {job.label()}"] = job.argv()
     for path in filter(None, (DIGEST_JOBS, argv_file)):
         with open(path, encoding="utf-8") as fh:
             for line in filter(str.strip, fh):
                 argv = json.loads(line)
-                out[" ".join(argv)] = argv
+                name, repeat = " ".join(argv), 1
+                while name in out:
+                    repeat += 1
+                    name = f"{' '.join(argv)} #{repeat}"
+                out[name] = argv
     return out
 
 
@@ -88,6 +93,23 @@ def digest(src: Path, named: dict) -> dict:
     return out
 
 
+def record(src: Path, argv_file: str | None = None) -> dict:
+    """The digest file's content: the numpy version and every job's digest."""
+    import numpy
+
+    return {"numpy": numpy.__version__, "jobs": digest(src, jobs(argv_file))}
+
+
+def numpy_mismatch(recorded: dict) -> str | None:
+    """Why a digest recorded under another numpy cannot be compared, or None."""
+    import numpy
+
+    if recorded["numpy"] == numpy.__version__:
+        return None
+    return (f"the digest was recorded with numpy {recorded['numpy']}, and this is numpy "
+            f"{numpy.__version__}: `coined` bytes depend on it, so record the digest again")
+
+
 def compare(a: dict, b: dict) -> list[str]:
     """One line per job whose digests differ between `a` and `b`, or that one lacks."""
     lines = []
@@ -111,14 +133,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
-        lines = compare(a, b)
-        print("\n".join(lines) if lines else f"all {len(a)} jobs identical")
+        lines = ([f"numpy {a['numpy']} -> {b['numpy']}"] if a["numpy"] != b["numpy"] else [])
+        lines += compare(a["jobs"], b["jobs"])
+        print("\n".join(lines) if lines else f"all {len(a['jobs'])} jobs identical")
         return 1 if lines else 0
     if not args.out:
         parser.error("give an output file or --compare A B")
-    digests = digest(Path(args.src), jobs(args.argv_file))
-    Path(args.out).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"{len(digests)} jobs digested to {args.out}")
+    content = record(Path(args.src), args.argv_file)
+    Path(args.out).write_text(json.dumps(content, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"{len(content['jobs'])} jobs digested to {args.out}")
     return 0
 
 

@@ -7,7 +7,8 @@ echoed in the output header so any emitted table can be reproduced from its
 own file.  Exit codes: 0 success, 1 standard output closed by its reader
 before the table ended, 2 config error (an output file that cannot be
 opened too), 3 precision loss (a `thermal` Z that is not positive and
-finite), 4 verification failure.  Time and heat sums are exact and the
+finite, or a resolvent energy on an eigenvalue to double precision), 4
+verification failure.  Time and heat sums are exact and the
 resolvent is closed-form, so no setting truncates a sum: `--max-shell` is
 accepted and read by no command, and a config file's `truncation` section,
 echoed by older versions, is dropped on load.
@@ -42,7 +43,7 @@ import warnings
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
 from .kernels import CoinSpec, KernelParams, coined_price, hadamard_coin
-from .orbit import KernelPlan, lift_price, orbit_coined_blocks
+from .orbit import KernelPlan, check_partition_space, lift_price, orbit_coined_blocks
 
 COMMANDS = ("evolve", "resolvent", "thermal", "dos", "coined", "verify")
 
@@ -246,6 +247,8 @@ class ResolvedRun:
         if command == "verify":
             from . import verify  # loaded by every verify run anyway
             return (0, *verify.lifted_entries(space, self.representation, self.params, window))
+        if command == "thermal":
+            check_partition_space(space)  # before the count, which asks an infinite space for a window
         points = domain_size(space, window)
         if command in ("resolvent", "dos"):
             return points * (self.dos_points if command == "dos" else points), [], window

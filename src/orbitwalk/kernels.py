@@ -3,8 +3,9 @@
 The kernels on the full integer lattice have one implementation each, the
 one the orbit-space routes run once per run: the time and heat rows are
 Bessel rows (`orbit._free_row` over `special.j_row`/`i_row`), the resolvent
-e^{iq|x-y|} / (i omega sin q) is summed in closed form by the resolvent plan
-from the complex momentum `_momentum`, and the coined walk is the exact
+z^|x-y| / (i omega sin q), z = e^{iq}, is summed in closed form by the
+resolvent plan in powers of z, from the z and omega sin q of `_momentum`
+(two square roots per energy), and the coined walk is the exact
 light-cone blocks of `coined_line_blocks`, priced by `coined_price`: one
 array over the final window, which `orbit.orbit_coined_blocks` sums over
 windings as it is returned.  A kernel on the line is the orbit-space kernel
@@ -51,24 +52,35 @@ def window_radius(omega: float, tau: float) -> int:
     return math.ceil(z + 12.0 * z ** (1.0 / 3.0) + 30.0)
 
 
-def _momentum(energy: complex, omega: float) -> complex:
-    """The complex momentum q with energy = -omega cos q, Re q in [0, pi], Im q > 0.
+# |E| / omega past which omega sin q = -iE and e^{iq} = -omega / 2E to the last bit.
+_FAR = 2.0**27
 
-    omega must already be validated (by `KernelParams`).  An energy sweep
-    calls it once per energy, with no `KernelParams` each.
+
+def _momentum(energy: complex, omega: float) -> tuple:
+    """(z, v) with z = e^{iq}, v = omega sin q, energy = -omega cos q and Im q > 0.
+
+    With w = cos q = -E / omega, sin q = sqrt(1 - w) sqrt(1 + w) on principal
+    roots, so v = sqrt(omega + E) sqrt(omega - E): Re v > 0 whenever Im E > 0,
+    and omega +- E keep every digit at the band edges E = -+omega.  Then
+    z = 1 / (w - i sin q) = -omega / (E + i v), the root of modulus below 1,
+    formed without cancellation.  Past |E| = 2^27 omega the roots are
+    v = -iE and z = -omega / 2E, which nothing overflows.  Two square roots
+    per energy and no other cmath call; the residual check recomputes
+    cos q = (z + 1/z) / 2.  omega must already be validated (by
+    `KernelParams`); an energy sweep calls this once per energy.
     """
     e = complex(energy)
     if not e.imag > 0.0:
         raise DomainError(f"resolvent energy must have positive imaginary part, got {e}")
-    q = cmath.acos(-e / omega)
-    if q.imag < 0.0:
-        q = -q
-    if not (q.imag > 0.0 and 0.0 <= q.real <= math.pi):
-        raise DomainError(f"no valid momentum branch for energy {e}")
-    residual = abs(e + omega * cmath.cos(q))
-    if residual > 1e-12 * max(1.0, abs(e)):
+    size = abs(e.real) + e.imag
+    if size > _FAR * omega:
+        return -0.5 * omega / e, -1j * e
+    v = cmath.sqrt(omega + e) * cmath.sqrt(omega - e)
+    z = -omega / (e + 1j * v)
+    residual = abs(e + 0.5 * omega * (z + 1.0 / z))
+    if residual > 1e-12 and residual > 1e-12 * omega and residual > 1e-12 * size:  # 1e-12 max(1, omega, size)
         raise DomainError(f"momentum branch residual {residual:.2e} too large for energy {e}")
-    return q
+    return z, v
 
 
 @dataclass(frozen=True, eq=False)

@@ -212,23 +212,6 @@ def many_body_value(m: list, statistics: str) -> complex:
     return permanent(m)
 
 
-def many_body_kernel(
-    dec: SpectralDecomposition, n_walkers: int, statistics: str, x: tuple, y: tuple, tau: float
-) -> complex:
-    """N identical walkers: permanent (bosons) / determinant (fermions) of the
-    single-particle kernel matrix K[a, b] = <x_a| e^{-iH tau} |y_b>."""
-    if n_walkers > MANY_BODY_MAX:
-        raise DomainError(f"walker count limited to {MANY_BODY_MAX}")
-    if len(x) != n_walkers or len(y) != n_walkers:
-        raise DomainError("coordinate tuples must have one entry per walker")
-    if list(x) != sorted(x) or list(y) != sorted(y):
-        raise DomainError("coordinate tuples must be sorted ascending")
-    if statistics not in ("Boson", "Fermion"):
-        raise DomainError(f"unknown statistics {statistics!r}")
-    m = [[spectral_kernel(dec, tau, xa, yb) for yb in y] for xa in x]
-    return many_body_value(m, statistics)
-
-
 def coined_circle_power(L: int, theta: float, c: CoinSpec, steps: int) -> np.ndarray:
     """(S_theta (I x C))^steps on the ring, basis index (site-1)*d + coin."""
     if steps < 0:
@@ -253,11 +236,6 @@ def coined_circle_power(L: int, theta: float, c: CoinSpec, steps: int) -> np.nda
     if unit > 1e-12:
         raise DomainError(f"step matrix not unitary ({unit:.2e})")
     return np.linalg.matrix_power(w, steps)
-
-
-def coined_circle_block(power: np.ndarray, d: int, x: int, y: int) -> np.ndarray:
-    """The (x, y) coin block of a matrix returned by coined_circle_power."""
-    return power[(x - 1) * d : x * d, (y - 1) * d : y * d].copy()
 
 
 def gauge_check(L: int, theta: float, tau: float, omega: float = 1.0) -> float:

@@ -6,8 +6,9 @@ the images of y are the integers (c - y if m else y) + n P (winding n,
 reflection bit m), and the weight is e^{i n theta} e^{i m phi}.  One plan
 type, `KernelPlan`, serves every command (`evolve`, `thermal`, `resolvent`,
 `dos` and `verify`) and computes each single-walker sum once per run; with
-`orbit_coined_blocks` and `lift_price` (what an N-walker lift costs) it is
-the library's whole surface.  Every kernel is the same fold, K(x, y) =
+`orbit_coined_blocks`, `lift_price` (what an N-walker lift costs) and
+`check_partition_space` (which spaces have a Z) it is the library's whole
+surface.  Every kernel is the same fold, K(x, y) =
 A(x - y) + e^{i phi} A(x + y - c) with A(d) = sum_n e^{i n theta}
 free(|d - n P|).  A(d + P) = e^{i theta} A(d), so P residues cover a space,
 each computed on first use; the three modes differ only in the free term
@@ -19,9 +20,11 @@ and so in how a residue is summed:
   heat plan refuses beta omega above `special.I_Z_MAX`, where e^(beta omega)
   overflows, and a partition function that cancels to Z <= 0 or overflows
   raises `PrecisionError`: the true Z is positive.
-- Resolvent: the free term is e^{iq|d|} / (i omega sin q), so a residue is
-  two geometric series in closed form, kept as a column over the whole
-  energy grid (a DOS sweep is one plan).
+- Resolvent: the free term is z^|d| / (i omega sin q) with z = e^{iq}, so a
+  residue is two geometric series in closed form, kept as a column over the
+  whole energy grid (a DOS sweep is one plan).  z and sin q cost two square
+  roots per energy (`kernels._momentum`), and every residue is a sum of
+  powers z^k: no exp, sin, cos or acos.
 
 Time and heat kernels of N identical walkers are permanents or determinants
 of single-walker sums, in pure Python: every boson entry, and every fermion
@@ -36,7 +39,6 @@ complex.  numpy is imported only where arrays are built (coined blocks).
 from __future__ import annotations
 
 import bisect
-import cmath
 import math
 import warnings
 
@@ -249,6 +251,12 @@ def first_row_expansion(entry, rows: tuple, cols: tuple, fermion: bool, minors: 
     return total
 
 
+def check_partition_space(space: OrbitSpaceSpec) -> None:
+    """Refuse a space with no finite domain: Z(beta) sums over all of it."""
+    if space.kind not in ("Circle", "Interval"):
+        raise DomainError(f"partition function needs a finite domain, not {space.kind}")
+
+
 MODES = ("time", "heat", "resolvent")
 
 
@@ -277,7 +285,8 @@ class KernelPlan:
     2(L + 1) an interval.  With no period the residue of d is the free term
     at |d|.  A time or heat residue sums its windings over the Bessel row;
     a resolvent residue is two geometric series in closed form at every
-    grid energy, whose constants the plan computes in one pass at
+    grid energy, in powers of z = e^{iq}, whose constants (z, i omega sin q
+    and the series factors from z^P) the plan computes in one pass at
     construction.  So a DOS sweep (`dos`) takes one residue on a circle and
     L + 1 on an interval.  The weight D(t^n r^m) of each (n, m) is computed
     once by `weight_from_sums`.
@@ -342,27 +351,83 @@ class KernelPlan:
     def _init_resolvent(self, energies) -> None:
         """Each grid energy's constants, in one pass (see `_residue`).
 
-        Per energy: i q (q checked for branch and residual, so Im E <= 0
-        anywhere in the grid is refused before any residue), i omega sin q
-        and, on a period P, the series factors 1 / (1 - r-) and
-        e^{i theta} / (1 - r+).  omega was validated with p.
+        Per energy: z = e^{iq} and the denominator i omega sin q from
+        `_momentum` (which refuses Im E <= 0 anywhere in the grid before any
+        residue), and on a period P the series factors 1 / (1 - r-) and
+        e^{i theta} / (1 - r+) from wrap = z^P: two square roots and one
+        power per energy.  On a folded space (a period or a reflection) an
+        energy near a band edge, |E + sigma omega| < omega / 2 max(P, 2)^2 for
+        sigma = +-1 (so sigma z = 1 + g with |g| max(P, 2) about 1 or less),
+        keeps sigma and g, formed without cancellation, and its series
+        factors come from `_rise`.  An energy whose r- or r+ rounds to 1 lies
+        on an eigenvalue to double precision, where the resolvent is not
+        finite: `PrecisionError`.  omega was validated with p.
         """
-        omega = self._params.omega
-        period = self._period
-        self._grid = []  # (i q, ahead, behind) per energy
+        omega, period = self._params.omega, self._period
+        energies = list(energies)
+        self._grid = []  # z per energy
         self._denominators = []  # i omega sin q per energy
-        ahead = behind = None
-        if period:
-            turn = self._weight(1, 0)  # e^{i theta}
-            back = turn.conjugate()
         for energy in energies:
-            q = _momentum(energy, omega)
-            if period:
-                wrap = cmath.exp(1j * q * period)  # e^{iqP}
-                ahead = 1.0 / (1.0 - wrap * back)
-                behind = turn / (1.0 - wrap * turn)
-            self._grid.append((1j * q, ahead, behind))
-            self._denominators.append(1j * omega * cmath.sin(q))
+            z, v = _momentum(energy, omega)
+            self._grid.append(z)
+            self._denominators.append(1j * v)
+        self._powers = {0: [1 + 0j] * len(self._grid)}  # k -> the column of z^k
+        self._near = {}  # grid index -> (sigma, g) of an energy near a band edge
+        self._rises = {}  # (grid index, k) -> (sigma z)^k - 1
+        if period or self._center is not None:
+            # |g|^2 ~ 2 |E + sigma omega| / omega, so this is |g| max(P, 2) < 1, to a factor 2^(1/4)
+            limit = omega / (2 * max(period, 2) ** 2)
+            for i in [i for i, e in enumerate(energies) if abs(abs(e.real) - omega) + e.imag < limit]:
+                e, z = complex(energies[i]), self._grid[i]
+                sigma = -1 if e.real > 0.0 else 1
+                # sigma z - 1 = (sigma omega + E + i omega sin q) z / omega, formed without cancellation
+                self._near[i] = sigma, (sigma * omega + e + self._denominators[i]) * z / omega
+        if not period:
+            return
+        self._turn = turn = self._weight(1, 0)  # e^{i theta}
+        back = turn.conjugate()
+        self._series = []
+        for i, (energy, wrap) in enumerate(zip(energies, self._power(period))):
+            if i in self._near:  # wrap = a (1 + R_P), a = sigma^P
+                a = self._near[i][0] ** period
+                rise = self._rise(i, period)
+                first, second = (1.0 - back * a) - back * a * rise, (1.0 - turn * a) - turn * a * rise
+            else:
+                first, second = 1.0 - wrap * back, 1.0 - wrap * turn
+            if not (first and second):
+                raise PrecisionError(
+                    f"energy {energy} lies on an eigenvalue of the {self._space.kind} "
+                    "to double precision: its resolvent is not finite"
+                )
+            self._series.append((1.0 / first, turn / second))
+
+    def _power(self, k: int) -> list:
+        """The column of z^k over the grid, built on first use.  `**` is exact at
+        k = 0, repeated squaring to k = 100 and libm's polar form past it."""
+        column = self._powers.get(k)
+        if column is None:
+            column = self._powers[k] = [z**k for z in self._grid]
+        return column
+
+    def _rise(self, i: int, k: int) -> complex:
+        """R_k = (sigma z)^k - 1 at the near-edge grid energy i, k >= 0, kept.
+
+        (1 + g)^k - 1 by binary powers that never form (1 + g)^k:
+        (1 + a)(1 + b) - 1 = a + b + ab and (1 + b)^2 - 1 = b (2 + b).  So
+        R_k keeps its digits however small g is, where z^k - sigma^k would
+        cancel them.
+        """
+        key = i, k
+        total = self._rises.get(key)
+        if total is None:
+            total, g = 0j, self._near[i][1]
+            while k:
+                if k & 1:
+                    total += g + total * g
+                g *= 2.0 + g
+                k >>= 1
+            self._rises[key] = total
+        return total
 
     def _weight(self, n: int, m: int) -> complex:
         w = self._weights.get((n, m))
@@ -384,10 +449,15 @@ class KernelPlan:
                 if self._center is None:
                     value = [(0j + g) / den for g, den in zip(direct, dens)]
                 else:
-                    bounce, reflected = self._bounce, self._fold(xi + yj - self._center)
+                    d, image = xi - yj, xi + yj - self._center
+                    bounce, reflected = self._bounce, self._fold(image)
                     value = [
                         (0j + g + bounce * h) / den for g, h, den in zip(direct, reflected, dens)
                     ]
+                    for i in self._near:
+                        pair = self._edge_pair(i, d, image)
+                        if pair is not None:
+                            value[i] = pair / dens[i]
             elif self._center is None:
                 value = self._fold(xi - yj)
             else:
@@ -415,23 +485,34 @@ class KernelPlan:
 
         Time and heat: the windings n with |r - n P| <= R of the free row,
         ascending; the row is 0j past its end R.  Resolvent: at every grid
-        energy, with r± = e^{i(±theta + qP)},
+        energy, with z = e^{iq} and r± = e^{±i theta} z^P,
 
-            A(r) = e^{iq r} / (1 - r-) + e^{i theta} e^{iq (P - r)} / (1 - r+),
+            A(r) = z^r / (1 - r-) + e^{i theta} z^(P - r) / (1 - r+),
 
         the two geometric series of the windings, which converge because
-        |r±| = e^{-P Im q} < 1; with no period, e^{iq r}.  `_sum` divides by
-        i omega sin q.
+        |r±| = |z|^P < 1; with no period, z^r.  The columns of z^r and
+        z^(P - r) are built once per plan (`_power`), so residues r and P - r
+        share them.  `_sum` divides by i omega sin q.
         """
-        period, grid = self._period, self._grid
-        if grid is not None:
+        period = self._period
+        if self._grid is not None:
             if not period:
-                return [cmath.exp(iq * r) for iq, _, _ in grid]
-            rest = period - r
-            return [
-                cmath.exp(iq * r) * ahead + cmath.exp(iq * rest) * behind
-                for iq, ahead, behind in grid
+                return self._power(r)
+            column = [
+                near * ahead + far * behind
+                for near, far, (ahead, behind) in zip(self._power(r), self._power(period - r), self._series)
             ]
+            mix = self._turn.conjugate()
+            for i, (sigma, _) in self._near.items():
+                # the two series' leading terms cancel: with z^k = sigma^k (1 + R_k), a = sigma^P,
+                # A(r) = sigma^r (R_r ahead + a R_(P-r) behind - (e^{-i theta} + a) R_P ahead behind)
+                ahead, behind = self._series[i]
+                a, rise = sigma**period, self._rise
+                column[i] = sigma**r * (
+                    rise(i, r) * ahead + a * rise(i, period - r) * behind
+                    - (mix + a) * rise(i, period) * ahead * behind
+                )
+            return column
         free = self._free
         if not period:
             return free[r] if r < len(free) else 0j
@@ -441,6 +522,33 @@ class KernelPlan:
         for n in range(-((reach - r) // period), (r + reach) // period + 1):
             total += turns[n - first] * free[abs(r - n * period)]
         return total
+
+    def _edge_pair(self, i: int, d: int, image: int):
+        """i omega sin q G at near-edge grid energy i for the folds at d and at the
+        reflected image, where their leading terms cancel; None where the folds'
+        own residues are exact enough.
+
+        No period (HalfLine): z^|d| + e^{i phi} z^|image|, written as
+        c z^m ((1 + u) + u R_D) with m the smaller exponent, D the gap and
+        u = +-1, which keeps every digit of each entry.  A period with
+        theta = 0 (an Interval) whose two folds cancel, sigma^(r1 + r2)
+        e^{i phi} = -1 for the residues r1 of d and r2 of the image: both
+        residues hold a pole 1 / (1 - z^P) at the band edge, and their sum is
+        sigma^r1 (z'^r1 - z'^r2)(1 - z'^(P - r1 - r2)) / (1 - z'^P) in
+        z' = sigma z.
+        """
+        sigma, period, rise = self._near[i][0], self._period, self._rise
+        if not period:
+            (low, c_low), (high, c_high) = sorted([(abs(d), 1), (abs(image), self._bounce.real)])
+            u = c_low * c_high * sigma ** (high - low)
+            return c_low * self._power(low)[i] * ((1.0 + u) + u * rise(i, high - low))
+        r1, r2 = d % period, image % period
+        if self._turn != 1 or self._bounce * sigma ** (r1 + r2) != -1:
+            return None
+        m = period - r1 - r2
+        tail = -rise(i, m) if m >= 0 else rise(i, -m) / (1.0 + rise(i, -m))  # 1 - z'^m
+        # the ratio first: a product of two R's near 1e-162 would be subnormal
+        return sigma**r1 * (rise(i, r1) - rise(i, r2)) * (tail / -rise(i, period))
 
     def dos(self, sites) -> list:
         """The local DOS -(1/pi) Im G_E(x, x) at every grid energy, one column per site.
@@ -494,8 +602,7 @@ class KernelPlan:
         space = self._space
         if self._mode != "heat":
             raise DomainError("the partition function needs a heat-kernel plan")
-        if space.kind not in ("Circle", "Interval"):
-            raise DomainError(f"partition function needs a finite domain, not {space.kind}")
+        check_partition_space(space)
         if self._fermion and space.N > space.L:
             raise DomainError(
                 f"{space.N} fermions on {space.L} sites have no antisymmetric state (Z = 0)"

@@ -211,7 +211,7 @@ def check_against_oracle(space, D, p, window, probes, kernel) -> CheckResult:
     Each single-particle element e^{-iH tau}[a, b] is computed once by
     `oracle.spectral_kernel`; N-walker references are the oracle's
     permanent or determinant of those elements (`oracle.many_body_value`),
-    the same values `oracle.many_body_kernel` gives.
+    the same values the tests' `many_body_kernel` gives.
     """
     dec = _oracle_decomposition(space, D, p, window)
     if dec is None:

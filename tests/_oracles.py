@@ -24,6 +24,7 @@ import mpmath as mp
 import numpy as np
 
 from orbitwalk import oracle
+from orbitwalk.errors import DomainError
 from orbitwalk.group import Representation, weight_from_sums
 from orbitwalk.kernels import coined_line_blocks
 
@@ -228,6 +229,26 @@ def shell_sum_resolvent(space, D, x: int, y: int, p, trunc):
     return _orbit_sum(space, D, (x,), (y,), term, trunc)
 
 
+def many_body_kernel(dec, n_walkers: int, statistics: str, x: tuple, y: tuple, tau: float) -> complex:
+    """N identical walkers from the dense oracle: permanent (bosons) / determinant
+    (fermions) of the single-particle kernel matrix K[a, b] = <x_a| e^{-iH tau} |y_b>."""
+    if n_walkers > oracle.MANY_BODY_MAX:
+        raise DomainError(f"walker count limited to {oracle.MANY_BODY_MAX}")
+    if len(x) != n_walkers or len(y) != n_walkers:
+        raise DomainError("coordinate tuples must have one entry per walker")
+    if list(x) != sorted(x) or list(y) != sorted(y):
+        raise DomainError("coordinate tuples must be sorted ascending")
+    if statistics not in ("Boson", "Fermion"):
+        raise DomainError(f"unknown statistics {statistics!r}")
+    m = [[oracle.spectral_kernel(dec, tau, xa, yb) for yb in y] for xa in x]
+    return oracle.many_body_value(m, statistics)
+
+
+def coined_circle_block(power: np.ndarray, d: int, x: int, y: int) -> np.ndarray:
+    """The (x, y) coin block of a matrix returned by `oracle.coined_circle_power`."""
+    return power[(x - 1) * d : x * d, (y - 1) * d : y * d].copy()
+
+
 def coined_table_reference(L: int, theta: float, steps: int, coin, source: int,
                            precision: int) -> str:
     """A `coined` CSV table from its `# deviations` line on, built pair by pair.
@@ -235,7 +256,7 @@ def coined_table_reference(L: int, theta: float, steps: int, coin, source: int,
     Each (x, y) block is its own winding loop over the line blocks,
     sum_n e^{i n theta} B_steps(x - y - nL) for the n in the light cone; each
     reference block is sliced alone from the matrix power
-    (`oracle.coined_circle_block`); each site's probability is its block
+    (`coined_circle_block`); each site's probability is its block
     times the coin state (1, 0, ...).  The line blocks and the weights are
     the package's (`coined_line_blocks`, `weight_from_sums`), so what this
     checks is the winding sum, the table's layout and its formatting.
@@ -259,7 +280,7 @@ def coined_table_reference(L: int, theta: float, steps: int, coin, source: int,
     rows, worst = [], 0.0
     for x in range(1, L + 1):
         for y in range(1, L + 1):
-            want = oracle.coined_circle_block(power, coin.d, x, y).tolist()
+            want = coined_circle_block(power, coin.d, x, y).tolist()
             for i, row in enumerate(kernel(x, y).tolist()):
                 for j, value in enumerate(row):
                     dev = abs(value - want[i][j])

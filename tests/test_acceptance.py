@@ -27,7 +27,7 @@ from orbitwalk.verify import (
     probe_points,
 )
 
-from _oracles import bessel_j_series, laplace_transform_j0
+from _oracles import bessel_j_series, coined_circle_block, laplace_transform_j0, many_body_kernel
 from _reference_group import direct_kernel
 
 OMEGA = 1.0
@@ -227,7 +227,7 @@ def test_05_identical_walkers_three_route_agreement():
                     for y in probes[n]:
                         direct = direct_kernel(space, D, x, y, p).value
                         fact = KernelPlan(space, D, p).value(x, y)
-                        want = oracle.many_body_kernel(
+                        want = many_body_kernel(
                             dec, n, statistics,
                             tuple(c + shift for c in x), tuple(c + shift for c in y), tau)
                         worst = max(worst, abs(direct - fact), abs(direct - want),
@@ -348,7 +348,7 @@ def test_09_coined_walk_vs_step_matrix_power():
                 for x in range(1, L + 1):
                     for y in range(1, L + 1):
                         got = block(steps, x, y)
-                        want = oracle.coined_circle_block(w, coin.d, x, y)
+                        want = coined_circle_block(w, coin.d, x, y)
                         power_worst = max(power_worst, float(np.max(np.abs(got - want))))
                         shifted = block(steps, x + L, y)
                         shift_worst = max(shift_worst, float(np.max(np.abs(

@@ -463,7 +463,9 @@ def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv,
     "argv, message",
     [
         *(((command, "--set", "space.kind=Line"), "Line is infinite: an explicit window is required")
-          for command in ("evolve", "dos", "resolvent", "verify", "thermal")),
+          for command in ("evolve", "dos", "resolvent", "verify")),
+        # Z needs a finite domain, so thermal gets that reason with or without a window
+        (("thermal", "--set", "space.kind=Line"), "partition function needs a finite domain, not Line"),
         (("thermal", "--set", "space.kind=Line", "--window=0:3"), "partition function needs a finite domain, not Line"),
         (("coined", "--set", "space.kind=Interval"),
          "coined walks run on the single-walker Circle, not on the Interval with N=1"),
@@ -479,6 +481,8 @@ def test_coined_refusals_come_before_the_dense_oracle(capsys, monkeypatch, argv,
             "--set", f"initial_state={state}"),
            "fermion initial-state point (1, 1) repeats a coordinate: no antisymmetric state exists there")
           for state in ("[[[1,1],0.6,0],[[1,2],0.8,0]]", "[[[1,1],1,0]]")),
+        *((("thermal", "--set", "space.kind=HalfLine", *window), "partition function needs a finite domain, not HalfLine")
+          for window in ((), ("--window=0:3",))),
     ],
 )
 def test_refusals_the_library_makes_come_before_any_entry(capsys, monkeypatch, tmp_path, argv, message):

@@ -107,15 +107,20 @@ def test_line_heat_kernel_values():
 
 
 def test_resolvent_momentum_branch():
-    q = _momentum(1j, 1.0)
-    assert q.imag > 0 and abs(q.real - math.pi / 2) <= 1e-12
-    assert abs(q.imag - math.asinh(1.0)) <= 1e-12
-    for e in [0.4 + 0.3j, -0.2 + 0.05j, 1.5 + 1j, -3.0 + 2.0j]:
-        q = _momentum(e, 1.0)
-        assert q.imag > 0.0
-        assert abs(e + cmath.cos(q)) <= 1e-12 * max(1.0, abs(e))
-    with pytest.raises(DomainError):
-        _momentum(0.5 - 0.1j, 1.0)
+    # E = i: q = pi/2 + i asinh(1), so z = e^{iq} = i e^{-asinh(1)} and omega sin q = cosh(asinh(1))
+    z, v = _momentum(1j, 1.0)
+    assert abs(z - 1j * math.exp(-math.asinh(1.0))) <= 1e-15
+    assert abs(v - math.sqrt(2.0)) <= 1e-15
+    for omega in (1.0, 0.8):
+        for e in [0.4 + 0.3j, -0.2 + 0.05j, 1.5 + 1j, -3.0 + 2.0j, 1e9 + 1.0j, -1e300 + 1e-300j]:
+            z, v = _momentum(e, omega)
+            q = -1j * cmath.log(z)  # the branch the closed form takes: Im q > 0, |z| < 1
+            assert abs(z) < 1.0 and v.real > 0.0
+            assert abs(e + omega * cmath.cos(q)) <= 1e-12 * max(1.0, abs(e))
+            assert abs(v - omega * cmath.sin(q)) <= 1e-12 * max(1.0, abs(v))
+    for e in (0.5 - 0.1j, 0.5, 0.5 + 0j):
+        with pytest.raises(DomainError, match="resolvent energy must have positive imaginary part"):
+            _momentum(e, 1.0)
 
 
 def test_line_resolvent_geometric_decay_and_symmetry():

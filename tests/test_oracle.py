@@ -17,6 +17,8 @@ from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import CoinSpec, KernelParams, hadamard_coin
 from orbitwalk.orbit import KernelPlan
 
+from _oracles import coined_circle_block, many_body_kernel
+
 
 def circle_spec(L, theta=0.0, omega=1.0):
     return oracle.HamiltonianSpec(L, omega, oracle.CircleTwisted(theta))
@@ -241,18 +243,18 @@ def test_boson_value_of_a_repeated_row_heat_matrix_keeps_every_digit():
 def test_many_body_kernel_statistics():
     dec = oracle.diagonalize(oracle.build_hamiltonian(circle_spec(6, 0.5)))
     # fermions vanish at coincident coordinates
-    assert abs(oracle.many_body_kernel(dec, 2, "Fermion", (2, 2), (1, 3), 1.0)) < 1e-15
+    assert abs(many_body_kernel(dec, 2, "Fermion", (2, 2), (1, 3), 1.0)) < 1e-15
     # tau=0 with distinct coordinates reduces to a delta
-    assert oracle.many_body_kernel(dec, 2, "Boson", (1, 3), (1, 3), 0.0) == pytest.approx(1.0, abs=1e-13)
-    assert abs(oracle.many_body_kernel(dec, 2, "Boson", (1, 3), (2, 4), 0.0)) < 1e-13
+    assert many_body_kernel(dec, 2, "Boson", (1, 3), (1, 3), 0.0) == pytest.approx(1.0, abs=1e-13)
+    assert abs(many_body_kernel(dec, 2, "Boson", (1, 3), (2, 4), 0.0)) < 1e-13
 
 
 def test_many_body_kernel_requires_sorted_points_and_caps_n():
     dec = oracle.diagonalize(oracle.build_hamiltonian(circle_spec(6)))
     with pytest.raises(DomainError):
-        oracle.many_body_kernel(dec, 2, "Boson", (3, 1), (1, 3), 1.0)
+        many_body_kernel(dec, 2, "Boson", (3, 1), (1, 3), 1.0)
     with pytest.raises(DomainError):
-        oracle.many_body_kernel(dec, 7, "Boson", tuple(range(1, 8)), tuple(range(1, 8)), 1.0)
+        many_body_kernel(dec, 7, "Boson", tuple(range(1, 8)), tuple(range(1, 8)), 1.0)
 
 
 # -- discrete-time step matrix -------------------------------------------
@@ -270,8 +272,8 @@ def test_coined_power_block_reads_one_based_sites():
     w = oracle.coined_circle_power(4, 0.0, coin, 1)
     s = 1.0 / math.sqrt(2.0)
     # one step from site 1: coin row for +1 shift lands on site 2
-    assert np.allclose(oracle.coined_circle_block(w, 2, 2, 1), [[s, s], [0, 0]], atol=1e-15)
-    assert np.allclose(oracle.coined_circle_block(w, 2, 4, 1), [[0, 0], [s, -s]], atol=1e-15)
+    assert np.allclose(coined_circle_block(w, 2, 2, 1), [[s, s], [0, 0]], atol=1e-15)
+    assert np.allclose(coined_circle_block(w, 2, 4, 1), [[0, 0], [s, -s]], atol=1e-15)
 
 
 def test_coined_power_wrap_phase_orientation():

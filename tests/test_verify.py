@@ -26,6 +26,8 @@ from orbitwalk.verify import (
     run_checks,
 )
 
+from _oracles import many_body_kernel
+
 
 def names(results):
     return [r.name for r in results]
@@ -344,7 +346,7 @@ def test_oracle_references_equal_the_many_body_kernel(statistics):
     result = check_against_oracle(space, D, p, None, probe_points(space, D, None), kernel)
     dec = _oracle_decomposition(space, D, p, None)
     want = max(
-        abs(oracle.many_body_kernel(dec, 2, statistics, x, y, p.tau)) for x, y in got
+        abs(many_body_kernel(dec, 2, statistics, x, y, p.tau)) for x, y in got
     )
     # against a zero kernel the deviation is the largest reference, to the last bit
     assert repr(result.deviation) == repr(want)
