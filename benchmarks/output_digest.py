@@ -9,9 +9,11 @@ is named by its arguments joined by spaces (" #2" marks a line that repeats
 an earlier one).  The first 165 lines are the perfbench jobs of seeds 1-5
 of its workloads `single_walker`, `many_walker`, `resolvent_sweep` and
 `known_defects`, as they stood when they were written out, so a change to
-perfbench renames no job here.  The other 80 cover what perfbench does not
+perfbench renames no job here.  The other 83 cover what perfbench does not
 run: JSON output, other precisions, Line and HalfLine windows, custom and
-backward coined walks, coined walks whose shifts share one sign, boson
+backward coined walks, coined walks whose shifts share one sign, complex
+2- and 3-state coins and a coin of exact zeros and -1 (whose signed zeros
+show in the table), boson
 `thermal` at N = 4 and 5, fermion and wide-window `verify`, tables longer
 than one CSV write batch and a JSON table as long, refusals by the lift
 and coined bounds and of a time past the Bessel row's range, the library's

@@ -497,24 +497,34 @@ def run_coined(run: ResolvedRun) -> tuple:
     power = oracle.coined_circle_power(L, run.representation.theta, coin, abs(steps))
     if steps < 0:
         power = power.conj().T
-    d = coin.d
+    d, cells = coin.d, coin.d**2  # cells per block
     fmt = _formatter(run.precision)
     label = [str(k) for k in range(max(L, d) + 1)]
-    cells = [[(label[i], label[j], fmt(v.real), fmt(v.imag)) for i, row in enumerate(block)
-              for j, v in enumerate(row)] for block in circ.tolist()]
+    # each block's cells in (i, j) order, the blocks in descending displacement: row x
+    # reads y = 1..L, displacements x - 1 down to x - L, as one slice
+    falling = circ[::-1].reshape(-1)
+    re, im = (list(map(fmt, part.tolist())) for part in (falling.real, falling.imag))
     pairs = circ[np.subtract.outer(range(L), range(L)) + L - 1]  # [x - 1, y - 1, i, j]
     diff = pairs - power.reshape(L, d, L, d).transpose(0, 2, 1, 3)
     # np.hypot is abs() of each Python complex to the bit (both are the C
     # library's hypot); np.abs of a complex array is not
     dev = np.hypot(diff.real, diff.imag)
-    devs = map(fmt, dev.ravel().tolist())
     # the distribution's last bits are those of numpy's complex abs
     dist = np.sum(np.abs(circ[L - source:2 * L - source, :, 0]) ** 2, axis=1).tolist()
     total = functools.reduce(float.__add__, dist, 0.0)
+    chain, repeat, sites = itertools.chain.from_iterable, itertools.repeat, range(1, L + 1)
+    block_rows = zip(
+        chain(repeat(label[x], L * cells) for x in sites),
+        [label[y] for y in sites for _ in range(cells)] * L,
+        [label[i] for i in range(d) for _ in range(d)] * (L * L),
+        label[:d] * (L * L * d),
+        chain(re[(L - x) * cells:(2 * L - x) * cells] for x in sites),
+        chain(im[(L - x) * cells:(2 * L - x) * cells] for x in sites),
+        map(fmt, dev.ravel().tolist()),
+        repeat("", L * L * cells),
+    )
     rows = itertools.chain(
-        ((label[x], label[y], li, lj, re, im, next(devs), "")
-         for x in range(1, L + 1) for y in range(1, L + 1)
-         for li, lj, re, im in cells[x - y + L - 1]),
+        block_rows,
         ((label[x], "", "", "", "", "", "", fmt(prob)) for x, prob in enumerate(dist, 1)),
         [("total", "", "", "", "", "", "", fmt(total))],
     )

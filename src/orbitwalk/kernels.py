@@ -6,9 +6,11 @@ Bessel rows (`orbit._free_row` over `special.j_row`/`i_row`), the resolvent
 z^|x-y| / (i omega sin q), z = e^{iq}, is summed in closed form by the
 resolvent plan in powers of z, from the z and omega sin q of `_momentum`
 (two square roots per energy), and the coined walk is the exact
-light-cone blocks of `coined_line_blocks`, priced by `coined_price`: one
-array over the final window, which `orbit.orbit_coined_blocks` sums over
-windings as it is returned.  A kernel on the line is the orbit-space kernel
+light-cone blocks of `coined_line_blocks`, priced by `coined_price`: d
+planes over the final window, plane l holding row l of every block, which
+a step updates with one coin product, returned as a stack of blocks that
+views them and that `orbit.orbit_coined_blocks` sums over windings as it
+is.  A kernel on the line is the orbit-space kernel
 on `OrbitSpaceSpec("Line")`; numpy is imported only by the coined-walk code.
 """
 
@@ -121,11 +123,16 @@ def coined_price(steps: int, c: CoinSpec) -> tuple:
     """(lift steps, bytes) of `coined_line_blocks(steps, c)`, in the units of `orbit.lift_price`.
 
     Step n multiplies the coin into the n (max - min) + 1 blocks reached so
-    far, each product priced at d + 1 lift steps: above every price timed on
-    a shared 2-core VM at d = 2, 4 and 8 (0.33-0.70, 0.52-0.89 and 0.83-1.97
-    us, against 0.9, 1.5 and 2.7 us priced).  A step's fixed 3-8 us is not:
-    STEP_MAX steps of it take under 0.1 s.  The bytes are the final window's
-    stack and one step's product, at most as large again: 16 d^2 per block.
+    far, each block product priced at d + 1 lift steps, 0.9, 1.5 and 2.7 us
+    at d = 2, 4 and 8.  That is above every time per block product measured
+    on a shared 2-core VM for walks of 20 to 3,000 steps and widths 1 to 7:
+    0.008-0.36, 0.037-0.26 and 0.17-0.48 us, the most on 20-step walks,
+    whose steps' fixed cost falls on few blocks, and 0.008-0.016,
+    0.037-0.090 and 0.20-0.23 us from 1,000 steps on.  So the price is an
+    upper bound by 2.5x or more, and by far more on the long walks it exists
+    to refuse.  A step's fixed 2-3 us is not priced apart: STEP_MAX steps of
+    it take under 0.05 s.  The bytes are the final window's planes and one
+    step's product, at most as large again: 16 d^2 per block.
     """
     n, width = abs(steps), max(c.shifts) - min(c.shifts)
     products = n + width * n * (n - 1) // 2
@@ -136,23 +143,34 @@ def _coined_blocks(steps: int, c: CoinSpec) -> tuple:
     """W^steps on the line (steps >= 0) as (first, stack): stack[k] is the block at x - y = first + k.
 
     A step sends row i of C times the block at delta to row i of the block at
-    delta + shift_i.  The stack, allocated once at the final window, moves
-    with the walk: after n steps stack[delta - n * min(shifts)] is the block
-    at delta.  A step is one batched matmul over the blocks reached so far,
-    then one slice-add per shift; blocks the walk cannot reach are exact zeros.
+    delta + shift_i.  The blocks live in d planes, allocated once at the
+    final window: plane l holds row l of every block side by side, so that
+    after n steps planes[l, d k:d (k + 1)] is row l of the block at
+    delta = k + n * min(shifts).  A step is one matmul of the coin with the
+    planes reached so far, C (d x d k), into a product buffer allocated
+    once, then one contiguous copy of product row i into plane i at block
+    offset shift_i - min(shifts).  A plane is written only from that offset
+    on, and each step's copy covers the last one's, so what no step writes
+    stays an exact zero: the blocks the walk cannot reach.  The stack is a
+    view of the planes.
     """
     import numpy as np
 
-    low_shift, width = min(c.shifts), max(c.shifts) - min(c.shifts)
-    stack = np.zeros((steps * width + 1, c.d, c.d), dtype=complex)
-    stack[0] = np.eye(c.d, dtype=complex)
-    for n in range(steps):
-        size = n * width + 1  # stack[:size] holds the blocks reached so far
-        rows = np.matmul(c.coin, stack[:size])  # rows[k, i, j] = sum_l C_il stack[k, l, j]
-        stack[:size + width] = 0
-        for i, s in enumerate(c.shifts):
-            stack[s - low_shift:s - low_shift + size, i, :] += rows[:, i, :]
-    return steps * low_shift, stack
+    d, low_shift, width = c.d, min(c.shifts), max(c.shifts) - min(c.shifts)
+    blocks = steps * width + 1
+    # zero steps: the identity, one block; a walk starts from it outside the
+    # planes, in which a cell no step writes must stay zero
+    planes = np.eye(d, dtype=complex)
+    if steps:
+        reached, planes = planes, np.zeros((d, blocks * d), dtype=complex)
+        product = np.empty((d, (blocks - width) * d), dtype=complex)  # the last step's blocks
+        for n in range(steps):
+            cols = (n * width + 1) * d  # reached holds the blocks of step n
+            rows = np.matmul(c.coin, reached, out=product[:, :cols])
+            for i, s in enumerate(c.shifts):
+                planes[i, (s - low_shift) * d:(s - low_shift) * d + cols] = rows[i]
+            reached = planes[:, :cols + width * d]
+    return steps * low_shift, planes.reshape(d, blocks, d).transpose(1, 0, 2)
 
 
 def coined_line_blocks(steps: int, c: CoinSpec) -> tuple:

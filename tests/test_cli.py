@@ -499,8 +499,15 @@ def test_refusals_the_library_makes_come_before_any_entry(capsys, monkeypatch, t
 
 
 def test_coined_bounds_admit_the_hadamard_walk_to_5773_steps():
-    # the run is only resolved: walking it takes about 17 s (5774 steps are refused above)
+    # the run is only resolved here (5774 steps are refused above)
     assert ResolvedRun("coined", _configured(("coined", "space.L=1", "coined.steps=5773"))).steps == 5773
+
+
+def test_a_long_coined_walk_matches_the_matrix_power(capsys):
+    code, out, err = run_cli(capsys, "coined", "--set", "space.L=16", "--set", "coined.steps=3000")
+    assert code == 0, err
+    deviations = json.loads(out.splitlines()[2].removeprefix("# deviations "))
+    assert deviations["max_vs_matrix_power"] <= 1e-12
 
 
 @pytest.mark.parametrize(
