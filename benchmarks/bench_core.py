@@ -12,8 +12,8 @@ per displacement, and of an interval, which folds 2L residues and keeps one
 sum per pair, each the sum of a direct and a reflected fold.  The
 long-time fold row times a one-site circle at tau = 500, whose one residue
 takes every winding of a 627-term Bessel row.  The parser row times
-building the CLI parser and parsing one command line; `main()` builds the
-parser once per process and then only parses.  The dos-sweep rows time the
+`cli.parse_args` reading one command line against the option table, all
+`main()` does before it loads the config.  The dos-sweep rows time the
 default `orbitwalk dos` (201 energies on a 4-site circle, one residue) and
 the same sweep on an 8-site interval (residue 0 and one reflected residue per
 site, L + 1 in all).  The resolvent-table rows time one-energy `resolvent`
@@ -59,7 +59,7 @@ import timeit
 from pathlib import Path
 
 from orbitwalk import _core_py
-from orbitwalk.cli import build_parser, main as cli_main
+from orbitwalk.cli import main as cli_main, parse_args
 from orbitwalk.group import OrbitSpaceSpec, Representation
 from orbitwalk.kernels import KernelParams, coined_line_blocks, hadamard_coin
 from orbitwalk.orbit import KernelPlan, orbit_coined_blocks
@@ -134,7 +134,7 @@ PARSER_ARGV = ["thermal", "--set", "space.L=16", "--format", "csv"]
 
 
 def bench_parser() -> float:
-    return per_call_us(lambda: build_parser().parse_args(PARSER_ARGV), 500)
+    return per_call_us(lambda: parse_args(PARSER_ARGV), 500)
 
 
 def bench_cli(argv: list[str], repeats: int) -> float:
@@ -248,7 +248,7 @@ def main() -> None:
     print(f"heat plan Interval 12x12 sweep (one plan, beta*omega=1): {plan_us / 1000.0:.2f} ms")
     print(f"long-time fold: Circle L=1, tau=500, one plan and entry: "
           f"{bench_long_fold() / 1000.0:.2f} ms")
-    print(f"parser: build_parser().parse_args, one thermal command line: "
+    print(f"parser: parse_args, one thermal command line: "
           f"{bench_parser():.0f} us")
     print(f"dos sweep: default dos through cli.main: {bench_cli(['dos'], 10) / 1000.0:.2f} ms")
     print(f"dos sweep: Interval L=8 dos through cli.main: "

@@ -25,20 +25,23 @@ counts rows and lifted entries and prices them (`orbit.lift_price` a lift,
 library refuses what it computes, in that count or as a handler builds its
 plan, Z, amplitudes, arrays or checks, before any entry.  Rows only ask the
 plan for entries and format each distinct value once (`_formatter`).  So a
-run that exits 2 or 3 writes nothing.  The argument parser is built once per
-process, and the config echo copies only what it changes.
+run that exits 2 or 3 writes nothing.  The command line is read in one pass
+against the option table `OPTIONS` (`parse_args`), which also prints the
+help and words the usage errors as `argparse` did, without importing it.
+The config echo copies only what it changes.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import json
 import math
 import os
+import re
 import sys
 import warnings
+from types import SimpleNamespace
 
 from .errors import ConfigError, DomainError, PrecisionError, RepresentationError
 from .group import OrbitSpaceSpec, Representation, domain_size, fundamental_domain
@@ -125,7 +128,7 @@ def apply_set(config: dict, assignment: str) -> None:
     _merge(config, value)
 
 
-def apply_flags(config: dict, args: argparse.Namespace) -> None:
+def apply_flags(config: dict, args: SimpleNamespace) -> None:
     for assignment in args.set or []:
         apply_set(config, assignment)
     flags = {"path": args.output, "format": args.format, "precision": args.precision}
@@ -554,36 +557,167 @@ HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbitwalk",
-        description="Lattice walk kernels on quotient spaces: evolve states, "
-        "compute resolvents, thermal states, densities of states, coined steps, "
-        "and run the self-check suite.",
-        usage="%(prog)s COMMAND [options]",
+_USAGE = "usage: orbitwalk COMMAND [options]"
+
+_DESCRIPTION = """\
+Lattice walk kernels on quotient spaces: evolve states, compute resolvents,
+thermal states, densities of states, coined steps, and run the self-check
+suite."""
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _choice(*choices: str):
+    def convert(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})")
+        return text
+
+    return convert
+
+
+# The options, in --help order: (name, metavar, help, converter).  Each takes one
+# value; a converter returns it or raises ValueError worded for the usage error.
+OPTIONS = (
+    ("--config", "CONFIG", "JSON config file", str),
+    ("--set", "KEY=VALUE", "override one config field (dotted path, JSON value)", str),
+    ("--max-shell", "MAX_SHELL", "accepted, unused", _int),
+    ("--window", "LO:HI", "site window for infinite spaces", str),
+    ("--output", "OUTPUT", "write to this path instead of stdout", str),
+    ("--format", "{csv,json}", "", _choice("csv", "json")),
+    ("--precision", "PRECISION", "significant digits", _int),
+)
+_LONG = ("--help", *(option[0] for option in OPTIONS))
+_CONVERTERS = {option[0]: option[3] for option in OPTIONS}
+_COMMAND = _choice(*COMMANDS)
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{_USAGE}\norbitwalk: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _help_row(invocation: str, text: str) -> str:
+    """One help entry as argparse lays it out at 80 columns: the text from column 24."""
+    if len(invocation) > 20:
+        return f"  {invocation}\n{'':24}{text}"
+    return f"  {invocation:<20}  {text}".rstrip()
+
+
+def _help(arg: str, value) -> None:
+    """Print the help and exit 0, or refuse the value given to `arg`: -h takes none,
+    but runs on as -hh... (a usage error names what is left)."""
+    if value is not None:
+        rest = value.lstrip("h") if arg[1] != "-" else value
+        if rest or not value:
+            _usage_error(f"argument -h/--help: ignored explicit argument {rest!r}")
+    rows = [_help_row("-h, --help", "show this help message and exit")]
+    rows += [_help_row(f"{name} {metavar}", text) for name, metavar, text, _ in OPTIONS]
+    sys.stdout.write(
+        f"{_USAGE}\n\n{_DESCRIPTION}\n\npositional arguments:\n"
+        f"{_help_row('COMMAND', 'one of ' + ', '.join(COMMANDS))}\n\noptions:\n"
+        + "\n".join(rows) + "\n"
     )
-    parser.add_argument("command", choices=COMMANDS, metavar="COMMAND",
-                        help="one of " + ", ".join(COMMANDS))
-    parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one config field (dotted path, JSON value)")
-    parser.add_argument("--max-shell", type=int, default=None, help="accepted, unused")
-    parser.add_argument("--window", default=None, metavar="LO:HI",
-                        help="site window for infinite spaces")
-    parser.add_argument("--output", default=None, help="write to this path instead of stdout")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--precision", type=int, default=None, help="significant digits")
-    return parser
+    raise SystemExit(0)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser: parsing leaves no state in it."""
-    return build_parser()
+def _option(arg: str):
+    """None where `arg` is a positional, else (option name, value given with
+    it or None); the name is None for an unknown option.  A unique prefix names
+    its long option, -h runs on as -hh..., and a negative number or a text with
+    a space that names no option is a positional."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] == "-":
+        prefix, equals, value = arg.partition("=")
+        for name in _LONG:
+            if name.startswith(prefix):
+                return name, value if equals else None
+    elif arg[1] == "h":
+        return "--help", arg[3:] if arg[2:3] == "=" else arg[2:] or None
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _converted(name: str, convert, text: str):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        _usage_error(f"argument {name}: {exc}")
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """COMMAND and the `OPTIONS` of `argv` (default sys.argv[1:]), read in one pass.
+
+    COMMAND may stand anywhere among the options.  An option takes its value
+    as `--name value` or `--name=value`; a separate value may start with "-"
+    only as a negative number.  `--set` keeps every value in order, any other
+    option its last.  After "--" every argument is positional.  -h prints the
+    help and exits 0; a usage error prints the usage line and an
+    `orbitwalk: error:` line to stderr and exits 2.  The language and the
+    messages are those of the `argparse` parser this replaces.
+    """
+    args = sys.argv[1:] if argv is None else list(argv)
+    for arg in args:  # "--" alone prefixes every option: refused before anything is read
+        if arg == "--":
+            break
+        if arg.startswith("--="):
+            _usage_error(f"ambiguous option: {arg} could match {', '.join(_LONG)}")
+    parsed = SimpleNamespace(command=None, config=None, set=None, max_shell=None, window=None,
+                             output=None, format=None, precision=None)
+    extras = []
+    i, count, command_at = 0, len(args), None
+    while i < count:
+        arg = args[i]
+        i += 1
+        if arg == "--":  # every later argument is positional; "--" next to COMMAND is dropped
+            if parsed.command is None and i < count:
+                parsed.command = _converted("COMMAND", _COMMAND, args[i])
+                i += 1
+            elif command_at != i - 2:
+                extras.append(arg)
+            extras += args[i:]
+            break
+        option = _option(arg)
+        if option is None:
+            if parsed.command is None:
+                parsed.command, command_at = _converted("COMMAND", _COMMAND, arg), i - 1
+            else:
+                extras.append(arg)
+            continue
+        name, value = option
+        if name is None:
+            extras.append(arg)
+            continue
+        if name == "--help":
+            _help(arg, value)
+        if value is None:
+            if i == count or args[i] == "--" or _option(args[i]) is not None:
+                _usage_error(f"argument {name}: expected one argument")
+            value = args[i]
+            i += 1
+        value = _converted(name, _CONVERTERS[name], value)
+        if name == "--set":
+            parsed.set = parsed.set or []
+            parsed.set.append(value)
+        else:
+            setattr(parsed, name[2:].replace("-", "_"), value)
+    if parsed.command is None:
+        _usage_error("the following arguments are required: COMMAND")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return parsed
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         config = load_config(args.config)
         apply_flags(config, args)

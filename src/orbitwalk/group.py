@@ -4,10 +4,11 @@ An `OrbitSpaceSpec` fixes which generators act on each walker coordinate:
 the translation t x = x + P on the Circle and Interval and the reflection
 r x = c - x on the HalfLine and Interval, with walker exchanges on top.  A
 `Representation` weighs an element by its winding sum and reflection sum
-alone (`weight_from_sums`), so no group element is ever built; the fermion
-sign of a walker exchange enters through the determinant lift.  The
-fundamental-domain helpers list and count the sorted points the commands
-tabulate, and those with distinct coordinates, the fermion states that exist.
+alone (`weight_from_sums`, or `winding_weights` for a run of windings), so
+no group element is ever built; the fermion sign of a walker exchange
+enters through the determinant lift.  The fundamental-domain helpers list
+and count the sorted points the commands tabulate, and those with distinct
+coordinates, the fermion states that exist.
 """
 
 from __future__ import annotations
@@ -147,6 +148,17 @@ def weight_from_sums(D: Representation, n_sum: int, m_sum: int) -> complex:
     elif k_phi and m_sum:
         value *= quarter_phase(k_phi * m_sum)
     return value
+
+
+def winding_weights(D: Representation, first: int, last: int) -> list:
+    """[weight_from_sums(D, n, 0) for n in first..last], bit for bit, from one
+    quarter-multiple test of theta and one cos/sin pair."""
+    k = _quarter_multiple(D.theta)
+    windings = range(first, last + 1)
+    if k is not None:
+        return [quarter_phase(k * n) for n in windings]
+    turn = complex(math.cos(D.theta), math.sin(D.theta))
+    return [turn**n for n in windings]
 
 
 # -- fundamental domain helpers ---------------------------------------

@@ -51,6 +51,7 @@ from .group import (
     site_range,
     validate_representation,
     weight_from_sums,
+    winding_weights,
 )
 from .kernels import CoinSpec, KernelParams, _momentum, coined_line_blocks, window_radius
 from .special import I_Z_MAX, N_MAX, i_row, j_row, quarter_phase
@@ -288,8 +289,9 @@ class KernelPlan:
     grid energy, in powers of z = e^{iq}, whose constants (z, i omega sin q
     and the series factors from z^P) the plan computes in one pass at
     construction.  So a DOS sweep (`dos`) takes one residue on a circle and
-    L + 1 on an interval.  The weight D(t^n r^m) of each (n, m) is computed
-    once by `weight_from_sums`.
+    L + 1 on an interval.  A time or heat plan takes the weight e^{i n theta}
+    of every winding its residues reach from one `winding_weights` call; any
+    other D(t^n r^m) is computed once by `weight_from_sums`.
     An N-walker entry is the determinant (fermions) or permanent (bosons) of
     the N x N matrix of single-walker sums; a fermion entry whose x or y
     repeats a coordinate is exactly 0.  A boson entry, and a fermion entry
@@ -344,9 +346,7 @@ class KernelPlan:
         if period:
             reach = len(free) - 1
             self._first = -(reach // period)  # the lowest winding, reached by residue 0
-            self._turns = [
-                self._weight(n, 0) for n in range(self._first, (period - 1 + reach) // period + 1)
-            ]
+            self._turns = winding_weights(self._D, self._first, (period - 1 + reach) // period)
 
     def _init_resolvent(self, energies) -> None:
         """Each grid energy's constants, in one pass (see `_residue`).

@@ -10,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from orbitwalk.errors import DomainError, RepresentationError
 from orbitwalk.group import (
+    _ANGLE_TOL,
     OrbitSpaceSpec,
     Representation,
     domain_size,
     fundamental_domain,
     in_fundamental_domain,
     validate_representation,
+    weight_from_sums,
+    winding_weights,
 )
 
 from _reference_group import (
@@ -136,6 +139,30 @@ def test_rep_exact_quarter_phases():
     interval = OrbitSpaceSpec("Interval", L=3)
     Dpi = Representation(theta=math.pi, phi=math.pi)
     assert rep_value(Dpi, compose(translation(), reflection(), interval), interval) == 1 + 0j
+
+
+_HALF_PI = 0.5 * math.pi
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [0.0, -0.0, _HALF_PI, math.pi, 3 * _HALF_PI, 2 * math.pi,  # quarter multiples
+     _HALF_PI + 0.5 * _ANGLE_TOL, math.pi - 0.9 * _ANGLE_TOL, 0.5 * _ANGLE_TOL,  # within the tolerance
+     _HALF_PI + 3 * _ANGLE_TOL,  # just outside it
+     -_HALF_PI, -math.pi, -0.7, -5.0,  # negative
+     5 * _HALF_PI, 7.0, 4 * math.pi + 0.3, 101.3,  # above 2 pi
+     0.7, 1.0, 2.3, 1e-3],  # generic
+)
+def test_winding_weights_equal_weight_from_sums_bit_for_bit(theta):
+    """Past |n| = 100 `**` takes its polar form, so n runs to 150 each way."""
+    D = Representation(theta=theta, phi=math.pi)
+    weights = winding_weights(D, -150, 150)
+    assert len(weights) == 301
+    for n, w in zip(range(-150, 151), weights):
+        expected = weight_from_sums(D, n, 0)
+        assert (w.real.hex(), w.imag.hex()) == (expected.real.hex(), expected.imag.hex()), n
+    assert winding_weights(D, 3, 2) == []
+    assert winding_weights(D, 0, 0) == [weight_from_sums(D, 0, 0)]
 
 
 def test_rep_identity_element():
